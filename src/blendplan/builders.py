@@ -66,8 +66,8 @@ def _eps_by_spec(inst: Instance, eps_hat) -> dict[str, float]:
     return {q: float(eps_hat) for q in inst.spec_ids()}
 
 
-def make_plans(inst: Instance, eps_hat, base: int = 2) -> dict[tuple[str, str], DiscretizationPlan]:
-    """Digit plan per (tank, spec) from its reachable bounds.
+def make_plans(inst: Instance, eps_hat) -> dict[tuple[str, str], DiscretizationPlan]:
+    """Base-2 digit plan per (tank, spec) from its reachable bounds.
 
     Ranges no wider than the requested precision need no digits: the grid
     collapses to the lower bound with the whole range in the residual.
@@ -81,9 +81,9 @@ def make_plans(inst: Instance, eps_hat, base: int = 2) -> dict[tuple[str, str], 
         if hi - lo <= 0.0:
             plans[(k, q)] = degenerate_plan(lo, e)
         elif hi - lo <= e:
-            plans[(k, q)] = DiscretizationPlan("nmdt", base, lo, hi - lo, 0, base - 1, lo, hi, e)
+            plans[(k, q)] = DiscretizationPlan("nmdt", 2, lo, hi - lo, 0, 1, lo, hi, e)
         else:
-            plans[(k, q)] = make_plan(lo, hi, e, base=base, scheme="nmdt")
+            plans[(k, q)] = make_plan(lo, hi, e)
     return plans
 
 
@@ -631,8 +631,13 @@ def build_mccormick(inst: Instance, plans=None, eps_hat=None, tighten_bounds: bo
 def _check_plans(inst: Instance, plans) -> None:
     for k in inst.tanks:
         for q in inst.spec_ids():
-            if (k.id, q) not in plans:
+            p = plans.get((k.id, q))
+            if p is None:
                 raise KeyError(f"no discretization plan for tank {k.id}, spec {q}")
+            if p.base != 2:
+                # one binary per digit row holds the digit values 0 and 1 only
+                raise ValueError(f"plan for tank {k.id}, spec {q} has base {p.base}; "
+                                 "the models need base 2")
 
 
 # ---------------------------------------------------------------------------

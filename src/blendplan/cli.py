@@ -36,6 +36,8 @@ RESULT_FIELDS = [
     "worst_spec_violation", "steps", "wall_time_s",
 ]
 OK_STATUSES = {"ok", "optimal", "gap_reached", "time_limit"}
+# Step statuses of a rolling run, best first; the run reports its worst.
+_STEP_STATUS_ORDER = ("optimal", "gap_reached", "time_limit")
 
 
 def _parse_eps_hat(value):
@@ -106,7 +108,6 @@ def run_solve_config(config: dict) -> dict:
     opts = _solve_options(ns)
     t0 = time.perf_counter()
     steps = 0
-    status = "ok"
     if ns.scheme == "flat":
         model = builder(inst)
         res = solve(model, opts)
@@ -125,7 +126,9 @@ def run_solve_config(config: dict) -> dict:
         roller = roll_full if ns.scheme == "full" else roll_partial
         result = roller(inst, periods, params, builder, log_path=log_path)
         plan = result.plan
-        objective, bound = result.objective, result.milp_objective
+        status = max((s.status for s in result.steps), key=_STEP_STATUS_ORDER.index)
+        # step bounds hold for their own sub-problems, not for the whole horizon
+        objective, bound = result.objective, None
         steps = len(result.steps)
     wall = time.perf_counter() - t0
 
@@ -324,6 +327,14 @@ def default_matrix(instances: list[str], time_limit: float = 600.0) -> list[dict
     return runs
 
 
+def _error_record(task: dict, exc: Exception) -> dict:
+    return {"record_version": RESULTS_VERSION, "instance": task["instance"],
+            "method": task["method"], "status": "error", "objective": "",
+            "pct_loss": "", "wall_time_s": "", "violations": "",
+            "worst_spec_violation": "", "steps": "", "scheme": task["scheme"],
+            "horizon": "", "eps_hat": task["eps_hat"], "bound": "", "error": str(exc)}
+
+
 def cmd_bench(args) -> int:
     if args.config:
         with open(args.config) as fh:
@@ -353,26 +364,13 @@ def cmd_bench(args) -> int:
                 try:
                     records[i] = fut.result()
                 except Exception as e:  # keep going, record the failure
-                    records[i] = {"record_version": RESULTS_VERSION,
-                                  "instance": tasks[i]["instance"],
-                                  "method": tasks[i]["method"], "status": "error",
-                                  "objective": "", "pct_loss": "", "wall_time_s": "",
-                                  "violations": "", "worst_spec_violation": "",
-                                  "steps": "", "scheme": tasks[i]["scheme"],
-                                  "horizon": "", "eps_hat": tasks[i]["eps_hat"],
-                                  "bound": "", "error": str(e)}
+                    records[i] = _error_record(tasks[i], e)
     else:
         for i, t in enumerate(tasks):
             try:
                 records[i] = run_solve_config(t)
             except Exception as e:
-                records[i] = {"record_version": RESULTS_VERSION,
-                              "instance": t["instance"], "method": t["method"],
-                              "status": "error", "objective": "", "pct_loss": "",
-                              "wall_time_s": "", "violations": "",
-                              "worst_spec_violation": "", "steps": "",
-                              "scheme": t["scheme"], "horizon": "",
-                              "eps_hat": t["eps_hat"], "bound": "", "error": str(e)}
+                records[i] = _error_record(t, e)
     _append_results(os.path.join(out_dir, "results.csv"), records)
     _profiles(records, out_dir)
     n_ok = sum(1 for r in records if r.get("status") in OK_STATUSES)

@@ -3,17 +3,13 @@
 A bounded concentration ``f`` in ``[lo, hi]`` is written as a grid part plus
 a residual, ``f = f_grid + delta`` with ``delta`` in ``[0, eps]``.  The grid
 part is encoded by one-hot digit rows so that products of ``f`` with volume
-variables can be linearized digit by digit.  Three plan schemes are
-supported:
+variables can be linearized digit by digit.  Plans use the ``nmdt`` scheme:
+positional base-``b`` digits on the shifted range, with the digit count
+chosen per variable from its own bounds so that the grid resolution meets
+the requested precision ``eps_hat``.
 
-* ``nmdt`` -- positional base-``b`` digits on the shifted range; the digit
-  count is chosen per variable from its own bounds so that the grid
-  resolution meets the requested precision ``eps_hat``.
-* ``mdt``  -- positional digits on the unshifted value (requires lo >= 0).
-* ``mono`` -- a single digit row with one bucket per grid cell.
-
-The production models use ``nmdt`` with base 2; ``mdt`` and ``mono`` exist
-for comparison and testing.
+The models use base 2, one binary per digit row; other bases exist for
+counting digits and binaries (``digit_count``, ``binary_count``).
 """
 
 from __future__ import annotations
@@ -23,13 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCHEMES = ("nmdt", "mdt", "mono")
-
-
 @dataclass(frozen=True)
 class DiscretizationPlan:
-    scheme: str        # one of SCHEMES
-    base: int          # digit base (unused by "mono")
+    scheme: str        # always "nmdt"
+    base: int          # digit base
     lambda0: float     # grid origin
     eps: float         # realized grid resolution, eps <= eps_hat
     n: int             # number of digit rows
@@ -49,15 +42,13 @@ class DiscretizationPlan:
 
     def level_weight(self, i: int) -> float:
         """Scale factor of digit row ``i`` (1-based)."""
-        return 1.0 if self.scheme == "mono" else float(self.base ** (i - 1))
+        return float(self.base ** (i - 1))
 
     @property
     def grid_count(self) -> int:
         """Number of representable grid points."""
         if self.degenerate:
             return 1
-        if self.scheme == "mono":
-            return self.m + 1
         return self.base ** self.n
 
     def grid_points(self) -> np.ndarray:
@@ -94,47 +85,23 @@ def _ceil_log(x: float, base: int) -> int:
     return n
 
 
-def _floor_log(x: float, base: int) -> int:
-    """Largest integer e with base**e <= x, robust to float dust."""
-    e = math.floor(math.log(x, base) + 1e-9)
-    while base ** e > x * (1.0 + 1e-12):
-        e -= 1
-    while base ** (e + 1) <= x * (1.0 + 1e-12):
-        e += 1
-    return e
-
-
-def plan(lo: float, hi: float, eps_hat: float, base: int = 2, scheme: str = "nmdt") -> DiscretizationPlan:
+def plan(lo: float, hi: float, eps_hat: float, base: int = 2) -> DiscretizationPlan:
     """Compute the digit plan for a value bounded in [lo, hi].
 
     ``eps_hat`` must lie in (0, hi - lo]; the realized resolution ``eps``
-    never exceeds it.  ``mono`` ignores ``base``.
+    never exceeds it.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}] (use degenerate_plan for a fixed value)")
     width = hi - lo
     if not (0.0 < eps_hat <= width * (1 + 1e-12)):
         raise ValueError(f"eps_hat must be in (0, {width}], got {eps_hat}")
     eps_hat = min(eps_hat, width)
-    if scheme != "mono" and base < 2:
+    if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-
-    if scheme == "nmdt":
-        n = _ceil_log(width / eps_hat, base)
-        eps = width * base ** (-n)
-        return DiscretizationPlan(scheme, base, lo, eps, n, base - 1, lo, hi, eps_hat)
-    if scheme == "mdt":
-        if lo < 0:
-            raise ValueError(f"mdt requires lo >= 0, got {lo}")
-        eps = float(base) ** _floor_log(eps_hat, base)
-        n = _ceil_log(hi / eps, base)
-        return DiscretizationPlan(scheme, base, 0.0, eps, n, base - 1, lo, hi, eps_hat)
-    # mono
-    m = max(1, math.ceil(width / eps_hat - 1e-9))
-    eps = width / m
-    return DiscretizationPlan(scheme, base, lo, eps, 1, m, lo, hi, eps_hat)
+    n = _ceil_log(width / eps_hat, base)
+    eps = width * base ** (-n)
+    return DiscretizationPlan("nmdt", base, lo, eps, n, base - 1, lo, hi, eps_hat)
 
 
 def degenerate_plan(value: float, eps_hat: float = 0.0) -> DiscretizationPlan:
@@ -160,13 +127,9 @@ def encode(f: float, p: DiscretizationPlan) -> DigitCode:
     k = min(max(k, 0), p.grid_count - 1)
     delta = f - (p.lambda0 + k * p.eps)
     alpha = np.zeros((p.n, p.m + 1), dtype=np.int8)
-    if p.scheme == "mono":
-        alpha[0, k] = 1
-    else:
-        rem = k
-        for i in range(p.n):
-            alpha[i, rem % p.base] = 1
-            rem //= p.base
+    for i in range(p.n):
+        alpha[i, k % p.base] = 1
+        k //= p.base
     return DigitCode(alpha, delta)
 
 
@@ -190,15 +153,14 @@ def digit_count(lo: float, hi: float, eps_hat: float, base: int = 2) -> int:
     range is not wider than the requested precision."""
     if hi - lo <= eps_hat:
         return 0
-    return plan(lo, hi, eps_hat, base=base, scheme="nmdt").n
+    return plan(lo, hi, eps_hat, base=base).n
 
 
 def binary_count(lo: float, hi: float, eps_hat: float, base: int = 2) -> int:
     """Binary variables used to represent the grid part: (base-1) * n."""
     if hi - lo <= eps_hat:
         return 0
-    p = plan(lo, hi, eps_hat, base=base, scheme="nmdt")
-    return (base - 1) * p.n
+    return (base - 1) * plan(lo, hi, eps_hat, base=base).n
 
 
 def binary_count_ratio(b1: int, b2: int) -> float:

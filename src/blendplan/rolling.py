@@ -1,15 +1,22 @@
-"""Rolling-horizon schemes: period generation and the two step loops.
+"""Rolling-horizon schemes: period generation and the shared step loop.
 
 Periods partition the day grid.  ``fixed_periods`` cuts equal blocks;
 ``run_based_periods`` aligns period boundaries with the ends of demand
 runs and of the gaps between them, so neither is ever subdivided.
 
-Two schemes walk the periods:
+Each step splits the days into four segments: the *past* before the
+present, the *present* block of ``n_present`` periods, the *near future*
+up to ``t_nf`` and the *far future* beyond it.  The tables ``FULL_SCHEME``
+and ``PARTIAL_SCHEME`` are the one place where the treatment of each
+variable kind in each segment is defined (fixed, active, relaxed or
+omitted); the step loop both schemes share applies them and has no rule
+of its own.
 
 * ``roll_full``    -- every step solves the whole horizon.  Past binaries
-  are frozen (continuous variables stay free), the present block is fully
-  binary, unload binaries stay binary through the near future, everything
-  else there and beyond is relaxed to [0, 1].
+  are fixed to the values earlier steps chose (continuous variables stay
+  free), the present block is fully binary, unload binaries stay binary
+  through the near future, everything else there and beyond is relaxed
+  to [0, 1].
 * ``roll_partial`` -- every step solves only [present start, near-future
   end].  The past is fully fixed: the accumulated plan is simulated and
   the resulting tank state seeds a shifted sub-instance; barge volumes and
@@ -19,8 +26,8 @@ Two schemes walk the periods:
 
 from __future__ import annotations
 
+import contextlib
 import json
-import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -29,8 +36,6 @@ from .instance import Instance, derive_sets
 from .model import MilpModel
 from .simulate import FlowPlan, plan_objective, simulate
 from .solve import SolveOptions, SolveResult, extract_flow_plan, solve
-
-log = logging.getLogger(__name__)
 
 SEGMENTS = ("past", "present", "near", "far")
 TREATMENTS = ("fixed", "active", "relaxed", "omitted")
@@ -129,6 +134,8 @@ class SegmentPolicy:
     treatment: dict[str, tuple[str, str, str, str]]   # kind -> per-segment
 
     def of(self, kind: str, segment: str) -> str:
+        if kind not in self.treatment:
+            raise KeyError(f"{self.name} scheme has no treatment for variable kind {kind!r}")
         return self.treatment[kind][SEGMENTS.index(segment)]
 
 
@@ -196,12 +203,7 @@ class RollResult:
 def _solve_step(model: MilpModel, opts: SolveOptions, step: int) -> SolveResult:
     res = solve(model, opts)
     if res.status in ("infeasible", "error") or not res.has_values:
-        # misses are already soft penalties, so the re-solve is a plain
-        # retry; a second failure is a real dead end
-        log.warning("step %d solve returned %s; retrying once", step, res.status)
-        res = solve(model, opts)
-        if res.status in ("infeasible", "error") or not res.has_values:
-            raise RollingError(f"step {step}: solver returned {res.status}: {res.message}")
+        raise RollingError(f"step {step}: solver returned {res.status}: {res.message}")
     return res
 
 
@@ -212,57 +214,66 @@ def _step_budget(params: RollParams, spent: float, steps_left: int) -> float:
     return max(params.min_step_time, remaining / max(steps_left, 1))
 
 
-def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder,
-              log_path=None, on_step=None) -> RollResult:
-    """Full-horizon scheme: all constraints always present; binaries frozen
-    behind the window, relaxed ahead of it per FULL_SCHEME.
+def _segment(day: int, t_start: int, present_end: int, t_nf: int) -> str:
+    if day < t_start:
+        return "past"
+    if day < present_end:
+        return "present"
+    return "near" if day <= t_nf else "far"
 
-    ``on_step(step, model, result)`` is called after each solve.
+
+def _apply_policy(model: MilpModel, policy: SegmentPolicy, window: tuple[int, int, int],
+                  offset: int, frozen: dict, step: int) -> None:
+    """Fix, relax or keep each dated binary as ``policy`` prescribes for its
+    segment.  ``offset`` maps the model's days onto the full horizon (a
+    partial-scheme sub-model starts at the present)."""
+    for v in model.vars:
+        if not v.binary or v.day is None:
+            continue
+        segment = _segment(v.day + offset, *window)
+        treatment = policy.of(v.kind, segment)
+        if treatment == "fixed":
+            key = (v.kind, v.index)
+            if key not in frozen:
+                raise RollingError(f"no frozen value for {v.name} at step {step}")
+            model.fix(v, frozen[key])
+        elif treatment == "relaxed":
+            model.relax_binary(v)
+        elif treatment == "omitted":
+            raise RollingError(f"{v.name} lies in the omitted {segment} segment at step {step}")
+
+
+def _roll(inst: Instance, periods: list[Period], params: RollParams, policy: SegmentPolicy,
+          build, commit, frozen: dict, log_path, on_step):
+    """The step loop of both schemes.
+
+    ``build(t_start, t_nf)`` returns the step's model and the offset of its
+    days on the full horizon; ``policy`` then decides each binary's
+    treatment, with past binaries fixed from ``frozen``.  After the solve,
+    ``commit(model, res, offset, next_start)`` keeps what the step decided
+    for the days before ``next_start``.  Returns the step logs and the last
+    model and result.
     """
     H = inst.horizon
     if not check_partition(periods, H):
         raise ValueError("periods must partition the horizon")
-    frozen: dict[tuple[str, tuple], float] = {}
     steps: list[StepLog] = []
+    model = res = None
     t_begin = time.perf_counter()
-    logf = open(log_path, "w") if log_path else None
-    model = None
-    res = None
-    try:
-        i = 0
-        step = 0
-        while i < len(periods):
+    with open(log_path, "w") if log_path else contextlib.nullcontext() as logf:
+        for step, i in enumerate(range(0, len(periods), params.n_step)):
             present = periods[i:i + params.n_present]
             t_start = present[0].start
             present_end = present[-1].end
             t_nf = max(min(H - 1, t_start + params.h_nf - 1), present_end - 1)
-            model = builder(inst)
-            for v in model.vars:
-                if not v.binary:
-                    continue
-                d = v.day
-                if d is None:
-                    continue
-                if d < t_start:
-                    key = (v.kind, v.index)
-                    if key not in frozen:
-                        raise RollingError(f"no frozen value for {v.name} at step {step}")
-                    model.fix(v, frozen[key])
-                elif d < present_end:
-                    pass
-                elif d <= t_nf:
-                    if v.kind != "gamma":
-                        model.relax_binary(v)
-                else:
-                    model.relax_binary(v)
+            model, offset = build(t_start, t_nf)
+            _apply_policy(model, policy, (t_start, present_end, t_nf), offset, frozen, step)
             steps_left = math.ceil((len(periods) - i) / params.n_step)
             opts = replace(params.solve,
                            time_limit=_step_budget(params, time.perf_counter() - t_begin, steps_left))
             res = _solve_step(model, opts, step)
             next_start = periods[i + params.n_step].start if i + params.n_step < len(periods) else H
-            for v in model.vars:
-                if v.kind in ("gamma", "sigma", "alpha") and v.day is not None and v.day < next_start:
-                    frozen[(v.kind, v.index)] = 1.0 if res.values[v.name] >= 0.5 else 0.0
+            commit(model, res, offset, next_start)
             entry = StepLog(step, (t_start, present_end), t_nf, res.status,
                             res.objective, res.best_bound, res.wall_time, model.n_binary)
             steps.append(entry)
@@ -270,11 +281,26 @@ def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder
                 logf.write(entry.to_json() + "\n")
             if on_step is not None:
                 on_step(step, model, res)
-            i += params.n_step
-            step += 1
-    finally:
-        if logf:
-            logf.close()
+    return steps, model, res
+
+
+def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder,
+              log_path=None, on_step=None) -> RollResult:
+    """Full-horizon scheme: every step solves the whole-horizon model with
+    its binaries fixed, kept or relaxed per FULL_SCHEME.
+
+    ``on_step(step, model, result)`` is called after each solve.
+    """
+    frozen: dict[tuple[str, tuple], float] = {}
+
+    def commit(model, res, offset, next_start):
+        for v in model.vars:
+            if v.binary and v.day is not None and v.day < next_start:
+                frozen[(v.kind, v.index)] = 1.0 if res.values[v.name] >= 0.5 else 0.0
+
+    steps, model, res = _roll(inst, periods, params, FULL_SCHEME,
+                              lambda t_start, t_nf: (builder(inst), 0), commit, frozen,
+                              log_path, on_step)
     plan = extract_flow_plan(model, res)
     return RollResult(plan, steps, plan_objective(inst, plan), res.objective)
 
@@ -339,66 +365,26 @@ def roll_partial(inst: Instance, periods: list[Period], params: RollParams, buil
                  log_path=None, on_step=None) -> RollResult:
     """Partial-horizon scheme: solve only the visible window, freeze all of
     it that falls in the stepped-over periods, re-simulate, repeat."""
-    H = inst.horizon
-    if not check_partition(periods, H):
-        raise ValueError("periods must partition the horizon")
-    ds = derive_sets(inst)
     acc = FlowPlan()
-    steps: list[StepLog] = []
-    t_begin = time.perf_counter()
-    logf = open(log_path, "w") if log_path else None
-    try:
-        i = 0
-        step = 0
-        while i < len(periods):
-            present = periods[i:i + params.n_present]
-            t_start = present[0].start
-            present_end = present[-1].end
-            t_nf = max(min(H - 1, t_start + params.h_nf - 1), present_end - 1)
-            sub = _visible_sub_instance(inst, acc, t_start, t_nf)
-            model = builder(sub)
-            rel_present_end = present_end - t_start
-            for v in model.vars:
-                if not v.binary:
-                    continue
-                d = v.day
-                if d is not None and d >= rel_present_end and v.kind != "gamma":
-                    model.relax_binary(v)
-            steps_left = math.ceil((len(periods) - i) / params.n_step)
-            opts = replace(params.solve,
-                           time_limit=_step_budget(params, time.perf_counter() - t_begin, steps_left))
-            res = _solve_step(model, opts, step)
-            sub_plan = extract_flow_plan(model, res)
-            next_start = periods[i + params.n_step].start if i + params.n_step < len(periods) else H
-            cut = next_start - t_start
-            for (s, k, t), v in sub_plan.y_in.items():
-                if t < cut and v > 0.0:
-                    acc.y_in[(s, k, t + t_start)] = v
-            for (k, t), v in sub_plan.y_out.items():
-                if t < cut and v > 0.0:
-                    acc.y_out[(k, t + t_start)] = v
-            for (s, t), g in sub_plan.gamma.items():
-                if t < cut and g:
-                    acc.gamma[(s, t + t_start)] = g
-            for (k, t), g in sub_plan.sigma.items():
-                if t < cut and g:
-                    acc.sigma[(k, t + t_start)] = g
-            entry = StepLog(step, (t_start, present_end), t_nf, res.status,
-                            res.objective, res.best_bound, res.wall_time, model.n_binary)
-            steps.append(entry)
-            if logf:
-                logf.write(entry.to_json() + "\n")
-            if on_step is not None:
-                on_step(step, model, res)
-            i += params.n_step
-            step += 1
-    finally:
-        if logf:
-            logf.close()
+
+    def build(t_start, t_nf):
+        return builder(_visible_sub_instance(inst, acc, t_start, t_nf)), t_start
+
+    def commit(model, res, offset, next_start):
+        sub_plan = extract_flow_plan(model, res)
+        # the day is the last index of each of these plan entries
+        for name in ("y_in", "y_out", "gamma", "sigma"):
+            kept = getattr(acc, name)
+            for key, v in getattr(sub_plan, name).items():
+                if key[-1] + offset < next_start and v > 0.0:
+                    kept[key[:-1] + (key[-1] + offset,)] = v
+
+    steps, _, res = _roll(inst, periods, params, PARTIAL_SCHEME, build, commit, {},
+                          log_path, on_step)
+    ds = derive_sets(inst)
     for b in inst.barges:
         acc.v_unused[b.id] = b.volume - acc.unloaded_total(b.id)
     for t in ds.demand_days:
         served = sum(acc.y_out.get((k.id, t), 0.0) for k in inst.tanks)
         acc.mis[t] = max(ds.demand(t) - served, 0.0)
-    return RollResult(acc, steps, plan_objective(inst, acc),
-                      steps[-1].objective if steps else None)
+    return RollResult(acc, steps, plan_objective(inst, acc), res.objective)

@@ -3,10 +3,12 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 import blendplan
+import blendplan.rolling
 from blendplan.cli import main
 from blendplan.instance import write_instance
 from conftest import small_instance, tiny_instance
@@ -98,6 +100,28 @@ def test_solve_rolling_scheme(tiny_path, tmp_path, capsys):
     assert rc == 0
     steps = [json.loads(line) for line in open(os.path.join(out_dir, "steps.jsonl"))]
     assert steps and all("objective" in s for s in steps)
+
+
+def test_rolling_record_reports_worst_step_status(tiny_path, tmp_path, monkeypatch, capsys):
+    real_solve = blendplan.rolling.solve
+    calls = []
+
+    def solve_second_step_hits_limit(model, opts):
+        calls.append(1)
+        res = real_solve(model, opts)
+        return replace(res, status="time_limit") if len(calls) == 2 else res
+
+    monkeypatch.setattr(blendplan.rolling, "solve", solve_second_step_hits_limit)
+    out_dir = str(tmp_path / "roll")
+    rc = main(["solve", "--instance", tiny_path, "--out-dir", out_dir,
+               "--scheme", "full", "--periods", "fixed", "--dt", "2",
+               "--time-limit", "300"])
+    assert rc == 0
+    steps = [json.loads(line) for line in open(os.path.join(out_dir, "steps.jsonl"))]
+    assert len(steps) >= 2 and steps[1]["status"] == "time_limit"
+    rec = json.load(open(os.path.join(out_dir, "record.json")))
+    assert rec["status"] == "time_limit"
+    assert rec["bound"] is None
 
 
 def test_export_mps_and_lp(inst_path, tmp_path, capsys):

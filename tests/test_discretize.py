@@ -25,23 +25,6 @@ def test_plan_full_width_precision_has_no_digits():
     assert p.n == 0 and p.eps == 1.0
 
 
-def test_unary_plan_counts_cells():
-    p = plan(0.0, 1.0, 0.3, scheme="mono")
-    assert (p.m, p.eps, p.n) == (4, 0.25, 1)
-
-
-def test_unshifted_plan_requires_nonnegative_lower_bound():
-    with pytest.raises(ValueError):
-        plan(-1.0, 1.0, 0.1, scheme="mdt")
-
-
-def test_unshifted_plan_formulas():
-    p = plan(2.0, 10.0, 0.3, base=2, scheme="mdt")
-    assert p.eps == 0.25           # largest power of 2 at most 0.3
-    assert p.n == 6                # 2^6 * 0.25 = 16 >= 10
-    assert p.lambda0 == 0.0
-
-
 def test_plan_rejects_bad_inputs():
     with pytest.raises(ValueError):
         plan(1.0, 1.0, 0.1)
@@ -107,9 +90,8 @@ def test_round_trip_bulk_random():
         lo = rng.uniform(-50.0, 50.0)
         width = rng.uniform(1e-3, 100.0)
         eps_hat = width * rng.uniform(1e-4, 1.0)
-        scheme = rng.choice(["nmdt", "mono"])
         base = int(rng.integers(2, 11))
-        p = plan(lo, lo + width, eps_hat, base=base, scheme=str(scheme))
+        p = plan(lo, lo + width, eps_hat, base=base)
         f = rng.uniform(lo, lo + width)
         code = encode(f, p)
         back = decode(code, p)

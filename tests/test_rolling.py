@@ -1,4 +1,4 @@
-"""Period generators, segment policies, and the two rolling loops."""
+"""Period generators, segment policies, and the two rolling schemes."""
 
 from dataclasses import replace
 
@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blendplan.builders import build_center, make_plans
-from blendplan.rolling import (FULL_SCHEME, PARTIAL_SCHEME, Period, RollParams,
-                               RollingError, _visible_sub_instance, check_partition,
+import blendplan.rolling
+from blendplan.rolling import (FULL_SCHEME, PARTIAL_SCHEME, SEGMENTS, Period,
+                               RollParams, RollingError,
+                               _visible_sub_instance, check_partition,
                                fixed_periods, roll_full, roll_partial,
                                run_based_periods)
 from blendplan.simulate import FlowPlan, plan_objective, simulate
-from blendplan.solve import SolveOptions, solve
+from blendplan.solve import SolveOptions, SolveResult, solve
 from conftest import rolling_instance, small_instance, toy_1t1s
 
 FIG6_RUNS = [(0, 3), (5, 5), (7, 13), (18, 24), (25, 29)]
@@ -97,6 +99,11 @@ def test_policy_tables():
     assert PARTIAL_SCHEME.of("y_in", "past") == "fixed"
     assert PARTIAL_SCHEME.treatment["gamma"] == ("fixed", "active", "active", "omitted")
     assert PARTIAL_SCHEME.treatment["sigma"][2] == "relaxed"
+
+
+def test_policy_table_rejects_unknown_kind():
+    with pytest.raises(KeyError, match="no treatment"):
+        FULL_SCHEME.of("beta", "past")
 
 
 def _builder(eps=1.0):
@@ -217,3 +224,51 @@ def test_roll_params_validation():
         RollParams(n_present=1, n_step=2)
     with pytest.raises(ValueError):
         RollParams(h_nf=0)
+
+
+def _segment(day, window, t_nf):
+    if day < window[0]:
+        return "past"
+    if day < window[1]:
+        return "present"
+    return "near" if day <= t_nf else "far"
+
+
+@pytest.mark.parametrize("roller, policy", [(roll_full, FULL_SCHEME),
+                                            (roll_partial, PARTIAL_SCHEME)])
+def test_binary_states_follow_the_policy_table(roller, policy):
+    inst = rolling_instance(6, reps=2)   # 30 days
+    captured = []
+
+    def grab(step, model, res):
+        captured.append([(v.kind, v.day, "relaxed" if not v.binary
+                          else "fixed" if v.lo == v.hi else "active")
+                         for v in model.vars if v.kind in ("gamma", "sigma", "alpha")])
+
+    params = RollParams(h_nf=10, solve=SolveOptions(mip_gap=0.01, time_limit=600))
+    res = roller(inst, run_based_periods(inst.runs, inst.horizon, 7), params, _builder(),
+                 on_step=grab)
+    assert len(captured) == len(res.steps) >= 3
+    seen = set()
+    for log, states in zip(res.steps, captured):
+        offset = log.window[0] if roller is roll_partial else 0
+        for kind, day, state in states:
+            segment = _segment(day + offset, log.window, log.t_nf)
+            assert state == policy.of(kind, segment), (log.step, kind, day, segment)
+            seen.add(segment)
+    want = set(SEGMENTS) if roller is roll_full else {"present", "near"}
+    assert seen == want
+
+
+def test_failed_step_solves_once_and_raises(monkeypatch):
+    calls = []
+
+    def failing_solve(model, opts):
+        calls.append(opts.time_limit)
+        return SolveResult("infeasible", None, None, message="forced failure")
+
+    monkeypatch.setattr(blendplan.rolling, "solve", failing_solve)
+    inst = small_instance(12)
+    with pytest.raises(RollingError, match="step 0: solver returned infeasible: forced failure"):
+        roll_full(inst, fixed_periods(inst.horizon, 4), RollParams(), _builder())
+    assert len(calls) == 1
