@@ -23,8 +23,8 @@ from .builders import (CenterOptions, build_center, build_exact_mix,
 from .instance import (Instance, InstanceError, RandomizationParams,
                        extend_periodic, randomize_supply, read_instance,
                        validate_instance, write_instance)
-from .rolling import (RollParams, fixed_periods, roll_full, roll_partial,
-                      run_based_periods)
+from .rolling import (RollingError, RollParams, fixed_periods, roll_full,
+                      roll_partial, run_based_periods)
 from .simulate import (PlanInconsistencyError, audit, loss, read_plan,
                        simulate, write_plan)
 from .solve import SolveOptions, extract_flow_plan, solve
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, PlanInconsistencyError, ValueError) as e:
+    except (InstanceError, PlanInconsistencyError, RollingError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

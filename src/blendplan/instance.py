@@ -11,7 +11,9 @@ barge windows are inclusive ``[first, last]`` intervals on that grid.  Tank
 initial state is the state at the end of day -1.
 
 Instances are treated as immutable after validation (frozen dataclasses,
-shallow) and can therefore be shared freely across workers.
+shallow) and can therefore be shared freely across workers.  Each instance
+object validates itself once, on the first `derive_sets` call, and keeps
+the derived sets; mutating its nested dicts afterwards is not supported.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +113,17 @@ class Instance:
     def barge_min_unload_pct(self, barge_id: str) -> float:
         b = self.barge(barge_id)
         return b.min_unload_pct if b.min_unload_pct is not None else self.ops.min_daily_unload_pct
+
+    @cached_property
+    def _sets(self) -> DerivedSets:
+        # cached_property writes __dict__ directly, past the frozen
+        # __setattr__; a raise caches nothing, so invalid stays invalid
+        validate_instance(self).raise_if_invalid()
+        return _build_sets(self)
+
+    def __getstate__(self) -> dict:
+        # pickles and copies carry the fields only, as before the cache
+        return {k: v for k, v in self.__dict__.items() if k != "_sets"}
 
 
 def _by_id(items, item_id: str):
@@ -289,8 +303,16 @@ class DerivedSets:
 
 
 def derive_sets(inst: Instance) -> DerivedSets:
-    """Expand windows and runs into per-day lookup tables."""
-    validate_instance(inst).raise_if_invalid()
+    """Expand windows and runs into per-day lookup tables.
+
+    The first call on an instance object validates it (raising
+    `InstanceError`) and builds the sets; later calls return the same
+    `DerivedSets` object.
+    """
+    return inst._sets
+
+
+def _build_sets(inst: Instance) -> DerivedSets:
     H = inst.ops.horizon
     available: dict[int, list[str]] = {}
     for b in inst.barges:

@@ -366,9 +366,11 @@ def grid_oracle(inst: Instance, grid_step: float = 0.25) -> float:
     """Best objective over plans on a coarse volume grid (tiny instances).
 
     Unload fractions and feed shares are multiples of ``grid_step``; each
-    unload event targets a single tank.  Every candidate is simulated and
-    audited, so the result is attained by a plan feasible for the original
-    rules.  Searching a refinement (halved step) can only improve.
+    unload event targets a single tank.  A candidate whose value cannot
+    beat the best so far is skipped before simulation; every other one is
+    simulated and audited, so the result is still attained by a plan
+    feasible for the original rules.  Searching a refinement (halved step)
+    can only improve.
     """
     if len(inst.barges) > 2 or len(inst.tanks) > 2 or inst.horizon > 6:
         raise ValueError("grid_oracle is limited to <=2 barges, <=2 tanks, horizon <=6")
@@ -442,14 +444,14 @@ def grid_oracle(inst: Instance, grid_step: float = 0.25) -> float:
                     mis[t] = r.daily_demand * (1.0 - sum(shares))
             plan = FlowPlan(y_in=dict(y_in), y_out=y_out, gamma=dict(gamma),
                             sigma=sigma, v_unused=dict(v_unused), mis=mis)
+            val = plan_objective(inst, plan)
+            if best is not None and val <= best:
+                continue
             try:
                 trace = simulate(inst, plan)
             except PlanInconsistencyError:
                 continue
-            if not audit(inst, trace, plan).ok:
-                continue
-            val = plan_objective(inst, plan)
-            if best is None or val > best:
+            if audit(inst, trace, plan).ok:
                 best = val
     if best is None:  # the all-miss plan is always feasible
         best = plan_objective(inst, empty_plan(inst))

@@ -124,6 +124,23 @@ def test_rolling_record_reports_worst_step_status(tiny_path, tmp_path, monkeypat
     assert rec["bound"] is None
 
 
+def test_rolling_step_without_values_exits_with_error(tiny_path, tmp_path, monkeypatch, capsys):
+    real_solve = blendplan.rolling.solve
+
+    def solve_hits_limit_without_values(model, opts):
+        res = real_solve(model, opts)
+        return replace(res, status="time_limit", objective=None, values={})
+
+    monkeypatch.setattr(blendplan.rolling, "solve", solve_hits_limit_without_values)
+    rc = main(["solve", "--instance", tiny_path, "--out-dir", str(tmp_path / "roll"),
+               "--scheme", "full", "--periods", "fixed", "--dt", "3",
+               "--time-limit", "300"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 0: solver returned time_limit")
+    assert "Traceback" not in err
+
+
 def test_export_mps_and_lp(inst_path, tmp_path, capsys):
     mps = str(tmp_path / "m.mps")
     assert main(["export", "--instance", inst_path, "--method", "center",

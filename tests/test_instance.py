@@ -1,6 +1,7 @@
 """Instance model: validation, derived sets, generation, serialization."""
 
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -91,6 +92,36 @@ def test_adjacent_runs_union():
                    barges=(replace(base.barges[0], window=(0, 6)),))
     ds = derive_sets(inst)
     assert ds.demand_days == tuple(range(0, 7))
+
+
+def test_derive_sets_is_computed_once_per_instance():
+    inst = toy_1t1s()
+    assert derive_sets(inst) is derive_sets(inst)
+
+
+def test_derive_sets_of_invalid_instance_raises_every_call():
+    inst = replace(toy_1t1s(), tanks=(Tank("T1", 100.0, 500.0, 500.0, {"P": 50.0}, 0.10),))
+    for _ in range(2):
+        with pytest.raises(InstanceError, match="inventory bounds inverted"):
+            derive_sets(inst)
+
+
+def test_replaced_instance_derives_its_own_sets():
+    inst = toy_1t1s()
+    assert derive_sets(inst).demand_days == (0, 1)
+    later = replace(inst, runs=(replace(inst.runs[0], days=(1, 1)),))
+    assert derive_sets(later).demand_days == (1,)
+    assert derive_sets(inst).demand_days == (0, 1)
+
+
+def test_cached_sets_leave_equality_repr_and_pickle_unchanged():
+    inst, twin = toy_1t1s(), toy_1t1s()
+    before = pickle.dumps(inst)
+    derive_sets(inst)
+    assert inst == twin and repr(inst) == repr(twin)
+    assert pickle.dumps(inst) == before
+    back = pickle.loads(before)
+    assert back == inst and derive_sets(back) == derive_sets(inst)
 
 
 # -- periodic extension ------------------------------------------------------

@@ -369,3 +369,15 @@ def test_oracle_monotone_in_grid_step():
     vals = [grid_oracle(inst, g) for g in (0.5, 0.25, 0.125)]
     assert vals[0] <= vals[1] + 1e-9
     assert vals[1] <= vals[2] + 1e-9
+
+
+# values returned by the unpruned search (every candidate simulated and
+# audited), at the grid steps acceptance criterion 4 uses, plus two coarse
+# grids whose best plan falls short of the value target
+@pytest.mark.parametrize("seed, grid_step, want", [
+    (0, 0.125, 1650000.0), (1, 0.125, 1650000.0), (2, 0.125, 1650000.0),
+    (3, 0.25, 2500000.0), (4, 0.125, 1750000.0), (5, 0.125, 1750000.0),
+    (3, 0.5, 2400000.0), (12, 0.5, 1200000.0),
+])
+def test_oracle_values_pinned(seed, grid_step, want):
+    assert grid_oracle(tiny_instance(seed), grid_step) == want
