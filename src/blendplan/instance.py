@@ -294,6 +294,7 @@ class DerivedSets:
     miss_penalty_by_day: dict[int, float]
     tanks_by_barge: dict[str, tuple[str, ...]]     # barge -> allowed tanks
     barges_by_tank: dict[str, tuple[str, ...]]     # tank -> barges allowed in
+    value_target: float                            # penalty value of all supply and demand
 
     def available(self, day: int) -> tuple[str, ...]:
         return self.available_by_day.get(day, ())
@@ -330,15 +331,18 @@ def _build_sets(inst: Instance) -> DerivedSets:
     for b in inst.barges:
         for k in b.allowed_tanks:
             barges_by_tank[k].append(b.id)
+    demand_days = tuple(sorted(demand_by_day))
     return DerivedSets(
         available_by_day={t: tuple(v) for t, v in sorted(available.items()) if 0 <= t < H},
         window_by_barge={b.id: b.window for b in inst.barges},
-        demand_days=tuple(sorted(demand_by_day)),
+        demand_days=demand_days,
         demand_by_day=demand_by_day,
         run_by_day=run_by_day,
         miss_penalty_by_day=miss_by_day,
         tanks_by_barge={b.id: tuple(b.allowed_tanks) for b in inst.barges},
         barges_by_tank={k: tuple(v) for k, v in barges_by_tank.items()},
+        value_target=(sum(b.unload_penalty * b.volume for b in inst.barges)
+                      + sum(miss_by_day[t] * demand_by_day[t] for t in demand_days)),
     )
 
 

@@ -11,17 +11,19 @@ The objective is stored in minimization form (penalty value of unloading
 misses and feed misses) together with the constant target value, so the
 reported objective ``offset - min_value`` is the usual maximization value.
 
-Export targets: fixed-format MPS for linear models, LP text with quadratic
-constraint blocks for bilinear models.  Both use short row/column ids and
-emit a JSON sidecar mapping ids to names and tags.
+Export targets: fixed-format MPS for linear models, LP text for any model
+(with quadratic constraint blocks for bilinear rows).  Both use short
+row/column ids and emit a JSON sidecar mapping ids to names and tags.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import scipy.sparse as sp
@@ -260,111 +262,136 @@ class MilpModel:
 
     # -- export ---------------------------------------------------------------
 
-    def _short_ids(self):
-        col_ids = {v.col: f"C{v.col + 1}" for v in self.vars}
-        row_ids = {r.num: f"R{r.num + 1}" for r in self.rows}
-        return col_ids, row_ids
-
     def write_sidecar(self, path) -> None:
-        col_ids, row_ids = self._short_ids()
-        data = {
-            "model": self.name,
-            "objective_offset": self.obj_offset,
-            "objective_sense": "min (reported objective = offset - min value)",
-            "rows": {row_ids[r.num]: {"name": r.name, "tag": r.tag} for r in self.rows},
-            "columns": {col_ids[v.col]: {"name": v.name, "kind": v.kind, "binary": v.binary}
-                        for v in self.vars},
-            "structural_tags": dict(self.structural_tags),
-            "starts": {col_ids[c]: v for c, v in sorted(self.starts.items())},
-        }
+        """JSON map of the short ids to names and tags, in ``json.dump(indent=2)`` layout.
+
+        The row, column and quad-row maps are written one preformatted entry
+        at a time; the small sections go through `json.dumps`.
+        """
+        enc = encode_basestring_ascii
+        sections = [
+            _json_member("model", self.name),
+            _json_member("objective_offset", self.obj_offset),
+            _json_member("objective_sense", "min (reported objective = offset - min value)"),
+            _json_map("rows", _json_tag_entries("R", self.rows)),
+            _json_map("columns", [
+                f'    "C{v.col + 1}": {{\n      "name": {enc(v.name)},\n'
+                f'      "kind": {enc(v.kind)},\n'
+                f'      "binary": {"true" if v.binary else "false"}\n    }}' for v in self.vars]),
+            _json_member("structural_tags", dict(self.structural_tags)),
+            _json_member("starts", {f"C{c + 1}": v for c, v in sorted(self.starts.items())}),
+        ]
         if self.plans is not None:
-            data["plans"] = {f"{k},{q}": p.to_dict() for (k, q), p in sorted(self.plans.items())}
+            sections.append(_json_member(
+                "plans", {f"{k},{q}": p.to_dict() for (k, q), p in sorted(self.plans.items())}))
+        quad_rows = getattr(self, "quad_rows", ())
+        if quad_rows:
+            sections.append(_json_map("quad_rows", _json_tag_entries("Q", quad_rows)))
         with open(path, "w") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+            fh.write("{\n" + ",\n".join(sections) + "\n}\n")
 
     def write_mps(self, path) -> None:
         if self.has_bilinear():
             raise ModelError("bilinear rows cannot be written as MPS; use write_lp")
-        col_ids, row_ids = self._short_ids()
-        out = []
-        out.append(f"NAME          {self.name}")
-        out.append("ROWS")
-        out.append(" N  OBJ")
-        ranges = []
-        senses = {}
-        rhs = {}
+        num = functools.cache(_num)
+        out = [f"NAME          {self.name}", "ROWS", " N  OBJ"]
+        entries: list[list[str]] = [[] for _ in self.vars]   # per column: "rid  value"
+        rhs_lines, range_lines = [], []
         for r in self.rows:
-            rid = row_ids[r.num]
+            rid = f"R{r.num + 1}"
             if r.lo == r.hi:
-                senses[rid] = "E"
-                rhs[rid] = r.lo
+                sense, rhs = "E", r.lo
             elif r.lo == -INF and r.hi < INF:
-                senses[rid] = "L"
-                rhs[rid] = r.hi
+                sense, rhs = "L", r.hi
             elif r.hi == INF and r.lo > -INF:
-                senses[rid] = "G"
-                rhs[rid] = r.lo
+                sense, rhs = "G", r.lo
             elif r.lo > -INF and r.hi < INF:
-                senses[rid] = "L"
-                rhs[rid] = r.hi
-                ranges.append((rid, r.hi - r.lo))
+                sense, rhs = "L", r.hi
+                range_lines.append(f"    RNG       {rid:<8}  {num(r.hi - r.lo)}")
             else:
                 raise ModelError(f"row {r.name} is unbounded on both sides")
-            out.append(f" {senses[rid]}  {rid}")
+            out.append(f" {sense}  {rid}")
+            if rhs != 0.0:
+                rhs_lines.append(f"    RHS       {rid:<8}  {num(rhs)}")
+            padded = f"{rid:<8}  "
+            for col, val in r.coeffs.items():
+                entries[col].append(padded + num(val))
         out.append("COLUMNS")
-        by_col: dict[int, list[tuple[str, float]]] = {v.col: [] for v in self.vars}
-        for r in self.rows:
-            rid = row_ids[r.num]
-            for col, val in sorted(r.coeffs.items()):
-                by_col[col].append((rid, val))
         in_int = False
         marker = 0
-        for v in self.vars:
-            cid = col_ids[v.col]
+        for v, col_entries in zip(self.vars, entries):
             if v.binary != in_int:
                 kindmark = "'INTORG'" if v.binary else "'INTEND'"
                 out.append(f"    MARK{marker:04d}  {'MARKER':<8}  {'':<12} {kindmark}")
                 marker += 1
                 in_int = v.binary
-            entries = by_col[v.col]
+            prefix = f"    {f'C{v.col + 1}':<8}  "
             if v.col in self.obj:
-                entries = [("OBJ", self.obj[v.col])] + entries
-            for rid, val in entries:
-                out.append(f"    {cid:<8}  {rid:<8}  {_num(val)}")
-            if not entries:  # column must still appear
-                out.append(f"    {cid:<8}  {'OBJ':<8}  0")
+                out.append(f"{prefix}{'OBJ':<8}  {num(self.obj[v.col])}")
+            elif not col_entries:   # column must still appear
+                out.append(f"{prefix}{'OBJ':<8}  0")
+            if col_entries:
+                out.append(prefix + ("\n" + prefix).join(col_entries))
         if in_int:
             out.append(f"    MARK{marker:04d}  {'MARKER':<8}  {'':<12} 'INTEND'")
         out.append("RHS")
         if self.obj_offset:
             # objective constant: minimize c.x - offset
-            out.append(f"    RHS       {'OBJ':<8}  {_num(self.obj_offset)}")
-        for r in self.rows:
-            rid = row_ids[r.num]
-            if rhs[rid] != 0.0:
-                out.append(f"    RHS       {rid:<8}  {_num(rhs[rid])}")
-        if ranges:
+            out.append(f"    RHS       {'OBJ':<8}  {num(self.obj_offset)}")
+        out += rhs_lines
+        if range_lines:
             out.append("RANGES")
-            for rid, rng in ranges:
-                out.append(f"    RNG       {rid:<8}  {_num(rng)}")
+            out += range_lines
         out.append("BOUNDS")
         for v in self.vars:
-            cid = col_ids[v.col]
+            cid = f"C{v.col + 1}"
             if v.binary and v.lo == 0.0 and v.hi == 1.0:
                 out.append(f" BV BND       {cid}")
             elif v.lo == v.hi:
-                out.append(f" FX BND       {cid:<8}  {_num(v.lo)}")
+                out.append(f" FX BND       {cid:<8}  {num(v.lo)}")
             else:
                 if v.lo != 0.0:
                     kind = "MI" if v.lo == -INF else "LO"
-                    val = "" if v.lo == -INF else f"  {_num(v.lo)}"
+                    val = "" if v.lo == -INF else f"  {num(v.lo)}"
                     out.append(f" {kind} BND       {cid:<8}{val}")
                 if v.hi < INF:
-                    out.append(f" UP BND       {cid:<8}  {_num(v.hi)}")
+                    out.append(f" UP BND       {cid:<8}  {num(v.hi)}")
         out.append("ENDATA")
         with open(path, "w") as fh:
             fh.write("\n".join(out) + "\n")
+
+    def write_lp(self, path) -> None:
+        """LP-format text; `QcpModel` adds rows with [ ... ] quadratic blocks."""
+        num, snum = functools.cache(_num), functools.cache(_snum)
+        col_ids = [f"C{v.col + 1}" for v in self.vars]
+        out = [f"\\ Problem: {self.name}", "Minimize",
+               " obj: " + (_lp_terms(self.obj, col_ids, snum) or "0 " + col_ids[0]),
+               "Subject To"]
+        for r in self.rows:
+            body = _lp_terms(r.coeffs, col_ids, snum) or "0 " + col_ids[0]
+            for suffix, sense, val in _senses(r.lo, r.hi):
+                out.append(f" R{r.num + 1}{suffix}: {body} {sense} {num(val)}")
+        out += self._lp_quad_rows(col_ids, num, snum)
+        out.append("Bounds")
+        for v, cid in zip(self.vars, col_ids):
+            if v.lo == v.hi:
+                out.append(f" {cid} = {num(v.lo)}")
+            else:
+                lo = "-inf" if v.lo == -INF else num(v.lo)
+                hi = "+inf" if v.hi == INF else num(v.hi)
+                out.append(f" {lo} <= {cid} <= {hi}")
+        bins = [cid for v, cid in zip(self.vars, col_ids) if v.binary]
+        if bins:
+            out.append("Binaries")
+            for i in range(0, len(bins), 12):
+                out.append(" " + " ".join(bins[i:i + 12]))
+        out.append("End")
+        with open(path, "w") as fh:
+            fh.write("\n".join(out) + "\n")
+
+    def _lp_quad_rows(self, col_ids, num, snum) -> list[str]:
+        """LP lines of the rows with bilinear terms; a linear model has none."""
+        return []
 
 
 class QcpModel(MilpModel):
@@ -409,59 +436,14 @@ class QcpModel(MilpModel):
             out.add((ka, kb) if ka <= kb else (kb, ka))
         return out
 
-    def write_lp(self, path) -> None:
-        """LP-format text with [ ... ] quadratic blocks in constraints."""
-        col_ids, row_ids = self._short_ids()
-        qrow_ids = {qr.num: f"Q{qr.num + 1}" for qr in self.quad_rows}
-        out = [f"\\ Problem: {self.name}", "Minimize"]
-        terms = [f"{_snum(v)} {col_ids[c]}" for c, v in sorted(self.obj.items())]
-        out.append(" obj: " + (" ".join(terms) if terms else "0 " + col_ids[0]))
-        out.append("Subject To")
-
-        def lin_text(coeffs):
-            return " ".join(f"{_snum(v)} {col_ids[c]}" for c, v in sorted(coeffs.items()))
-
-        def quad_text(quads):
-            inner = " ".join(f"{_snum(c)} {col_ids[a]} * {col_ids[b]}" for c, a, b in quads)
-            return f"[ {inner} ]"
-
-        for r in self.rows:
-            body = lin_text(r.coeffs) or "0 " + col_ids[0]
-            for suffix, sense, val in _senses(r.lo, r.hi):
-                out.append(f" {row_ids[r.num]}{suffix}: {body} {sense} {_num(val)}")
+    def _lp_quad_rows(self, col_ids, num, snum) -> list[str]:
+        out = []
         for qr in self.quad_rows:
-            body = " ".join(x for x in (lin_text(qr.coeffs), quad_text(qr.quads)) if x)
+            inner = " ".join(f"{snum(c)} {col_ids[a]} * {col_ids[b]}" for c, a, b in qr.quads)
+            body = " ".join(x for x in (_lp_terms(qr.coeffs, col_ids, snum), f"[ {inner} ]") if x)
             for suffix, sense, val in _senses(qr.lo, qr.hi):
-                out.append(f" {qrow_ids[qr.num]}{suffix}: {body} {sense} {_num(val)}")
-        out.append("Bounds")
-        for v in self.vars:
-            cid = col_ids[v.col]
-            if v.lo == v.hi:
-                out.append(f" {cid} = {_num(v.lo)}")
-            else:
-                lo = "-inf" if v.lo == -INF else _num(v.lo)
-                hi = "+inf" if v.hi == INF else _num(v.hi)
-                out.append(f" {lo} <= {cid} <= {hi}")
-        bins = [col_ids[v.col] for v in self.vars if v.binary]
-        if bins:
-            out.append("Binaries")
-            for i in range(0, len(bins), 12):
-                out.append(" " + " ".join(bins[i:i + 12]))
-        out.append("End")
-        with open(path, "w") as fh:
-            fh.write("\n".join(out) + "\n")
-
-    def write_sidecar(self, path) -> None:
-        super().write_sidecar(path)
-        if self.quad_rows:
-            with open(path) as fh:
-                data = json.load(fh)
-            qrow_ids = {qr.num: f"Q{qr.num + 1}" for qr in self.quad_rows}
-            data["quad_rows"] = {qrow_ids[qr.num]: {"name": qr.name, "tag": qr.tag}
-                                 for qr in self.quad_rows}
-            with open(path, "w") as fh:
-                json.dump(data, fh, indent=2)
-                fh.write("\n")
+                out.append(f" Q{qr.num + 1}{suffix}: {body} {sense} {num(val)}")
+        return out
 
 
 def _senses(lo: float, hi: float):
@@ -485,6 +467,32 @@ def _num(x: float) -> str:
 
 def _snum(x: float) -> str:
     return ("+ " if x >= 0 else "- ") + _num(abs(x))
+
+
+def _lp_terms(coeffs: dict[int, float], col_ids: list[str], snum) -> str:
+    return " ".join([f"{snum(v)} {col_ids[c]}" for c, v in sorted(coeffs.items())])
+
+
+def _json_member(key: str, value) -> str:
+    """``"key": value`` as a member of a top-level ``json.dump(indent=2)`` object.
+
+    JSON text holds no raw newline inside a string, so indenting every line
+    after the first nests the value one level.
+    """
+    return f'  "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _json_tag_entries(prefix: str, rows) -> list[str]:
+    enc = encode_basestring_ascii
+    return [f'    "{prefix}{r.num + 1}": {{\n      "name": {enc(r.name)},\n'
+            f'      "tag": {enc(r.tag)}\n    }}' for r in rows]
+
+
+def _json_map(key: str, entries: list[str]) -> str:
+    """A top-level member whose value is an object of preformatted entries."""
+    if not entries:
+        return f'  "{key}": {{}}'
+    return f'  "{key}": {{\n' + ",\n".join(entries) + "\n  }"
 
 
 def parse_mps(path) -> dict:

@@ -335,16 +335,14 @@ class LossReport:
 
 
 def value_target(inst: Instance) -> float:
-    ds = derive_sets(inst)
-    return (sum(b.unload_penalty * b.volume for b in inst.barges)
-            + sum(ds.miss_penalty_by_day[t] * ds.demand(t) for t in ds.demand_days))
+    return derive_sets(inst).value_target
 
 
 def loss(inst: Instance, plan: FlowPlan) -> LossReport:
     """Fraction of attainable value (supply + demand, penalty-weighted)
     that the plan fails to capture."""
     ds = derive_sets(inst)
-    target = value_target(inst)
+    target = ds.value_target
     if target == 0.0:
         raise ValueError("instance has zero attainable value")
     missed = sum(b.unload_penalty * plan.v_unused.get(b.id, 0.0) for b in inst.barges)

@@ -159,6 +159,15 @@ def test_export_mps_and_lp(inst_path, tmp_path, capsys):
     assert open(lp).read() == open(lp2).read()
 
 
+def test_export_linear_model_as_lp(inst_path, tmp_path, capsys):
+    lp = str(tmp_path / "c.lp")
+    assert main(["export", "--instance", inst_path, "--method", "center", "--out", lp]) == 0
+    assert json.loads(capsys.readouterr().out)["bilinear"] == 0
+    text = open(lp).read()
+    assert "Subject To" in text and "Binaries" in text and text.endswith("End\n")
+    assert "[" not in text
+
+
 def test_export_exact_split_row_count(tiny_path, tmp_path, capsys):
     lp = str(tmp_path / "t.lp")
     main(["export", "--instance", tiny_path, "--method", "exact-split", "--out", lp])
