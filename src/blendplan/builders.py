@@ -1,6 +1,7 @@
 """Build optimization models from an instance.
 
-Four builders share one linear core (flows, demand, unload rules):
+Four builders share one linear core (flows, demand, unload rules); the
+last three also share its extension by per-spec volumes:
 
 * ``build_exact_mix``   -- bilinear model tracking tank concentrations
   directly; products are concentration x volume.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .discretize import DiscretizationPlan, degenerate_plan, plan as make_plan
-from .instance import Instance, derive_sets
+from .instance import Instance, Tank, derive_sets
 from .model import INF, MilpModel, QcpModel, VarRef
 from .simulate import value_target
 
@@ -81,7 +82,7 @@ def make_plans(inst: Instance, eps_hat) -> dict[tuple[str, str], DiscretizationP
         if hi - lo <= 0.0:
             plans[(k, q)] = degenerate_plan(lo, e)
         elif hi - lo <= e:
-            plans[(k, q)] = DiscretizationPlan("nmdt", 2, lo, hi - lo, 0, 1, lo, hi, e)
+            plans[(k, q)] = DiscretizationPlan(2, lo, hi - lo, 0, lo, hi, e)
         else:
             plans[(k, q)] = make_plan(lo, hi, e)
     return plans
@@ -154,16 +155,19 @@ def _identity_bounds(inst: Instance) -> TightenedBounds:
 
 
 # ---------------------------------------------------------------------------
-# Shared linear core
+# Shared linear core and spec-volume scaffold
 
 
 class _Core:
-    """Variable handles for the flow/unload/demand skeleton of a model."""
+    """Variable handles for the flow/unload/demand skeleton of a model,
+    built into ``m``, which is registered as model ``method`` of ``inst``."""
 
-    def __init__(self, m: MilpModel, inst: Instance):
+    def __init__(self, m: MilpModel, inst: Instance, method: str):
         self.m = m
         self.inst = inst
         self.ds = derive_sets(inst)
+        m.instance = inst
+        m.meta["method"] = method
         H = inst.horizon
         ds = self.ds
         self.demand_days = set(ds.demand_days)
@@ -293,6 +297,147 @@ class _Core:
         self.m.set_objective(coeffs, value_target(inst))
 
 
+class _SpecVolumes(_Core):
+    """The core plus per-(tank, spec, day) spec volumes: ``vf_mid``,
+    ``vf_end`` and, on demand days, ``yf_out``.
+
+    Given digit ``plans``, the spec volumes are bounded by the plans' ranges
+    and one digit vector per (tank, spec, day) is added: binaries ``alpha``
+    and their products ``xa`` with each volume the spec volumes belong to.
+    Without plans the bounds are the reachable ones.
+    """
+
+    def __init__(self, m: MilpModel, inst: Instance, method: str, plans=None):
+        super().__init__(m, inst, method)
+        if plans is None:
+            reach = reachable_spec_bounds(inst)
+        else:
+            _check_plans(inst, plans)
+            m.plans = plans
+            reach = {kq: (p.lo, p.hi) for kq, p in plans.items()}
+        vf_mid, vf_end, yf_out = {}, {}, {}
+        for k in inst.tanks:
+            for q in inst.spec_ids():
+                lo, hi = reach[(k.id, q)]
+                for t in range(inst.horizon):
+                    vf_mid[(k.id, q, t)] = m.add_var("vf_mid", (k.id, q, t), lo * k.v_min, hi * k.v_max)
+                    vf_end[(k.id, q, t)] = m.add_var("vf_end", (k.id, q, t), lo * k.v_min, hi * k.v_max)
+                    if t in self.demand_days:
+                        yf_out[(k.id, q, t)] = m.add_var("yf_out", (k.id, q, t),
+                                                         0.0, hi * self.ds.demand(t))
+                m.note_structural("init_spec_volume")
+        self.vf_mid, self.vf_end, self.yf_out = vf_mid, vf_end, yf_out
+        if plans is None:
+            return
+        alpha, xa = {}, {}
+        for k in inst.tanks:
+            for q in inst.spec_ids():
+                p = plans[(k.id, q)]
+                for t in range(inst.horizon):
+                    for i in range(1, p.n + 1):
+                        alpha[(k.id, q, t, i)] = m.add_var("alpha", (k.id, q, t, i), 0.0, 1.0, binary=True)
+                        xa[(k.id, q, t, i, "mid")] = m.add_var(
+                            "x_alpha", (k.id, q, t, i, "mid"), 0.0, k.v_max)
+                        xa[(k.id, q, t, i, "end")] = m.add_var(
+                            "x_alpha", (k.id, q, t, i, "end"), 0.0, k.v_max)
+                        if t in self.demand_days:
+                            xa[(k.id, q, t, i, "out")] = m.add_var(
+                                "x_alpha", (k.id, q, t, i, "out"), 0.0, self.ds.demand(t))
+        self.alpha, self.xa = alpha, xa
+
+    def mass_rows(self, relax_eps=None):
+        """Mass-balance rows for spec volumes.
+
+        With ``relax_eps`` a per-(tank,spec) map, the blending balance becomes
+        a two-sided relaxation of +/- eps/2 per unit of post-blend volume;
+        with None it is an equality.
+        """
+        m, inst = self.m, self.inst
+        for k in inst.tanks:
+            for q in inst.spec_ids():
+                for t in range(inst.horizon):
+                    coeffs = {self.vf_mid[(k.id, q, t)]: 1.0, self.vf_end[(k.id, q, t)]: -1.0}
+                    out = self.yf_out.get((k.id, q, t))
+                    if out is not None:
+                        coeffs[out] = -1.0
+                    m.add_eq("spec_mass_split", coeffs, 0.0, f"spec_mass_split[{k.id},{q},{t}]")
+
+                    base = {self.vf_mid[(k.id, q, t)]: 1.0}
+                    for s in self.ds.barges_by_tank[k.id]:
+                        ref = self.y_in.get((s, k.id, t))
+                        if ref is not None:
+                            base[ref] = -inst.barge(s).specs[q]
+                    rhs = k.specs_init[q] * k.v_init if t == 0 else 0.0
+                    if t > 0:
+                        base[self.vf_end[(k.id, q, t - 1)]] = -1.0
+                    if relax_eps is None:
+                        m.add_eq("spec_mass_blend", base, rhs, f"spec_mass_blend[{k.id},{q},{t}]")
+                    else:
+                        half = relax_eps[(k.id, q)] / 2.0
+                        vm = self.v_mid[(k.id, t)]
+                        ub = dict(base)
+                        ub[vm] = ub.get(vm, 0.0) - half
+                        m.add_row("blend_relax_ub", ub, hi=rhs, name=f"blend_relax_ub[{k.id},{q},{t}]")
+                        lb = dict(base)
+                        lb[vm] = lb.get(vm, 0.0) + half
+                        m.add_row("blend_relax_lb", lb, lo=rhs, name=f"blend_relax_lb[{k.id},{q},{t}]")
+
+    def products(self, k: Tank, q: str, t: int) -> list[tuple[str, VarRef, VarRef, float, float]]:
+        """(family, spec volume, volume, volume lower, volume upper) of each
+        volume that tank ``k`` has on day ``t``, with its spec-``q`` volume."""
+        out = [("mid", self.vf_mid[(k.id, q, t)], self.v_mid[(k.id, t)], k.v_min, k.v_max),
+               ("end", self.vf_end[(k.id, q, t)], self.v_end[(k.id, t)], k.v_min, k.v_max)]
+        if t in self.demand_days:
+            out.append(("out", self.yf_out[(k.id, q, t)], self.y_out[(k.id, t)],
+                        0.0, self.ds.demand(t)))
+        return out
+
+    def digit_rows(self, k: Tank, q: str, t: int, product, origin: float,
+                   residual: VarRef | None = None, skip: set[str] = frozenset()):
+        """Row ``xf_def_<family>``: spec volume = origin x volume + the
+        ``residual`` product, if any, + the weighted digit products; then
+        the exact envelope rows of each digit product, less the ``skip`` tags."""
+        fam, xf, x, xlo, xhi = product
+        p = self.m.plans[(k.id, q)]
+        name = f"{k.id},{q},{t}"
+        coeffs = {xf: 1.0, x: -origin}
+        if residual is not None:
+            coeffs[residual] = -1.0
+        for i in range(1, p.n + 1):
+            coeffs[self.xa[(k.id, q, t, i, fam)]] = -_digit_weight(p, i)
+        self.m.add_eq(f"xf_def_{fam}", coeffs, 0.0, f"xf_def_{fam}[{name}]")
+        for i in range(1, p.n + 1):
+            _envelope_rows(self.m, f"xa_{fam}", x, self.alpha[(k.id, q, t, i)],
+                           self.xa[(k.id, q, t, i, fam)], xlo, xhi, f"{name},{i}", skip=skip)
+
+    def feed_window_rows(self, bounds: TightenedBounds):
+        m, inst, yf_out = self.m, self.inst, self.yf_out
+        for r in inst.runs:
+            for t in range(r.days[0], r.days[1] + 1):
+                outs = [self.y_out[(k.id, t)] for k in inst.tanks]
+                for q in sorted(r.spec_bounds):
+                    lo, hi = bounds.spec[(r.id, q)]
+                    yfs = {yf_out[(k.id, q, t)]: 1.0 for k in inst.tanks}
+                    row = dict(yfs)
+                    for ref in outs:
+                        row[ref] = -lo
+                    m.add_row("feed_spec_lb", row, lo=0.0, name=f"feed_spec_lb[{q},{t}]")
+                    row = dict(yfs)
+                    for ref in outs:
+                        row[ref] = -hi
+                    m.add_row("feed_spec_ub", row, hi=0.0, name=f"feed_spec_ub[{q},{t}]")
+                for (q1, q2) in sorted(r.ratio_bounds):
+                    lo, hi = bounds.ratio[(r.id, q1, q2)]
+                    row = {yf_out[(k.id, q1, t)]: 1.0 for k in inst.tanks}
+                    for k in inst.tanks:
+                        row[yf_out[(k.id, q2, t)]] = -lo
+                    m.add_row("feed_ratio_lb", row, lo=0.0, name=f"feed_ratio_lb[{q1},{q2},{t}]")
+                    row = {yf_out[(k.id, q1, t)]: 1.0 for k in inst.tanks}
+                    for k in inst.tanks:
+                        row[yf_out[(k.id, q2, t)]] = -hi
+                    m.add_row("feed_ratio_ub", row, hi=0.0, name=f"feed_ratio_ub[{q1},{q2},{t}]")
+
+
 # ---------------------------------------------------------------------------
 # Exact bilinear models
 
@@ -300,10 +445,7 @@ class _Core:
 def build_exact_mix(inst: Instance) -> QcpModel:
     """Bilinear model with explicit tank concentrations (products f x v)."""
     m = QcpModel("exact_mix")
-    core = _Core(m, inst)
-    m.instance = inst
-    m.meta["method"] = "exact-mix"
-    ds = core.ds
+    core = _Core(m, inst, "exact-mix")
     reach = reachable_spec_bounds(inst)
     H = inst.horizon
 
@@ -358,104 +500,18 @@ def build_exact_split(inst: Instance) -> QcpModel:
     """Bilinear model tracking spec volumes; mixing is linear and the only
     bilinear rows force outflow composition to match tank composition."""
     m = QcpModel("exact_split")
-    core = _Core(m, inst)
-    m.instance = inst
-    m.meta["method"] = "exact-split"
-    reach = reachable_spec_bounds(inst)
-    vf_mid, vf_end, yf_out = _add_spec_volume_vars(m, core, reach)
-    _add_spec_volume_mass_rows(m, core, vf_mid, vf_end, yf_out, relax_eps=None)
-    _add_feed_window_rows(m, core, yf_out, _identity_bounds(inst))
+    s = _SpecVolumes(m, inst, "exact-split")
+    s.mass_rows()
+    s.feed_window_rows(_identity_bounds(inst))
     for k in inst.tanks:
         for q in inst.spec_ids():
-            for t in sorted(core.demand_days):
+            for t in sorted(s.demand_days):
                 m.add_quad_row(
                     "outflow_consistency", {},
-                    [(1.0, vf_mid[(k.id, q, t)], core.y_out[(k.id, t)]),
-                     (-1.0, yf_out[(k.id, q, t)], core.v_mid[(k.id, t)])],
+                    [(1.0, s.vf_mid[(k.id, q, t)], s.y_out[(k.id, t)]),
+                     (-1.0, s.yf_out[(k.id, q, t)], s.v_mid[(k.id, t)])],
                     0.0, 0.0, f"outflow_consistency[{k.id},{q},{t}]")
     return m
-
-
-def _add_spec_volume_vars(m: MilpModel, core: _Core, reach):
-    inst = core.inst
-    vf_mid, vf_end, yf_out = {}, {}, {}
-    for k in inst.tanks:
-        for q in inst.spec_ids():
-            lo, hi = reach[(k.id, q)]
-            for t in range(inst.horizon):
-                vf_mid[(k.id, q, t)] = m.add_var("vf_mid", (k.id, q, t), lo * k.v_min, hi * k.v_max)
-                vf_end[(k.id, q, t)] = m.add_var("vf_end", (k.id, q, t), lo * k.v_min, hi * k.v_max)
-                if t in core.demand_days:
-                    yf_out[(k.id, q, t)] = m.add_var("yf_out", (k.id, q, t),
-                                                     0.0, hi * core.ds.demand(t))
-            m.note_structural("init_spec_volume")
-    return vf_mid, vf_end, yf_out
-
-
-def _add_spec_volume_mass_rows(m, core: _Core, vf_mid, vf_end, yf_out, relax_eps):
-    """Mass-balance rows for spec volumes.
-
-    With ``relax_eps`` a per-(tank,spec) map, the blending balance becomes
-    a two-sided relaxation of +/- eps/2 per unit of post-blend volume;
-    with None it is an equality.
-    """
-    inst = core.inst
-    for k in inst.tanks:
-        for q in inst.spec_ids():
-            for t in range(inst.horizon):
-                coeffs = {vf_mid[(k.id, q, t)]: 1.0, vf_end[(k.id, q, t)]: -1.0}
-                out = yf_out.get((k.id, q, t))
-                if out is not None:
-                    coeffs[out] = -1.0
-                m.add_eq("spec_mass_split", coeffs, 0.0, f"spec_mass_split[{k.id},{q},{t}]")
-
-                base = {vf_mid[(k.id, q, t)]: 1.0}
-                for s in core.ds.barges_by_tank[k.id]:
-                    ref = core.y_in.get((s, k.id, t))
-                    if ref is not None:
-                        base[ref] = -inst.barge(s).specs[q]
-                rhs = k.specs_init[q] * k.v_init if t == 0 else 0.0
-                if t > 0:
-                    base[vf_end[(k.id, q, t - 1)]] = -1.0
-                if relax_eps is None:
-                    m.add_eq("spec_mass_blend", base, rhs, f"spec_mass_blend[{k.id},{q},{t}]")
-                else:
-                    half = relax_eps[(k.id, q)] / 2.0
-                    vm = core.v_mid[(k.id, t)]
-                    ub = dict(base)
-                    ub[vm] = ub.get(vm, 0.0) - half
-                    m.add_row("blend_relax_ub", ub, hi=rhs, name=f"blend_relax_ub[{k.id},{q},{t}]")
-                    lb = dict(base)
-                    lb[vm] = lb.get(vm, 0.0) + half
-                    m.add_row("blend_relax_lb", lb, lo=rhs, name=f"blend_relax_lb[{k.id},{q},{t}]")
-
-
-def _add_feed_window_rows(m, core: _Core, yf_out, bounds: TightenedBounds):
-    inst = core.inst
-    for r in inst.runs:
-        for t in range(r.days[0], r.days[1] + 1):
-            outs = [core.y_out[(k.id, t)] for k in inst.tanks]
-            for q in sorted(r.spec_bounds):
-                lo, hi = bounds.spec[(r.id, q)]
-                yfs = {yf_out[(k.id, q, t)]: 1.0 for k in inst.tanks}
-                row = dict(yfs)
-                for ref in outs:
-                    row[ref] = -lo
-                m.add_row("feed_spec_lb", row, lo=0.0, name=f"feed_spec_lb[{q},{t}]")
-                row = dict(yfs)
-                for ref in outs:
-                    row[ref] = -hi
-                m.add_row("feed_spec_ub", row, hi=0.0, name=f"feed_spec_ub[{q},{t}]")
-            for (q1, q2) in sorted(r.ratio_bounds):
-                lo, hi = bounds.ratio[(r.id, q1, q2)]
-                row = {yf_out[(k.id, q1, t)]: 1.0 for k in inst.tanks}
-                for k in inst.tanks:
-                    row[yf_out[(k.id, q2, t)]] = -lo
-                m.add_row("feed_ratio_lb", row, lo=0.0, name=f"feed_ratio_lb[{q1},{q2},{t}]")
-                row = {yf_out[(k.id, q1, t)]: 1.0 for k in inst.tanks}
-                for k in inst.tanks:
-                    row[yf_out[(k.id, q2, t)]] = -hi
-                m.add_row("feed_ratio_ub", row, hi=0.0, name=f"feed_ratio_ub[{q1},{q2},{t}]")
 
 
 # ---------------------------------------------------------------------------
@@ -464,24 +520,6 @@ def _add_feed_window_rows(m, core: _Core, yf_out, bounds: TightenedBounds):
 
 def _digit_weight(p: DiscretizationPlan, i: int) -> float:
     return p.eps * p.level_weight(i)
-
-
-def _add_digit_vars(m: MilpModel, core: _Core, plans):
-    """Shared digit binaries and digit-product variables per (tank, spec, day)."""
-    inst = core.inst
-    alpha, xa = {}, {}
-    for k in inst.tanks:
-        for q in inst.spec_ids():
-            p = plans[(k.id, q)]
-            for t in range(inst.horizon):
-                for i in range(1, p.n + 1):
-                    alpha[(k.id, q, t, i)] = m.add_var("alpha", (k.id, q, t, i), 0.0, 1.0, binary=True)
-                    xa[(k.id, q, t, i, "mid")] = m.add_var("x_alpha", (k.id, q, t, i, "mid"), 0.0, k.v_max)
-                    xa[(k.id, q, t, i, "end")] = m.add_var("x_alpha", (k.id, q, t, i, "end"), 0.0, k.v_max)
-                    if t in core.demand_days:
-                        xa[(k.id, q, t, i, "out")] = m.add_var(
-                            "x_alpha", (k.id, q, t, i, "out"), 0.0, core.ds.demand(t))
-    return alpha, xa
 
 
 def _envelope_rows(m, tag_family: str, x: VarRef, beta: VarRef, prod: VarRef,
@@ -506,6 +544,14 @@ def _envelope_rows(m, tag_family: str, x: VarRef, beta: VarRef, prod: VarRef,
         m.add_row(tag, coeffs, lo, hi, f"{tag}[{name}]")
 
 
+def _resolve_plans(inst: Instance, plans, eps_hat):
+    if plans is None:
+        if eps_hat is None:
+            raise ValueError("need plans or eps_hat")
+        plans = make_plans(inst, eps_hat)
+    return plans
+
+
 def build_center(inst: Instance, plans=None, opts: CenterOptions | None = None,
                  eps_hat=None) -> MilpModel:
     """MILP with the spec residual pinned to the grid-cell midpoint.
@@ -516,22 +562,10 @@ def build_center(inst: Instance, plans=None, opts: CenterOptions | None = None,
     shared by the post-blend volume, end volume and feed products.
     """
     opts = opts or CenterOptions()
-    if plans is None:
-        if eps_hat is None:
-            raise ValueError("need plans or eps_hat")
-        plans = make_plans(inst, eps_hat)
+    plans = _resolve_plans(inst, plans, eps_hat)
     m = MilpModel("center")
-    core = _Core(m, inst)
-    m.instance = inst
-    m.plans = plans
-    m.meta["method"] = "center"
-    m.meta["opts"] = opts
-    _check_plans(inst, plans)
-    reach = {kq: (p.lo, p.hi) for kq, p in plans.items()}
-    vf_mid, vf_end, yf_out = _add_spec_volume_vars(m, core, reach)
-    alpha, xa = _add_digit_vars(m, core, plans)
-    relax_eps = {kq: p.eps for kq, p in plans.items()}
-    _add_spec_volume_mass_rows(m, core, vf_mid, vf_end, yf_out, relax_eps=relax_eps)
+    s = _SpecVolumes(m, inst, "center", plans)
+    s.mass_rows(relax_eps={kq: p.eps for kq, p in plans.items()})
 
     skip: set[str] = set()
     if opts.coupling:
@@ -544,87 +578,50 @@ def build_center(inst: Instance, plans=None, opts: CenterOptions | None = None,
             p = plans[(k.id, q)]
             center0 = p.lambda0 + p.eps / 2.0
             for t in range(inst.horizon):
-                name = f"{k.id},{q},{t}"
-                targets = [("mid", vf_mid[(k.id, q, t)], core.v_mid[(k.id, t)], k.v_min, k.v_max)]
-                targets.append(("end", vf_end[(k.id, q, t)], core.v_end[(k.id, t)], k.v_min, k.v_max))
-                if t in core.demand_days:
-                    targets.append(("out", yf_out[(k.id, q, t)], core.y_out[(k.id, t)],
-                                    0.0, core.ds.demand(t)))
-                for fam, xf, x, xlo, xhi in targets:
-                    coeffs = {xf: 1.0, x: -center0}
-                    for i in range(1, p.n + 1):
-                        coeffs[xa[(k.id, q, t, i, fam)]] = -_digit_weight(p, i)
-                    m.add_eq(f"xf_def_{fam}", coeffs, 0.0, f"xf_def_{fam}[{name}]")
-                    for i in range(1, p.n + 1):
-                        _envelope_rows(m, f"xa_{fam}", x, alpha[(k.id, q, t, i)],
-                                       xa[(k.id, q, t, i, fam)], xlo, xhi,
-                                       f"{name},{i}", skip=skip)
+                for product in s.products(k, q, t):
+                    s.digit_rows(k, q, t, product, center0, skip=skip)
                 if opts.coupling:
                     for i in range(1, p.n + 1):
-                        coeffs = {xa[(k.id, q, t, i, "mid")]: 1.0,
-                                  xa[(k.id, q, t, i, "end")]: -1.0}
-                        out = xa.get((k.id, q, t, i, "out"))
+                        coeffs = {s.xa[(k.id, q, t, i, "mid")]: 1.0,
+                                  s.xa[(k.id, q, t, i, "end")]: -1.0}
+                        out = s.xa.get((k.id, q, t, i, "out"))
                         if out is not None:
                             coeffs[out] = -1.0
-                        m.add_eq("digit_coupling", coeffs, 0.0, f"digit_coupling[{name},{i}]")
+                        m.add_eq("digit_coupling", coeffs, 0.0,
+                                 f"digit_coupling[{k.id},{q},{t},{i}]")
 
     bounds = tighten(inst, plan_eps_hat(plans)) if opts.tighten else _identity_bounds(inst)
     m.meta["tightened"] = bounds
-    _add_feed_window_rows(m, core, yf_out, bounds)
+    s.feed_window_rows(bounds)
     return m
 
 
 def build_mccormick(inst: Instance, plans=None, eps_hat=None, tighten_bounds: bool = True) -> MilpModel:
     """MILP keeping the spec residual as a variable; residual-volume
     products are enclosed by their convex envelopes.  Blending is exact."""
-    if plans is None:
-        if eps_hat is None:
-            raise ValueError("need plans or eps_hat")
-        plans = make_plans(inst, eps_hat)
+    plans = _resolve_plans(inst, plans, eps_hat)
     m = MilpModel("mccormick")
-    core = _Core(m, inst)
-    m.instance = inst
-    m.plans = plans
-    m.meta["method"] = "mccormick"
-    _check_plans(inst, plans)
-    reach = {kq: (p.lo, p.hi) for kq, p in plans.items()}
-    vf_mid, vf_end, yf_out = _add_spec_volume_vars(m, core, reach)
-    alpha, xa = _add_digit_vars(m, core, plans)
-    _add_spec_volume_mass_rows(m, core, vf_mid, vf_end, yf_out, relax_eps=None)
+    s = _SpecVolumes(m, inst, "mccormick", plans)
+    s.mass_rows()
 
     for k in inst.tanks:
         for q in inst.spec_ids():
             p = plans[(k.id, q)]
             for t in range(inst.horizon):
-                name = f"{k.id},{q},{t}"
-                if p.eps > 0.0:
-                    df = m.add_var("delta_f", (k.id, q, t), 0.0, p.eps)
-                else:
-                    df = None
-                targets = [("mid", vf_mid[(k.id, q, t)], core.v_mid[(k.id, t)], k.v_min, k.v_max)]
-                targets.append(("end", vf_end[(k.id, q, t)], core.v_end[(k.id, t)], k.v_min, k.v_max))
-                if t in core.demand_days:
-                    targets.append(("out", yf_out[(k.id, q, t)], core.y_out[(k.id, t)],
-                                    0.0, core.ds.demand(t)))
-                for fam, xf, x, xlo, xhi in targets:
-                    coeffs = {xf: 1.0, x: -p.lambda0}
-                    if df is not None:
-                        xd = m.add_var("x_delta", (k.id, q, t, fam), 0.0, p.eps * xhi)
-                        coeffs[xd] = -1.0
-                    for i in range(1, p.n + 1):
-                        coeffs[xa[(k.id, q, t, i, fam)]] = -_digit_weight(p, i)
-                    m.add_eq(f"xf_def_{fam}", coeffs, 0.0, f"xf_def_{fam}[{name}]")
-                    for i in range(1, p.n + 1):
-                        _envelope_rows(m, f"xa_{fam}", x, alpha[(k.id, q, t, i)],
-                                       xa[(k.id, q, t, i, fam)], xlo, xhi, f"{name},{i}")
-                    if df is not None:
+                df = m.add_var("delta_f", (k.id, q, t), 0.0, p.eps) if p.eps > 0.0 else None
+                for product in s.products(k, q, t):
+                    fam, _, x, xlo, xhi = product
+                    xd = None if df is None else m.add_var("x_delta", (k.id, q, t, fam),
+                                                           0.0, p.eps * xhi)
+                    s.digit_rows(k, q, t, product, p.lambda0, residual=xd)
+                    if xd is not None:
                         # beta = delta_f / eps; rows scaled through by eps
                         _envelope_rows(m, f"xdelta_{fam}", x, df, xd, xlo, xhi,
-                                       name, scale=p.eps)
+                                       f"{k.id},{q},{t}", scale=p.eps)
 
     bounds = tighten(inst, plan_eps_hat(plans)) if tighten_bounds else _identity_bounds(inst)
     m.meta["tightened"] = bounds
-    _add_feed_window_rows(m, core, yf_out, bounds)
+    s.feed_window_rows(bounds)
     return m
 
 

@@ -162,33 +162,29 @@ def run_solve_config(config: dict) -> dict:
     return record
 
 
-_SOLVE_DEFAULTS = {
-    "method": "center", "eps_hat": "1.0", "scheme": "flat", "periods": "fixed",
-    "dt": 7, "h_nf": 90, "n_present": 1, "n_step": 1,
-    "coupling": False, "relax_avol": False, "no_tighten": False,
-    "mip_gap": 0.005, "time_limit": 600.0, "threads": 0, "seed": 0,
-    "backend": "highs",
-}
+# The flags that set a model's options, shared by `solve` and `export`.
+_MODEL_FLAGS = argparse.ArgumentParser(add_help=False)
+_MODEL_FLAGS.add_argument("--eps-hat", dest="eps_hat", default="1.0",
+                          help="precision, a number or q1=v1,q2=v2")
+_MODEL_FLAGS.add_argument("--coupling", action="store_true")
+_MODEL_FLAGS.add_argument("--relax-avol", dest="relax_avol", action="store_true")
+_MODEL_FLAGS.add_argument("--no-tighten", dest="no_tighten", action="store_true")
 
+_SOLVE_FLAGS = argparse.ArgumentParser(add_help=False, parents=[_MODEL_FLAGS])
+_SOLVE_FLAGS.add_argument("--method", choices=["center", "mccormick"], default="center")
+_SOLVE_FLAGS.add_argument("--scheme", choices=["flat", "full", "partial"], default="flat")
+_SOLVE_FLAGS.add_argument("--periods", choices=["fixed", "run"], default="fixed")
+_SOLVE_FLAGS.add_argument("--dt", type=int, default=7)
+_SOLVE_FLAGS.add_argument("--h-nf", dest="h_nf", type=int, default=90)
+_SOLVE_FLAGS.add_argument("--n-present", dest="n_present", type=int, default=1)
+_SOLVE_FLAGS.add_argument("--n-step", dest="n_step", type=int, default=1)
+_SOLVE_FLAGS.add_argument("--mip-gap", dest="mip_gap", type=float, default=0.005)
+_SOLVE_FLAGS.add_argument("--time-limit", dest="time_limit", type=float, default=600.0)
+_SOLVE_FLAGS.add_argument("--threads", type=int, default=0)
+_SOLVE_FLAGS.add_argument("--seed", type=int, default=0)
+_SOLVE_FLAGS.add_argument("--backend", default="highs")
 
-def _add_solve_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=["center", "mccormick"], default="center")
-    p.add_argument("--eps-hat", dest="eps_hat", default="1.0",
-                   help="precision, a number or q1=v1,q2=v2")
-    p.add_argument("--scheme", choices=["flat", "full", "partial"], default="flat")
-    p.add_argument("--periods", choices=["fixed", "run"], default="fixed")
-    p.add_argument("--dt", type=int, default=7)
-    p.add_argument("--h-nf", dest="h_nf", type=int, default=90)
-    p.add_argument("--n-present", dest="n_present", type=int, default=1)
-    p.add_argument("--n-step", dest="n_step", type=int, default=1)
-    p.add_argument("--coupling", action="store_true")
-    p.add_argument("--relax-avol", dest="relax_avol", action="store_true")
-    p.add_argument("--no-tighten", dest="no_tighten", action="store_true")
-    p.add_argument("--mip-gap", dest="mip_gap", type=float, default=0.005)
-    p.add_argument("--time-limit", dest="time_limit", type=float, default=600.0)
-    p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", default="highs")
+_SOLVE_DEFAULTS = vars(_SOLVE_FLAGS.parse_args([]))
 
 
 def cmd_validate(args) -> int:
@@ -214,10 +210,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    config = {**_SOLVE_DEFAULTS, **{k: v for k, v in vars(args).items() if k in _SOLVE_DEFAULTS}}
-    config["instance"] = args.instance
-    config["out_dir"] = args.out_dir
-    record = run_solve_config(config)
+    record = run_solve_config(vars(args))
     _append_results(os.path.join(args.out_dir, "results.csv"), [record])
     print(json.dumps(record, indent=2))
     if record["status"] in OK_STATUSES:
@@ -261,16 +254,12 @@ def cmd_loss(args) -> int:
 
 def cmd_export(args) -> int:
     inst = read_instance(args.instance)
-    eps_hat = _parse_eps_hat(args.eps_hat)
     if args.method == "exact-mix":
         model = build_exact_mix(inst)
     elif args.method == "exact-split":
         model = build_exact_split(inst)
-    elif args.method == "center":
-        model = build_center(inst, make_plans(inst, eps_hat),
-                             CenterOptions(coupling=args.coupling, relax_avol=args.relax_avol))
     else:
-        model = build_mccormick(inst, make_plans(inst, eps_hat))
+        model = _builder_for(args)(inst)
     if model.has_bilinear():
         if not args.out.endswith(".lp"):
             print("note: bilinear model, writing LP format", file=sys.stderr)
@@ -328,11 +317,9 @@ def default_matrix(instances: list[str], time_limit: float = 600.0) -> list[dict
 
 
 def _error_record(task: dict, exc: Exception) -> dict:
-    return {"record_version": RESULTS_VERSION, "instance": task["instance"],
-            "method": task["method"], "status": "error", "objective": "",
-            "pct_loss": "", "wall_time_s": "", "violations": "",
-            "worst_spec_violation": "", "steps": "", "scheme": task["scheme"],
-            "horizon": "", "eps_hat": task["eps_hat"], "bound": "", "error": str(exc)}
+    return {**dict.fromkeys(RESULT_FIELDS, ""), "record_version": RESULTS_VERSION,
+            "instance": task["instance"], "method": task["method"], "scheme": task["scheme"],
+            "eps_hat": task["eps_hat"], "status": "error", "error": str(exc)}
 
 
 def cmd_bench(args) -> int:
@@ -398,10 +385,10 @@ def main(argv=None) -> int:
     p.add_argument("--jitter-window", dest="jitter_window", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="build, solve, simulate, audit, report")
+    p = sub.add_parser("solve", parents=[_SOLVE_FLAGS],
+                       help="build, solve, simulate, audit, report")
     p.add_argument("--instance", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    _add_solve_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="recover true volumes/specs from a plan")
@@ -422,14 +409,11 @@ def main(argv=None) -> int:
     p.add_argument("--plan", required=True)
     p.set_defaults(func=cmd_loss)
 
-    p = sub.add_parser("export", help="write a model interchange file")
+    p = sub.add_parser("export", parents=[_MODEL_FLAGS], help="write a model interchange file")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=["center", "mccormick", "exact-mix", "exact-split"],
                    required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--eps-hat", dest="eps_hat", default="1.0")
-    p.add_argument("--coupling", action="store_true")
-    p.add_argument("--relax-avol", dest="relax_avol", action="store_true")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("bench", help="run a config matrix, emit results and profiles")

@@ -21,15 +21,23 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DiscretizationPlan:
-    scheme: str        # always "nmdt"
     base: int          # digit base
     lambda0: float     # grid origin
     eps: float         # realized grid resolution, eps <= eps_hat
     n: int             # number of digit rows
-    m: int             # max digit value per row (row is one-hot over 0..m)
     lo: float
     hi: float
     eps_hat: float     # requested precision
+
+    @property
+    def scheme(self) -> str:
+        """Always ``"nmdt"``; the export sidecars record it."""
+        return "nmdt"
+
+    @property
+    def m(self) -> int:
+        """Max digit value per row (a row is one-hot over 0..m)."""
+        return self.base - 1
 
     @property
     def width(self) -> float:
@@ -101,12 +109,12 @@ def plan(lo: float, hi: float, eps_hat: float, base: int = 2) -> DiscretizationP
         raise ValueError(f"base must be >= 2, got {base}")
     n = _ceil_log(width / eps_hat, base)
     eps = width * base ** (-n)
-    return DiscretizationPlan("nmdt", base, lo, eps, n, base - 1, lo, hi, eps_hat)
+    return DiscretizationPlan(base, lo, eps, n, lo, hi, eps_hat)
 
 
 def degenerate_plan(value: float, eps_hat: float = 0.0) -> DiscretizationPlan:
     """Plan for a spec whose reachable range has zero width: f is constant."""
-    return DiscretizationPlan("nmdt", 2, value, 0.0, 0, 1, value, value, eps_hat)
+    return DiscretizationPlan(2, value, 0.0, 0, value, value, eps_hat)
 
 
 def encode(f: float, p: DiscretizationPlan) -> DigitCode:

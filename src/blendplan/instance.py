@@ -290,9 +290,7 @@ class DerivedSets:
     window_by_barge: dict[str, tuple[int, int]]
     demand_days: tuple[int, ...]                   # sorted union of run days
     demand_by_day: dict[int, float]
-    run_by_day: dict[int, str]
     miss_penalty_by_day: dict[int, float]
-    tanks_by_barge: dict[str, tuple[str, ...]]     # barge -> allowed tanks
     barges_by_tank: dict[str, tuple[str, ...]]     # tank -> barges allowed in
     value_target: float                            # penalty value of all supply and demand
 
@@ -320,12 +318,10 @@ def _build_sets(inst: Instance) -> DerivedSets:
         for t in range(b.window[0], b.window[1] + 1):
             available.setdefault(t, []).append(b.id)
     demand_by_day: dict[int, float] = {}
-    run_by_day: dict[int, str] = {}
     miss_by_day: dict[int, float] = {}
     for r in inst.runs:
         for t in range(r.days[0], r.days[1] + 1):
             demand_by_day[t] = r.daily_demand
-            run_by_day[t] = r.id
             miss_by_day[t] = r.miss_penalty
     barges_by_tank: dict[str, list[str]] = {t.id: [] for t in inst.tanks}
     for b in inst.barges:
@@ -337,9 +333,7 @@ def _build_sets(inst: Instance) -> DerivedSets:
         window_by_barge={b.id: b.window for b in inst.barges},
         demand_days=demand_days,
         demand_by_day=demand_by_day,
-        run_by_day=run_by_day,
         miss_penalty_by_day=miss_by_day,
-        tanks_by_barge={b.id: tuple(b.allowed_tanks) for b in inst.barges},
         barges_by_tank={k: tuple(v) for k, v in barges_by_tank.items()},
         value_target=(sum(b.unload_penalty * b.volume for b in inst.barges)
                       + sum(miss_by_day[t] * demand_by_day[t] for t in demand_days)),

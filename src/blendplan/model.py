@@ -3,9 +3,10 @@
 `MilpModel` holds a flat variable registry plus tagged linear rows of the
 form ``lo <= a.x <= hi``; `QcpModel` adds rows with bilinear terms.  Every
 row carries a tag from the documented tag vocabulary (see TAGS) so that
-structural audits and constraint-dropping variants can address whole
-constraint families.  Constraints enforced purely through variable bounds
-or sparse variable creation are recorded as *structural* tags.
+structural audits, and builders that leave out rows by tag (the center
+model's coupling options), can address whole constraint families.
+Constraints enforced purely through variable bounds or sparse variable
+creation are recorded as *structural* tags.
 
 The objective is stored in minimization form (penalty value of unloading
 misses and feed misses) together with the constant target value, so the
@@ -201,14 +202,6 @@ class MilpModel:
 
     def rows_by_tag(self, tag: str) -> list[Row]:
         return [r for r in self.rows if r.tag == tag]
-
-    def drop_rows(self, tags: set[str]) -> int:
-        kept = [r for r in self.rows if r.tag not in tags]
-        dropped = len(self.rows) - len(kept)
-        for i, r in enumerate(kept):
-            r.num = i
-        self.rows = kept
-        return dropped
 
     # -- objective -----------------------------------------------------------
 

@@ -38,7 +38,6 @@ from .simulate import FlowPlan, plan_objective, simulate
 from .solve import SolveOptions, SolveResult, extract_flow_plan, solve
 
 SEGMENTS = ("past", "present", "near", "far")
-TREATMENTS = ("fixed", "active", "relaxed", "omitted")
 
 
 class RollingError(RuntimeError):

@@ -24,7 +24,7 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -333,7 +333,3 @@ def extract_flow_plan(model: MilpModel, result: SolveResult) -> FlowPlan:
         if problems:
             raise ExtractionError("rounded binaries violate counting limits: " + "; ".join(problems))
     return plan
-
-
-def default_options(**overrides) -> SolveOptions:
-    return replace(SolveOptions(), **overrides)

@@ -1,5 +1,6 @@
 """Model builders: structure, bounds, tightening, tag coverage, variants."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -277,6 +278,52 @@ def test_make_plans_per_spec_precision():
     assert plans[("T1", "S2")].eps <= 0.25
     with pytest.raises(ValueError, match="missing specs"):
         make_plans(inst, {"S1": 1.0})
+
+
+# Rows per tag and columns per kind on small_instance(0) at eps_hat 1.0,
+# recorded from the builders before they shared one scaffold.
+_CORE_ROWS = {
+    "barge_unload_limit": 2, "daily_unload_limit": 5, "demand_balance": 4,
+    "feed_share_lb": 8, "feed_share_ub": 8, "first_unload_ub": 6, "inflow_balance": 12,
+    "last_unload_lb": 6, "outflow_balance": 12, "run_const_feed": 4, "supply_total": 2,
+    "unload_flow_gate": 6, "unload_gap": 2, "unload_min_pct": 6,
+}
+_SPEC_ROWS = {**_CORE_ROWS, "feed_ratio_lb": 4, "feed_ratio_ub": 4, "feed_spec_lb": 8,
+              "feed_spec_ub": 8, "spec_mass_split": 24}
+_DIGIT_ROWS = {**_SPEC_ROWS, "xf_def_mid": 24, "xf_def_end": 24, "xf_def_out": 16,
+               **{f"xa_{fam}_{kind}": n for fam, n in (("mid", 18), ("end", 18), ("out", 12))
+                  for kind in ("lb", "ub", "shift_lb", "shift_ub")}}
+_CENTER_ROWS = {**_DIGIT_ROWS, "blend_relax_lb": 24, "blend_relax_ub": 24}
+_COUPLED_ROWS = {**{t: n for t, n in _CENTER_ROWS.items() if t not in ("xa_mid_lb", "xa_end_ub")},
+                 "digit_coupling": 18}
+_CORE_COLS = {"gamma": 6, "mis": 4, "sigma": 8, "t_first": 2, "t_last": 2, "v_end": 12,
+              "v_mid": 12, "v_unused": 2, "y_in": 6, "y_out": 8}
+_SPEC_COLS = {**_CORE_COLS, "vf_end": 24, "vf_mid": 24, "yf_out": 16}
+_DIGIT_COLS = {**_SPEC_COLS, "alpha": 18, "x_alpha": 48}
+
+
+@pytest.mark.parametrize("build,rows,cols", [
+    (lambda i, p: build_center(i, p), _CENTER_ROWS, _DIGIT_COLS),
+    (lambda i, p: build_center(i, p, CenterOptions(coupling=True)), _COUPLED_ROWS, _DIGIT_COLS),
+    (lambda i, p: build_center(i, p, CenterOptions(coupling=True, relax_avol=True)),
+     {t: n for t, n in _COUPLED_ROWS.items() if t not in ("xa_end_lb", "xa_out_ub")},
+     _DIGIT_COLS),
+    (lambda i, p: build_center(i, p, CenterOptions(tighten=False)), _CENTER_ROWS, _DIGIT_COLS),
+    (lambda i, p: build_mccormick(i, p),
+     {**_DIGIT_ROWS, "spec_mass_blend": 24,
+      **{f"xdelta_{fam}_{kind}": n for fam, n in (("mid", 24), ("end", 24), ("out", 16))
+         for kind in ("lb", "ub", "shift_lb", "shift_ub")}},
+     {**_DIGIT_COLS, "delta_f": 24, "x_delta": 64}),
+    (lambda i, p: build_exact_split(i),
+     {**_SPEC_ROWS, "spec_mass_blend": 24, "outflow_consistency": 16}, _SPEC_COLS),
+], ids=["center", "center-coupling", "center-coupling-relax", "center-untightened",
+        "mccormick", "exact-split"])
+def test_model_size_per_tag_pinned(build, rows, cols):
+    inst = small_instance(0)
+    m = build(inst, make_plans(inst, 1.0))
+    got_rows = Counter(r.tag for r in m.rows) + Counter(q.tag for q in getattr(m, "quad_rows", []))
+    assert dict(got_rows) == rows
+    assert dict(Counter(v.kind for v in m.vars)) == cols
 
 
 # -- generalized envelope block ------------------------------------------------

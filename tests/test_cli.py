@@ -9,7 +9,8 @@ import pytest
 
 import blendplan
 import blendplan.rolling
-from blendplan.cli import main
+from blendplan.builders import CenterOptions, build_center, build_mccormick, make_plans
+from blendplan.cli import _SOLVE_DEFAULTS, main
 from blendplan.instance import write_instance
 from conftest import small_instance, tiny_instance
 
@@ -166,6 +167,40 @@ def test_export_linear_model_as_lp(inst_path, tmp_path, capsys):
     text = open(lp).read()
     assert "Subject To" in text and "Binaries" in text and text.endswith("End\n")
     assert "[" not in text
+
+
+@pytest.mark.parametrize("method,flags,options", [
+    ("center", ["--coupling"], {"opts": CenterOptions(coupling=True)}),
+    ("center", ["--coupling", "--relax-avol"],
+     {"opts": CenterOptions(coupling=True, relax_avol=True)}),
+    ("center", ["--no-tighten"], {"opts": CenterOptions(tighten=False)}),
+    ("mccormick", ["--no-tighten"], {"tighten_bounds": False}),
+], ids=["center-coupling", "center-coupling-relax", "center-no-tighten", "mccormick-no-tighten"])
+def test_export_matches_library_model(inst_path, tmp_path, capsys, method, flags, options):
+    out = tmp_path / "cli.mps"
+    assert main(["export", "--instance", inst_path, "--method", method, "--out", str(out),
+                 "--eps-hat", "0.5", *flags]) == 0
+    inst = blendplan.read_instance(inst_path)
+    build = {"center": build_center, "mccormick": build_mccormick}[method]
+    plans = make_plans(inst, 0.5)
+    lib, default = tmp_path / "lib.mps", tmp_path / "default.mps"
+    build(inst, plans, **options).write_mps(lib)
+    build(inst, plans).write_mps(default)
+    assert out.read_bytes() == lib.read_bytes()
+    assert out.read_bytes() != default.read_bytes()   # the flags change the model
+
+
+def test_solve_defaults_pinned():
+    # the defaults `solve`, `bench` and `run_solve_config` share
+    want = {
+        "method": "center", "eps_hat": "1.0", "scheme": "flat", "periods": "fixed",
+        "dt": 7, "h_nf": 90, "n_present": 1, "n_step": 1,
+        "coupling": False, "relax_avol": False, "no_tighten": False,
+        "mip_gap": 0.005, "time_limit": 600.0, "threads": 0, "seed": 0,
+        "backend": "highs",
+    }
+    assert {k: (v, type(v)) for k, v in _SOLVE_DEFAULTS.items()} == \
+        {k: (v, type(v)) for k, v in want.items()}
 
 
 def test_export_exact_split_row_count(tiny_path, tmp_path, capsys):
