@@ -67,8 +67,7 @@ def _builder_for(args):
 
 
 def _solve_options(args) -> SolveOptions:
-    return SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit,
-                        threads=args.threads, seed=args.seed, backend=args.backend)
+    return SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit)
 
 
 def _trace_csv(inst: Instance, trace, path) -> None:
@@ -99,7 +98,14 @@ def _trace_csv(inst: Instance, trace, path) -> None:
 
 
 def run_solve_config(config: dict) -> dict:
-    """Execute one solve pipeline from a plain config dict (bench worker)."""
+    """Execute one solve pipeline from a plain config dict (bench worker).
+
+    The keys are ``instance``, ``out_dir`` and the ``solve`` flags' dests;
+    any other key raises ``ValueError``.
+    """
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown solve config keys {unknown}; known: {sorted(_CONFIG_KEYS)}")
     inst = read_instance(config["instance"])
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -169,6 +175,7 @@ _MODEL_FLAGS.add_argument("--eps-hat", dest="eps_hat", default="1.0",
 _MODEL_FLAGS.add_argument("--coupling", action="store_true")
 _MODEL_FLAGS.add_argument("--relax-avol", dest="relax_avol", action="store_true")
 _MODEL_FLAGS.add_argument("--no-tighten", dest="no_tighten", action="store_true")
+_MODEL_DEFAULTS = vars(_MODEL_FLAGS.parse_args([]))
 
 _SOLVE_FLAGS = argparse.ArgumentParser(add_help=False, parents=[_MODEL_FLAGS])
 _SOLVE_FLAGS.add_argument("--method", choices=["center", "mccormick"], default="center")
@@ -180,11 +187,9 @@ _SOLVE_FLAGS.add_argument("--n-present", dest="n_present", type=int, default=1)
 _SOLVE_FLAGS.add_argument("--n-step", dest="n_step", type=int, default=1)
 _SOLVE_FLAGS.add_argument("--mip-gap", dest="mip_gap", type=float, default=0.005)
 _SOLVE_FLAGS.add_argument("--time-limit", dest="time_limit", type=float, default=600.0)
-_SOLVE_FLAGS.add_argument("--threads", type=int, default=0)
-_SOLVE_FLAGS.add_argument("--seed", type=int, default=0)
-_SOLVE_FLAGS.add_argument("--backend", default="highs")
 
 _SOLVE_DEFAULTS = vars(_SOLVE_FLAGS.parse_args([]))
+_CONFIG_KEYS = frozenset(_SOLVE_DEFAULTS) | {"instance", "out_dir"}
 
 
 def cmd_validate(args) -> int:
@@ -210,7 +215,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    record = run_solve_config(vars(args))
+    record = run_solve_config({k: v for k, v in vars(args).items() if k in _CONFIG_KEYS})
     _append_results(os.path.join(args.out_dir, "results.csv"), [record])
     print(json.dumps(record, indent=2))
     if record["status"] in OK_STATUSES:
@@ -253,6 +258,11 @@ def cmd_loss(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.method in ("exact-mix", "exact-split"):
+        given = ["--" + k.replace("_", "-") for k, v in _MODEL_DEFAULTS.items()
+                 if getattr(args, k) != v]
+        if given:
+            raise ValueError(f"method {args.method} takes no model flags, got {', '.join(given)}")
     inst = read_instance(args.instance)
     if args.method == "exact-mix":
         model = build_exact_mix(inst)

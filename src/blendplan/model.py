@@ -47,9 +47,6 @@ VAR_DAY_POS: dict[str, int | None] = {
     "x": None, "beta": None, "x_beta": None,
 }
 
-VOLUME_KINDS = frozenset({"y_in", "y_out", "v_mid", "v_end"})
-SPEC_CARRYING_KINDS = frozenset({"f", "vf_mid", "vf_end", "yf_out"})
-
 # Documented constraint-tag vocabulary.  Rows outside this set are a bug.
 TAGS = frozenset({
     # flow / demand / unloading core
@@ -489,8 +486,8 @@ def _json_map(key: str, entries: list[str]) -> str:
 
 
 def parse_mps(path) -> dict:
-    """Minimal MPS reader returning row/column statistics (test aid and
-    round-trip check for the file-based solver contract)."""
+    """Minimal MPS reader returning row/column statistics (a test aid, and
+    the benchmark's check that an exported model has the built model's size)."""
     n_rows = 0
     cols = set()
     n_int = 0

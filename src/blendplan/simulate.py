@@ -38,9 +38,6 @@ class FlowPlan:
     v_unused: dict[str, float] = field(default_factory=dict)
     mis: dict[int, float] = field(default_factory=dict)
 
-    def inflow(self, k: str, t: int, barges) -> float:
-        return sum(self.y_in.get((b, k, t), 0.0) for b in barges)
-
     def unloaded_total(self, s: str) -> float:
         return sum(v for (b, _, _), v in self.y_in.items() if b == s)
 

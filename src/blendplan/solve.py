@@ -1,18 +1,12 @@
-"""Uniform interface to MILP backends.
+"""Solve linear models with HiGHS, extract plans, attach warm starts.
 
-Backends implement ``(model, options) -> SolveResult``:
-
-* ``highs``     -- in-process HiGHS via scipy.optimize.milp (default).
-* ``reference`` -- brute-force enumeration of the binary assignments with a
-  dense LP per assignment; a slow, independent cross-check for tiny models.
-* ``cli``       -- write MPS, invoke an external solver binary named by the
-  ``BLENDPLAN_SOLVER`` environment variable as
-  ``<binary> <model.mps> <solution-file>``, parse ``column value`` lines.
+``solve`` runs in-process HiGHS through scipy.optimize.milp.
+``solve_reference`` is a testing aid: it enumerates the binary assignments
+of a tiny model with one dense LP per assignment, an independent
+cross-check of HiGHS.
 
 Objectives are reported in maximization form (target value minus misses);
-``best_bound`` is an upper bound on that value.  HiGHS as packaged by scipy
-is single-threaded and deterministic, so ``threads`` and ``seed`` are
-recorded but have no effect there.
+``best_bound`` is an upper bound on that value.
 """
 
 from __future__ import annotations
@@ -20,9 +14,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import os
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -36,7 +27,6 @@ from .simulate import FlowPlan, PlanInconsistencyError, simulate
 
 log = logging.getLogger(__name__)
 
-SOLVER_ENV_VAR = "BLENDPLAN_SOLVER"
 ROW_FEAS_TOL = 1e-6
 
 
@@ -52,9 +42,6 @@ class ExtractionError(RuntimeError):
 class SolveOptions:
     mip_gap: float = 0.005
     time_limit: float = 600.0
-    threads: int = 0          # 0: backend default
-    seed: int = 0
-    backend: str = "highs"
 
     def __post_init__(self):
         if self.mip_gap < 0:
@@ -82,15 +69,11 @@ class SolveResult:
 
 
 def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
-    """Solve a linear model; bilinear models must go through file export."""
+    """Solve a linear model with HiGHS; bilinear models must go through file export."""
     if model.has_bilinear():
-        raise SolverError("model has bilinear rows; export it for a QCP-capable backend")
-    opts = opts or SolveOptions()
-    backend = _BACKENDS.get(opts.backend)
-    if backend is None:
-        raise SolverError(f"unknown backend {opts.backend!r}; have {sorted(_BACKENDS)}")
+        raise SolverError("model has bilinear rows; export it for a QCP-capable solver")
     t0 = time.perf_counter()
-    result = backend(model, opts)
+    result = _solve_highs(model, opts or SolveOptions())
     result.wall_time = time.perf_counter() - t0
     return result
 
@@ -124,15 +107,12 @@ def _solve_highs(model: MilpModel, opts: SolveOptions) -> SolveResult:
         return SolveResult("infeasible", None, None, message=res.message)
     if res.status in (3, 4) or (res.status == 0 and res.x is None):
         return SolveResult("error", None, None, message=res.message)
+    # With the offset column the solver minimises -(target - misses), so
+    # the reported value is the negation; without it, the target is 0.
     values = _values_from_x(model, res.x) if res.x is not None else {}
     objective = -float(res.fun) if res.x is not None else None
-    if not offset and objective is not None:
-        objective = model.reported_objective(float(res.fun))
     dual = getattr(res, "mip_dual_bound", None)
-    if dual is not None:
-        bound = -float(dual) if offset else model.reported_objective(float(dual))
-    else:
-        bound = objective
+    bound = -float(dual) if dual is not None else objective
     gap = getattr(res, "mip_gap", None)
     if res.status == 1:
         return SolveResult("time_limit", objective, bound, values, gap=gap, message=res.message)
@@ -140,13 +120,16 @@ def _solve_highs(model: MilpModel, opts: SolveOptions) -> SolveResult:
     return SolveResult(status, objective, bound, values, gap=gap or 0.0, message=res.message)
 
 
-def _solve_reference(model: MilpModel, opts: SolveOptions) -> SolveResult:
-    """Enumerate binary assignments, solve a dense LP for each (tiny models)."""
+def solve_reference(model: MilpModel) -> SolveResult:
+    """Enumerate binary assignments, solve a dense LP for each (tiny models;
+    a testing aid that cross-checks HiGHS)."""
+    if model.has_bilinear():
+        raise SolverError("model has bilinear rows; the reference solver takes linear models")
     if model.n_vars > 200:
-        raise SolverError(f"reference backend is capped at 200 variables, model has {model.n_vars}")
+        raise SolverError(f"reference solver is capped at 200 variables, model has {model.n_vars}")
     bins = [v for v in model.vars if v.binary and v.lo != v.hi]
     if len(bins) > 14:
-        raise SolverError(f"reference backend is capped at 14 free binaries, model has {len(bins)}")
+        raise SolverError(f"reference solver is capped at 14 free binaries, model has {len(bins)}")
     if model.n_vars == 0:
         return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
     c, _, var_lo, var_hi, A, row_lo, row_hi = model.to_arrays()
@@ -183,45 +166,6 @@ def _solve_reference(model: MilpModel, opts: SolveOptions) -> SolveResult:
         return SolveResult("infeasible", None, None)
     obj = model.reported_objective(float(best))
     return SolveResult("optimal", obj, obj, _values_from_x(model, best_x), gap=0.0)
-
-
-def _solve_cli(model: MilpModel, opts: SolveOptions) -> SolveResult:
-    binary = os.environ.get(SOLVER_ENV_VAR)
-    if not binary:
-        raise SolverError(f"set {SOLVER_ENV_VAR} to the solver binary for the cli backend")
-    with tempfile.TemporaryDirectory(prefix="blendplan_") as tmp:
-        mps = os.path.join(tmp, "model.mps")
-        sol = os.path.join(tmp, "model.sol")
-        model.write_mps(mps)
-        model.write_sidecar(mps + ".tags.json")
-        cmd = [binary, mps, sol]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=opts.time_limit + 60)
-        if proc.returncode != 0 and not os.path.exists(sol):
-            raise SolverError(f"solver exited with {proc.returncode}: {proc.stderr[:500]}")
-        by_short = {f"C{v.col + 1}": v for v in model.vars}
-        x = np.zeros(model.n_vars)
-        seen = 0
-        with open(sol) as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) == 2 and parts[0] in by_short:
-                    try:
-                        x[by_short[parts[0]].col] = float(parts[1])
-                        seen += 1
-                    except ValueError:
-                        continue
-        if seen == 0:
-            return SolveResult("infeasible", None, None, message="no column values in solution file")
-        raw = sum(model.obj.get(col, 0.0) * x[col] for col in range(model.n_vars))
-        obj = model.reported_objective(raw)
-        return SolveResult("optimal", obj, obj, _values_from_x(model, x))
-
-
-_BACKENDS = {
-    "highs": _solve_highs,
-    "reference": _solve_reference,
-    "cli": _solve_cli,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def test_model_size_per_tag_pinned(build, rows, cols):
 def test_envelope_block_m0_forces_identity():
     mdl, x, betas, prods = mccormick_m((2.0, 5.0), 0)
     mdl.obj = {x.col: 1.0}
-    res = solve(mdl, SolveOptions(backend="highs"))
+    res = solve(mdl, SolveOptions())
     assert res.status == "optimal"
     assert res.value(betas[0]) == pytest.approx(1.0)
     assert res.value(prods[0]) == pytest.approx(res.value(x))
@@ -342,7 +342,7 @@ def test_envelope_block_m2_selected_product_carries_x():
     mdl, x, betas, prods = mccormick_m((1.0, 3.0), 2)
     mdl.fix(betas[1], 1.0)
     mdl.fix(x, 2.5)
-    res = solve(mdl, SolveOptions(backend="highs"))
+    res = solve(mdl, SolveOptions())
     assert res.status == "optimal"
     assert res.value(prods[1]) == pytest.approx(2.5)
     assert res.value(prods[0]) == pytest.approx(0.0)

@@ -10,7 +10,7 @@ import pytest
 import blendplan
 import blendplan.rolling
 from blendplan.builders import CenterOptions, build_center, build_mccormick, make_plans
-from blendplan.cli import _SOLVE_DEFAULTS, main
+from blendplan.cli import _SOLVE_DEFAULTS, main, run_solve_config
 from blendplan.instance import write_instance
 from conftest import small_instance, tiny_instance
 
@@ -190,14 +190,40 @@ def test_export_matches_library_model(inst_path, tmp_path, capsys, method, flags
     assert out.read_bytes() != default.read_bytes()   # the flags change the model
 
 
+@pytest.mark.parametrize("method", ["exact-mix", "exact-split"])
+@pytest.mark.parametrize("flags", [["--eps-hat", "0.25"], ["--coupling"], ["--relax-avol"],
+                                   ["--no-tighten"]], ids=lambda f: f[0].lstrip("-"))
+def test_export_exact_rejects_model_flags(inst_path, tmp_path, capsys, method, flags):
+    # the exact models have no digits and no tightening: the flags cannot apply
+    out = tmp_path / "m.lp"
+    assert main(["export", "--instance", inst_path, "--method", method, "--out", str(out),
+                 *flags]) == 2
+    assert flags[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "inst.json"]
+
+
+@pytest.mark.parametrize("key,value", [("backend", "cli"), ("time-limit", 5)])
+def test_solve_config_rejects_unknown_key(tiny_path, tmp_path, key, value):
+    # a retired or misspelt key fails the run instead of running the defaults
+    run = {"instance": tiny_path, "method": "center", "time_limit": 120, key: value}
+    with pytest.raises(ValueError, match=key):
+        run_solve_config({**run, "out_dir": str(tmp_path / "one")})
+    assert not (tmp_path / "one").exists()
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"runs": [run]}))
+    out_dir = str(tmp_path / "bench")
+    assert main(["bench", "--config", str(cfg_path), "--out-dir", out_dir]) == 2
+    with open(os.path.join(out_dir, "results.csv")) as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["error"]
+
+
 def test_solve_defaults_pinned():
     # the defaults `solve`, `bench` and `run_solve_config` share
     want = {
         "method": "center", "eps_hat": "1.0", "scheme": "flat", "periods": "fixed",
         "dt": 7, "h_nf": 90, "n_present": 1, "n_step": 1,
         "coupling": False, "relax_avol": False, "no_tighten": False,
-        "mip_gap": 0.005, "time_limit": 600.0, "threads": 0, "seed": 0,
-        "backend": "highs",
+        "mip_gap": 0.005, "time_limit": 600.0,
     }
     assert {k: (v, type(v)) for k, v in _SOLVE_DEFAULTS.items()} == \
         {k: (v, type(v)) for k, v in want.items()}
@@ -272,8 +298,7 @@ def test_bench_parallel_matches_serial(tiny_path, tmp_path):
 def test_solve_determinism(tiny_path, tmp_path):
     dirs = [str(tmp_path / f"d{i}") for i in (0, 1)]
     for d in dirs:
-        main(["solve", "--instance", tiny_path, "--out-dir", d, "--seed", "5",
-              "--time-limit", "120"])
+        main(["solve", "--instance", tiny_path, "--out-dir", d, "--time-limit", "120"])
     recs = [json.load(open(os.path.join(d, "record.json"))) for d in dirs]
     assert recs[0]["objective"] == recs[1]["objective"]
     assert recs[0]["pct_loss"] == recs[1]["pct_loss"]

@@ -1,6 +1,5 @@
-"""Solver backends, warm starts, plan extraction."""
+"""HiGHS and reference solves, warm starts, plan extraction."""
 
-import stat
 from dataclasses import replace
 
 import pytest
@@ -8,9 +7,9 @@ import pytest
 from blendplan.builders import build_center, make_plans
 from blendplan.model import MilpModel
 from blendplan.simulate import FlowPlan, empty_plan
-from blendplan.solve import (SOLVER_ENV_VAR, ExtractionError, SolveOptions,
-                             SolverError, extract_flow_plan, row_violations,
-                             solve, warm_start)
+from blendplan.solve import (ExtractionError, SolveOptions, SolverError,
+                             extract_flow_plan, row_violations, solve,
+                             solve_reference, warm_start)
 from conftest import small_instance
 
 
@@ -41,11 +40,6 @@ def test_infeasible_pair_detected():
     assert not res.has_values
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(SolverError):
-        solve(MilpModel("t"), SolveOptions(backend="nope"))
-
-
 def test_bilinear_model_rejected(toy):
     from blendplan.builders import build_exact_mix
     with pytest.raises(SolverError):
@@ -62,8 +56,8 @@ def test_option_validation():
 def test_deterministic_repeat(toy):
     m1 = build_center(toy, make_plans(toy, 1.0))
     m2 = build_center(toy, make_plans(toy, 1.0))
-    r1 = solve(m1, SolveOptions(seed=3))
-    r2 = solve(m2, SolveOptions(seed=3))
+    r1 = solve(m1)
+    r2 = solve(m2)
     assert r1.objective == pytest.approx(r2.objective, abs=1e-9)
 
 
@@ -79,7 +73,7 @@ def test_reference_backend_matches_highs(toy):
     inst = replace(toy, barges=(replace(toy.barges[0], specs={"P": 51.5}),))
     m1 = build_center(inst, make_plans(inst, 1.0))
     m2 = build_center(inst, make_plans(inst, 1.0))
-    r_ref = solve(m1, SolveOptions(backend="reference"))
+    r_ref = solve_reference(m1)
     r_hgs = solve(m2, SolveOptions(mip_gap=0.0))
     assert r_ref.status == "optimal"
     assert r_ref.objective == pytest.approx(r_hgs.objective, rel=1e-7)
@@ -89,7 +83,7 @@ def test_reference_backend_guards():
     inst = small_instance(0)
     m = build_center(inst, make_plans(inst, 1.0))
     with pytest.raises(SolverError):
-        solve(m, SolveOptions(backend="reference"))
+        solve_reference(m)
 
 
 def test_extract_rounds_binaries(toy):
@@ -172,30 +166,3 @@ def test_warm_start_echoed_in_export(toy, tmp_path):
     import json
     data = json.loads(side.read_text())
     assert data["starts"]
-
-
-# -- external binary backend -----------------------------------------------------
-
-
-def test_cli_backend_requires_env(toy, monkeypatch):
-    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
-    m = build_center(toy, make_plans(toy, 1.0))
-    with pytest.raises(SolverError, match=SOLVER_ENV_VAR):
-        solve(m, SolveOptions(backend="cli"))
-
-
-def test_cli_backend_contract(tmp_path, monkeypatch):
-    # fake solver: writes a fixed solution file in "name value" form
-    m = MilpModel("t")
-    x = m.add_var("x", ("x",), 0.0, 10.0)
-    y = m.add_var("x", ("y",), 0.0, 10.0)
-    m.add_row("envelope_ub", {x: 1.0, y: 1.0}, hi=8.0)
-    m.set_objective({x: -1.0}, 0.0)
-    script = tmp_path / "fake_solver.sh"
-    script.write_text("#!/bin/sh\nprintf 'C1 8\\nC2 0\\n' > \"$2\"\n")
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    monkeypatch.setenv(SOLVER_ENV_VAR, str(script))
-    res = solve(m, SolveOptions(backend="cli"))
-    assert res.status == "optimal"
-    assert res.value(x) == 8.0
-    assert res.objective == 8.0   # reported form flips the minimization
