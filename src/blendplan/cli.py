@@ -327,9 +327,10 @@ def default_matrix(instances: list[str], time_limit: float = 600.0) -> list[dict
 
 
 def _error_record(task: dict, exc: Exception) -> dict:
+    """The result row of a run that raised; the task may lack any key."""
     return {**dict.fromkeys(RESULT_FIELDS, ""), "record_version": RESULTS_VERSION,
-            "instance": task["instance"], "method": task["method"], "scheme": task["scheme"],
-            "eps_hat": task["eps_hat"], "status": "error", "error": str(exc)}
+            **{k: task.get(k, "") for k in ("instance", "method", "scheme", "eps_hat")},
+            "status": "error", "error": str(exc)}
 
 
 def cmd_bench(args) -> int:

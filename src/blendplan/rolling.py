@@ -182,12 +182,15 @@ class StepLog:
     bound: float | None
     wall_time: float
     n_binary: int
+    nodes: int
+    start: str | None          # where the solve's start came from
 
     def to_json(self) -> str:
         return json.dumps({
             "step": self.step, "window": list(self.window), "t_nf": self.t_nf,
             "status": self.status, "objective": self.objective, "bound": self.bound,
             "wall_time": round(self.wall_time, 4), "n_binary": self.n_binary,
+            "nodes": self.nodes, "start": self.start,
         })
 
 
@@ -274,7 +277,8 @@ def _roll(inst: Instance, periods: list[Period], params: RollParams, policy: Seg
             next_start = periods[i + params.n_step].start if i + params.n_step < len(periods) else H
             commit(model, res, offset, next_start)
             entry = StepLog(step, (t_start, present_end), t_nf, res.status,
-                            res.objective, res.best_bound, res.wall_time, model.n_binary)
+                            res.objective, res.best_bound, res.wall_time, model.n_binary,
+                            res.nodes, res.start)
             steps.append(entry)
             if logf:
                 logf.write(entry.to_json() + "\n")

@@ -1,6 +1,9 @@
 """Solve linear models with HiGHS, extract plans, attach warm starts.
 
-``solve`` runs in-process HiGHS through scipy.optimize.milp.
+``solve`` runs in-process HiGHS through the ``_Highs`` object of
+``scipy.optimize._highspy._core`` (the HiGHS build scipy ships, scipy >=
+1.15), and starts every solve from a plan: the caller's starts, or else the
+all-miss plan (no unloads, all demand missed).
 ``solve_reference`` is a testing aid: it enumerates the binary assignments
 of a tiny model with one dense LP per assignment, an independent
 cross-check of HiGHS.
@@ -11,21 +14,28 @@ Objectives are reported in maximization form (target value minus misses);
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import math
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 from .discretize import encode
 from .model import MilpModel
-from .simulate import FlowPlan, PlanInconsistencyError, simulate
+from .simulate import FlowPlan, PlanInconsistencyError, empty_plan, simulate
 
 log = logging.getLogger(__name__)
+
+_Status = _core.HighsModelStatus
 
 ROW_FEAS_TOL = 1e-6
 
@@ -59,6 +69,8 @@ class SolveResult:
     wall_time: float = 0.0
     gap: float | None = None
     message: str = ""
+    nodes: int = 0                     # branch-and-bound nodes HiGHS explored
+    start: str | None = None           # "given" | "all-miss" | None (no start)
 
     @property
     def has_values(self) -> bool:
@@ -69,11 +81,25 @@ class SolveResult:
 
 
 def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
-    """Solve a linear model with HiGHS; bilinear models must go through file export."""
+    """Solve a linear model with HiGHS from a start; bilinear models must go
+    through file export.
+
+    The start is ``model.starts`` when the caller set any (``start`` is
+    ``"given"``).  Otherwise it is the all-miss plan of ``model.instance``,
+    encoded as ``warm_start`` encodes a plan (``"all-miss"``), and
+    ``model.starts`` stays as it was.
+    """
     if model.has_bilinear():
         raise SolverError("model has bilinear rows; export it for a QCP-capable solver")
     t0 = time.perf_counter()
-    result = _solve_highs(model, opts or SolveOptions())
+    if model.starts:
+        starts, start = model.starts, "given"
+    elif model.instance is not None:
+        starts, start = _plan_starts(model, empty_plan(model.instance), logging.DEBUG), "all-miss"
+    else:
+        starts, start = {}, None
+    result = _solve_highs(model, opts or SolveOptions(), starts)
+    result.start = start if starts else None
     result.wall_time = time.perf_counter() - t0
     return result
 
@@ -82,7 +108,7 @@ def _values_from_x(model: MilpModel, x) -> dict[str, float]:
     return {v.name: float(x[v.col]) for v in model.vars}
 
 
-def _solve_highs(model: MilpModel, opts: SolveOptions) -> SolveResult:
+def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float]) -> SolveResult:
     if model.n_vars == 0:
         return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
     c, integrality, var_lo, var_hi, A, row_lo, row_hi = model.to_arrays()
@@ -95,29 +121,87 @@ def _solve_highs(model: MilpModel, opts: SolveOptions) -> SolveResult:
         integrality = np.append(integrality, 0)
         var_lo = np.append(var_lo, 1.0)
         var_hi = np.append(var_hi, 1.0)
-        A = sp.hstack([A, sp.csr_matrix((A.shape[0], 1))]).tocsr() if model.n_rows else A
-    constraints = [LinearConstraint(A, row_lo, row_hi)] if model.n_rows else ()
-    res = milp(
-        c=c, constraints=constraints, integrality=integrality,
-        bounds=Bounds(var_lo, var_hi),
-        options={"mip_rel_gap": opts.mip_gap, "time_limit": opts.time_limit,
-                 "presolve": True, "disp": False},
-    )
-    if res.status == 2:
-        return SolveResult("infeasible", None, None, message=res.message)
-    if res.status in (3, 4) or (res.status == 0 and res.x is None):
-        return SolveResult("error", None, None, message=res.message)
-    # With the offset column the solver minimises -(target - misses), so
-    # the reported value is the negation; without it, the target is 0.
-    values = _values_from_x(model, res.x) if res.x is not None else {}
-    objective = -float(res.fun) if res.x is not None else None
-    dual = getattr(res, "mip_dual_bound", None)
-    bound = -float(dual) if dual is not None else objective
-    gap = getattr(res, "mip_gap", None)
-    if res.status == 1:
-        return SolveResult("time_limit", objective, bound, values, gap=gap, message=res.message)
-    status = "optimal" if not gap else "gap_reached"
-    return SolveResult(status, objective, bound, values, gap=gap or 0.0, message=res.message)
+        A = sp.hstack([A, sp.csr_matrix((A.shape[0], 1))])
+    A = sp.csc_matrix(A)
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lo)
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, var_lo, var_hi
+    lp.row_lower_, lp.row_upper_ = row_lo, row_hi
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    lp.integrality_ = [_core.HighsVarType(i) for i in integrality]
+    h = _core._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("mip_rel_gap", float(opts.mip_gap))
+    h.setOptionValue("time_limit", float(opts.time_limit))
+    if h.passModel(lp) == _core.HighsStatus.kError:
+        return SolveResult("error", None, None, message="HiGHS rejected the model")
+    if starts:
+        cols = sorted(starts)
+        h.setSolution(len(cols), np.array(cols, dtype=np.int32),
+                      np.array([starts[col] for col in cols]))
+    with _stdout_to_stderr():
+        h.run()
+    status = h.getModelStatus()
+    info = h.getInfo()
+    message = h.modelStatusToString(status)
+    is_mip = bool(integrality.any())
+    nodes = max(info.mip_node_count, 0)    # -1 for an LP
+    if status == _Status.kInfeasible:
+        return SolveResult("infeasible", None, None, message=message, nodes=nodes)
+    if status not in (_Status.kOptimal, _Status.kTimeLimit, _Status.kIterationLimit):
+        return SolveResult("error", None, None, message=message, nodes=nodes)
+    values, objective = {}, None
+    if info.primal_solution_status == _core.kSolutionStatusFeasible:
+        values = _values_from_x(model, h.getSolution().col_value)
+        # With the offset column the solver minimises -(target - misses), so
+        # the reported value is the negation; without it, the target is 0.
+        objective = -info.objective_function_value
+    if not is_mip:             # an LP: HiGHS reports no MIP gap or bound
+        bound, gap = (objective, 0.0) if status == _Status.kOptimal else (None, None)
+    else:
+        bound, gap = _finite(-info.mip_dual_bound), _finite(info.mip_gap)
+    if status != _Status.kOptimal:
+        return SolveResult("time_limit", objective, bound, values, gap=gap,
+                           message=message, nodes=nodes)
+    status = "optimal" if gap == 0.0 else "gap_reached"
+    return SolveResult(status, objective, bound, values, gap=gap, message=message, nodes=nodes)
+
+
+def _finite(x: float) -> float | None:
+    return float(x) if math.isfinite(x) else None
+
+
+_fd1_lock = threading.Lock()
+_fd1_users = 0
+_fd1_saved = -1
+
+
+@contextlib.contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at stderr while any thread is inside.
+
+    HiGHS 1.12 prints a debug line to fd 1 while it completes some MIP
+    starts, whatever its output options say; a caller's stdout (the CLI's
+    JSON) must hold only what the caller writes.  HiGHS releases the GIL
+    while it runs, so solves in several threads share one redirection.
+    """
+    global _fd1_users, _fd1_saved
+    with _fd1_lock:
+        if _fd1_users == 0:
+            sys.stdout.flush()
+            _fd1_saved = os.dup(1)
+            os.dup2(2, 1)
+        _fd1_users += 1
+    try:
+        yield
+    finally:
+        with _fd1_lock:
+            _fd1_users -= 1
+            if _fd1_users == 0:
+                os.dup2(_fd1_saved, 1)
+                os.close(_fd1_saved)
 
 
 def solve_reference(model: MilpModel) -> SolveResult:
@@ -179,18 +263,26 @@ def warm_start(model: MilpModel, plan: FlowPlan) -> MilpModel:
     the variable bounds are dropped with a warning.  Digit binaries get
     starts by simulating the plan and encoding the resulting tank specs.
     """
+    model.starts.update(_plan_starts(model, plan))
+    return model
+
+
+def _plan_starts(model: MilpModel, plan: FlowPlan, level: int = logging.WARNING) -> dict[int, float]:
+    """The column starts ``warm_start`` takes from a plan; a value outside
+    its column's bounds is dropped and logged at ``level``."""
+    starts: dict[int, float] = {}
     if not any((plan.y_in, plan.y_out, plan.gamma, plan.sigma, plan.v_unused, plan.mis)):
-        return model
+        return starts
 
     def put(kind, index, value):
         ref = model.var(kind, index)
         if ref is None:
             return
         if value < ref.lo - 1e-9 or value > ref.hi + 1e-9:
-            log.warning("warm start for %s dropped: %.6g outside [%g, %g]",
-                        ref.name, value, ref.lo, ref.hi)
+            log.log(level, "warm start for %s dropped: %.6g outside [%g, %g]",
+                    ref.name, value, ref.lo, ref.hi)
             return
-        model.starts[ref.col] = float(min(max(value, ref.lo), ref.hi))
+        starts[ref.col] = float(min(max(value, ref.lo), ref.hi))
 
     for (s, t), g in plan.gamma.items():
         put("gamma", (s, t), float(g))
@@ -209,8 +301,8 @@ def warm_start(model: MilpModel, plan: FlowPlan) -> MilpModel:
         try:
             trace = simulate(model.instance, plan)
         except PlanInconsistencyError as e:
-            log.warning("warm start digits skipped, plan inconsistent: %s", e)
-            return model
+            log.log(level, "warm start digits skipped, plan inconsistent: %s", e)
+            return starts
         for (k, q, t), fval in trace.f.items():
             p = model.plans.get((k, q))
             if p is None or p.n == 0:
@@ -218,7 +310,7 @@ def warm_start(model: MilpModel, plan: FlowPlan) -> MilpModel:
             code = encode(min(max(fval, p.lo), p.hi), p)
             for i, digit in enumerate(code.digits, start=1):
                 put("alpha", (k, q, t, i), float(digit))
-    return model
+    return starts
 
 
 def row_violations(model: MilpModel, values: dict[str, float], tol: float = ROW_FEAS_TOL):

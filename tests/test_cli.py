@@ -23,6 +23,11 @@ def inst_path(tmp_path):
 
 
 @pytest.fixture
+def sample_path():
+    return blendplan.sample_instance_path()
+
+
+@pytest.fixture
 def tiny_path(tmp_path):
     p = tmp_path / "tiny.json"
     write_instance(tiny_instance(0), p)
@@ -101,6 +106,28 @@ def test_solve_rolling_scheme(tiny_path, tmp_path, capsys):
     assert rc == 0
     steps = [json.loads(line) for line in open(os.path.join(out_dir, "steps.jsonl"))]
     assert steps and all("objective" in s for s in steps)
+
+
+def test_rolling_steps_log_nodes_and_start(tiny_path, tmp_path, capsys):
+    out_dir = str(tmp_path / "roll")
+    assert main(["solve", "--instance", tiny_path, "--out-dir", out_dir,
+                 "--scheme", "partial", "--periods", "run", "--dt", "2",
+                 "--time-limit", "300"]) == 0
+    steps = [json.loads(line) for line in open(os.path.join(out_dir, "steps.jsonl"))]
+    assert len(steps) >= 2
+    assert all(isinstance(s["nodes"], int) and s["nodes"] >= 0 for s in steps)
+    # the last step has no barge and no demand left: no plan gives it a start
+    assert [s["start"] for s in steps] == ["all-miss"] * (len(steps) - 1) + [None]
+
+
+def test_solve_stdout_is_one_json_object(sample_path, tmp_path, capfd):
+    # HiGHS prints a debug line to fd 1 while completing a start on this
+    # model; the CLI's stdout must still be its JSON record alone
+    rc = main(["solve", "--method", "mccormick", "--mip-gap", "0.0005", "--time-limit", "6",
+               "--instance", sample_path, "--out-dir", str(tmp_path / "o")])
+    out, _ = capfd.readouterr()
+    record = json.loads(out)
+    assert rc == 0 and record["status"] in ("optimal", "gap_reached", "time_limit")
 
 
 def test_rolling_record_reports_worst_step_status(tiny_path, tmp_path, monkeypatch, capsys):
@@ -215,6 +242,16 @@ def test_solve_config_rejects_unknown_key(tiny_path, tmp_path, key, value):
     assert main(["bench", "--config", str(cfg_path), "--out-dir", out_dir]) == 2
     with open(os.path.join(out_dir, "results.csv")) as fh:
         assert [r["status"] for r in csv.DictReader(fh)] == ["error"]
+
+
+def test_bench_run_without_instance_is_an_error_row(tmp_path, capsys):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"runs": [{"method": "center"}]}))
+    out_dir = str(tmp_path / "bench")
+    assert main(["bench", "--config", str(cfg_path), "--out-dir", out_dir]) == 2
+    with open(os.path.join(out_dir, "results.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["status"], r["instance"], r["method"]) for r in rows] == [("error", "", "center")]
 
 
 def test_solve_defaults_pinned():

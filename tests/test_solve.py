@@ -1,15 +1,21 @@
 """HiGHS and reference solves, warm starts, plan extraction."""
 
+import json
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
 from blendplan.builders import build_center, make_plans
 from blendplan.model import MilpModel
+from blendplan.rolling import StepLog
 from blendplan.simulate import FlowPlan, empty_plan
 from blendplan.solve import (ExtractionError, SolveOptions, SolverError,
-                             extract_flow_plan, row_violations, solve,
-                             solve_reference, warm_start)
+                             _stdout_to_stderr, extract_flow_plan,
+                             row_violations, solve, solve_reference,
+                             warm_start)
 from conftest import small_instance
 
 
@@ -166,3 +172,102 @@ def test_warm_start_echoed_in_export(toy, tmp_path):
     import json
     data = json.loads(side.read_text())
     assert data["starts"]
+
+
+# -- starts and solver telemetry ---------------------------------------------
+
+
+def test_solve_starts_from_all_miss_plan_and_leaves_model_starts(toy, tmp_path):
+    m = build_center(toy, make_plans(toy, 1.0))
+    before, after = tmp_path / "before.tags.json", tmp_path / "after.tags.json"
+    m.write_sidecar(before)
+    res = solve(m)
+    m.write_sidecar(after)
+    assert res.start == "all-miss" and res.status in ("optimal", "gap_reached")
+    assert m.starts == {}
+    assert after.read_bytes() == before.read_bytes()
+
+
+def test_solve_uses_given_start_and_leaves_it_unchanged(toy, tmp_path):
+    m = build_center(toy, make_plans(toy, 1.0))
+    warm_start(m, empty_plan(toy))
+    starts = dict(m.starts)
+    before, after = tmp_path / "before.tags.json", tmp_path / "after.tags.json"
+    m.write_sidecar(before)
+    res = solve(m)
+    m.write_sidecar(after)
+    assert res.start == "given" and res.status in ("optimal", "gap_reached")
+    assert m.starts == starts
+    assert after.read_bytes() == before.read_bytes()
+
+
+def test_model_without_instance_gets_no_start():
+    m = MilpModel("t")
+    x = m.add_var("gamma", ("B1", 0), 0.0, 1.0, binary=True)
+    m.obj = {x.col: -1.0}
+    res = solve(m)
+    assert res.start is None and res.value(x) == 1.0
+
+
+def test_lp_is_optimal_with_zero_gap(toy):
+    # HiGHS reports mip_gap = inf and mip_node_count = -1 for a model with
+    # no integer columns
+    m = build_center(toy, make_plans(toy, 1.0))
+    for v in m.vars:
+        m.relax_binary(v)
+    res = solve(m)
+    assert m.n_binary == 0
+    assert res.status == "optimal" and res.gap == 0.0 and res.nodes == 0
+    assert res.best_bound == res.objective
+
+
+def test_no_finite_dual_bound_is_none(sample):
+    # stopped before HiGHS has any dual bound: None, never +-inf, so a
+    # steps.jsonl line stays valid JSON
+    m = build_center(sample, make_plans(sample, 1.0))
+    res = solve(m, SolveOptions(time_limit=0.001))
+    assert res.status == "time_limit"
+    assert res.best_bound is None and res.objective is None and res.gap is None
+    entry = StepLog(0, (0, 7), 30, res.status, res.objective, res.best_bound,
+                    res.wall_time, m.n_binary, res.nodes, res.start)
+
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in JSON")
+
+    assert json.loads(entry.to_json(), parse_constant=reject)["bound"] is None
+
+
+def test_stdout_of_run_goes_to_stderr(capfd):
+    with _stdout_to_stderr():
+        os.write(1, b"from fd 1\n")
+        with _stdout_to_stderr():      # nested, as concurrent solves nest
+            os.write(1, b"nested\n")
+        os.write(1, b"still fd 1\n")
+    print("after")
+    out, err = capfd.readouterr()
+    assert out == "after\n"
+    assert err == "from fd 1\nnested\nstill fd 1\n"
+
+
+def test_concurrent_redirects_restore_stdout(capfd):
+    # HiGHS releases the GIL, so solves in threads enter and leave the
+    # redirection in any order; fd 1 must come back once all have left
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def enter_and_write():
+            for _ in range(200):
+                with _stdout_to_stderr():
+                    os.write(1, b"x")
+
+        threads = [threading.Thread(target=enter_and_write) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    os.write(1, b"after\n")
+    out, err = capfd.readouterr()
+    assert out == "after\n" and err == "x" * 1600
