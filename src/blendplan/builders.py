@@ -27,19 +27,10 @@ from .instance import Instance, Tank, derive_sets
 from .model import INF, MilpModel, QcpModel, VarRef
 from .simulate import value_target
 
-DROP_WITH_COUPLING = {"xa_mid_lb", "xa_end_ub"}
-DROP_WITH_RELAX = {"xa_end_lb", "xa_out_ub"}
-
 
 @dataclass(frozen=True)
 class CenterOptions:
-    coupling: bool = False     # add digit-product coupling rows, drop implied rows
-    relax_avol: bool = False   # drop the further rows made redundant by coupling
     tighten: bool = True       # buffer demand spec / ratio windows
-
-    def __post_init__(self):
-        if self.relax_avol and not self.coupling:
-            raise ValueError("relax_avol requires coupling")
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +384,10 @@ class _SpecVolumes(_Core):
         return out
 
     def digit_rows(self, k: Tank, q: str, t: int, product, origin: float,
-                   residual: VarRef | None = None, skip: set[str] = frozenset()):
+                   residual: VarRef | None = None):
         """Row ``xf_def_<family>``: spec volume = origin x volume + the
         ``residual`` product, if any, + the weighted digit products; then
-        the exact envelope rows of each digit product, less the ``skip`` tags."""
+        the exact envelope rows of each digit product."""
         fam, xf, x, xlo, xhi = product
         p = self.m.plans[(k.id, q)]
         name = f"{k.id},{q},{t}"
@@ -408,7 +399,7 @@ class _SpecVolumes(_Core):
         self.m.add_eq(f"xf_def_{fam}", coeffs, 0.0, f"xf_def_{fam}[{name}]")
         for i in range(1, p.n + 1):
             _envelope_rows(self.m, f"xa_{fam}", x, self.alpha[(k.id, q, t, i)],
-                           self.xa[(k.id, q, t, i, fam)], xlo, xhi, f"{name},{i}", skip=skip)
+                           self.xa[(k.id, q, t, i, fam)], xlo, xhi, f"{name},{i}")
 
     def feed_window_rows(self, bounds: TightenedBounds):
         m, inst, yf_out = self.m, self.inst, self.yf_out
@@ -523,24 +514,20 @@ def _digit_weight(p: DiscretizationPlan, i: int) -> float:
 
 
 def _envelope_rows(m, tag_family: str, x: VarRef, beta: VarRef, prod: VarRef,
-                   xlo: float, xhi: float, name: str, scale: float = 1.0,
-                   skip: set[str] = frozenset()):
+                   xlo: float, xhi: float, name: str, scale: float = 1.0):
     """Convex-envelope rows for prod = x * (scale * beta), beta in [0, 1].
 
     With scale == 1 and binary beta these rows are exact; with scale == eps
     and beta the residual variable in [0, eps] they are its envelope.
     """
-    tags = {
-        "lb": (f"{tag_family}_lb", {prod: 1.0, beta: -xlo}, 0.0, INF),
-        "ub": (f"{tag_family}_ub", {prod: 1.0, beta: -xhi}, -INF, 0.0),
-        "shift_ub": (f"{tag_family}_shift_ub", {prod: 1.0, x: -scale, beta: -xlo},
-                     -INF, -xlo * scale),
-        "shift_lb": (f"{tag_family}_shift_lb", {prod: 1.0, x: -scale, beta: -xhi},
-                     -xhi * scale, INF),
-    }
-    for key, (tag, coeffs, lo, hi) in tags.items():
-        if tag in skip:
-            continue
+    rows = (
+        ("lb", {prod: 1.0, beta: -xlo}, 0.0, INF),
+        ("ub", {prod: 1.0, beta: -xhi}, -INF, 0.0),
+        ("shift_ub", {prod: 1.0, x: -scale, beta: -xlo}, -INF, -xlo * scale),
+        ("shift_lb", {prod: 1.0, x: -scale, beta: -xhi}, -xhi * scale, INF),
+    )
+    for kind, coeffs, lo, hi in rows:
+        tag = f"{tag_family}_{kind}"
         m.add_row(tag, coeffs, lo, hi, f"{tag}[{name}]")
 
 
@@ -567,28 +554,13 @@ def build_center(inst: Instance, plans=None, opts: CenterOptions | None = None,
     s = _SpecVolumes(m, inst, "center", plans)
     s.mass_rows(relax_eps={kq: p.eps for kq, p in plans.items()})
 
-    skip: set[str] = set()
-    if opts.coupling:
-        skip |= DROP_WITH_COUPLING
-    if opts.relax_avol:
-        skip |= DROP_WITH_RELAX
-
     for k in inst.tanks:
         for q in inst.spec_ids():
             p = plans[(k.id, q)]
             center0 = p.lambda0 + p.eps / 2.0
             for t in range(inst.horizon):
                 for product in s.products(k, q, t):
-                    s.digit_rows(k, q, t, product, center0, skip=skip)
-                if opts.coupling:
-                    for i in range(1, p.n + 1):
-                        coeffs = {s.xa[(k.id, q, t, i, "mid")]: 1.0,
-                                  s.xa[(k.id, q, t, i, "end")]: -1.0}
-                        out = s.xa.get((k.id, q, t, i, "out"))
-                        if out is not None:
-                            coeffs[out] = -1.0
-                        m.add_eq("digit_coupling", coeffs, 0.0,
-                                 f"digit_coupling[{k.id},{q},{t},{i}]")
+                    s.digit_rows(k, q, t, product, center0)
 
     bounds = tighten(inst, plan_eps_hat(plans)) if opts.tighten else _identity_bounds(inst)
     m.meta["tightened"] = bounds

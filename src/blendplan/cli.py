@@ -57,8 +57,7 @@ def _parse_eps_hat(value):
 def _builder_for(args):
     eps_hat = _parse_eps_hat(args.eps_hat)
     if args.method == "center":
-        opts = CenterOptions(coupling=args.coupling, relax_avol=args.relax_avol,
-                             tighten=not args.no_tighten)
+        opts = CenterOptions(tighten=not args.no_tighten)
         return lambda inst: build_center(inst, make_plans(inst, eps_hat), opts)
     if args.method == "mccormick":
         return lambda inst: build_mccormick(inst, make_plans(inst, eps_hat),
@@ -106,12 +105,12 @@ def run_solve_config(config: dict) -> dict:
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown solve config keys {unknown}; known: {sorted(_CONFIG_KEYS)}")
-    inst = read_instance(config["instance"])
-    out_dir = config["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     ns = argparse.Namespace(**{**_SOLVE_DEFAULTS, **config})
     builder = _builder_for(ns)
     opts = _solve_options(ns)
+    inst = read_instance(config["instance"])
+    out_dir = config["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     steps = 0
     if ns.scheme == "flat":
@@ -172,8 +171,6 @@ def run_solve_config(config: dict) -> dict:
 _MODEL_FLAGS = argparse.ArgumentParser(add_help=False)
 _MODEL_FLAGS.add_argument("--eps-hat", dest="eps_hat", default="1.0",
                           help="precision, a number or q1=v1,q2=v2")
-_MODEL_FLAGS.add_argument("--coupling", action="store_true")
-_MODEL_FLAGS.add_argument("--relax-avol", dest="relax_avol", action="store_true")
 _MODEL_FLAGS.add_argument("--no-tighten", dest="no_tighten", action="store_true")
 _MODEL_DEFAULTS = vars(_MODEL_FLAGS.parse_args([]))
 
@@ -314,7 +311,7 @@ def _profiles(records: list[dict], out_dir: str) -> None:
                 w.writerow([v, i / len(losses)])
 
 
-def default_matrix(instances: list[str], time_limit: float = 600.0) -> list[dict]:
+def default_matrix(instances: list[str]) -> list[dict]:
     """Cross the provided instance files with both MILP methods at coarse
     and fine precision; the budget per run is the usual 600 seconds."""
     runs = []
@@ -322,7 +319,7 @@ def default_matrix(instances: list[str], time_limit: float = 600.0) -> list[dict
         for eps in (1.0, 0.25):
             for method in ("center", "mccormick"):
                 runs.append({"instance": path, "method": method,
-                             "eps_hat": eps, "time_limit": time_limit})
+                             "eps_hat": eps, "time_limit": 600.0})
     return runs
 
 

@@ -3,8 +3,8 @@
 `MilpModel` holds a flat variable registry plus tagged linear rows of the
 form ``lo <= a.x <= hi``; `QcpModel` adds rows with bilinear terms.  Every
 row carries a tag from the documented tag vocabulary (see TAGS) so that
-structural audits, and builders that leave out rows by tag (the center
-model's coupling options), can address whole constraint families.
+structural audits and the export sidecar can address whole constraint
+families.
 Constraints enforced purely through variable bounds or sparse variable
 creation are recorded as *structural* tags.
 
@@ -69,7 +69,6 @@ TAGS = frozenset({
     "xa_mid_lb", "xa_mid_ub", "xa_mid_shift_lb", "xa_mid_shift_ub",
     "xa_end_lb", "xa_end_ub", "xa_end_shift_lb", "xa_end_shift_ub",
     "xa_out_lb", "xa_out_ub", "xa_out_shift_lb", "xa_out_shift_ub",
-    "digit_coupling",
     "xdelta_mid_lb", "xdelta_mid_ub", "xdelta_mid_shift_lb", "xdelta_mid_shift_ub",
     "xdelta_end_lb", "xdelta_end_ub", "xdelta_end_shift_lb", "xdelta_end_shift_ub",
     "xdelta_out_lb", "xdelta_out_ub", "xdelta_out_shift_lb", "xdelta_out_shift_ub",

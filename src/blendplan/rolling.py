@@ -38,6 +38,8 @@ from .simulate import FlowPlan, plan_objective, simulate
 from .solve import SolveOptions, SolveResult, extract_flow_plan, solve
 
 SEGMENTS = ("past", "present", "near", "far")
+# Seconds every step is given at least; a budget left below it ends the roll.
+MIN_STEP_TIME = 2.0
 
 
 class RollingError(RuntimeError):
@@ -163,7 +165,6 @@ class RollParams:
     n_present: int = 1        # periods fully binary per step
     n_step: int = 1           # periods frozen per step
     solve: SolveOptions = field(default_factory=lambda: SolveOptions(time_limit=1800.0))
-    min_step_time: float = 2.0
 
     def __post_init__(self):
         if not (1 <= self.n_step <= self.n_present):
@@ -211,9 +212,9 @@ def _solve_step(model: MilpModel, opts: SolveOptions, step: int) -> SolveResult:
 
 def _step_budget(params: RollParams, spent: float, steps_left: int) -> float:
     remaining = params.solve.time_limit - spent
-    if remaining < params.min_step_time:
+    if remaining < MIN_STEP_TIME:
         raise RollingError(f"time budget exhausted with {steps_left} steps left")
-    return max(params.min_step_time, remaining / max(steps_left, 1))
+    return max(MIN_STEP_TIME, remaining / max(steps_left, 1))
 
 
 def _segment(day: int, t_start: int, present_end: int, t_nf: int) -> str:

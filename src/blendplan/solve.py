@@ -54,9 +54,10 @@ class SolveOptions:
     time_limit: float = 600.0
 
     def __post_init__(self):
-        if self.mip_gap < 0:
+        # written so that NaN fails; inf passes (no limit / any incumbent)
+        if not self.mip_gap >= 0:
             raise ValueError("mip_gap must be >= 0")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
 
 
@@ -157,16 +158,21 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
         values = _values_from_x(model, h.getSolution().col_value)
         # With the offset column the solver minimises -(target - misses), so
         # the reported value is the negation; without it, the target is 0.
-        objective = -info.objective_function_value
+        objective = _negated(info.objective_function_value)
     if not is_mip:             # an LP: HiGHS reports no MIP gap or bound
         bound, gap = (objective, 0.0) if status == _Status.kOptimal else (None, None)
     else:
-        bound, gap = _finite(-info.mip_dual_bound), _finite(info.mip_gap)
+        bound, gap = _finite(_negated(info.mip_dual_bound)), _finite(info.mip_gap)
     if status != _Status.kOptimal:
         return SolveResult("time_limit", objective, bound, values, gap=gap,
                            message=message, nodes=nodes)
     status = "optimal" if gap == 0.0 else "gap_reached"
     return SolveResult(status, objective, bound, values, gap=gap, message=message, nodes=nodes)
+
+
+def _negated(x: float) -> float:
+    """-x, but +0.0 for a zero optimum, which plain negation reports as -0.0."""
+    return 0.0 - x
 
 
 def _finite(x: float) -> float | None:

@@ -11,6 +11,7 @@ from blendplan.builders import (CenterOptions, build_center, build_exact_mix,
                                 reachable_spec_bounds, tighten)
 from blendplan.discretize import plan
 from blendplan.instance import Barge, Run, SpecDef, Tank
+from blendplan.model import TAGS, VAR_DAY_POS
 from blendplan.solve import SolveOptions, solve
 from conftest import small_instance, toy_1t1s
 
@@ -220,26 +221,6 @@ def test_center_no_feed_vars_off_demand_days(toy):
     assert m.var("x_alpha", ("T1", "P", 2, 1, "mid")) is not None
 
 
-def test_center_coupling_swaps_rows(toy):
-    plans = make_plans(toy, 1.0)
-    base = build_center(toy, plans)
-    coupled = build_center(toy, plans, CenterOptions(coupling=True))
-    assert not base.rows_by_tag("digit_coupling")
-    assert coupled.rows_by_tag("digit_coupling")
-    assert base.rows_by_tag("xa_mid_lb") and not coupled.rows_by_tag("xa_mid_lb")
-    assert base.rows_by_tag("xa_end_ub") and not coupled.rows_by_tag("xa_end_ub")
-    assert coupled.rows_by_tag("xa_end_lb")    # only dropped under relax_avol
-    relaxed = build_center(toy, plans, CenterOptions(coupling=True, relax_avol=True))
-    assert not relaxed.rows_by_tag("xa_end_lb")
-    assert not relaxed.rows_by_tag("xa_out_ub")
-    assert relaxed.rows_by_tag("xa_out_lb")
-
-
-def test_relax_requires_coupling():
-    with pytest.raises(ValueError):
-        CenterOptions(coupling=False, relax_avol=True)
-
-
 def test_mccormick_structure(toy):
     plans = make_plans(toy, 1.0)
     m = build_mccormick(toy, plans)
@@ -294,8 +275,6 @@ _DIGIT_ROWS = {**_SPEC_ROWS, "xf_def_mid": 24, "xf_def_end": 24, "xf_def_out": 1
                **{f"xa_{fam}_{kind}": n for fam, n in (("mid", 18), ("end", 18), ("out", 12))
                   for kind in ("lb", "ub", "shift_lb", "shift_ub")}}
 _CENTER_ROWS = {**_DIGIT_ROWS, "blend_relax_lb": 24, "blend_relax_ub": 24}
-_COUPLED_ROWS = {**{t: n for t, n in _CENTER_ROWS.items() if t not in ("xa_mid_lb", "xa_end_ub")},
-                 "digit_coupling": 18}
 _CORE_COLS = {"gamma": 6, "mis": 4, "sigma": 8, "t_first": 2, "t_last": 2, "v_end": 12,
               "v_mid": 12, "v_unused": 2, "y_in": 6, "y_out": 8}
 _SPEC_COLS = {**_CORE_COLS, "vf_end": 24, "vf_mid": 24, "yf_out": 16}
@@ -304,10 +283,6 @@ _DIGIT_COLS = {**_SPEC_COLS, "alpha": 18, "x_alpha": 48}
 
 @pytest.mark.parametrize("build,rows,cols", [
     (lambda i, p: build_center(i, p), _CENTER_ROWS, _DIGIT_COLS),
-    (lambda i, p: build_center(i, p, CenterOptions(coupling=True)), _COUPLED_ROWS, _DIGIT_COLS),
-    (lambda i, p: build_center(i, p, CenterOptions(coupling=True, relax_avol=True)),
-     {t: n for t, n in _COUPLED_ROWS.items() if t not in ("xa_end_lb", "xa_out_ub")},
-     _DIGIT_COLS),
     (lambda i, p: build_center(i, p, CenterOptions(tighten=False)), _CENTER_ROWS, _DIGIT_COLS),
     (lambda i, p: build_mccormick(i, p),
      {**_DIGIT_ROWS, "spec_mass_blend": 24,
@@ -316,14 +291,25 @@ _DIGIT_COLS = {**_SPEC_COLS, "alpha": 18, "x_alpha": 48}
      {**_DIGIT_COLS, "delta_f": 24, "x_delta": 64}),
     (lambda i, p: build_exact_split(i),
      {**_SPEC_ROWS, "spec_mass_blend": 24, "outflow_consistency": 16}, _SPEC_COLS),
-], ids=["center", "center-coupling", "center-coupling-relax", "center-untightened",
-        "mccormick", "exact-split"])
+], ids=["center", "center-untightened", "mccormick", "exact-split"])
 def test_model_size_per_tag_pinned(build, rows, cols):
     inst = small_instance(0)
     m = build(inst, make_plans(inst, 1.0))
     got_rows = Counter(r.tag for r in m.rows) + Counter(q.tag for q in getattr(m, "quad_rows", []))
     assert dict(got_rows) == rows
     assert dict(Counter(v.kind for v in m.vars)) == cols
+
+
+def test_builders_use_the_whole_vocabulary():
+    # every tag and variable kind that model.py declares is produced by some
+    # builder at its defaults: a declared name nothing builds is dead
+    inst = small_instance(0)
+    plans = make_plans(inst, 1.0)
+    models = [build_center(inst, plans), build_center(inst, plans, CenterOptions(tighten=False)),
+              build_mccormick(inst, plans), build_exact_mix(inst), build_exact_split(inst),
+              mccormick_m((1.0, 3.0), 2)[0]]
+    assert set().union(*(m.tags() for m in models)) == TAGS
+    assert {v.kind for m in models for v in m.vars} == set(VAR_DAY_POS)
 
 
 # -- generalized envelope block ------------------------------------------------

@@ -197,12 +197,9 @@ def test_export_linear_model_as_lp(inst_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method,flags,options", [
-    ("center", ["--coupling"], {"opts": CenterOptions(coupling=True)}),
-    ("center", ["--coupling", "--relax-avol"],
-     {"opts": CenterOptions(coupling=True, relax_avol=True)}),
     ("center", ["--no-tighten"], {"opts": CenterOptions(tighten=False)}),
     ("mccormick", ["--no-tighten"], {"tighten_bounds": False}),
-], ids=["center-coupling", "center-coupling-relax", "center-no-tighten", "mccormick-no-tighten"])
+], ids=["center-no-tighten", "mccormick-no-tighten"])
 def test_export_matches_library_model(inst_path, tmp_path, capsys, method, flags, options):
     out = tmp_path / "cli.mps"
     assert main(["export", "--instance", inst_path, "--method", method, "--out", str(out),
@@ -218,8 +215,8 @@ def test_export_matches_library_model(inst_path, tmp_path, capsys, method, flags
 
 
 @pytest.mark.parametrize("method", ["exact-mix", "exact-split"])
-@pytest.mark.parametrize("flags", [["--eps-hat", "0.25"], ["--coupling"], ["--relax-avol"],
-                                   ["--no-tighten"]], ids=lambda f: f[0].lstrip("-"))
+@pytest.mark.parametrize("flags", [["--eps-hat", "0.25"], ["--no-tighten"]],
+                         ids=lambda f: f[0].lstrip("-"))
 def test_export_exact_rejects_model_flags(inst_path, tmp_path, capsys, method, flags):
     # the exact models have no digits and no tightening: the flags cannot apply
     out = tmp_path / "m.lp"
@@ -229,7 +226,8 @@ def test_export_exact_rejects_model_flags(inst_path, tmp_path, capsys, method, f
     assert list(tmp_path.iterdir()) == [tmp_path / "inst.json"]
 
 
-@pytest.mark.parametrize("key,value", [("backend", "cli"), ("time-limit", 5)])
+@pytest.mark.parametrize("key,value", [("backend", "cli"), ("time-limit", 5),
+                                       ("coupling", True), ("relax_avol", True)])
 def test_solve_config_rejects_unknown_key(tiny_path, tmp_path, key, value):
     # a retired or misspelt key fails the run instead of running the defaults
     run = {"instance": tiny_path, "method": "center", "time_limit": 120, key: value}
@@ -242,6 +240,26 @@ def test_solve_config_rejects_unknown_key(tiny_path, tmp_path, key, value):
     assert main(["bench", "--config", str(cfg_path), "--out-dir", out_dir]) == 2
     with open(os.path.join(out_dir, "results.csv")) as fh:
         assert [r["status"] for r in csv.DictReader(fh)] == ["error"]
+
+
+@pytest.mark.parametrize("command,flag", [("solve", "--coupling"), ("export", "--relax-avol")])
+def test_deleted_model_flags_are_unknown(inst_path, tmp_path, capsys, command, flag):
+    out = {"solve": ["--out-dir", str(tmp_path / "o")],
+           "export": ["--method", "center", "--out", str(tmp_path / "m.mps")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", inst_path, *out, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "inst.json"]
+
+
+@pytest.mark.parametrize("flag", ["--time-limit", "--mip-gap"])
+def test_solve_rejects_nan_option(inst_path, tmp_path, capsys, flag):
+    out_dir = tmp_path / "o"
+    assert main(["solve", "--instance", inst_path, "--out-dir", str(out_dir),
+                 flag, "nan"]) == 2
+    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_bench_run_without_instance_is_an_error_row(tmp_path, capsys):
@@ -259,7 +277,7 @@ def test_solve_defaults_pinned():
     want = {
         "method": "center", "eps_hat": "1.0", "scheme": "flat", "periods": "fixed",
         "dt": 7, "h_nf": 90, "n_present": 1, "n_step": 1,
-        "coupling": False, "relax_avol": False, "no_tighten": False,
+        "no_tighten": False,
         "mip_gap": 0.005, "time_limit": 600.0,
     }
     assert {k: (v, type(v)) for k, v in _SOLVE_DEFAULTS.items()} == \

@@ -1,6 +1,7 @@
 """HiGHS and reference solves, warm starts, plan extraction."""
 
 import json
+import math
 import os
 import sys
 import threading
@@ -57,6 +58,13 @@ def test_option_validation():
         SolveOptions(mip_gap=-0.1)
     with pytest.raises(ValueError):
         SolveOptions(time_limit=0)
+    # NaN fails every comparison, so it must fail the checks too
+    with pytest.raises(ValueError, match="mip_gap"):
+        SolveOptions(mip_gap=math.nan)
+    with pytest.raises(ValueError, match="time_limit"):
+        SolveOptions(time_limit=math.nan)
+    # inf means "stop at the first incumbent" and "no time limit"
+    SolveOptions(mip_gap=math.inf, time_limit=math.inf)
 
 
 def test_deterministic_repeat(toy):
@@ -207,6 +215,16 @@ def test_model_without_instance_gets_no_start():
     m.obj = {x.col: -1.0}
     res = solve(m)
     assert res.start is None and res.value(x) == 1.0
+
+
+def test_zero_optimum_reports_positive_zero(toy):
+    # no barge and no demand: no objective offset and an optimum of 0,
+    # which a plain negation of HiGHS's values reports as -0.0
+    inst = replace(toy, barges=(), runs=())
+    res = solve(build_center(inst, make_plans(inst, 1.0)))
+    assert res.status == "optimal" and res.objective == 0.0
+    assert math.copysign(1.0, res.objective) == 1.0
+    assert math.copysign(1.0, res.best_bound) == 1.0
 
 
 def test_lp_is_optimal_with_zero_gap(toy):
