@@ -41,17 +41,23 @@ _STEP_STATUS_ORDER = ("optimal", "gap_reached", "time_limit")
 
 
 def _parse_eps_hat(value):
+    """A number or a per-spec dict from a flag or config value; every
+    precision must be positive (NaN fails)."""
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, dict):
-        return {q: float(v) for q, v in value.items()}
-    if "=" not in value:
-        return float(value)
-    out = {}
-    for part in value.split(","):
-        q, v = part.split("=", 1)
-        out[q.strip()] = float(v)
-    return out
+        eps = float(value)
+    elif isinstance(value, dict):
+        eps = {q: float(v) for q, v in value.items()}
+    elif "=" not in value:
+        eps = float(value)
+    else:
+        eps = {}
+        for part in value.split(","):
+            q, v = part.split("=", 1)
+            eps[q.strip()] = float(v)
+    values = eps.values() if isinstance(eps, dict) else (eps,)
+    if not all(e > 0 for e in values):
+        raise ValueError(f"eps_hat must be positive, got {value!r}")
+    return eps
 
 
 def _builder_for(args):
@@ -109,8 +115,17 @@ def run_solve_config(config: dict) -> dict:
     builder = _builder_for(ns)
     opts = _solve_options(ns)
     inst = read_instance(config["instance"])
+    if ns.scheme != "flat":
+        periods = (run_based_periods(inst.runs, inst.horizon, ns.dt)
+                   if ns.periods == "run" else fixed_periods(inst.horizon, ns.dt))
+        params = RollParams(h_nf=ns.h_nf, n_present=ns.n_present, n_step=ns.n_step,
+                            solve=opts)
+    # the options are all checked above: a rejected one leaves no directory
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
+    # `solve` imports scipy on first use; load it before the clock starts, so
+    # that `wall_time_s` times the run and not a once-per-process import
+    import scipy.optimize  # noqa: F401
     t0 = time.perf_counter()
     steps = 0
     if ns.scheme == "flat":
@@ -123,10 +138,6 @@ def run_solve_config(config: dict) -> dict:
         plan = extract_flow_plan(model, res)
         objective, bound = res.objective, res.best_bound
     else:
-        periods = (run_based_periods(inst.runs, inst.horizon, ns.dt)
-                   if ns.periods == "run" else fixed_periods(inst.horizon, ns.dt))
-        params = RollParams(h_nf=ns.h_nf, n_present=ns.n_present, n_step=ns.n_step,
-                            solve=opts)
         log_path = os.path.join(out_dir, "steps.jsonl")
         roller = roll_full if ns.scheme == "full" else roll_partial
         result = roller(inst, periods, params, builder, log_path=log_path)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
-import scipy.sparse as sp
 
 INF = math.inf
 
@@ -229,6 +228,8 @@ class MilpModel:
 
     def to_arrays(self):
         """(c, integrality, var_lo, var_hi, A, row_lo, row_hi) for a MILP solver."""
+        import scipy.sparse as sp
+
         n = len(self.vars)
         c = np.zeros(n)
         for col, v in self.obj.items():

@@ -25,17 +25,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
-from scipy.optimize._highspy import _core
 
 from .discretize import encode
 from .model import MilpModel
 from .simulate import FlowPlan, PlanInconsistencyError, empty_plan, simulate
 
 log = logging.getLogger(__name__)
-
-_Status = _core.HighsModelStatus
 
 ROW_FEAS_TOL = 1e-6
 
@@ -88,7 +83,14 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     The start is ``model.starts`` when the caller set any (``start`` is
     ``"given"``).  Otherwise it is the all-miss plan of ``model.instance``,
     encoded as ``warm_start`` encodes a plan (``"all-miss"``), and
-    ``model.starts`` stays as it was.
+    ``model.starts`` stays as it was.  That start is partial: it holds the
+    digit binaries of the simulated empty plan and the ``v_unused`` and
+    ``mis`` columns, but no ``gamma`` and no ``sigma``.  HiGHS completes it
+    with a sub-MIP over the free discrete columns, which usually finds the
+    plan the solve returns and takes most of its time.
+
+    A solve that runs past ``opts.time_limit`` (HiGHS can overspend it) is
+    logged as a warning.
     """
     if model.has_bilinear():
         raise SolverError("model has bilinear rows; export it for a QCP-capable solver")
@@ -99,9 +101,13 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
         starts, start = _plan_starts(model, empty_plan(model.instance), logging.DEBUG), "all-miss"
     else:
         starts, start = {}, None
-    result = _solve_highs(model, opts or SolveOptions(), starts)
+    opts = opts or SolveOptions()
+    result = _solve_highs(model, opts, starts)
     result.start = start if starts else None
     result.wall_time = time.perf_counter() - t0
+    if result.wall_time > opts.time_limit:
+        log.warning("solve took %.3f s, over its time_limit of %g s",
+                    result.wall_time, opts.time_limit)
     return result
 
 
@@ -112,6 +118,13 @@ def _values_from_x(model: MilpModel, x) -> dict[str, float]:
 def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float]) -> SolveResult:
     if model.n_vars == 0:
         return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
+    # Imported on first use, not at module level: only solving needs scipy,
+    # and loading it is most of the start-up time of every command that
+    # validates, exports, simulates or audits a plan.
+    import scipy.sparse as sp
+    from scipy.optimize._highspy import _core
+    _Status = _core.HighsModelStatus
+
     c, integrality, var_lo, var_hi, A, row_lo, row_hi = model.to_arrays()
     # Carry the constant target value inside the objective via a fixed
     # column: the solver's relative MIP gap is then measured against the
@@ -222,6 +235,8 @@ def solve_reference(model: MilpModel) -> SolveResult:
         raise SolverError(f"reference solver is capped at 14 free binaries, model has {len(bins)}")
     if model.n_vars == 0:
         return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
+    from scipy.optimize import linprog
+
     c, _, var_lo, var_hi, A, row_lo, row_hi = model.to_arrays()
     A = A.toarray()
     ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -260,6 +262,60 @@ def test_solve_rejects_nan_option(inst_path, tmp_path, capsys, flag):
                  flag, "nan"]) == 2
     assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eps-hat", "0"], ["--eps-hat", "nan"], ["--scheme", "full", "--dt", "0"],
+    ["--scheme", "partial", "--h-nf", "0"],
+    ["--scheme", "full", "--n-step", "2", "--n-present", "1"],
+], ids=lambda f: "_".join(a.lstrip("-") for a in f))
+def test_solve_rejects_bad_option_before_out_dir(tiny_path, tmp_path, capsys, flags):
+    assert main(["solve", "--instance", tiny_path, "--out-dir", str(tmp_path / "o"),
+                 *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "tiny.json"]
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import blendplan, blendplan.cli
+from blendplan import (build_center, empty_plan, make_plans, read_instance,
+                       sample_instance_path, solve, write_plan)
+from blendplan.cli import main
+
+work, tiny = sys.argv[1], sys.argv[2]
+sample = sample_instance_path()
+write_plan(empty_plan(read_instance(sample)), f"{work}/plan.json")
+plan = ["--instance", sample, "--plan", f"{work}/plan.json"]
+commands = [
+    ["validate", "--instance", sample],
+    ["gen", "--instance", sample, "--out", f"{work}/gen.json", "--extend", "40",
+     "--seed", "1", "--jitter-volume", "0.1"],
+    ["export", "--instance", sample, "--method", "center", "--out", f"{work}/c.mps"],
+    ["export", "--instance", sample, "--method", "exact-split", "--out", f"{work}/s.lp"],
+    ["simulate", *plan, "--out", f"{work}/trace.json"],
+    ["audit", *plan],
+    ["loss", *plan],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in ("scipy.sparse", "scipy.optimize") if m in sys.modules)
+assert not loaded, f"loaded before any solve: {loaded}"
+inst = read_instance(tiny)
+res = solve(build_center(inst, make_plans(inst, 1.0)))
+assert res.status in ("optimal", "gap_reached"), res.status
+print("ok")
+"""
+
+
+def test_commands_that_do_not_solve_leave_scipy_unloaded(tiny_path, tmp_path):
+    # a fresh interpreter: this test process has loaded scipy already
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path), tiny_path],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 def test_bench_run_without_instance_is_an_error_row(tmp_path, capsys):

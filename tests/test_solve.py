@@ -1,6 +1,7 @@
 """HiGHS and reference solves, warm starts, plan extraction."""
 
 import json
+import logging
 import math
 import os
 import sys
@@ -253,6 +254,19 @@ def test_no_finite_dual_bound_is_none(sample):
         raise ValueError(f"non-finite number {name} in JSON")
 
     assert json.loads(entry.to_json(), parse_constant=reject)["bound"] is None
+
+
+@pytest.mark.parametrize("time_limit", [1e-6, 600.0])
+def test_time_limit_overspend_is_logged(toy, caplog, time_limit):
+    # building the start alone outlasts a 1 us limit; 600 s is never reached
+    m = build_center(toy, make_plans(toy, 1.0))
+    with caplog.at_level(logging.WARNING, logger="blendplan.solve"):
+        res = solve(m, SolveOptions(time_limit=time_limit))
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert (res.wall_time > time_limit) == (time_limit < 1.0)
+    assert len(warned) == (1 if res.wall_time > time_limit else 0)
+    if warned:
+        assert f"{res.wall_time:.3f} s" in warned[0] and f"{time_limit:g} s" in warned[0]
 
 
 def test_stdout_of_run_goes_to_stderr(capfd):
