@@ -13,9 +13,11 @@ last three also share its extension by per-spec volumes:
 * ``build_mccormick``   -- MILP: same digits, residual kept as a variable
   whose volume products are bounded by convex-envelope rows.
 
-Both MILPs tighten demand spec and ratio windows by half the requested
-precision (and its ratio differential) so that simulated plans stay inside
-the original windows; see ``tighten``.
+Both MILPs take their base-2 digit plans, one per (tank, spec), from
+``make_plans``; a missing plan raises ``KeyError``.  Both tighten demand
+spec and ratio windows by half the requested precision (and its ratio
+differential) so that simulated plans stay inside the original windows;
+see ``tighten``.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def make_plans(inst: Instance, eps_hat) -> dict[tuple[str, str], DiscretizationP
         if hi - lo <= 0.0:
             plans[(k, q)] = degenerate_plan(lo, e)
         elif hi - lo <= e:
-            plans[(k, q)] = DiscretizationPlan(2, lo, hi - lo, 0, lo, hi, e)
+            plans[(k, q)] = DiscretizationPlan(lo, hi - lo, 0, lo, hi, e)
         else:
             plans[(k, q)] = make_plan(lo, hi, e)
     return plans
@@ -531,25 +533,16 @@ def _envelope_rows(m, tag_family: str, x: VarRef, beta: VarRef, prod: VarRef,
         m.add_row(tag, coeffs, lo, hi, f"{tag}[{name}]")
 
 
-def _resolve_plans(inst: Instance, plans, eps_hat):
-    if plans is None:
-        if eps_hat is None:
-            raise ValueError("need plans or eps_hat")
-        plans = make_plans(inst, eps_hat)
-    return plans
-
-
-def build_center(inst: Instance, plans=None, opts: CenterOptions | None = None,
-                 eps_hat=None) -> MilpModel:
+def build_center(inst: Instance, plans, opts: CenterOptions | None = None) -> MilpModel:
     """MILP with the spec residual pinned to the grid-cell midpoint.
 
     The blending balance is relaxed two-sided by eps/2 per unit of
     post-blend volume, so any true mixture within half a cell of a grid
     midpoint is representable.  One digit vector per (tank, spec, day) is
-    shared by the post-blend volume, end volume and feed products.
+    shared by the post-blend volume, end volume and feed products; its
+    length is the (tank, spec) plan's ``n`` in ``plans`` (see ``make_plans``).
     """
     opts = opts or CenterOptions()
-    plans = _resolve_plans(inst, plans, eps_hat)
     m = MilpModel("center")
     s = _SpecVolumes(m, inst, "center", plans)
     s.mass_rows(relax_eps={kq: p.eps for kq, p in plans.items()})
@@ -568,10 +561,10 @@ def build_center(inst: Instance, plans=None, opts: CenterOptions | None = None,
     return m
 
 
-def build_mccormick(inst: Instance, plans=None, eps_hat=None, tighten_bounds: bool = True) -> MilpModel:
+def build_mccormick(inst: Instance, plans, tighten_bounds: bool = True) -> MilpModel:
     """MILP keeping the spec residual as a variable; residual-volume
-    products are enclosed by their convex envelopes.  Blending is exact."""
-    plans = _resolve_plans(inst, plans, eps_hat)
+    products are enclosed by their convex envelopes.  Blending is exact.
+    The digits and residual bounds come from ``plans`` (see ``make_plans``)."""
     m = MilpModel("mccormick")
     s = _SpecVolumes(m, inst, "mccormick", plans)
     s.mass_rows()
@@ -600,13 +593,8 @@ def build_mccormick(inst: Instance, plans=None, eps_hat=None, tighten_bounds: bo
 def _check_plans(inst: Instance, plans) -> None:
     for k in inst.tanks:
         for q in inst.spec_ids():
-            p = plans.get((k.id, q))
-            if p is None:
+            if (k.id, q) not in plans:
                 raise KeyError(f"no discretization plan for tank {k.id}, spec {q}")
-            if p.base != 2:
-                # one binary per digit row holds the digit values 0 and 1 only
-                raise ValueError(f"plan for tank {k.id}, spec {q} has base {p.base}; "
-                                 "the models need base 2")
 
 
 # ---------------------------------------------------------------------------

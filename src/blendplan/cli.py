@@ -115,6 +115,9 @@ def run_solve_config(config: dict) -> dict:
     builder = _builder_for(ns)
     opts = _solve_options(ns)
     inst = read_instance(config["instance"])
+    # a per-spec eps_hat must name every spec; a rolling step's
+    # sub-instance has the same specs, so one check covers every build
+    make_plans(inst, _parse_eps_hat(ns.eps_hat))
     if ns.scheme != "flat":
         periods = (run_based_periods(inst.runs, inst.horizon, ns.dt)
                    if ns.periods == "run" else fixed_periods(inst.horizon, ns.dt))

@@ -171,6 +171,10 @@ class RollParams:
             raise ValueError("need 1 <= n_step <= n_present")
         if self.h_nf < 1:
             raise ValueError("h_nf must be >= 1")
+        if self.solve.time_limit < MIN_STEP_TIME:
+            # no step could start: the budget check would end the roll at once
+            raise ValueError(f"solve.time_limit must be >= {MIN_STEP_TIME} s (MIN_STEP_TIME), "
+                             f"got {self.solve.time_limit}")
 
 
 @dataclass

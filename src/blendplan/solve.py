@@ -126,18 +126,13 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
     _Status = _core.HighsModelStatus
 
     c, integrality, var_lo, var_hi, A, row_lo, row_hi = model.to_arrays()
-    # Carry the constant target value inside the objective via a fixed
-    # column: the solver's relative MIP gap is then measured against the
-    # full plan value, not against the miss value (which tends to 0).
-    offset = model.obj_offset
-    if offset:
-        c = np.append(c, -offset)
-        integrality = np.append(integrality, 0)
-        var_lo = np.append(var_lo, 1.0)
-        var_hi = np.append(var_hi, 1.0)
-        A = sp.hstack([A, sp.csr_matrix((A.shape[0], 1))])
     A = sp.csc_matrix(A)
     lp = _core.HighsLp()
+    # The constant target value enters as the objective offset: HiGHS
+    # measures mip_rel_gap on the objective with its offset included, so
+    # the gap is taken against the full plan value, not against the miss
+    # value (which tends to 0).
+    lp.offset_ = -model.obj_offset
     lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lo)
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, var_lo, var_hi
@@ -169,8 +164,8 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
     values, objective = {}, None
     if info.primal_solution_status == _core.kSolutionStatusFeasible:
         values = _values_from_x(model, h.getSolution().col_value)
-        # With the offset column the solver minimises -(target - misses), so
-        # the reported value is the negation; without it, the target is 0.
+        # With the offset the solver minimises -(target - misses), so the
+        # reported value is the negation; without one, the target is 0.
         objective = _negated(info.objective_function_value)
     if not is_mip:             # an LP: HiGHS reports no MIP gap or bound
         bound, gap = (objective, 0.0) if status == _Status.kOptimal else (None, None)

@@ -52,7 +52,7 @@ def test_criterion_02_round_trip_10k():
         lo = float(rng.uniform(-100.0, 100.0))
         width = float(rng.uniform(1e-3, 150.0))
         eps_hat = width * float(rng.uniform(1e-4, 1.0))
-        p = plan(lo, lo + width, eps_hat, base=2)
+        p = plan(lo, lo + width, eps_hat)
         f = float(rng.uniform(lo, lo + width))
         code = encode(f, p)
         back = decode(code, p)

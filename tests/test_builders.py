@@ -9,7 +9,6 @@ from blendplan.builders import (CenterOptions, build_center, build_exact_mix,
                                 build_exact_split, build_mccormick, make_plans,
                                 mccormick_m, ratio_buffer,
                                 reachable_spec_bounds, tighten)
-from blendplan.discretize import plan
 from blendplan.instance import Barge, Run, SpecDef, Tank
 from blendplan.model import TAGS, VAR_DAY_POS
 from blendplan.solve import SolveOptions, solve
@@ -240,15 +239,6 @@ def test_builders_raise_on_missing_plan(toy):
     del plans[("T1", "P")]
     with pytest.raises(KeyError):
         build_center(toy, plans)
-
-
-def test_builders_reject_non_binary_digit_plans(toy):
-    plans = make_plans(toy, 1.0)
-    p = plans[("T1", "P")]
-    plans[("T1", "P")] = plan(p.lo, p.hi, p.eps_hat, base=3)
-    for build in (build_center, build_mccormick):
-        with pytest.raises(ValueError, match="base 2"):
-            build(toy, plans)
 
 
 def test_make_plans_per_spec_precision():

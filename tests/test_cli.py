@@ -268,6 +268,7 @@ def test_solve_rejects_nan_option(inst_path, tmp_path, capsys, flag):
     ["--eps-hat", "0"], ["--eps-hat", "nan"], ["--scheme", "full", "--dt", "0"],
     ["--scheme", "partial", "--h-nf", "0"],
     ["--scheme", "full", "--n-step", "2", "--n-present", "1"],
+    ["--eps-hat", "X=1"], ["--scheme", "full", "--time-limit", "1"],
 ], ids=lambda f: "_".join(a.lstrip("-") for a in f))
 def test_solve_rejects_bad_option_before_out_dir(tiny_path, tmp_path, capsys, flags):
     assert main(["solve", "--instance", tiny_path, "--out-dir", str(tmp_path / "o"),

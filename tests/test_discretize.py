@@ -16,12 +16,12 @@ BASE_RATIO_TABLE = {
 
 
 def test_positional_plan_two_digits():
-    p = plan(0.0, 1.0, 0.25, base=2)
-    assert (p.n, p.eps, p.lambda0, p.m) == (2, 0.25, 0.0, 1)
+    p = plan(0.0, 1.0, 0.25)
+    assert (p.n, p.eps, p.lambda0) == (2, 0.25, 0.0)
 
 
 def test_plan_full_width_precision_has_no_digits():
-    p = plan(0.0, 1.0, 1.0, base=2)
+    p = plan(0.0, 1.0, 1.0)
     assert p.n == 0 and p.eps == 1.0
 
 
@@ -30,12 +30,10 @@ def test_plan_rejects_bad_inputs():
         plan(1.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         plan(0.0, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        plan(0.0, 1.0, 0.25, base=1)
 
 
 def test_encode_examples():
-    p = plan(0.0, 1.0, 0.25, base=2)
+    p = plan(0.0, 1.0, 0.25)
     code = encode(0.6, p)
     assert grid_value(code, p) == 0.5
     assert code.delta == pytest.approx(0.1, abs=1e-12)
@@ -47,8 +45,21 @@ def test_encode_examples():
     assert grid_value(code, p) == 0.75 and code.delta == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("bounds,f,digits,delta", [
+    ((0.0, 1.0, 0.25), 0.6, (0, 1), 0.09999999999999998),
+    ((0.0, 1.0, 0.25), 1.0, (1, 1), 0.25),
+    ((10.0, 18.0, 1.0), 13.0, (1, 1, 0), 0.0),
+    ((3.0, 11.0, 0.9), 7.3, (0, 0, 0, 1), 0.2999999999999998),
+    ((-2.5, 4.0, 0.1), 1.234, (1, 0, 0, 1, 0, 0, 1), 0.026968749999999986),
+])
+def test_encode_pinned(bounds, f, digits, delta):
+    # recorded from the one-hot digit form this tuple of bits replaced
+    code = encode(f, plan(*bounds))
+    assert code.digits == digits and code.delta == delta
+
+
 def test_encode_exact_grid_point_takes_zero_residual():
-    p = plan(10.0, 18.0, 1.0, base=2)
+    p = plan(10.0, 18.0, 1.0)
     for k in range(p.grid_count):
         f = p.lambda0 + k * p.eps
         code = encode(f, p)
@@ -63,7 +74,7 @@ def test_encode_rejects_out_of_bounds():
 
 
 def test_grid_cardinality_and_endpoints():
-    p = plan(3.0, 11.0, 0.9, base=2)
+    p = plan(3.0, 11.0, 0.9)
     pts = p.grid_points()
     assert len(pts) == 2 ** p.n
     assert pts[0] == 3.0
@@ -90,8 +101,7 @@ def test_round_trip_bulk_random():
         lo = rng.uniform(-50.0, 50.0)
         width = rng.uniform(1e-3, 100.0)
         eps_hat = width * rng.uniform(1e-4, 1.0)
-        base = int(rng.integers(2, 11))
-        p = plan(lo, lo + width, eps_hat, base=base)
+        p = plan(lo, lo + width, eps_hat)
         f = rng.uniform(lo, lo + width)
         code = encode(f, p)
         back = decode(code, p)
@@ -103,20 +113,13 @@ def test_round_trip_bulk_random():
 
 @settings(max_examples=200, deadline=None)
 @given(lo=st.floats(-100, 100), width=st.floats(0.01, 200),
-       frac=st.floats(0.0001, 1.0), x=st.floats(0.0, 1.0), base=st.integers(2, 10))
-def test_round_trip_property(lo, width, frac, x, base):
-    p = plan(lo, lo + width, width * frac, base=base)
+       frac=st.floats(0.0001, 1.0), x=st.floats(0.0, 1.0))
+def test_round_trip_property(lo, width, frac, x):
+    p = plan(lo, lo + width, width * frac)
     f = lo + x * width
     code = encode(f, p)
     assert abs(decode(code, p) - f) <= 1e-12 * max(1.0, abs(f))
     assert p.eps <= width * frac * (1 + 1e-9)
-
-
-def test_one_hot_shape():
-    p = plan(0.0, 9.0, 1.0, base=3)
-    code = encode(7.3, p)
-    assert code.alpha.shape == (p.n, 3)
-    assert (code.alpha.sum(axis=1) == 1).all()
 
 
 def test_base_ratio_table_values():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import blendplan
 from blendplan.builders import build_center, build_exact_split, make_plans
 from blendplan.model import INF, MilpModel, QcpModel, parse_mps
 from conftest import small_instance
@@ -229,3 +230,30 @@ def test_sidecar_is_json_dump_layout(tmp_path, make):
     text = path.read_text()
     assert text == json.dumps(reference_sidecar(m), indent=2) + "\n"
     assert text.isascii() and "\\u00e9" in text and "\\ud83d\\ude00" in text
+
+
+def _pinned_plan(lam, eps, n, hi):
+    return {"scheme": "nmdt", "base": 2, "lambda0": lam, "eps": eps, "n": n, "m": 1,
+            "lo": lam, "hi": hi, "eps_hat": 1.0}
+
+
+# The plans section of the bundled sample's center sidecar at eps_hat 1.0,
+# key order and float digits as written before the plan fields `base` and
+# `m` became constants of the sidecar format.
+SAMPLE_CENTER_PLANS = {
+    "T1,S1": _pinned_plan(47.9, 0.7750000000000004, 2, 51.0),
+    "T1,S2": _pinned_plan(11.0, 0.7999999999999998, 1, 12.6),
+    "T2,S1": _pinned_plan(47.9, 0.7750000000000004, 2, 51.0),
+    "T2,S2": _pinned_plan(11.0, 0.7999999999999998, 1, 12.6),
+    "T3,S1": _pinned_plan(47.9, 0.625, 2, 50.4),
+    "T3,S2": _pinned_plan(11.0, 0.5499999999999998, 1, 12.1),
+}
+
+
+def test_sample_center_sidecar_plans_pinned(tmp_path):
+    inst = blendplan.read_instance(blendplan.sample_instance_path())
+    path = tmp_path / "center.mps.tags.json"
+    build_center(inst, make_plans(inst, 1.0)).write_sidecar(path)
+    # the last section of a center sidecar, byte for byte
+    tail = '  "plans": ' + json.dumps(SAMPLE_CENTER_PLANS, indent=2).replace("\n", "\n  ")
+    assert path.read_text().endswith(tail + "\n}\n")

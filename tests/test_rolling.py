@@ -224,6 +224,8 @@ def test_roll_params_validation():
         RollParams(n_present=1, n_step=2)
     with pytest.raises(ValueError):
         RollParams(h_nf=0)
+    with pytest.raises(ValueError, match="MIN_STEP_TIME"):
+        RollParams(solve=SolveOptions(time_limit=1.0))
 
 
 def _segment(day, window, t_nf):
