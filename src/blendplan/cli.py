@@ -310,13 +310,14 @@ def _append_results(path: str, records: list[dict]) -> None:
 def _profiles(records: list[dict], out_dir: str) -> None:
     methods = sorted({r["method"] for r in records if r.get("status") in OK_STATUSES})
     for method in methods:
-        rows = [r for r in records if r["method"] == method and r.get("status") in OK_STATUSES]
+        runs = [r for r in records if r["method"] == method]    # error rows too
+        rows = [r for r in runs if r.get("status") in OK_STATUSES]
         times = sorted(r["wall_time_s"] for r in rows)
         with open(os.path.join(out_dir, f"profile_time_{method}.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["wall_time_s", "fraction_finished"])
             for i, t in enumerate(times, start=1):
-                w.writerow([t, i / len(records)])
+                w.writerow([t, i / len(runs)])
         losses = sorted(r["pct_loss"] for r in rows)
         with open(os.path.join(out_dir, f"profile_loss_{method}.csv"), "w", newline="") as fh:
             w = csv.writer(fh)

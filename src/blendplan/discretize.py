@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True)
 class DiscretizationPlan:
@@ -50,6 +53,9 @@ class DiscretizationPlan:
         return 2 ** self.n
 
     def grid_points(self) -> np.ndarray:
+        # numpy is imported here, not at module level: loading it is most of
+        # the start-up time of `import blendplan`, and nothing else here needs it
+        import numpy as np
         return self.lambda0 + self.eps * np.arange(self.grid_count)
 
     def to_dict(self) -> dict:

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-import numpy as np
-
 log = logging.getLogger(__name__)
 
 SCHEMA_ID = "blendplan-instance/1"
@@ -390,6 +388,10 @@ def randomize_supply(inst: Instance, seed: int, jitter: RandomizationParams) -> 
     Values that would break invariants (windows off the grid, negative
     concentrations) are clamped and the clamp is logged.
     """
+    # numpy is imported here, not at module level: loading it is most of the
+    # start-up time of `import blendplan`, and nothing else here needs it
+    import numpy as np
+
     validate_instance(inst).raise_if_invalid()
     rng = np.random.default_rng(seed)
     H = inst.ops.horizon

@@ -26,8 +26,6 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 INF = math.inf
 
 # Variable kinds and the position of the day index inside `index`
@@ -207,6 +205,26 @@ class MilpModel:
     def reported_objective(self, min_value: float) -> float:
         return self.obj_offset - min_value
 
+    def value_bound(self) -> float | None:
+        """An upper bound on the reported objective from the column bounds
+        alone: the offset minus the least value the cost terms can take.
+
+        None when a costed column is unbounded on its cheap side.  The
+        builders cost only ``v_unused`` and ``mis``, at a non-negative
+        penalty over columns with lower bound 0, so for their models this
+        is ``obj_offset``, the all-served target.
+        """
+        least = 0.0
+        for col, c in self.obj.items():
+            if c == 0.0:        # a free zero-cost column adds nothing (no 0 * inf)
+                continue
+            v = self.vars[col]
+            x = v.lo if c > 0 else v.hi
+            if math.isinf(x):
+                return None
+            least += c * x
+        return self.obj_offset - least
+
     # -- stats ---------------------------------------------------------------
 
     @property
@@ -228,6 +246,10 @@ class MilpModel:
 
     def to_arrays(self):
         """(c, integrality, var_lo, var_hi, A, row_lo, row_hi) for a MILP solver."""
+        # Imported here, not at module level: only solving needs the arrays,
+        # and loading numpy and scipy is most of the start-up time of every
+        # command that validates, exports, simulates or audits a plan.
+        import numpy as np
         import scipy.sparse as sp
 
         n = len(self.vars)

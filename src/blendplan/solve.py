@@ -24,8 +24,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .discretize import encode
 from .model import MilpModel
 from .simulate import FlowPlan, PlanInconsistencyError, empty_plan, simulate
@@ -89,6 +87,16 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     with a sub-MIP over the free discrete columns, which usually finds the
     plan the solve returns and takes most of its time.
 
+    No plan is worth more than ``model.value_bound()``.  When a MIP has a
+    finite, positive value bound and ``opts.mip_gap`` is finite, HiGHS stops
+    every phase, the start's completion included, at the first incumbent
+    within ``opts.mip_gap`` of that bound.  Such a
+    result has ``message`` "value bound reached" and a ``best_bound`` that
+    is the smaller of the value bound and HiGHS's own dual bound (when it
+    has one); ``gap`` is ``(best_bound - objective) / |objective|``, and
+    ``status`` is ``"optimal"`` at gap 0, else ``"gap_reached"``.
+    ``nodes`` reads 0 when the stop comes before the root node.
+
     A solve that runs past ``opts.time_limit`` (HiGHS can overspend it) is
     logged as a warning.
     """
@@ -118,9 +126,10 @@ def _values_from_x(model: MilpModel, x) -> dict[str, float]:
 def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float]) -> SolveResult:
     if model.n_vars == 0:
         return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
-    # Imported on first use, not at module level: only solving needs scipy,
-    # and loading it is most of the start-up time of every command that
-    # validates, exports, simulates or audits a plan.
+    # Imported on first use, not at module level: only solving needs numpy
+    # and scipy, and loading them is most of the start-up time of every
+    # command that validates, exports, simulates or audits a plan.
+    import numpy as np
     import scipy.sparse as sp
     from scipy.optimize._highspy import _core
     _Status = _core.HighsModelStatus
@@ -144,6 +153,17 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
     h.setOptionValue("output_flag", False)
     h.setOptionValue("mip_rel_gap", float(opts.mip_gap))
     h.setOptionValue("time_limit", float(opts.time_limit))
+    is_mip = bool(integrality.any())
+    value_bound = model.value_bound()
+    if is_mip and value_bound is not None and value_bound > 0 and math.isfinite(opts.mip_gap):
+        # No plan is worth more than value_bound, so an incumbent within
+        # mip_gap of it needs no further proof.  HiGHS minimises the negated
+        # value (its objective includes offset_) and stops every phase, the
+        # completion of the start included, at the first incumbent below
+        # this target: its own relative-gap rule, measured against the
+        # bound.  An LP proves its optimum anyway, and an infinite mip_gap
+        # already stops at the first incumbent.
+        h.setOptionValue("objective_target", -value_bound / (1.0 + opts.mip_gap))
     if h.passModel(lp) == _core.HighsStatus.kError:
         return SolveResult("error", None, None, message="HiGHS rejected the model")
     if starts:
@@ -155,11 +175,11 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
     status = h.getModelStatus()
     info = h.getInfo()
     message = h.modelStatusToString(status)
-    is_mip = bool(integrality.any())
     nodes = max(info.mip_node_count, 0)    # -1 for an LP
     if status == _Status.kInfeasible:
         return SolveResult("infeasible", None, None, message=message, nodes=nodes)
-    if status not in (_Status.kOptimal, _Status.kTimeLimit, _Status.kIterationLimit):
+    if status not in (_Status.kOptimal, _Status.kTimeLimit, _Status.kIterationLimit,
+                      _Status.kObjectiveTarget):
         return SolveResult("error", None, None, message=message, nodes=nodes)
     values, objective = {}, None
     if info.primal_solution_status == _core.kSolutionStatusFeasible:
@@ -167,6 +187,15 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
         # With the offset the solver minimises -(target - misses), so the
         # reported value is the negation; without one, the target is 0.
         objective = _negated(info.objective_function_value)
+    if status == _Status.kObjectiveTarget:
+        # the incumbent is within mip_gap of value_bound; HiGHS's own dual
+        # bound, when it has one, can only be tighter.  The gap is HiGHS's
+        # (a bound a tolerance below the plan reads as 0).
+        dual = _finite(_negated(info.mip_dual_bound))
+        bound = value_bound if dual is None else min(value_bound, dual)
+        gap = max(bound - objective, 0.0) / abs(objective)
+        return SolveResult("optimal" if gap == 0.0 else "gap_reached", objective, bound,
+                           values, gap=gap, message="value bound reached", nodes=nodes)
     if not is_mip:             # an LP: HiGHS reports no MIP gap or bound
         bound, gap = (objective, 0.0) if status == _Status.kOptimal else (None, None)
     else:
@@ -230,6 +259,8 @@ def solve_reference(model: MilpModel) -> SolveResult:
         raise SolverError(f"reference solver is capped at 14 free binaries, model has {len(bins)}")
     if model.n_vars == 0:
         return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
+    # imported here for the reason _solve_highs gives
+    import numpy as np
     from scipy.optimize import linprog
 
     c, _, var_lo, var_hi, A, row_lo, row_hi = model.to_arrays()

@@ -284,14 +284,19 @@ from blendplan import (build_center, empty_plan, make_plans, read_instance,
                        sample_instance_path, solve, write_plan)
 from blendplan.cli import main
 
+
+def assert_unloaded(when, modules=("numpy", "scipy.sparse", "scipy.optimize")):
+    loaded = sorted(m for m in modules if m in sys.modules)
+    assert not loaded, f"loaded {when}: {loaded}"
+
+
+assert_unloaded("by import blendplan")
 work, tiny = sys.argv[1], sys.argv[2]
 sample = sample_instance_path()
 write_plan(empty_plan(read_instance(sample)), f"{work}/plan.json")
 plan = ["--instance", sample, "--plan", f"{work}/plan.json"]
 commands = [
     ["validate", "--instance", sample],
-    ["gen", "--instance", sample, "--out", f"{work}/gen.json", "--extend", "40",
-     "--seed", "1", "--jitter-volume", "0.1"],
     ["export", "--instance", sample, "--method", "center", "--out", f"{work}/c.mps"],
     ["export", "--instance", sample, "--method", "exact-split", "--out", f"{work}/s.lp"],
     ["simulate", *plan, "--out", f"{work}/trace.json"],
@@ -300,8 +305,11 @@ commands = [
 ]
 for argv in commands:
     assert main(argv) == 0, argv
-loaded = sorted(m for m in ("scipy.sparse", "scipy.optimize") if m in sys.modules)
-assert not loaded, f"loaded before any solve: {loaded}"
+    assert_unloaded(f"by {argv[0]}")
+# randomize_supply draws from numpy's generator; it needs numpy, not scipy
+assert main(["gen", "--instance", sample, "--out", f"{work}/gen.json", "--extend", "40",
+             "--seed", "1", "--jitter-volume", "0.1"]) == 0
+assert_unloaded("by gen --seed", ("scipy.sparse", "scipy.optimize"))
 inst = read_instance(tiny)
 res = solve(build_center(inst, make_plans(inst, 1.0)))
 assert res.status in ("optimal", "gap_reached"), res.status
@@ -373,11 +381,28 @@ def test_bench_matrix(tiny_path, tmp_path, capsys):
         with open(prof) as fh:
             pr = list(csv.DictReader(fh))
         fracs = [float(r["fraction_finished"]) for r in pr]
-        assert fracs == sorted(fracs) and fracs[-1] <= 1.0
+        # each method's own runs all finished
+        assert fracs == sorted(fracs) and fracs[-1] == 1.0
     # identical methods on the same instance give identical objective rows
     a, b = (json.load(open(os.path.join(out_dir, f"run_{i:03d}", "record.json")))
             for i in (0, 1))
     assert a["instance"] == b["instance"]
+
+
+def test_bench_profile_counts_failed_runs(tiny_path, tmp_path):
+    # each method's profile counts that method's runs only, failed ones
+    # too: the failed center run keeps center's top fraction at 1/2
+    runs = [{"instance": tiny_path, "method": "center", "time_limit": 120},
+            {"instance": str(tmp_path / "missing.json"), "method": "center"},
+            {"instance": tiny_path, "method": "mccormick", "time_limit": 120}]
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"runs": runs}))
+    out_dir = str(tmp_path / "bench")
+    assert main(["bench", "--config", str(cfg_path), "--out-dir", out_dir]) == 2
+    for method, want in (("center", [0.5]), ("mccormick", [1.0])):
+        with open(os.path.join(out_dir, f"profile_time_{method}.csv")) as fh:
+            fracs = [float(r["fraction_finished"]) for r in csv.DictReader(fh)]
+        assert fracs == want, method
 
 
 def test_bench_default_matrix(tiny_path, tmp_path):

@@ -10,8 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from blendplan.builders import build_center, make_plans
-from blendplan.model import MilpModel
+from blendplan.builders import build_center, build_mccormick, make_plans
+from blendplan.model import INF, MilpModel
 from blendplan.rolling import StepLog
 from blendplan.simulate import FlowPlan, empty_plan
 from blendplan.solve import (ExtractionError, SolveOptions, SolverError,
@@ -90,8 +90,10 @@ def test_reference_backend_matches_highs(toy):
     m2 = build_center(inst, make_plans(inst, 1.0))
     r_ref = solve_reference(m1)
     r_hgs = solve(m2, SolveOptions(mip_gap=0.0))
-    assert r_ref.status == "optimal"
+    assert r_ref.status == r_hgs.status == "optimal"
     assert r_ref.objective == pytest.approx(r_hgs.objective, rel=1e-7)
+    assert r_ref.best_bound == pytest.approx(r_hgs.best_bound, rel=1e-7)
+    assert r_hgs.gap == 0.0
 
 
 def test_reference_backend_guards():
@@ -303,3 +305,97 @@ def test_concurrent_redirects_restore_stdout(capfd):
     os.write(1, b"after\n")
     out, err = capfd.readouterr()
     assert out == "after\n" and err == "x" * 1600
+
+
+# -- the value-bound stop ------------------------------------------------------
+
+
+def _within_gap_of_bound(res, mip_gap):
+    return res.objective >= res.best_bound / (1.0 + mip_gap) * (1.0 - 1e-9)
+
+
+def test_sample_center_stop_keeps_result_pinned(sample):
+    # status, value, bound and gap as before the stop (recorded then); the
+    # bound is the all-served target, 23,143,600
+    m = build_center(sample, make_plans(sample, 1.0))
+    assert m.value_bound() == m.obj_offset == 23143600.0
+    res = solve(m)
+    assert res.status == "gap_reached" and res.message == "value bound reached"
+    assert res.objective == pytest.approx(23123494.408721317, rel=1e-12)
+    assert res.best_bound == 23143600.0
+    assert res.gap == pytest.approx(0.0008694875836370267, rel=1e-9)
+    assert res.gap == pytest.approx((res.best_bound - res.objective) / res.objective, rel=1e-12)
+    assert _within_gap_of_bound(res, 0.005)
+
+
+def test_value_bound_of_hand_built_models():
+    m = MilpModel("t")
+    y = m.add_var("y_in", ("B1", "T1", 0), 2.0, 10.0)
+    miss = m.add_var("mis", (0,), 0.0, INF)
+    free = m.add_var("v_mid", ("T1", 0), -INF, INF)
+    m.set_objective({y: -3.0, miss: 5.0, free: 0.0}, 100.0)
+    # y at its upper bound, miss at 0; the zero-cost free column adds nothing
+    assert m.value_bound() == 130.0
+    m.set_objective({y: 3.0, miss: 5.0}, 100.0)
+    assert m.value_bound() == 94.0
+
+
+def _gated_model(cost: float, lo: float, hi: float):
+    """A binary gate and one costed column, bounded only by the gate's row."""
+    m = MilpModel("t")
+    g = m.add_var("gamma", ("B1", 0), 0.0, 1.0, binary=True)
+    y = m.add_var("y_in", ("B1", "T1", 0), lo, hi)
+    # y <= 10 g - 3 (cost < 0: the gate opens) or y >= 3 - 10 g (cost > 0)
+    if cost < 0:
+        m.add_row("unload_flow_gate", {y: 1.0, g: -10.0}, hi=-3.0)
+    else:
+        m.add_row("unload_min_pct", {y: 1.0, g: 10.0}, lo=3.0)
+    m.set_objective({y: cost}, 0.0)
+    return m, g, y
+
+
+@pytest.mark.parametrize("cost, lo, hi, want", [
+    (-1.0, 0.0, INF, 7.0),        # negative cost, no upper bound
+    (1.0, -INF, INF, 7.0),        # positive cost, no lower bound
+])
+def test_unbounded_costed_column_gets_no_target(cost, lo, hi, want):
+    m, g, y = _gated_model(cost, lo, hi)
+    assert m.value_bound() is None
+    res = solve(m)
+    assert res.status == "optimal" and res.message != "value bound reached"
+    assert res.objective == pytest.approx(want) and res.value(g) == 1.0
+    assert _within_gap_of_bound(res, 0.005)
+
+
+def test_negative_cost_column_with_finite_bound_solves_to_it():
+    # value bound 0 + 2 * 7 = 14 is the optimum (gate open, y at 7)
+    m, g, y = _gated_model(-2.0, 0.0, 7.0)
+    assert m.value_bound() == 14.0
+    res = solve(m)
+    assert res.status == "optimal" and res.gap == 0.0
+    assert res.objective == res.best_bound == 14.0 and res.value(g) == 1.0
+
+
+def test_stop_matches_reference(toy):
+    # as test_reference_backend_matches_highs (mip_gap 0), at the default
+    # gap, where the stop fires at the all-served optimum
+    inst = replace(toy, barges=(replace(toy.barges[0], specs={"P": 51.5}),))
+    ref = solve_reference(build_center(inst, make_plans(inst, 1.0)))
+    res = solve(build_center(inst, make_plans(inst, 1.0)))
+    assert res.status == ref.status == "optimal" and res.message == "value bound reached"
+    assert res.objective == pytest.approx(ref.objective, rel=1e-9)
+    assert res.best_bound == pytest.approx(ref.best_bound, rel=1e-9)
+    assert res.gap == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("builder", [build_center, build_mccormick])
+@pytest.mark.parametrize("mip_gap", [0.0, 0.05])
+def test_objective_within_gap_of_bound(seed, builder, mip_gap):
+    inst = small_instance(seed)
+    m = builder(inst, make_plans(inst, 1.0))
+    res = solve(m, SolveOptions(mip_gap=mip_gap))
+    assert res.has_values and res.status in ("optimal", "gap_reached")
+    assert res.best_bound <= m.value_bound()
+    assert _within_gap_of_bound(res, mip_gap)
+    assert (res.status == "optimal") == (res.gap == 0.0)
