@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .builders import (CenterOptions, TightenedBounds, build_center,
                        build_exact_mix, build_exact_split, build_mccormick,
-                       make_plans, mccormick_m, reachable_spec_bounds, tighten)
+                       make_plans, reachable_spec_bounds, tighten)
 from .discretize import (DigitCode, DiscretizationPlan, binary_count,
                          binary_count_ratio, decode, digit_count, encode, plan)
 from .instance import (Barge, DerivedSets, Instance, InstanceError, OpsParams,

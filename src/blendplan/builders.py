@@ -596,29 +596,3 @@ def _check_plans(inst: Instance, plans) -> None:
             if (k.id, q) not in plans:
                 raise KeyError(f"no discretization plan for tank {k.id}, spec {q}")
 
-
-# ---------------------------------------------------------------------------
-# Generalized digit envelope block (library form)
-
-
-def mccormick_m(x_bounds: tuple[float, float], m: int, name: str = "x"):
-    """Standalone model block for the products of x with a one-hot selector.
-
-    Returns ``(model, x, betas, products)`` where sum(betas) = 1,
-    sum(products) = x, and each product carries the four envelope rows.
-    With m = 0 the block forces beta_0 = 1 and product_0 = x.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    xlo, xhi = x_bounds
-    mdl = MilpModel(f"mccormick_m[{name}]")
-    x = mdl.add_var("x", (name,), xlo, xhi)
-    betas = [mdl.add_var("beta", (name, j), 0.0, 1.0, binary=True) for j in range(m + 1)]
-    prods = [mdl.add_var("x_beta", (name, j), min(xlo, 0.0), max(xhi, 0.0)) for j in range(m + 1)]
-    mdl.add_eq("envelope_select", {b: 1.0 for b in betas}, 1.0, f"envelope_select[{name}]")
-    coeffs = {p: 1.0 for p in prods}
-    coeffs[x] = -1.0
-    mdl.add_eq("envelope_sum", coeffs, 0.0, f"envelope_sum[{name}]")
-    for j, (b, p) in enumerate(zip(betas, prods)):
-        _envelope_rows(mdl, "envelope", x, b, p, xlo, xhi, f"{name},{j}")
-    return mdl, x, betas, prods

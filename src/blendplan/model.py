@@ -40,8 +40,6 @@ VAR_DAY_POS: dict[str, int | None] = {
     "x_alpha": 2, "x_delta": 2,
     "t_first": None, "t_last": None,
     "v_unused": None, "mis": 0,
-    # generic envelope-block kinds (library use, no day component)
-    "x": None, "beta": None, "x_beta": None,
 }
 
 # Documented constraint-tag vocabulary.  Rows outside this set are a bug.
@@ -69,9 +67,6 @@ TAGS = frozenset({
     "xdelta_mid_lb", "xdelta_mid_ub", "xdelta_mid_shift_lb", "xdelta_mid_shift_ub",
     "xdelta_end_lb", "xdelta_end_ub", "xdelta_end_shift_lb", "xdelta_end_shift_ub",
     "xdelta_out_lb", "xdelta_out_ub", "xdelta_out_shift_lb", "xdelta_out_shift_ub",
-    # generic digit-product envelope blocks (library use)
-    "envelope_select", "envelope_sum", "envelope_lb", "envelope_ub",
-    "envelope_shift_lb", "envelope_shift_ub",
 })
 
 
@@ -161,13 +156,6 @@ class MilpModel:
 
     def fix(self, ref: VarRef, value: float) -> None:
         ref.lo = ref.hi = float(value)
-
-    def relax_binary(self, ref: VarRef) -> None:
-        if ref.binary:
-            ref.binary = False
-            if ref.lo == ref.hi:   # keep explicit fixings intact
-                return
-            ref.lo, ref.hi = 0.0, 1.0
 
     # -- rows ----------------------------------------------------------------
 

@@ -8,20 +8,23 @@ Each step splits the days into four segments: the *past* before the
 present, the *present* block of ``n_present`` periods, the *near future*
 up to ``t_nf`` and the *far future* beyond it.  The tables ``FULL_SCHEME``
 and ``PARTIAL_SCHEME`` are the one place where the treatment of each
-variable kind in each segment is defined (fixed, active, relaxed or
-omitted); the step loop both schemes share applies them and has no rule
-of its own.
+dated binary kind (``gamma``, ``sigma``, ``alpha``) in each segment is
+defined (fixed, active, relaxed or omitted); the step loop both schemes
+share applies them and has no rule of its own.  Continuous variables are
+not in the tables.
 
-* ``roll_full``    -- every step solves the whole horizon.  Past binaries
-  are fixed to the values earlier steps chose (continuous variables stay
-  free), the present block is fully binary, unload binaries stay binary
-  through the near future, everything else there and beyond is relaxed
-  to [0, 1].
-* ``roll_partial`` -- every step solves only [present start, near-future
-  end].  The past is fully fixed: the accumulated plan is simulated and
-  the resulting tank state seeds a shifted sub-instance; barge volumes and
-  unload counts are decremented, and a barge whose window is only partly
-  visible is asked to unload the visible fraction of its volume only.
+* ``roll_full``    -- builds the whole-horizon model once and solves it at
+  every step.  Past binaries are fixed to the values earlier steps chose,
+  the present block is fully binary, unload binaries stay binary through
+  the near future, every other binary there and beyond is relaxed to
+  [0, 1].  Continuous variables stay free throughout.
+* ``roll_partial`` -- every step builds and solves only [present start,
+  near-future end], so the past and the far future are omitted by the
+  sub-instance itself.  The past is fully fixed: the accumulated plan is
+  simulated and the resulting tank state seeds a shifted sub-instance;
+  barge volumes and unload counts are decremented, and a barge whose
+  window is only partly visible is asked to unload the visible fraction
+  of its volume only.
 """
 
 from __future__ import annotations
@@ -140,19 +143,13 @@ class SegmentPolicy:
         return self.treatment[kind][SEGMENTS.index(segment)]
 
 
-_CONT = {"y_in": 0, "y_out": 0, "v_mid": 0, "v_end": 0, "vf_mid": 0, "vf_end": 0,
-         "yf_out": 0, "x_alpha": 0, "x_delta": 0, "delta_f": 0, "mis": 0,
-         "v_unused": 0, "t_first": 0, "t_last": 0}
-
 FULL_SCHEME = SegmentPolicy("full", {
-    **{k: ("active", "active", "active", "active") for k in _CONT},
     "gamma": ("fixed", "active", "active", "relaxed"),
     "sigma": ("fixed", "active", "relaxed", "relaxed"),
     "alpha": ("fixed", "active", "relaxed", "relaxed"),
 })
 
 PARTIAL_SCHEME = SegmentPolicy("partial", {
-    **{k: ("fixed", "active", "active", "omitted") for k in _CONT},
     "gamma": ("fixed", "active", "active", "omitted"),
     "sigma": ("fixed", "active", "relaxed", "omitted"),
     "alpha": ("fixed", "active", "relaxed", "omitted"),
@@ -186,7 +183,7 @@ class StepLog:
     objective: float | None
     bound: float | None
     wall_time: float
-    n_binary: int
+    n_binary: int              # integer columns, fixed past binaries included
     nodes: int
     start: str | None          # where the solve's start came from
 
@@ -230,36 +227,39 @@ def _segment(day: int, t_start: int, present_end: int, t_nf: int) -> str:
 
 
 def _apply_policy(model: MilpModel, policy: SegmentPolicy, window: tuple[int, int, int],
-                  offset: int, frozen: dict, step: int) -> None:
-    """Fix, relax or keep each dated binary as ``policy`` prescribes for its
-    segment.  ``offset`` maps the model's days onto the full horizon (a
-    partial-scheme sub-model starts at the present)."""
+                  offset: int, step: int) -> None:
+    """Give each dated binary the state ``policy`` prescribes for its
+    segment: active (binary on [0, 1]) or relaxed (continuous on [0, 1]);
+    a fixed one must already be fixed by an earlier step's commit.  The
+    state is set outright, whatever an earlier step left, so one model can
+    serve every step.  ``offset`` maps the model's days onto the full
+    horizon (a partial-scheme sub-model starts at the present)."""
     for v in model.vars:
-        if not v.binary or v.day is None:
+        # a relaxed binary of a tabled kind is still one of the step's binaries
+        if v.day is None or not (v.binary or v.kind in policy.treatment):
             continue
         segment = _segment(v.day + offset, *window)
         treatment = policy.of(v.kind, segment)
         if treatment == "fixed":
-            key = (v.kind, v.index)
-            if key not in frozen:
-                raise RollingError(f"no frozen value for {v.name} at step {step}")
-            model.fix(v, frozen[key])
-        elif treatment == "relaxed":
-            model.relax_binary(v)
+            if v.lo != v.hi:
+                raise RollingError(f"{v.name} lies in the past but is not fixed at step {step}")
         elif treatment == "omitted":
             raise RollingError(f"{v.name} lies in the omitted {segment} segment at step {step}")
+        else:
+            v.binary = treatment == "active"
+            v.lo, v.hi = 0.0, 1.0
 
 
 def _roll(inst: Instance, periods: list[Period], params: RollParams, policy: SegmentPolicy,
-          build, commit, frozen: dict, log_path, on_step):
+          build, commit, log_path, on_step):
     """The step loop of both schemes.
 
     ``build(t_start, t_nf)`` returns the step's model and the offset of its
-    days on the full horizon; ``policy`` then decides each binary's
-    treatment, with past binaries fixed from ``frozen``.  After the solve,
-    ``commit(model, res, offset, next_start)`` keeps what the step decided
-    for the days before ``next_start``.  Returns the step logs and the last
-    model and result.
+    days on the full horizon; ``policy`` then sets each dated binary's
+    state.  After the solve the step is logged and passed to ``on_step``,
+    and then ``commit(model, res, offset, next_start)`` keeps what the step
+    decided for the days before ``next_start``.  Returns the step logs and
+    the last model and result.
     """
     H = inst.horizon
     if not check_partition(periods, H):
@@ -274,13 +274,11 @@ def _roll(inst: Instance, periods: list[Period], params: RollParams, policy: Seg
             present_end = present[-1].end
             t_nf = max(min(H - 1, t_start + params.h_nf - 1), present_end - 1)
             model, offset = build(t_start, t_nf)
-            _apply_policy(model, policy, (t_start, present_end, t_nf), offset, frozen, step)
+            _apply_policy(model, policy, (t_start, present_end, t_nf), offset, step)
             steps_left = math.ceil((len(periods) - i) / params.n_step)
             opts = replace(params.solve,
                            time_limit=_step_budget(params, time.perf_counter() - t_begin, steps_left))
             res = _solve_step(model, opts, step)
-            next_start = periods[i + params.n_step].start if i + params.n_step < len(periods) else H
-            commit(model, res, offset, next_start)
             entry = StepLog(step, (t_start, present_end), t_nf, res.status,
                             res.objective, res.best_bound, res.wall_time, model.n_binary,
                             res.nodes, res.start)
@@ -289,26 +287,30 @@ def _roll(inst: Instance, periods: list[Period], params: RollParams, policy: Seg
                 logf.write(entry.to_json() + "\n")
             if on_step is not None:
                 on_step(step, model, res)
+            next_start = periods[i + params.n_step].start if i + params.n_step < len(periods) else H
+            commit(model, res, offset, next_start)
     return steps, model, res
 
 
 def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder,
               log_path=None, on_step=None) -> RollResult:
-    """Full-horizon scheme: every step solves the whole-horizon model with
-    its binaries fixed, kept or relaxed per FULL_SCHEME.
+    """Full-horizon scheme: ``builder(inst)`` is called once, and every
+    step solves that whole-horizon model with its binaries fixed, kept or
+    relaxed per FULL_SCHEME.  After each step the binaries of the days it
+    steps over are fixed in place, rounded at 0.5.
 
-    ``on_step(step, model, result)`` is called after each solve.
+    ``on_step(step, model, result)`` is called after each solve, before the
+    step's binaries are fixed: it sees the model as the solver saw it.
     """
-    frozen: dict[tuple[str, tuple], float] = {}
+    model = builder(inst)
 
     def commit(model, res, offset, next_start):
         for v in model.vars:
-            if v.binary and v.day is not None and v.day < next_start:
-                frozen[(v.kind, v.index)] = 1.0 if res.values[v.name] >= 0.5 else 0.0
+            if v.kind in FULL_SCHEME.treatment and v.day < next_start:
+                model.fix(v, 1.0 if res.values[v.name] >= 0.5 else 0.0)
 
     steps, model, res = _roll(inst, periods, params, FULL_SCHEME,
-                              lambda t_start, t_nf: (builder(inst), 0), commit, frozen,
-                              log_path, on_step)
+                              lambda t_start, t_nf: (model, 0), commit, log_path, on_step)
     plan = extract_flow_plan(model, res)
     return RollResult(plan, steps, plan_objective(inst, plan), res.objective)
 
@@ -387,7 +389,7 @@ def roll_partial(inst: Instance, periods: list[Period], params: RollParams, buil
                 if key[-1] + offset < next_start and v > 0.0:
                     kept[key[:-1] + (key[-1] + offset,)] = v
 
-    steps, _, res = _roll(inst, periods, params, PARTIAL_SCHEME, build, commit, {},
+    steps, _, res = _roll(inst, periods, params, PARTIAL_SCHEME, build, commit,
                           log_path, on_step)
     ds = derive_sets(inst)
     for b in inst.barges:

@@ -5,12 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from blendplan.builders import (CenterOptions, build_center, build_exact_mix,
-                                build_exact_split, build_mccormick, make_plans,
-                                mccormick_m, ratio_buffer,
+from blendplan.builders import (CenterOptions, _envelope_rows, build_center,
+                                build_exact_mix, build_exact_split,
+                                build_mccormick, make_plans, ratio_buffer,
                                 reachable_spec_bounds, tighten)
 from blendplan.instance import Barge, Run, SpecDef, Tank
-from blendplan.model import TAGS, VAR_DAY_POS
+from blendplan.model import TAGS, VAR_DAY_POS, MilpModel
 from blendplan.solve import SolveOptions, solve
 from conftest import small_instance, toy_1t1s
 
@@ -296,47 +296,26 @@ def test_builders_use_the_whole_vocabulary():
     inst = small_instance(0)
     plans = make_plans(inst, 1.0)
     models = [build_center(inst, plans), build_center(inst, plans, CenterOptions(tighten=False)),
-              build_mccormick(inst, plans), build_exact_mix(inst), build_exact_split(inst),
-              mccormick_m((1.0, 3.0), 2)[0]]
+              build_mccormick(inst, plans), build_exact_mix(inst), build_exact_split(inst)]
     assert set().union(*(m.tags() for m in models)) == TAGS
     assert {v.kind for m in models for v in m.vars} == set(VAR_DAY_POS)
 
 
-# -- generalized envelope block ------------------------------------------------
-
-
-def test_envelope_block_m0_forces_identity():
-    mdl, x, betas, prods = mccormick_m((2.0, 5.0), 0)
-    mdl.obj = {x.col: 1.0}
-    res = solve(mdl, SolveOptions())
-    assert res.status == "optimal"
-    assert res.value(betas[0]) == pytest.approx(1.0)
-    assert res.value(prods[0]) == pytest.approx(res.value(x))
-
-
-def test_envelope_block_m2_selected_product_carries_x():
-    mdl, x, betas, prods = mccormick_m((1.0, 3.0), 2)
-    mdl.fix(betas[1], 1.0)
-    mdl.fix(x, 2.5)
-    res = solve(mdl, SolveOptions())
-    assert res.status == "optimal"
-    assert res.value(prods[1]) == pytest.approx(2.5)
-    assert res.value(prods[0]) == pytest.approx(0.0)
-    assert res.value(prods[2]) == pytest.approx(0.0)
-
-
 @pytest.mark.parametrize("beta,lo,hi", [(0.0, 0.0, 0.0), (1.0, 10.0, 10.0), (0.5, 0.0, 4.0)])
 def test_envelope_bounds_at_fractional_selector(beta, lo, hi):
-    # x in [0, 10], x fixed to 4 where relevant: the envelope of x*beta
-    mdl, x, betas, prods = mccormick_m((0.0, 10.0), 1)
-    mdl.relax_binary(betas[0])
-    mdl.relax_binary(betas[1])
-    mdl.fix(betas[1], beta)
+    # the four envelope rows of prod = x * beta with x in [0, 10] and beta
+    # fixed, as a relaxed digit may be; x fixed to 4 where relevant
+    m = MilpModel("envelope")
+    x = m.add_var("v_mid", ("T1", 0), 0.0, 10.0)
+    sel = m.add_var("alpha", ("T1", "P", 0, 1), beta, beta)
+    prod = m.add_var("x_alpha", ("T1", "P", 0, 1, "mid"), 0.0, 10.0)
+    _envelope_rows(m, "xa_mid", x, sel, prod, 0.0, 10.0, "T1,P,0,1")
+    assert [r.tag for r in m.rows] == ["xa_mid_lb", "xa_mid_ub", "xa_mid_shift_ub", "xa_mid_shift_lb"]
     if beta == 0.5:
-        mdl.fix(x, 4.0)
-    mdl.obj = {prods[1].col: 1.0}
-    res_min = solve(mdl, SolveOptions())
-    assert res_min.value(prods[1]) == pytest.approx(lo if beta != 1.0 else res_min.value(x))
-    mdl.obj = {prods[1].col: -1.0}
-    res_max = solve(mdl, SolveOptions())
-    assert res_max.value(prods[1]) == pytest.approx(hi if beta != 1.0 else res_max.value(x))
+        m.fix(x, 4.0)
+    m.obj = {prod.col: 1.0}
+    res_min = solve(m, SolveOptions())
+    assert res_min.value(prod) == pytest.approx(lo if beta != 1.0 else res_min.value(x))
+    m.obj = {prod.col: -1.0}
+    res_max = solve(m, SolveOptions())
+    assert res_max.value(prod) == pytest.approx(hi if beta != 1.0 else res_max.value(x))

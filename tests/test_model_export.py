@@ -14,17 +14,17 @@ def golden_model(cls=MilpModel):
     """Hand-built model: E, L, G and ranged rows, two integer blocks, every
     bound kind, a column with no entries and a nonzero objective offset."""
     m = cls("golden")
-    x = m.add_var("x", ("a",), 0.0, 10.0)
-    y = m.add_var("x", ("b",), -INF, 5.5)
-    b1 = m.add_var("beta", ("p", 0), 0.0, 1.0, binary=True)
-    b2 = m.add_var("beta", ("p", 1), 0.0, 1.0, binary=True)
-    z = m.add_var("x", ("c",), 2.5, 2.5)
-    m.add_var("x", ("d",), 1.25, INF)
-    b3 = m.add_var("beta", ("q", 0), 0.0, 0.0, binary=True)
-    m.add_eq("envelope_sum", {b1: 1.0, b2: 1.0}, 1.0)
-    m.add_row("envelope_ub", {x: 1.0, y: -0.5, b1: -10.0}, hi=0.0)
-    m.add_row("envelope_lb", {z: 1.0 / 3.0, x: 2.0}, lo=-3.0)
-    m.add_row("envelope_shift_lb", {y: 1.0, b2: 4.0, b3: 1.0}, lo=-1.0, hi=7.25)
+    x = m.add_var("v_unused", ("a",), 0.0, 10.0)
+    y = m.add_var("v_unused", ("b",), -INF, 5.5)
+    b1 = m.add_var("gamma", ("p", 0), 0.0, 1.0, binary=True)
+    b2 = m.add_var("gamma", ("p", 1), 0.0, 1.0, binary=True)
+    z = m.add_var("v_unused", ("c",), 2.5, 2.5)
+    m.add_var("v_unused", ("d",), 1.25, INF)
+    b3 = m.add_var("gamma", ("q", 0), 0.0, 0.0, binary=True)
+    m.add_eq("supply_total", {b1: 1.0, b2: 1.0}, 1.0)
+    m.add_row("xa_mid_ub", {x: 1.0, y: -0.5, b1: -10.0}, hi=0.0)
+    m.add_row("xa_mid_lb", {z: 1.0 / 3.0, x: 2.0}, lo=-3.0)
+    m.add_row("xa_mid_shift_lb", {y: 1.0, b2: 4.0, b3: 1.0}, lo=-1.0, hi=7.25)
     m.set_objective({x: 1.0, b2: 1e-3}, 123.5)
     if cls is QcpModel:
         m.add_quad_row("spec_mass_split", {x: -2.0}, [(1.5, y, z)], lo=0.0, hi=0.0)
@@ -144,10 +144,10 @@ def test_mps_reexport_is_byte_identical(tmp_path):
 
 def test_mps_sections_and_ranges(tmp_path):
     m = MilpModel("t")
-    x = m.add_var("x", ("a",), 0.0, 10.0)
-    y = m.add_var("beta", ("b",), 0.0, 1.0, binary=True)
-    m.add_row("envelope_lb", {x: 1.0, y: 2.0}, lo=1.0, hi=4.0)   # two-sided -> RANGES
-    m.add_row("envelope_ub", {x: 1.0}, hi=9.0)
+    x = m.add_var("v_unused", ("a",), 0.0, 10.0)
+    y = m.add_var("gamma", ("b", 0), 0.0, 1.0, binary=True)
+    m.add_row("xa_mid_lb", {x: 1.0, y: 2.0}, lo=1.0, hi=4.0)   # two-sided -> RANGES
+    m.add_row("xa_mid_ub", {x: 1.0}, hi=9.0)
     m.set_objective({x: 1.0}, 0.0)
     path = tmp_path / "r.mps"
     m.write_mps(path)
@@ -221,10 +221,10 @@ def _center_with_starts():
                                   golden_model, lambda: MilpModel("no rows")])
 def test_sidecar_is_json_dump_layout(tmp_path, make):
     m = make()
-    odd = m.add_var("x", ('q"uote', "back\\slash", "t\u00e9\u2013\U0001f600"), 0.0, 1.0,
+    odd = m.add_var("v_unused", ('q"uote', "back\\slash", "t\u00e9\u2013\U0001f600"), 0.0, 1.0,
                     binary=True)
     if m.rows:
-        m.add_row("envelope_ub", {odd: 1.0}, hi=1.0, name='row "\\ \u00e9')
+        m.add_row("xa_mid_ub", {odd: 1.0}, hi=1.0, name='row "\\ \u00e9')
     path = tmp_path / "m.tags.json"
     m.write_sidecar(path)
     text = path.read_text()

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blendplan.builders import build_center, make_plans
+from blendplan.model import MilpModel
 import blendplan.rolling
 from blendplan.rolling import (FULL_SCHEME, PARTIAL_SCHEME, SEGMENTS, Period,
-                               RollParams, RollingError,
+                               RollParams, RollingError, _apply_policy,
                                _visible_sub_instance, check_partition,
                                fixed_periods, roll_full, roll_partial,
                                run_based_periods)
@@ -94,16 +95,21 @@ def test_policy_tables():
     assert FULL_SCHEME.treatment["gamma"] == ("fixed", "active", "active", "relaxed")
     assert FULL_SCHEME.treatment["sigma"] == ("fixed", "active", "relaxed", "relaxed")
     assert FULL_SCHEME.treatment["alpha"] == ("fixed", "active", "relaxed", "relaxed")
-    assert FULL_SCHEME.of("y_in", "far") == "active"
-    assert PARTIAL_SCHEME.of("y_in", "far") == "omitted"
-    assert PARTIAL_SCHEME.of("y_in", "past") == "fixed"
     assert PARTIAL_SCHEME.treatment["gamma"] == ("fixed", "active", "active", "omitted")
     assert PARTIAL_SCHEME.treatment["sigma"][2] == "relaxed"
 
 
 def test_policy_table_rejects_unknown_kind():
     with pytest.raises(KeyError, match="no treatment"):
-        FULL_SCHEME.of("beta", "past")
+        FULL_SCHEME.of("y_in", "past")
+
+
+def test_dated_binary_of_an_untabled_kind_is_rejected():
+    m = MilpModel("t")
+    m.add_var("gamma", ("B1", 0), 0.0, 1.0, binary=True)
+    m.add_var("y_out", ("T1", 0), 0.0, 1.0, binary=True)
+    with pytest.raises(KeyError, match="no treatment for variable kind 'y_out'"):
+        _apply_policy(m, FULL_SCHEME, (0, 1, 1), 0, 0)
 
 
 def _builder(eps=1.0):
@@ -148,6 +154,73 @@ def test_roll_full_monotone_and_frozen_prefix():
     assert len(res.steps) >= 4
     from blendplan.simulate import audit
     assert audit(inst, simulate(inst, res.plan), res.plan).ok
+
+
+def _counting(builder):
+    calls = []
+
+    def build(inst):
+        calls.append(inst.horizon)
+        return builder(inst)
+    return build, calls
+
+
+def _on_days(days_by_key):
+    """Rows ``[key, day, 0 or 1]`` over each key's days, 1 on the days in ``on``."""
+    return [[key, t, int(t in on)] for key, (days, on) in sorted(days_by_key.items())
+            for t in days]
+
+
+# The sample under the benchmark's roll30_full settings, recorded before the
+# full scheme built its model once: per step the present window, status,
+# objective, bound, integer columns, nodes and start, then the plan.
+ROLL30_FULL_STEPS = [((0, 6), 104), ((6, 14), 194), ((14, 22), 290), ((22, 30), 380)]
+_DEMAND_DAYS = [*range(0, 5), *range(6, 12), *range(14, 22), *range(24, 30)]
+ROLL30_FULL_PLAN = {
+    "schema": "blendplan-plan/1",
+    "y_in": [["B1", "T2", 6, 1240.0], ["B2", "T2", 10, 156.0449438202223],
+             ["B2", "T2", 12, 108.68198459790761], ["B2", "T3", 10, 171.99999999999997],
+             ["B2", "T3", 12, 923.2730715818702], ["B3", "T1", 18, 445.73074766355256],
+             ["B3", "T1", 19, 341.5794392523329], ["B3", "T3", 18, 237.85023427137583],
+             ["B3", "T3", 19, 156.83957881273864], ["B4", "T1", 18, 233.68981308411463],
+             ["B4", "T1", 25, 203.21217859697856], ["B4", "T3", 18, 543.914167023188],
+             ["B4", "T3", 25, 379.1838412957188]],
+    "y_out": [[k, t, v] for k, runs in (
+        ("T1", ((range(0, 5), 72.39999999999999), (range(24, 30), 203.2121785969783))),
+        ("T2", ((range(0, 5), 177.6), (range(6, 12), 214.00000000000009),
+                (range(24, 30), 76.78782140302162))),
+        ("T3", ((range(6, 12), 86.0), (range(14, 22), 180.0))),
+    ) for days, v in runs for t in days],
+    "gamma": _on_days({"B1": (range(0, 7), {6}), "B2": (range(4, 13), {10, 12}),
+                       "B3": (range(11, 20), {18, 19}), "B4": (range(18, 28), {18, 25})}),
+    "sigma": _on_days({"T1": (_DEMAND_DAYS, {*range(0, 5), *range(24, 30)}),
+                       "T2": (_DEMAND_DAYS, {*range(0, 5), *range(6, 12), *range(24, 30)}),
+                       "T3": (_DEMAND_DAYS, {*range(6, 12), *range(14, 22)})}),
+    "v_unused": {"B1": 0.0, "B2": 0.0, "B3": 0.0, "B4": 0.0},
+    "mis": [[t, 0.0] for t in _DEMAND_DAYS],
+}
+
+
+def _approx(data):
+    if isinstance(data, float):
+        return pytest.approx(data, rel=1e-9, abs=1e-9)
+    if isinstance(data, dict):
+        return {k: _approx(v) for k, v in data.items()}
+    if isinstance(data, list):
+        return [_approx(v) for v in data]
+    return data
+
+
+def test_sample_full_roll_is_pinned_and_builds_once(sample):
+    build, calls = _counting(_builder())
+    params = RollParams(h_nf=30, solve=SolveOptions(mip_gap=0.005, time_limit=600))
+    res = roll_full(sample, run_based_periods(sample.runs, sample.horizon, 7), params, build)
+    assert calls == [30]
+    got = [(s.window, s.t_nf, s.status, s.objective, s.bound, s.n_binary, s.nodes, s.start)
+           for s in res.steps]
+    assert got == [(window, 29, "optimal", 23143600.0, 23143600.0, n_binary, 0, "all-miss")
+                   for window, n_binary in ROLL30_FULL_STEPS]
+    assert res.plan.to_dict() == _approx(ROLL30_FULL_PLAN)
 
 
 def test_roll_partial_state_handoff_matches_simulator():
@@ -205,7 +278,9 @@ def test_roll_partial_end_to_end():
     periods = run_based_periods(inst.runs, inst.horizon, 4)
     params = RollParams(h_nf=12, n_present=2, n_step=2,
                         solve=SolveOptions(mip_gap=0.005, time_limit=600))
-    res = roll_partial(inst, periods, params, _builder())
+    build, calls = _counting(_builder())
+    res = roll_partial(inst, periods, params, build)
+    assert len(calls) == len(res.steps) >= 2     # one sub-instance model per step
     from blendplan.simulate import audit
     rep = audit(inst, simulate(inst, res.plan), res.plan)
     assert rep.ok, rep.violations[:5]

@@ -29,7 +29,7 @@ def test_empty_model_is_optimal_zero():
 
 def test_max_x_hits_upper_bound():
     m = MilpModel("t")
-    x = m.add_var("x", ("x",), 0.0, 1.0)
+    x = m.add_var("v_unused", ("x",), 0.0, 1.0)
     m.obj = {x.col: 1.0}            # minimize x -> 0; flip for max
     res = solve(m)
     assert res.value(x) == 0.0
@@ -40,9 +40,9 @@ def test_max_x_hits_upper_bound():
 
 def test_infeasible_pair_detected():
     m = MilpModel("t")
-    x = m.add_var("x", ("x",), 0.0, 10.0)
-    m.add_row("envelope_lb", {x: 1.0}, lo=5.0)
-    m.add_row("envelope_ub", {x: 1.0}, hi=1.0)
+    x = m.add_var("v_unused", ("x",), 0.0, 10.0)
+    m.add_row("xa_mid_lb", {x: 1.0}, lo=5.0)
+    m.add_row("xa_mid_ub", {x: 1.0}, hi=1.0)
     res = solve(m)
     assert res.status == "infeasible"
     assert not res.has_values
@@ -235,7 +235,7 @@ def test_lp_is_optimal_with_zero_gap(toy):
     # no integer columns
     m = build_center(toy, make_plans(toy, 1.0))
     for v in m.vars:
-        m.relax_binary(v)
+        v.binary = False
     res = solve(m)
     assert m.n_binary == 0
     assert res.status == "optimal" and res.gap == 0.0 and res.nodes == 0
