@@ -27,7 +27,8 @@ from .rolling import (RollingError, RollParams, fixed_periods, roll_full,
                       roll_partial, run_based_periods)
 from .simulate import (PlanInconsistencyError, audit, loss, read_plan,
                        simulate, write_plan)
-from .solve import SolveOptions, extract_flow_plan, solve
+from .solve import (SolveOptions, SolverError, extract_flow_plan, highs_core,
+                    solve)
 
 RESULTS_VERSION = 1
 RESULT_FIELDS = [
@@ -126,9 +127,9 @@ def run_solve_config(config: dict) -> dict:
     # the options are all checked above: a rejected one leaves no directory
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    # `solve` imports scipy on first use; load it before the clock starts, so
+    # `solve` loads HiGHS on first use; load it before the clock starts, so
     # that `wall_time_s` times the run and not a once-per-process import
-    import scipy.optimize  # noqa: F401
+    highs_core()
     t0 = time.perf_counter()
     steps = 0
     if ns.scheme == "flat":
@@ -450,7 +451,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, PlanInconsistencyError, RollingError, ValueError) as e:
+    except (InstanceError, PlanInconsistencyError, RollingError, SolverError, OSError,
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

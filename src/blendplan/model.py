@@ -20,6 +20,7 @@ row/column ids and emit a JSON sidecar mapping ids to names and tags.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections import Counter
@@ -233,12 +234,19 @@ class MilpModel:
     # -- solver arrays ---------------------------------------------------------
 
     def to_arrays(self):
-        """(c, integrality, var_lo, var_hi, A, row_lo, row_hi) for a MILP solver."""
+        """(c, integrality, var_lo, var_hi, A, row_lo, row_hi) for a MILP solver.
+
+        ``A`` is the constraint matrix in row-wise (CSR) form, a tuple of
+        numpy arrays ``(start, index, value)``: row ``i`` holds the columns
+        ``index[start[i]:start[i + 1]]`` with the coefficients
+        ``value[start[i]:start[i + 1]]``, in the order of ``Row.coeffs``.
+        ``start`` has ``n_rows + 1`` entries; ``index`` and ``start`` are
+        int32, the index type HiGHS takes.
+        """
         # Imported here, not at module level: only solving needs the arrays,
-        # and loading numpy and scipy is most of the start-up time of every
+        # and loading numpy is a large part of the start-up time of every
         # command that validates, exports, simulates or audits a plan.
         import numpy as np
-        import scipy.sparse as sp
 
         n = len(self.vars)
         c = np.zeros(n)
@@ -247,18 +255,16 @@ class MilpModel:
         integrality = np.array([1 if v.binary else 0 for v in self.vars], dtype=np.uint8)
         var_lo = np.array([v.lo for v in self.vars])
         var_hi = np.array([v.hi for v in self.vars])
-        rows, cols, vals = [], [], []
-        row_lo = np.empty(len(self.rows))
-        row_hi = np.empty(len(self.rows))
-        for i, r in enumerate(self.rows):
-            row_lo[i] = r.lo
-            row_hi[i] = r.hi
-            for col, v in r.coeffs.items():
-                rows.append(i)
-                cols.append(col)
-                vals.append(v)
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(len(self.rows), n))
-        return c, integrality, var_lo, var_hi, A, row_lo, row_hi
+        row_lo = np.array([r.lo for r in self.rows])
+        row_hi = np.array([r.hi for r in self.rows])
+        start = np.zeros(len(self.rows) + 1, dtype=np.int32)
+        start[1:] = np.cumsum([len(r.coeffs) for r in self.rows])
+        nnz = int(start[-1])
+        index = np.fromiter(itertools.chain.from_iterable(r.coeffs for r in self.rows),
+                            dtype=np.int32, count=nnz)
+        value = np.fromiter(itertools.chain.from_iterable(r.coeffs.values() for r in self.rows),
+                            dtype=float, count=nnz)
+        return c, integrality, var_lo, var_hi, (start, index, value), row_lo, row_hi
 
     # -- export ---------------------------------------------------------------
 

@@ -4,6 +4,12 @@
 ``scipy.optimize._highspy._core`` (the HiGHS build scipy ships, scipy >=
 1.15), and starts every solve from a plan: the caller's starts, or else the
 all-miss plan (no unloads, all demand missed).
+``highs_core`` loads that extension module on its own, without the
+``scipy.optimize`` package: it runs scipy's package init only, then loads
+``_core`` from scipy's ``optimize/_highspy`` directory under its full name,
+so a later import of ``scipy.optimize`` reuses the same module.  The
+constraint matrix goes to HiGHS row-wise, as ``MilpModel.to_arrays``
+builds it in numpy arrays; no sparse-matrix package is loaded.
 ``solve_reference`` is a testing aid: it enumerates the binary assignments
 of a tiny model with one dense LP per assignment, an independent
 cross-check of HiGHS.
@@ -15,6 +21,8 @@ Objectives are reported in maximization form (target value minus misses);
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import itertools
 import logging
 import math
@@ -39,6 +47,49 @@ class SolverError(RuntimeError):
 
 class ExtractionError(RuntimeError):
     """Rounded binaries break a hard counting constraint."""
+
+
+HIGHS_CORE = "scipy.optimize._highspy._core"
+_load_lock = threading.Lock()
+
+
+def _highs_dir() -> str:
+    """The directory scipy keeps its HiGHS extension in (runs scipy's
+    package init, not ``scipy.optimize``)."""
+    import scipy
+    return os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+
+
+def highs_core():
+    """The ``scipy.optimize._highspy._core`` extension module, loaded alone.
+
+    The module already in ``sys.modules`` when there is one (for example
+    once ``scipy.optimize`` is imported).  Otherwise the extension is found in
+    scipy's ``optimize/_highspy`` directory and loaded under its full dotted
+    name, registered in ``sys.modules`` first (and removed again if loading
+    fails), so that a later import of ``scipy.optimize`` reuses this
+    module object.  Loading it this way skips the hundreds of modules of
+    ``scipy.optimize``.  Raises ``SolverError`` when scipy has no such
+    extension.
+    """
+    with _load_lock:
+        core = sys.modules.get(HIGHS_CORE)
+        if core is not None:
+            return core
+        where = _highs_dir()
+        spec = importlib.machinery.PathFinder.find_spec(HIGHS_CORE, [where])
+        if spec is None:
+            import scipy
+            raise SolverError(f"scipy {scipy.__version__} has no HiGHS extension "
+                              f"_core in {where}")
+        try:
+            core = importlib.util.module_from_spec(spec)
+            sys.modules[HIGHS_CORE] = core
+            spec.loader.exec_module(core)
+        except BaseException:
+            sys.modules.pop(HIGHS_CORE, None)
+            raise
+        return core
 
 
 @dataclass(frozen=True)
@@ -126,16 +177,14 @@ def _values_from_x(model: MilpModel, x) -> dict[str, float]:
 def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float]) -> SolveResult:
     if model.n_vars == 0:
         return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
-    # Imported on first use, not at module level: only solving needs numpy
-    # and scipy, and loading them is most of the start-up time of every
+    # Loaded on first use, not at module level: only solving needs numpy
+    # and HiGHS, and loading them is most of the start-up time of every
     # command that validates, exports, simulates or audits a plan.
     import numpy as np
-    import scipy.sparse as sp
-    from scipy.optimize._highspy import _core
+    _core = highs_core()
     _Status = _core.HighsModelStatus
 
-    c, integrality, var_lo, var_hi, A, row_lo, row_hi = model.to_arrays()
-    A = sp.csc_matrix(A)
+    c, integrality, var_lo, var_hi, (start, index, value), row_lo, row_hi = model.to_arrays()
     lp = _core.HighsLp()
     # The constant target value enters as the objective offset: HiGHS
     # measures mip_rel_gap on the objective with its offset included, so
@@ -146,8 +195,8 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
     lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lo)
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, var_lo, var_hi
     lp.row_lower_, lp.row_upper_ = row_lo, row_hi
-    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    lp.a_matrix_.format_ = _core.MatrixFormat.kRowwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
     lp.integrality_ = [_core.HighsVarType(i) for i in integrality]
     h = _core._Highs()
     h.setOptionValue("output_flag", False)
@@ -263,8 +312,9 @@ def solve_reference(model: MilpModel) -> SolveResult:
     import numpy as np
     from scipy.optimize import linprog
 
-    c, _, var_lo, var_hi, A, row_lo, row_hi = model.to_arrays()
-    A = A.toarray()
+    c, _, var_lo, var_hi, (start, index, value), row_lo, row_hi = model.to_arrays()
+    A = np.zeros((len(row_lo), len(c)))
+    A[np.repeat(np.arange(len(row_lo)), np.diff(start)), index] = value
     ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
     for i in range(len(row_lo)):
         if row_lo[i] == row_hi[i]:

@@ -171,6 +171,24 @@ def test_rolling_step_without_values_exits_with_error(tiny_path, tmp_path, monke
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "solve", "simulate", "export"])
+def test_missing_path_exits_2_without_traceback(tiny_path, tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.json")
+    argv = {
+        "validate": ["validate", "--instance", missing],
+        "solve": ["solve", "--instance", missing, "--out-dir", str(tmp_path / "o")],
+        "simulate": ["simulate", "--instance", tiny_path, "--plan", missing],
+        "export": ["export", "--instance", tiny_path, "--method", "center",
+                   "--out", str(tmp_path / "no_such_dir" / "c.mps")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert "Traceback" not in err
+    # nothing is written: the solve fails at reading its instance, before out_dir
+    assert list(tmp_path.iterdir()) == [tmp_path / "tiny.json"]
+
+
 def test_export_mps_and_lp(inst_path, tmp_path, capsys):
     mps = str(tmp_path / "m.mps")
     assert main(["export", "--instance", inst_path, "--method", "center",
@@ -313,6 +331,11 @@ assert_unloaded("by gen --seed", ("scipy.sparse", "scipy.optimize"))
 inst = read_instance(tiny)
 res = solve(build_center(inst, make_plans(inst, 1.0)))
 assert res.status in ("optimal", "gap_reached"), res.status
+# a solve loads HiGHS's extension alone: numpy, but neither scipy package
+assert_unloaded("by solve", ("scipy.sparse", "scipy.optimize"))
+assert main(["solve", "--instance", tiny, "--out-dir", f"{work}/roll", "--scheme", "partial",
+             "--periods", "run", "--dt", "3", "--h-nf", "6"]) == 0
+assert_unloaded("by solve --scheme partial", ("scipy.sparse", "scipy.optimize"))
 print("ok")
 """
 

@@ -1,13 +1,14 @@
-"""MPS/LP export, sidecar, and the minimal MPS reader."""
+"""MPS/LP export, sidecar, the minimal MPS reader and the solver arrays."""
 
 import json
 
+import numpy as np
 import pytest
 
 import blendplan
 from blendplan.builders import build_center, build_exact_split, make_plans
 from blendplan.model import INF, MilpModel, QcpModel, parse_mps
-from conftest import small_instance
+from conftest import small_instance, tiny_instance
 
 
 def golden_model(cls=MilpModel):
@@ -257,3 +258,26 @@ def test_sample_center_sidecar_plans_pinned(tmp_path):
     # the last section of a center sidecar, byte for byte
     tail = '  "plans": ' + json.dumps(SAMPLE_CENTER_PLANS, indent=2).replace("\n", "\n  ")
     assert path.read_text().endswith(tail + "\n}\n")
+
+
+def test_to_arrays_rows_are_the_row_coefficients():
+    inst = tiny_instance(0)
+    m = build_center(inst, make_plans(inst, 1.0))
+    c, _, _, _, (start, index, value), row_lo, row_hi = m.to_arrays()
+    assert start.dtype == index.dtype == np.int32
+    assert len(start) == m.n_rows + 1 and start[0] == 0
+    assert start[-1] == len(index) == len(value) == sum(len(r.coeffs) for r in m.rows)
+    assert np.all(value != 0.0)
+    dense = np.zeros((m.n_rows, m.n_vars))
+    for r in m.rows:
+        cols = index[start[r.num]:start[r.num + 1]].tolist()
+        assert len(set(cols)) == len(cols) == len(r.coeffs)
+        dense[r.num, cols] = value[start[r.num]:start[r.num + 1]]
+    expected = np.zeros_like(dense)
+    for r in m.rows:
+        for col, v in r.coeffs.items():
+            expected[r.num, col] = v
+    assert np.array_equal(dense, expected)
+    assert row_lo.tolist() == [r.lo for r in m.rows]
+    assert row_hi.tolist() == [r.hi for r in m.rows]
+    assert len(c) == m.n_vars

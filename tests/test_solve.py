@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -14,7 +15,7 @@ from blendplan.builders import build_center, build_mccormick, make_plans
 from blendplan.model import INF, MilpModel
 from blendplan.rolling import StepLog
 from blendplan.simulate import FlowPlan, empty_plan
-from blendplan.solve import (ExtractionError, SolveOptions, SolverError,
+from blendplan.solve import (HIGHS_CORE, ExtractionError, SolveOptions, SolverError,
                              _stdout_to_stderr, extract_flow_plan,
                              row_violations, solve, solve_reference,
                              warm_start)
@@ -399,3 +400,52 @@ def test_objective_within_gap_of_bound(seed, builder, mip_gap):
     assert res.best_bound <= m.value_bound()
     assert _within_gap_of_bound(res, mip_gap)
     assert (res.status == "optimal") == (res.gap == 0.0)
+
+
+_INTEROP_SCRIPT = """
+import sys
+from dataclasses import replace
+
+from blendplan.builders import build_center, make_plans
+from blendplan.solve import HIGHS_CORE, SolveOptions, solve, solve_reference
+from conftest import toy_1t1s
+
+toy = toy_1t1s()
+inst = replace(toy, barges=(replace(toy.barges[0], specs={"P": 51.5}),))
+first = solve(build_center(inst, make_plans(inst, 1.0)), SolveOptions(mip_gap=0.0))
+used = sys.modules[HIGHS_CORE]
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+from scipy.optimize._highspy import _core
+assert _core is used
+lp = scipy.optimize.linprog([-1.0, -2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
+                            bounds=[(0, 1), (0, 1)], method="highs")
+assert lp.status == 0 and lp.fun == -2.0, lp
+ref = solve_reference(build_center(inst, make_plans(inst, 1.0)))
+assert ref.status == first.status == "optimal", (ref.status, first.status)
+assert abs(ref.objective - first.objective) <= 1e-7 * abs(first.objective)
+second = solve(build_center(inst, make_plans(inst, 1.0)), SolveOptions(mip_gap=0.0))
+assert second.objective == first.objective
+assert sys.modules[HIGHS_CORE] is used
+print("ok")
+"""
+
+
+def test_highs_core_is_shared_with_a_later_scipy_optimize():
+    # a fresh interpreter: this test process has loaded scipy.optimize already
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(here, os.pardir, "src"), here])
+    proc = subprocess.run([sys.executable, "-c", _INTEROP_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_missing_highs_extension_is_a_solver_error(toy, tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, HIGHS_CORE, raising=False)
+    # the module, not the function `blendplan.solve` that the package exports
+    monkeypatch.setattr(sys.modules[solve.__module__], "_highs_dir", lambda: str(tmp_path))
+    with pytest.raises(SolverError, match=f"no HiGHS extension _core in {tmp_path}"):
+        solve(build_center(toy, make_plans(toy, 1.0)))
+    assert HIGHS_CORE not in sys.modules
