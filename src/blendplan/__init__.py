@@ -22,8 +22,8 @@ from .instance import (Barge, DerivedSets, Instance, InstanceError, OpsParams,
                        randomize_supply, read_instance, validate_instance,
                        write_instance)
 from .model import MilpModel, QcpModel, VarRef
-from .rolling import (FULL_SCHEME, PARTIAL_SCHEME, Period, RollParams,
-                      RollResult, fixed_periods, roll_full, roll_partial,
+from .rolling import (SEGMENT_POLICY, Period, RollParams, RollResult,
+                      fixed_periods, roll_full, roll_partial,
                       run_based_periods)
 from .simulate import (FeasibilityReport, FlowPlan, LossReport,
                        PlanInconsistencyError, SimulationTrace, audit,

@@ -153,14 +153,13 @@ def _identity_bounds(inst: Instance) -> TightenedBounds:
 
 class _Core:
     """Variable handles for the flow/unload/demand skeleton of a model,
-    built into ``m``, which is registered as model ``method`` of ``inst``."""
+    built into ``m``, which is registered as a model of ``inst``."""
 
-    def __init__(self, m: MilpModel, inst: Instance, method: str):
+    def __init__(self, m: MilpModel, inst: Instance):
         self.m = m
         self.inst = inst
         self.ds = derive_sets(inst)
         m.instance = inst
-        m.meta["method"] = method
         H = inst.horizon
         ds = self.ds
         self.demand_days = set(ds.demand_days)
@@ -300,8 +299,8 @@ class _SpecVolumes(_Core):
     Without plans the bounds are the reachable ones.
     """
 
-    def __init__(self, m: MilpModel, inst: Instance, method: str, plans=None):
-        super().__init__(m, inst, method)
+    def __init__(self, m: MilpModel, inst: Instance, plans=None):
+        super().__init__(m, inst)
         if plans is None:
             reach = reachable_spec_bounds(inst)
         else:
@@ -438,7 +437,7 @@ class _SpecVolumes(_Core):
 def build_exact_mix(inst: Instance) -> QcpModel:
     """Bilinear model with explicit tank concentrations (products f x v)."""
     m = QcpModel("exact_mix")
-    core = _Core(m, inst, "exact-mix")
+    core = _Core(m, inst)
     reach = reachable_spec_bounds(inst)
     H = inst.horizon
 
@@ -493,7 +492,7 @@ def build_exact_split(inst: Instance) -> QcpModel:
     """Bilinear model tracking spec volumes; mixing is linear and the only
     bilinear rows force outflow composition to match tank composition."""
     m = QcpModel("exact_split")
-    s = _SpecVolumes(m, inst, "exact-split")
+    s = _SpecVolumes(m, inst)
     s.mass_rows()
     s.feed_window_rows(_identity_bounds(inst))
     for k in inst.tanks:
@@ -544,7 +543,7 @@ def build_center(inst: Instance, plans, opts: CenterOptions | None = None) -> Mi
     """
     opts = opts or CenterOptions()
     m = MilpModel("center")
-    s = _SpecVolumes(m, inst, "center", plans)
+    s = _SpecVolumes(m, inst, plans)
     s.mass_rows(relax_eps={kq: p.eps for kq, p in plans.items()})
 
     for k in inst.tanks:
@@ -566,7 +565,7 @@ def build_mccormick(inst: Instance, plans, tighten_bounds: bool = True) -> MilpM
     products are enclosed by their convex envelopes.  Blending is exact.
     The digits and residual bounds come from ``plans`` (see ``make_plans``)."""
     m = MilpModel("mccormick")
-    s = _SpecVolumes(m, inst, "mccormick", plans)
+    s = _SpecVolumes(m, inst, plans)
     s.mass_rows()
 
     for k in inst.tanks:

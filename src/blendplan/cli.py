@@ -21,8 +21,8 @@ from . import __version__
 from .builders import (CenterOptions, build_center, build_exact_mix,
                        build_exact_split, build_mccormick, make_plans)
 from .instance import (Instance, InstanceError, RandomizationParams,
-                       extend_periodic, randomize_supply, read_instance,
-                       validate_instance, write_instance)
+                       extend_periodic, parse_instance, randomize_supply,
+                       read_instance, validate_instance, write_instance)
 from .rolling import (RollingError, RollParams, fixed_periods, roll_full,
                       roll_partial, run_based_periods)
 from .simulate import (PlanInconsistencyError, audit, loss, read_plan,
@@ -135,9 +135,11 @@ def run_solve_config(config: dict) -> dict:
     if ns.scheme == "flat":
         model = builder(inst)
         res = solve(model, opts)
-        if res.status in ("infeasible", "error") or not res.has_values:
+        if res.status == "infeasible":
             return {"status": res.status, "instance": config["instance"],
                     "method": ns.method, "message": res.message}
+        if not res.has_plan:
+            raise SolverError(f"solver returned {res.status}: {res.message}")
         status = res.status
         plan = extract_flow_plan(model, res)
         objective, bound = res.objective, res.best_bound
@@ -205,8 +207,8 @@ _CONFIG_KEYS = frozenset(_SOLVE_DEFAULTS) | {"instance", "out_dir"}
 
 
 def cmd_validate(args) -> int:
-    inst = read_instance(args.instance)
-    rep = validate_instance(inst)
+    # parsed only: `read_instance` would raise on the violations this reports
+    rep = validate_instance(parse_instance(args.instance))
     print(json.dumps({"ok": rep.ok, "violations": [str(v) for v in rep.violations]}, indent=2))
     return 0 if rep.ok else 2
 

@@ -577,12 +577,18 @@ def write_instance(inst: Instance, path) -> None:
         fh.write("\n")
 
 
-def read_instance(path) -> Instance:
+def parse_instance(path) -> Instance:
+    """The instance in a file, not validated; a file that does not parse or
+    has unknown or missing fields raises ``InstanceError``."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as e:
         raise InstanceError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    inst = instance_from_dict(data)
+    return instance_from_dict(data)
+
+
+def read_instance(path) -> Instance:
+    inst = parse_instance(path)
     validate_instance(inst).raise_if_invalid()
     return inst

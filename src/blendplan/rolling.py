@@ -6,25 +6,26 @@ runs and of the gaps between them, so neither is ever subdivided.
 
 Each step splits the days into four segments: the *past* before the
 present, the *present* block of ``n_present`` periods, the *near future*
-up to ``t_nf`` and the *far future* beyond it.  The tables ``FULL_SCHEME``
-and ``PARTIAL_SCHEME`` are the one place where the treatment of each
-dated binary kind (``gamma``, ``sigma``, ``alpha``) in each segment is
-defined (fixed, active, relaxed or omitted); the step loop both schemes
-share applies them and has no rule of its own.  Continuous variables are
-not in the tables.
+up to ``t_nf`` and the *far future* beyond it.  Past binaries are fixed:
+earlier steps decided them.  The table ``SEGMENT_POLICY`` is the one place
+where the state of each dated binary kind (``gamma``, ``sigma``,
+``alpha``) in the present, the near future and the far future is defined:
+active (binary) or relaxed (continuous on [0, 1]).  The step loop both
+schemes share applies it and has no rule of its own.  Continuous variables
+are not in the table and stay free throughout.
 
 * ``roll_full``    -- builds the whole-horizon model once and solves it at
-  every step.  Past binaries are fixed to the values earlier steps chose,
-  the present block is fully binary, unload binaries stay binary through
-  the near future, every other binary there and beyond is relaxed to
-  [0, 1].  Continuous variables stay free throughout.
-* ``roll_partial`` -- every step builds and solves only [present start,
-  near-future end], so the past and the far future are omitted by the
-  sub-instance itself.  The past is fully fixed: the accumulated plan is
-  simulated and the resulting tank state seeds a shifted sub-instance;
-  barge volumes and unload counts are decremented, and a barge whose
-  window is only partly visible is asked to unload the visible fraction
-  of its volume only.
+  every step.  After each step the binaries of the days it steps over are
+  fixed in place, so every model has a past, a present, a near and a far
+  future.
+* ``roll_partial`` -- every step builds and solves a sub-instance of
+  [present start, ``t_nf``] only, so its model has no past and no far
+  future: the scheme omits them by building that sub-instance, not through
+  the table.  The past enters as state: the accumulated plan is simulated
+  and the resulting tank state seeds a shifted sub-instance; barge volumes
+  and unload counts are decremented, and a barge whose window is only
+  partly visible is asked to unload the visible fraction of its volume
+  only.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ import contextlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .instance import Instance, derive_sets
 from .model import MilpModel
 from .simulate import FlowPlan, plan_objective, simulate
 from .solve import SolveOptions, SolveResult, extract_flow_plan, solve
 
-SEGMENTS = ("past", "present", "near", "far")
 # Seconds every step is given at least; a budget left below it ends the roll.
 MIN_STEP_TIME = 2.0
 
@@ -129,31 +129,15 @@ def check_partition(periods: list[Period], horizon: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Segment policies (which variables stay binary / get relaxed / vanish)
+# Segment policy: which dated binaries stay binary and which are relaxed
 
-
-@dataclass(frozen=True)
-class SegmentPolicy:
-    name: str
-    treatment: dict[str, tuple[str, str, str, str]]   # kind -> per-segment
-
-    def of(self, kind: str, segment: str) -> str:
-        if kind not in self.treatment:
-            raise KeyError(f"{self.name} scheme has no treatment for variable kind {kind!r}")
-        return self.treatment[kind][SEGMENTS.index(segment)]
-
-
-FULL_SCHEME = SegmentPolicy("full", {
-    "gamma": ("fixed", "active", "active", "relaxed"),
-    "sigma": ("fixed", "active", "relaxed", "relaxed"),
-    "alpha": ("fixed", "active", "relaxed", "relaxed"),
-})
-
-PARTIAL_SCHEME = SegmentPolicy("partial", {
-    "gamma": ("fixed", "active", "active", "omitted"),
-    "sigma": ("fixed", "active", "relaxed", "omitted"),
-    "alpha": ("fixed", "active", "relaxed", "omitted"),
-})
+# Dated binary kind -> its state in the present, the near future and the
+# far future of a step.
+SEGMENT_POLICY = {
+    "gamma": ("active", "active", "relaxed"),
+    "sigma": ("active", "relaxed", "relaxed"),
+    "alpha": ("active", "relaxed", "relaxed"),
+}
 
 
 @dataclass(frozen=True)
@@ -188,12 +172,7 @@ class StepLog:
     start: str | None          # where the solve's start came from
 
     def to_json(self) -> str:
-        return json.dumps({
-            "step": self.step, "window": list(self.window), "t_nf": self.t_nf,
-            "status": self.status, "objective": self.objective, "bound": self.bound,
-            "wall_time": round(self.wall_time, 4), "n_binary": self.n_binary,
-            "nodes": self.nodes, "start": self.start,
-        })
+        return json.dumps({**asdict(self), "wall_time": round(self.wall_time, 4)})
 
 
 @dataclass
@@ -206,7 +185,7 @@ class RollResult:
 
 def _solve_step(model: MilpModel, opts: SolveOptions, step: int) -> SolveResult:
     res = solve(model, opts)
-    if res.status in ("infeasible", "error") or not res.has_values:
+    if not res.has_plan:
         raise RollingError(f"step {step}: solver returned {res.status}: {res.message}")
     return res
 
@@ -218,48 +197,43 @@ def _step_budget(params: RollParams, spent: float, steps_left: int) -> float:
     return max(MIN_STEP_TIME, remaining / max(steps_left, 1))
 
 
-def _segment(day: int, t_start: int, present_end: int, t_nf: int) -> str:
-    if day < t_start:
-        return "past"
-    if day < present_end:
-        return "present"
-    return "near" if day <= t_nf else "far"
-
-
-def _apply_policy(model: MilpModel, policy: SegmentPolicy, window: tuple[int, int, int],
-                  offset: int, step: int) -> None:
-    """Give each dated binary the state ``policy`` prescribes for its
-    segment: active (binary on [0, 1]) or relaxed (continuous on [0, 1]);
-    a fixed one must already be fixed by an earlier step's commit.  The
-    state is set outright, whatever an earlier step left, so one model can
-    serve every step.  ``offset`` maps the model's days onto the full
-    horizon (a partial-scheme sub-model starts at the present)."""
+def _apply_policy(model: MilpModel, window: tuple[int, int, int], offset: int,
+                  step: int) -> None:
+    """Give each dated binary the state ``SEGMENT_POLICY`` prescribes for
+    its segment of ``window`` (present start, present end, ``t_nf``):
+    active (binary on [0, 1]) or relaxed (continuous on [0, 1]).  One in
+    the past must already be fixed by an earlier step's commit.  The state
+    is set outright, whatever an earlier step left, so one model can serve
+    every step.  ``offset`` maps the model's days onto the full horizon (a
+    partial-scheme sub-model starts at the present)."""
+    t_start, present_end, t_nf = window
     for v in model.vars:
         # a relaxed binary of a tabled kind is still one of the step's binaries
-        if v.day is None or not (v.binary or v.kind in policy.treatment):
+        if v.day is None or not (v.binary or v.kind in SEGMENT_POLICY):
             continue
-        segment = _segment(v.day + offset, *window)
-        treatment = policy.of(v.kind, segment)
-        if treatment == "fixed":
+        if v.kind not in SEGMENT_POLICY:
+            raise KeyError(f"segment policy has no treatment for variable kind {v.kind!r}")
+        day = v.day + offset
+        if day < t_start:
             if v.lo != v.hi:
                 raise RollingError(f"{v.name} lies in the past but is not fixed at step {step}")
-        elif treatment == "omitted":
-            raise RollingError(f"{v.name} lies in the omitted {segment} segment at step {step}")
-        else:
-            v.binary = treatment == "active"
-            v.lo, v.hi = 0.0, 1.0
+            continue
+        present, near, far = SEGMENT_POLICY[v.kind]
+        state = present if day < present_end else near if day <= t_nf else far
+        v.binary = state == "active"
+        v.lo, v.hi = 0.0, 1.0
 
 
-def _roll(inst: Instance, periods: list[Period], params: RollParams, policy: SegmentPolicy,
-          build, commit, log_path, on_step):
+def _roll(inst: Instance, periods: list[Period], params: RollParams, build, commit,
+          log_path, on_step):
     """The step loop of both schemes.
 
     ``build(t_start, t_nf)`` returns the step's model and the offset of its
-    days on the full horizon; ``policy`` then sets each dated binary's
-    state.  After the solve the step is logged and passed to ``on_step``,
-    and then ``commit(model, res, offset, next_start)`` keeps what the step
-    decided for the days before ``next_start``.  Returns the step logs and
-    the last model and result.
+    days on the full horizon; ``SEGMENT_POLICY`` then sets each dated
+    binary's state.  After the solve the step is logged and passed to
+    ``on_step``, and then ``commit(model, res, offset, next_start)`` keeps
+    what the step decided for the days before ``next_start``.  Returns the
+    step logs and the last model and result.
     """
     H = inst.horizon
     if not check_partition(periods, H):
@@ -274,7 +248,7 @@ def _roll(inst: Instance, periods: list[Period], params: RollParams, policy: Seg
             present_end = present[-1].end
             t_nf = max(min(H - 1, t_start + params.h_nf - 1), present_end - 1)
             model, offset = build(t_start, t_nf)
-            _apply_policy(model, policy, (t_start, present_end, t_nf), offset, step)
+            _apply_policy(model, (t_start, present_end, t_nf), offset, step)
             steps_left = math.ceil((len(periods) - i) / params.n_step)
             opts = replace(params.solve,
                            time_limit=_step_budget(params, time.perf_counter() - t_begin, steps_left))
@@ -295,9 +269,10 @@ def _roll(inst: Instance, periods: list[Period], params: RollParams, policy: Seg
 def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder,
               log_path=None, on_step=None) -> RollResult:
     """Full-horizon scheme: ``builder(inst)`` is called once, and every
-    step solves that whole-horizon model with its binaries fixed, kept or
-    relaxed per FULL_SCHEME.  After each step the binaries of the days it
-    steps over are fixed in place, rounded at 0.5.
+    step solves that whole-horizon model with its past binaries fixed and
+    the others kept binary or relaxed per ``SEGMENT_POLICY``.  After each
+    step the binaries of the days it steps over are fixed in place,
+    rounded at 0.5.
 
     ``on_step(step, model, result)`` is called after each solve, before the
     step's binaries are fixed: it sees the model as the solver saw it.
@@ -306,11 +281,11 @@ def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder
 
     def commit(model, res, offset, next_start):
         for v in model.vars:
-            if v.kind in FULL_SCHEME.treatment and v.day < next_start:
+            if v.kind in SEGMENT_POLICY and v.day < next_start:
                 model.fix(v, 1.0 if res.values[v.name] >= 0.5 else 0.0)
 
-    steps, model, res = _roll(inst, periods, params, FULL_SCHEME,
-                              lambda t_start, t_nf: (model, 0), commit, log_path, on_step)
+    steps, model, res = _roll(inst, periods, params, lambda t_start, t_nf: (model, 0),
+                              commit, log_path, on_step)
     plan = extract_flow_plan(model, res)
     return RollResult(plan, steps, plan_objective(inst, plan), res.objective)
 
@@ -389,8 +364,7 @@ def roll_partial(inst: Instance, periods: list[Period], params: RollParams, buil
                 if key[-1] + offset < next_start and v > 0.0:
                     kept[key[:-1] + (key[-1] + offset,)] = v
 
-    steps, _, res = _roll(inst, periods, params, PARTIAL_SCHEME, build, commit,
-                          log_path, on_step)
+    steps, _, res = _roll(inst, periods, params, build, commit, log_path, on_step)
     ds = derive_sets(inst)
     for b in inst.barges:
         acc.v_unused[b.id] = b.volume - acc.unloaded_total(b.id)

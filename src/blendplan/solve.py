@@ -121,6 +121,12 @@ class SolveResult:
     def has_values(self) -> bool:
         return bool(self.values)
 
+    @property
+    def has_plan(self) -> bool:
+        """Whether the solve ended with values to extract a plan from and a
+        status that is not a failure."""
+        return self.has_values and self.status not in ("infeasible", "error")
+
     def value(self, ref) -> float:
         return self.values[ref.name]
 

@@ -14,6 +14,7 @@ import blendplan.rolling
 from blendplan.builders import CenterOptions, build_center, build_mccormick, make_plans
 from blendplan.cli import _SOLVE_DEFAULTS, main, run_solve_config
 from blendplan.instance import write_instance
+from blendplan.solve import SolveResult
 from conftest import small_instance, tiny_instance
 
 
@@ -169,6 +170,62 @@ def test_rolling_step_without_values_exits_with_error(tiny_path, tmp_path, monke
     err = capsys.readouterr().err
     assert err.startswith("error: step 0: solver returned time_limit")
     assert "Traceback" not in err
+
+
+def _solve_without_plan(model, opts):
+    return SolveResult("time_limit", None, None, message="no incumbent")
+
+
+def test_flat_solve_without_a_plan_is_an_error(tiny_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(blendplan.cli, "solve", _solve_without_plan)
+    out_dir = tmp_path / "flat"
+    assert main(["solve", "--instance", tiny_path, "--out-dir", str(out_dir)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: solver returned time_limit: no incumbent")
+    assert "Traceback" not in cap.err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_bench_records_a_flat_solve_without_a_plan_as_an_error(tiny_path, tmp_path, capsys,
+                                                               monkeypatch):
+    real_solve = blendplan.cli.solve
+    calls = []
+
+    def first_solve_without_plan(model, opts):
+        calls.append(model)
+        return _solve_without_plan(model, opts) if len(calls) == 1 else real_solve(model, opts)
+
+    monkeypatch.setattr(blendplan.cli, "solve", first_solve_without_plan)
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"runs": [{"instance": tiny_path}, {"instance": tiny_path}]}))
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    cap = capsys.readouterr()
+    assert "Traceback" not in cap.err
+    assert json.loads(cap.out) == {"runs": 2, "ok": 1, "out_dir": str(out_dir)}
+    with open(out_dir / "results.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["status"] == "error"
+    assert rows[1]["status"] in ("optimal", "gap_reached")
+    assert not (out_dir / "run_000" / "plan.json").exists()
+    assert (out_dir / "run_001" / "plan.json").exists()
+    # the failed run counts against the method's time profile
+    with open(out_dir / "profile_time_center.csv") as fh:
+        (profile,) = csv.DictReader(fh)
+    assert float(profile["fraction_finished"]) == 0.5
+
+
+def test_validate_reports_an_invalid_instance(tmp_path, sample_path, capsys):
+    data = json.load(open(sample_path))
+    assert data["tanks"][0]["id"] == "T1"
+    data["tanks"][0]["v_min"] = data["tanks"][0]["v_max"] + 1.0
+    p = tmp_path / "inverted.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", "--instance", str(p)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert any(v.startswith("tanks[0](T1)") for v in report["violations"])
 
 
 @pytest.mark.parametrize("command", ["validate", "solve", "simulate", "export"])

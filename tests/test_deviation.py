@@ -20,7 +20,7 @@ TOL = 1e-6
 def _decoded_spec(model, values, k, q, t):
     p = model.plans[(k, q)]
     total = p.lambda0
-    if model.meta.get("method") == "center":
+    if model.name == "center":
         total += p.eps / 2.0
     else:
         df = model.var("delta_f", (k, q, t))

@@ -1,5 +1,6 @@
-"""Period generators, segment policies, and the two rolling schemes."""
+"""Period generators, the segment policy, and the two rolling schemes."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -7,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blendplan.builders import build_center, make_plans
+from blendplan.instance import extend_periodic
 from blendplan.model import MilpModel
 import blendplan.rolling
-from blendplan.rolling import (FULL_SCHEME, PARTIAL_SCHEME, SEGMENTS, Period,
-                               RollParams, RollingError, _apply_policy,
-                               _visible_sub_instance, check_partition,
-                               fixed_periods, roll_full, roll_partial,
-                               run_based_periods)
+from blendplan.rolling import (SEGMENT_POLICY, Period, RollParams, RollingError,
+                               StepLog, _apply_policy, _visible_sub_instance,
+                               check_partition, fixed_periods, roll_full,
+                               roll_partial, run_based_periods)
 from blendplan.simulate import FlowPlan, plan_objective, simulate
 from blendplan.solve import SolveOptions, SolveResult, solve
 from conftest import rolling_instance, small_instance, toy_1t1s
@@ -92,16 +93,11 @@ def test_partition_property(h, dt, data):
 
 
 def test_policy_tables():
-    assert FULL_SCHEME.treatment["gamma"] == ("fixed", "active", "active", "relaxed")
-    assert FULL_SCHEME.treatment["sigma"] == ("fixed", "active", "relaxed", "relaxed")
-    assert FULL_SCHEME.treatment["alpha"] == ("fixed", "active", "relaxed", "relaxed")
-    assert PARTIAL_SCHEME.treatment["gamma"] == ("fixed", "active", "active", "omitted")
-    assert PARTIAL_SCHEME.treatment["sigma"][2] == "relaxed"
-
-
-def test_policy_table_rejects_unknown_kind():
-    with pytest.raises(KeyError, match="no treatment"):
-        FULL_SCHEME.of("y_in", "past")
+    assert SEGMENT_POLICY == {
+        "gamma": ("active", "active", "relaxed"),
+        "sigma": ("active", "relaxed", "relaxed"),
+        "alpha": ("active", "relaxed", "relaxed"),
+    }
 
 
 def test_dated_binary_of_an_untabled_kind_is_rejected():
@@ -109,7 +105,28 @@ def test_dated_binary_of_an_untabled_kind_is_rejected():
     m.add_var("gamma", ("B1", 0), 0.0, 1.0, binary=True)
     m.add_var("y_out", ("T1", 0), 0.0, 1.0, binary=True)
     with pytest.raises(KeyError, match="no treatment for variable kind 'y_out'"):
-        _apply_policy(m, FULL_SCHEME, (0, 1, 1), 0, 0)
+        _apply_policy(m, (0, 1, 1), 0, 0)
+
+
+def test_past_binaries_must_already_be_fixed():
+    m = MilpModel("t")
+    fixed = m.add_var("gamma", ("B1", 0), 0.0, 1.0, binary=True)
+    m.fix(fixed, 1.0)
+    ahead = m.add_var("sigma", ("T1", 2), 0.0, 1.0, binary=True)
+    _apply_policy(m, (1, 2, 2), 0, 3)
+    assert (fixed.lo, fixed.hi, fixed.binary) == (1.0, 1.0, True)
+    assert not ahead.binary    # sigma is relaxed in the near future
+    free = m.add_var("alpha", ("T1", "P", 0, 0), 0.0, 1.0, binary=True)
+    with pytest.raises(RollingError, match=re.escape(f"{free.name} lies in the past")):
+        _apply_policy(m, (1, 2, 2), 0, 3)
+
+
+def test_step_log_line_layout():
+    line = StepLog(3, (6, 14), 29, "optimal", 1.5, None, 0.123456789, 104, 0,
+                   "all-miss").to_json()
+    assert line == ('{"step": 3, "window": [6, 14], "t_nf": 29, "status": "optimal", '
+                    '"objective": 1.5, "bound": null, "wall_time": 0.1235, "n_binary": 104, '
+                    '"nodes": 0, "start": "all-miss"}')
 
 
 def _builder(eps=1.0):
@@ -223,6 +240,66 @@ def test_sample_full_roll_is_pinned_and_builds_once(sample):
     assert res.plan.to_dict() == _approx(ROLL30_FULL_PLAN)
 
 
+# The sample extended to 45 days under the benchmark's roll45_partial
+# settings: per step the present window, t_nf, status, objective, bound,
+# integer columns, nodes and start, then the plan.  The partial plan keeps
+# only what each step committed, so its binaries list the days that are on.
+ROLL45_PARTIAL_STEPS = [
+    ((0, 6), 29, "optimal", 23143600.0, 23143600.0, 104, 0, "all-miss"),
+    ((6, 14), 35, "optimal", 24448234.92063492, 24448234.92063492, 125, 0, "all-miss"),
+    ((14, 22), 43, "gap_reached", 23094240.069932293, 23143600.0, 128, 0, "all-miss"),
+    ((22, 30), 44, "optimal", 17324929.300898515, 17324929.300898515, 87, 0, "all-miss"),
+    ((30, 36), 44, "optimal", 11478000.0, 11478000.0, 55, 0, "all-miss"),
+    ((36, 42), 44, "optimal", 6488000.0, 6488000.0, 43, 0, "all-miss"),
+    ((42, 45), 44, "optimal", 0.0, 0.0, 0, 0, None),
+]
+_RUNS_45 = (range(0, 5), range(6, 12), range(14, 22), range(24, 30), range(30, 35),
+            range(36, 42))
+_ON_45 = {"T1": (0, 2, 3, 4, 5), "T2": (0, 1, 4), "T3": (1, 2, 3, 4, 5)}
+ROLL45_PARTIAL_PLAN = {
+    "schema": "blendplan-plan/1",
+    "y_in": [["B1", "T1", 6, 37.945345050941626], ["B1", "T2", 6, 1202.0546549490582],
+             ["B1#1", "T1", 30, 530.7865168539297], ["B1#1", "T1", 34, 269.872389521542],
+             ["B1#1", "T2", 30, 272.9431249114434], ["B1#1", "T2", 34, 166.3979687130823],
+             ["B2", "T2", 10, 78.94534505094181], ["B2", "T2", 12, 47.37078651685391],
+             ["B2", "T3", 10, 171.99999999999977], ["B2", "T3", 12, 1061.6838684322047],
+             ["B2#1", "T2", 38, 69.0589564135695], ["B2#1", "T3", 36, 383.1228518384684],
+             ["B2#1", "T3", 38, 907.8181917479615], ["B3", "T1", 15, 145.86191953796717],
+             ["B3", "T1", 19, 637.0196078431396], ["B3", "T3", 15, 131.96775054543812],
+             ["B3", "T3", 19, 205.45080948882187], ["B4", "T1", 19, 339.9150326797377],
+             ["B4", "T2", 26, 79.84269662921173], ["B4", "T3", 19, 213.1556664217491],
+             ["B4", "T3", 26, 727.0866042693006]],
+    "y_out": [[k, t, v] for k, flows in (
+        ("T1", (25.0, 75.34838102235722, 70.36139001316583, 130.45706366619217,
+                73.04545206300955)),
+        ("T2", (225.0, 214.0, 84.8401676578352)),
+        ("T3", (85.99999999999996, 104.65161897764278, 209.6386099868342,
+                34.702768675970844, 226.95454793699037)),
+    ) for run, v in zip(_ON_45[k], flows) for t in _RUNS_45[run]],
+    "gamma": [[b, t, 1] for b, t in (
+        ("B1", 6), ("B1#1", 30), ("B1#1", 34), ("B2", 10), ("B2", 12), ("B2#1", 36),
+        ("B2#1", 38), ("B3", 15), ("B3", 19), ("B4", 19), ("B4", 26))],
+    "sigma": [[k, t, 1] for k, on in _ON_45.items() for run in on for t in _RUNS_45[run]],
+    "v_unused": {"B1": 2.2737367544323206e-13, "B1#1": 2.7284841053187847e-12,
+                 "B2": -2.2737367544323206e-13, "B2#1": 6.821210263296962e-13,
+                 "B3": 61.69991258463324, "B4": 9.094947017729282e-13},
+    "mis": [[t, m] for days, m in zip(_RUNS_45, (0.0, 5.684341886080802e-14, 0.0, 0.0,
+                                                 1.7905676941154525e-12,
+                                                 1.1368683772161603e-13))
+            for t in days],
+}
+
+
+def test_sample_partial_roll_is_pinned(sample):
+    inst = extend_periodic(sample, 45)
+    params = RollParams(h_nf=30, solve=SolveOptions(mip_gap=0.005, time_limit=600))
+    res = roll_partial(inst, run_based_periods(inst.runs, inst.horizon, 7), params, _builder())
+    got = [(s.window, s.t_nf, s.status, s.objective, s.bound, s.n_binary, s.nodes, s.start)
+           for s in res.steps]
+    assert got == ROLL45_PARTIAL_STEPS
+    assert res.plan.to_dict() == _approx(ROLL45_PARTIAL_PLAN)
+
+
 def test_roll_partial_state_handoff_matches_simulator():
     inst = rolling_instance(1, reps=2)
     acc = FlowPlan(
@@ -303,6 +380,9 @@ def test_roll_params_validation():
         RollParams(solve=SolveOptions(time_limit=1.0))
 
 
+SEGMENTS = ("present", "near", "far")   # the columns of SEGMENT_POLICY
+
+
 def _segment(day, window, t_nf):
     if day < window[0]:
         return "past"
@@ -311,9 +391,8 @@ def _segment(day, window, t_nf):
     return "near" if day <= t_nf else "far"
 
 
-@pytest.mark.parametrize("roller, policy", [(roll_full, FULL_SCHEME),
-                                            (roll_partial, PARTIAL_SCHEME)])
-def test_binary_states_follow_the_policy_table(roller, policy):
+@pytest.mark.parametrize("roller", [roll_full, roll_partial])
+def test_binary_states_follow_the_policy_table(roller):
     inst = rolling_instance(6, reps=2)   # 30 days
     captured = []
 
@@ -331,9 +410,11 @@ def test_binary_states_follow_the_policy_table(roller, policy):
         offset = log.window[0] if roller is roll_partial else 0
         for kind, day, state in states:
             segment = _segment(day + offset, log.window, log.t_nf)
-            assert state == policy.of(kind, segment), (log.step, kind, day, segment)
+            want = ("fixed" if segment == "past"
+                    else SEGMENT_POLICY[kind][SEGMENTS.index(segment)])
+            assert state == want, (log.step, kind, day, segment)
             seen.add(segment)
-    want = set(SEGMENTS) if roller is roll_full else {"present", "near"}
+    want = {"past", *SEGMENTS} if roller is roll_full else {"present", "near"}
     assert seen == want
 
 
