@@ -5,6 +5,10 @@ The library builds MILP approximations of the underlying bilinear blending
 model (midpoint-pinned or envelope-bounded residuals over a shared binary
 digit encoding of tank specs), solves them flat or under rolling-horizon
 schemes, and simulates solutions exactly to verify true spec feasibility.
+
+``blendplan.solve`` is the function ``solve``, not its submodule, and so is
+``m`` after ``import blendplan.solve as m``; reach the module through
+``sys.modules["blendplan.solve"]``.
 """
 
 from importlib import resources

@@ -30,11 +30,11 @@ from .simulate import (PlanInconsistencyError, audit, loss, read_plan,
 from .solve import (SolveOptions, SolverError, extract_flow_plan, highs_core,
                     solve)
 
-RESULTS_VERSION = 1
+RESULTS_VERSION = 2
 RESULT_FIELDS = [
     "record_version", "instance", "method", "scheme", "horizon", "eps_hat",
     "status", "objective", "bound", "pct_loss", "violations",
-    "worst_spec_violation", "steps", "wall_time_s",
+    "worst_spec_violation", "steps", "wall_time_s", "message",
 ]
 OK_STATUSES = {"ok", "optimal", "gap_reached", "time_limit"}
 # Step statuses of a rolling run, best first; the run reports its worst.
@@ -103,6 +103,15 @@ def _trace_csv(inst: Instance, trace, path) -> None:
             w.writerow(row)
 
 
+def _record(run: dict, **fields) -> dict:
+    """A run record: every ``RESULT_FIELDS`` key, in order, the run's
+    ``instance``, ``method``, ``scheme`` and ``eps_hat`` from ``run`` and the
+    outcome from ``fields``; a field the outcome lacks is None."""
+    return {**dict.fromkeys(RESULT_FIELDS), "record_version": RESULTS_VERSION,
+            **{k: run.get(k) for k in ("instance", "method", "scheme", "eps_hat")},
+            **fields}
+
+
 def run_solve_config(config: dict) -> dict:
     """Execute one solve pipeline from a plain config dict (bench worker).
 
@@ -131,54 +140,36 @@ def run_solve_config(config: dict) -> dict:
     # that `wall_time_s` times the run and not a once-per-process import
     highs_core()
     t0 = time.perf_counter()
-    steps = 0
     if ns.scheme == "flat":
         model = builder(inst)
         res = solve(model, opts)
-        if res.status == "infeasible":
-            return {"status": res.status, "instance": config["instance"],
-                    "method": ns.method, "message": res.message}
-        if not res.has_plan:
+        if not res.has_plan and res.status != "infeasible":
             raise SolverError(f"solver returned {res.status}: {res.message}")
-        status = res.status
-        plan = extract_flow_plan(model, res)
-        objective, bound = res.objective, res.best_bound
+        plan = extract_flow_plan(model, res) if res.has_plan else None
+        outcome = {"status": res.status, "objective": res.objective,
+                   "bound": res.best_bound, "steps": 0, "message": res.message}
     else:
         log_path = os.path.join(out_dir, "steps.jsonl")
         roller = roll_full if ns.scheme == "full" else roll_partial
         result = roller(inst, periods, params, builder, log_path=log_path)
         plan = result.plan
-        status = max((s.status for s in result.steps), key=_STEP_STATUS_ORDER.index)
         # step bounds hold for their own sub-problems, not for the whole horizon
-        objective, bound = result.objective, None
-        steps = len(result.steps)
-    wall = time.perf_counter() - t0
+        outcome = {"status": max((s.status for s in result.steps), key=_STEP_STATUS_ORDER.index),
+                   "objective": result.objective, "steps": len(result.steps)}
+    outcome["wall_time_s"] = round(time.perf_counter() - t0, 4)
 
-    write_plan(plan, os.path.join(out_dir, "plan.json"))
-    trace = simulate(inst, plan)
-    with open(os.path.join(out_dir, "trace.json"), "w") as fh:
-        json.dump(trace.to_dict(), fh, indent=2)
-    _trace_csv(inst, trace, os.path.join(out_dir, "trace.csv"))
-    rep = audit(inst, trace, plan)
-    with open(os.path.join(out_dir, "audit.json"), "w") as fh:
-        json.dump(rep.to_dict(), fh, indent=2)
-    ls = loss(inst, plan)
-    record = {
-        "record_version": RESULTS_VERSION,
-        "instance": config["instance"],
-        "method": ns.method,
-        "scheme": ns.scheme,
-        "horizon": inst.horizon,
-        "eps_hat": ns.eps_hat,
-        "status": status,
-        "objective": objective,
-        "bound": bound,
-        "pct_loss": ls.pct_loss,
-        "violations": len(rep.violations),
-        "worst_spec_violation": rep.worst_spec_violation,
-        "steps": steps,
-        "wall_time_s": round(wall, 4),
-    }
+    if plan is not None:    # an infeasible solve has none
+        write_plan(plan, os.path.join(out_dir, "plan.json"))
+        trace = simulate(inst, plan)
+        with open(os.path.join(out_dir, "trace.json"), "w") as fh:
+            json.dump(trace.to_dict(), fh, indent=2)
+        _trace_csv(inst, trace, os.path.join(out_dir, "trace.csv"))
+        rep = audit(inst, trace, plan)
+        with open(os.path.join(out_dir, "audit.json"), "w") as fh:
+            json.dump(rep.to_dict(), fh, indent=2)
+        outcome.update(pct_loss=loss(inst, plan).pct_loss, violations=len(rep.violations),
+                       worst_spec_violation=rep.worst_spec_violation)
+    record = _record(vars(ns), horizon=inst.horizon, **outcome)
     with open(os.path.join(out_dir, "record.json"), "w") as fh:
         json.dump(record, fh, indent=2)
     return record
@@ -229,8 +220,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    results = _results_path(args.out_dir)
     record = run_solve_config({k: v for k, v in vars(args).items() if k in _CONFIG_KEYS})
-    _append_results(os.path.join(args.out_dir, "results.csv"), [record])
+    _append_results(results, [record])
     print(json.dumps(record, indent=2))
     if record["status"] in OK_STATUSES:
         return 0
@@ -300,10 +292,23 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _results_path(out_dir: str) -> str:
+    """The ``results.csv`` of ``out_dir``; one whose header is not
+    ``RESULT_FIELDS`` raises ``ValueError``, as its rows would misalign."""
+    path = os.path.join(out_dir, "results.csv")
+    if os.path.exists(path):
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+        if header != RESULT_FIELDS:
+            raise ValueError(f"{path} has columns {header}, not those of record version "
+                             f"{RESULTS_VERSION}; write to another --out-dir")
+    return path
+
+
 def _append_results(path: str, records: list[dict]) -> None:
     new = not os.path.exists(path)
     with open(path, "a", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=RESULT_FIELDS, extrasaction="ignore")
+        w = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)
         if new:
             w.writeheader()
         for rec in records:
@@ -341,13 +346,6 @@ def default_matrix(instances: list[str]) -> list[dict]:
     return runs
 
 
-def _error_record(task: dict, exc: Exception) -> dict:
-    """The result row of a run that raised; the task may lack any key."""
-    return {**dict.fromkeys(RESULT_FIELDS, ""), "record_version": RESULTS_VERSION,
-            **{k: task.get(k, "") for k in ("instance", "method", "scheme", "eps_hat")},
-            "status": "error", "error": str(exc)}
-
-
 def cmd_bench(args) -> int:
     if args.config:
         with open(args.config) as fh:
@@ -361,6 +359,7 @@ def cmd_bench(args) -> int:
     if not runs:
         raise InstanceError("bench config has no runs")
     out_dir = args.out_dir or config.get("out_dir", "bench_out")
+    results = _results_path(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     tasks = []
     for i, run in enumerate(runs):
@@ -368,23 +367,20 @@ def cmd_bench(args) -> int:
         task["out_dir"] = os.path.join(out_dir, f"run_{i:03d}")
         tasks.append(task)
     workers = args.workers or config.get("workers", 1)
-    records: list[dict | None] = [None] * len(tasks)
+
+    def record_of(task, call, *args):
+        try:
+            return call(*args)
+        except Exception as e:  # keep going, record the failure
+            return _record(task, status="error", message=str(e))
+
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_solve_config, t): i for i, t in enumerate(tasks)}
-            for fut in concurrent.futures.as_completed(futures):
-                i = futures[fut]
-                try:
-                    records[i] = fut.result()
-                except Exception as e:  # keep going, record the failure
-                    records[i] = _error_record(tasks[i], e)
+            futures = [pool.submit(run_solve_config, t) for t in tasks]
+            records = [record_of(t, f.result) for t, f in zip(tasks, futures)]
     else:
-        for i, t in enumerate(tasks):
-            try:
-                records[i] = run_solve_config(t)
-            except Exception as e:
-                records[i] = _error_record(t, e)
-    _append_results(os.path.join(out_dir, "results.csv"), records)
+        records = [record_of(t, run_solve_config, t) for t in tasks]
+    _append_results(results, records)
     _profiles(records, out_dir)
     n_ok = sum(1 for r in records if r.get("status") in OK_STATUSES)
     print(json.dumps({"runs": len(records), "ok": n_ok, "out_dir": out_dir}))

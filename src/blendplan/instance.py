@@ -371,7 +371,7 @@ def extend_periodic(inst: Instance, target_h: int) -> Instance:
                 runs.append(replace(r, id=r.id + suffix, days=d))
     out = replace(inst, barges=tuple(barges), runs=tuple(runs),
                   ops=replace(inst.ops, horizon=target_h))
-    validate_instance(out).raise_if_invalid()
+    derive_sets(out)
     return out
 
 
@@ -392,7 +392,7 @@ def randomize_supply(inst: Instance, seed: int, jitter: RandomizationParams) -> 
     # start-up time of `import blendplan`, and nothing else here needs it
     import numpy as np
 
-    validate_instance(inst).raise_if_invalid()
+    derive_sets(inst)
     rng = np.random.default_rng(seed)
     H = inst.ops.horizon
     barges: list[Barge] = []
@@ -416,7 +416,7 @@ def randomize_supply(inst: Instance, seed: int, jitter: RandomizationParams) -> 
             t0, t1 = t0 + fix, t1 + fix
         barges.append(replace(b, volume=vol, specs=specs, window=(t0, t1)))
     out = replace(inst, barges=tuple(barges))
-    validate_instance(out).raise_if_invalid()
+    derive_sets(out)
     return out
 
 
@@ -571,7 +571,7 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def write_instance(inst: Instance, path) -> None:
-    validate_instance(inst).raise_if_invalid()
+    derive_sets(inst)
     with open(path, "w") as fh:
         json.dump(instance_to_dict(inst), fh, indent=2)
         fh.write("\n")
@@ -589,6 +589,7 @@ def parse_instance(path) -> Instance:
 
 
 def read_instance(path) -> Instance:
+    """The instance in a file, validated (by `derive_sets`, which caches)."""
     inst = parse_instance(path)
-    validate_instance(inst).raise_if_invalid()
+    derive_sets(inst)
     return inst

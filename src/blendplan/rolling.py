@@ -180,7 +180,6 @@ class RollResult:
     plan: FlowPlan
     steps: list[StepLog]
     objective: float           # true value of the final plan
-    milp_objective: float | None   # last step's solver objective
 
 
 def _solve_step(model: MilpModel, opts: SolveOptions, step: int) -> SolveResult:
@@ -287,7 +286,7 @@ def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder
     steps, model, res = _roll(inst, periods, params, lambda t_start, t_nf: (model, 0),
                               commit, log_path, on_step)
     plan = extract_flow_plan(model, res)
-    return RollResult(plan, steps, plan_objective(inst, plan), res.objective)
+    return RollResult(plan, steps, plan_objective(inst, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +363,11 @@ def roll_partial(inst: Instance, periods: list[Period], params: RollParams, buil
                 if key[-1] + offset < next_start and v > 0.0:
                     kept[key[:-1] + (key[-1] + offset,)] = v
 
-    steps, _, res = _roll(inst, periods, params, build, commit, log_path, on_step)
+    steps, _, _ = _roll(inst, periods, params, build, commit, log_path, on_step)
     ds = derive_sets(inst)
     for b in inst.barges:
         acc.v_unused[b.id] = b.volume - acc.unloaded_total(b.id)
     for t in ds.demand_days:
         served = sum(acc.y_out.get((k.id, t), 0.0) for k in inst.tanks)
         acc.mis[t] = max(ds.demand(t) - served, 0.0)
-    return RollResult(acc, steps, plan_objective(inst, acc), res.objective)
+    return RollResult(acc, steps, plan_objective(inst, acc))

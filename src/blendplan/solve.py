@@ -11,8 +11,7 @@ so a later import of ``scipy.optimize`` reuses the same module.  The
 constraint matrix goes to HiGHS row-wise, as ``MilpModel.to_arrays``
 builds it in numpy arrays; no sparse-matrix package is loaded.
 ``solve_reference`` is a testing aid: it enumerates the binary assignments
-of a tiny model with one dense LP per assignment, an independent
-cross-check of HiGHS.
+of a tiny model with one HiGHS LP per assignment, a cross-check of ``solve``.
 
 Objectives are reported in maximization form (target value minus misses);
 ``best_bound`` is an upper bound on that value.
@@ -180,16 +179,9 @@ def _values_from_x(model: MilpModel, x) -> dict[str, float]:
     return {v.name: float(x[v.col]) for v in model.vars}
 
 
-def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float]) -> SolveResult:
-    if model.n_vars == 0:
-        return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
-    # Loaded on first use, not at module level: only solving needs numpy
-    # and HiGHS, and loading them is most of the start-up time of every
-    # command that validates, exports, simulates or audits a plan.
-    import numpy as np
-    _core = highs_core()
-    _Status = _core.HighsModelStatus
-
+def _highs_lp(model: MilpModel, _core):
+    """The ``HighsLp`` of a linear model, built row-wise from ``to_arrays()``,
+    with the model's cost vector and integrality flags."""
     c, integrality, var_lo, var_hi, (start, index, value), row_lo, row_hi = model.to_arrays()
     lp = _core.HighsLp()
     # The constant target value enters as the objective offset: HiGHS
@@ -204,6 +196,19 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
     lp.a_matrix_.format_ = _core.MatrixFormat.kRowwise
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
     lp.integrality_ = [_core.HighsVarType(i) for i in integrality]
+    return lp, c, integrality
+
+
+def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float]) -> SolveResult:
+    if model.n_vars == 0:
+        return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
+    # Loaded on first use, not at module level: only solving needs numpy
+    # and HiGHS, and loading them is most of the start-up time of every
+    # command that validates, exports, simulates or audits a plan.
+    import numpy as np
+    _core = highs_core()
+    _Status = _core.HighsModelStatus
+    lp, _, integrality = _highs_lp(model, _core)
     h = _core._Highs()
     h.setOptionValue("output_flag", False)
     h.setOptionValue("mip_rel_gap", float(opts.mip_gap))
@@ -303,8 +308,9 @@ def _stdout_to_stderr():
 
 
 def solve_reference(model: MilpModel) -> SolveResult:
-    """Enumerate binary assignments, solve a dense LP for each (tiny models;
-    a testing aid that cross-checks HiGHS)."""
+    """Enumerate binary assignments, fixing them in one HiGHS LP (tiny
+    models; a testing aid that cross-checks HiGHS).  It chooses by the
+    ``c·x`` of its own columns, so it also checks ``solve``'s offset."""
     if model.has_bilinear():
         raise SolverError("model has bilinear rows; the reference solver takes linear models")
     if model.n_vars > 200:
@@ -316,42 +322,30 @@ def solve_reference(model: MilpModel) -> SolveResult:
         return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
     # imported here for the reason _solve_highs gives
     import numpy as np
-    from scipy.optimize import linprog
+    _core = highs_core()
 
-    c, _, var_lo, var_hi, (start, index, value), row_lo, row_hi = model.to_arrays()
-    A = np.zeros((len(row_lo), len(c)))
-    A[np.repeat(np.arange(len(row_lo)), np.diff(start)), index] = value
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for i in range(len(row_lo)):
-        if row_lo[i] == row_hi[i]:
-            eq_rows.append(A[i])
-            eq_rhs.append(row_lo[i])
-        else:
-            if not math.isinf(row_hi[i]):
-                ub_rows.append(A[i])
-                ub_rhs.append(row_hi[i])
-            if not math.isinf(row_lo[i]):
-                ub_rows.append(-A[i])
-                ub_rhs.append(-row_lo[i])
-    A_ub = np.array(ub_rows) if ub_rows else None
-    b_ub = np.array(ub_rhs) if ub_rhs else None
-    A_eq = np.array(eq_rows) if eq_rows else None
-    b_eq = np.array(eq_rhs) if eq_rhs else None
+    lp, c, _ = _highs_lp(model, _core)
+    lp.integrality_ = []    # continuous: each assignment fixes the binaries
+    h = _core._Highs()
+    h.setOptionValue("output_flag", False)
+    if h.passModel(lp) == _core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+    cols = np.array([v.col for v in bins], dtype=np.int32)
     best = None
     best_x = None
     for assignment in itertools.product((0.0, 1.0), repeat=len(bins)):
-        lo = var_lo.copy()
-        hi = var_hi.copy()
-        for ref, val in zip(bins, assignment):
-            lo[ref.col] = hi[ref.col] = val
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=list(zip(lo, hi)), method="highs")
-        if res.status == 0 and (best is None or res.fun < best - 1e-12):
-            best = res.fun
-            best_x = res.x
+        fixed = np.array(assignment)
+        h.changeColsBounds(len(cols), cols, fixed, fixed)
+        h.run()
+        if h.getModelStatus() == _core.HighsModelStatus.kOptimal:
+            x = np.array(h.getSolution().col_value)
+            fun = float(c @ x)
+            if best is None or fun < best - 1e-12:
+                best = fun
+                best_x = x
     if best is None:
         return SolveResult("infeasible", None, None)
-    obj = model.reported_objective(float(best))
+    obj = model.reported_objective(best)
     return SolveResult("optimal", obj, obj, _values_from_x(model, best_x), gap=0.0)
 
 

@@ -12,7 +12,7 @@ import pytest
 import blendplan
 import blendplan.rolling
 from blendplan.builders import CenterOptions, build_center, build_mccormick, make_plans
-from blendplan.cli import _SOLVE_DEFAULTS, main, run_solve_config
+from blendplan.cli import RESULT_FIELDS, _SOLVE_DEFAULTS, main, run_solve_config
 from blendplan.instance import write_instance
 from blendplan.solve import SolveResult
 from conftest import small_instance, tiny_instance
@@ -216,6 +216,56 @@ def test_bench_records_a_flat_solve_without_a_plan_as_an_error(tiny_path, tmp_pa
     assert float(profile["fraction_finished"]) == 0.5
 
 
+def test_infeasible_flat_solve_writes_its_record(tiny_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(blendplan.cli, "solve", lambda model, opts: SolveResult(
+        "infeasible", None, None, message="Infeasible"))
+    out_dir = tmp_path / "flat"
+    assert main(["solve", "--instance", tiny_path, "--out-dir", str(out_dir)]) == 1
+    printed = json.loads(capsys.readouterr().out)
+    assert sorted(p.name for p in out_dir.iterdir()) == ["record.json", "results.csv"]
+    record = json.loads((out_dir / "record.json").read_text())
+    assert record == printed and list(record) == RESULT_FIELDS
+    assert {k: record[k] for k in ("record_version", "scheme", "horizon", "eps_hat", "status",
+                                   "steps", "message", "objective", "pct_loss")} == {
+        "record_version": 2, "scheme": "flat", "horizon": 6, "eps_hat": "1.0",
+        "status": "infeasible", "steps": 0, "message": "Infeasible", "objective": None,
+        "pct_loss": None}
+    assert record["wall_time_s"] >= 0
+    with open(out_dir / "results.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row == {k: "" if v is None else str(v) for k, v in record.items()}
+
+
+def test_bench_error_row_keeps_its_reason(sample_path, tmp_path, capsys):
+    # HiGHS stops before its first incumbent at this limit
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"runs": [{"instance": sample_path, "time_limit": 0.001}]}))
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    with open(out_dir / "results.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["record_version"] == "2" and row["status"] == "error"
+    assert row["message"].startswith("solver returned time_limit")
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_results_of_another_record_version_are_refused(tiny_path, tmp_path, capsys, command):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    results = out_dir / "results.csv"
+    v1 = ",".join(RESULT_FIELDS[:-1]) + "\r\n1,x.json,center,flat,30,1.0,optimal,1,1,0,0,0,0,0.1\r\n"
+    results.write_bytes(v1.encode())
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"runs": [{"instance": tiny_path}]}))
+    argv = {"solve": ["solve", "--instance", tiny_path, "--out-dir", str(out_dir)],
+            "bench": ["bench", "--config", str(cfg), "--out-dir", str(out_dir)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results} has columns") and "record version 2" in err
+    assert results.read_bytes() == v1.encode()
+    assert list(out_dir.iterdir()) == [results]
+
+
 def test_validate_reports_an_invalid_instance(tmp_path, sample_path, capsys):
     data = json.load(open(sample_path))
     assert data["tanks"][0]["id"] == "T1"
@@ -393,14 +443,21 @@ assert_unloaded("by solve", ("scipy.sparse", "scipy.optimize"))
 assert main(["solve", "--instance", tiny, "--out-dir", f"{work}/roll", "--scheme", "partial",
              "--periods", "run", "--dt", "3", "--h-nf", "6"]) == 0
 assert_unloaded("by solve --scheme partial", ("scipy.sparse", "scipy.optimize"))
+from dataclasses import replace
+from blendplan.solve import solve_reference
+from conftest import toy_1t1s
+toy = toy_1t1s()
+toy = replace(toy, barges=(replace(toy.barges[0], specs={"P": 51.5}),))
+assert solve_reference(build_center(toy, make_plans(toy, 1.0))).status == "optimal"
+assert_unloaded("by solve_reference", ("scipy.sparse", "scipy.optimize"))
 print("ok")
 """
 
 
 def test_commands_that_do_not_solve_leave_scipy_unloaded(tiny_path, tmp_path):
     # a fresh interpreter: this test process has loaded scipy already
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(here, os.pardir, "src"), here])}
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path), tiny_path],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -415,6 +472,7 @@ def test_bench_run_without_instance_is_an_error_row(tmp_path, capsys):
     with open(os.path.join(out_dir, "results.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["status"], r["instance"], r["method"]) for r in rows] == [("error", "", "center")]
+    assert rows[0]["message"]
 
 
 def test_solve_defaults_pinned():

@@ -124,6 +124,24 @@ def test_cached_sets_leave_equality_repr_and_pickle_unchanged():
     assert back == inst and derive_sets(back) == derive_sets(inst)
 
 
+def test_an_instance_is_validated_once(tmp_path, monkeypatch):
+    import blendplan
+    from blendplan.builders import CenterOptions, build_center, make_plans
+    calls = []
+    real = blendplan.instance.validate_instance
+    monkeypatch.setattr(blendplan.instance, "validate_instance",
+                        lambda inst: calls.append(inst) or real(inst))
+    inst = read_instance(blendplan.sample_instance_path())
+    build_center(inst, make_plans(inst, 1.0), CenterOptions())
+    assert calls == [inst]
+    longer = extend_periodic(inst, 45)
+    make_plans(longer, 1.0)
+    write_instance(longer, tmp_path / "longer.json")
+    jittered = randomize_supply(longer, 0, RandomizationParams(volume_rel=0.1))
+    make_plans(jittered, 1.0)
+    assert calls == [inst, longer, jittered]
+
+
 # -- periodic extension ------------------------------------------------------
 
 

@@ -140,7 +140,7 @@ def test_roll_full_single_period_equals_flat():
     res = roll_full(inst, fixed_periods(inst.horizon, inst.horizon),
                     RollParams(solve=SolveOptions(mip_gap=0.0005)), _builder())
     assert len(res.steps) == 1
-    assert res.milp_objective == pytest.approx(flat.objective, rel=2e-3)
+    assert res.steps[-1].objective == pytest.approx(flat.objective, rel=2e-3)
 
 
 def test_roll_full_monotone_and_frozen_prefix():
