@@ -13,21 +13,24 @@ last three also share its extension by per-spec volumes:
 * ``build_mccormick``   -- MILP: same digits, residual kept as a variable
   whose volume products are bounded by convex-envelope rows.
 
-Both MILPs take their base-2 digit plans, one per (tank, spec), from
-``make_plans``; a missing plan raises ``KeyError``.  Both tighten demand
-spec and ratio windows by half the requested precision (and its ratio
-differential) so that simulated plans stay inside the original windows;
-see ``tighten``.
+Both MILPs take their base-2 digit plans, one ``plan`` per (tank, spec),
+from ``make_plans``; a missing plan raises ``KeyError``.  Both tighten
+demand spec and ratio windows by half the requested precision (and its
+ratio differential) so that simulated plans stay inside the original
+windows; ``tighten`` logs each window it must leave unbuffered.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
-from .discretize import DiscretizationPlan, degenerate_plan, plan as make_plan
+from .discretize import DiscretizationPlan, plan
 from .instance import Instance, Tank, derive_sets
 from .model import INF, MilpModel, QcpModel, VarRef
 from .simulate import value_target
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -61,24 +64,11 @@ def _eps_by_spec(inst: Instance, eps_hat) -> dict[str, float]:
 
 
 def make_plans(inst: Instance, eps_hat) -> dict[tuple[str, str], DiscretizationPlan]:
-    """Base-2 digit plan per (tank, spec) from its reachable bounds.
-
-    Ranges no wider than the requested precision need no digits: the grid
-    collapses to the lower bound with the whole range in the residual.
-    """
+    """Base-2 digit plan per (tank, spec): ``plan`` of its reachable bounds
+    at its spec's precision, which must be positive."""
     eps = _eps_by_spec(inst, eps_hat)
-    plans = {}
-    for (k, q), (lo, hi) in reachable_spec_bounds(inst).items():
-        e = eps[q]
-        if e <= 0:
-            raise ValueError(f"eps_hat for {q} must be positive")
-        if hi - lo <= 0.0:
-            plans[(k, q)] = degenerate_plan(lo, e)
-        elif hi - lo <= e:
-            plans[(k, q)] = DiscretizationPlan(lo, hi - lo, 0, lo, hi, e)
-        else:
-            plans[(k, q)] = make_plan(lo, hi, e)
-    return plans
+    return {(k, q): plan(lo, hi, eps[q])
+            for (k, q), (lo, hi) in reachable_spec_bounds(inst).items()}
 
 
 def plan_eps_hat(plans: dict[tuple[str, str], DiscretizationPlan]) -> dict[str, float]:
@@ -112,13 +102,14 @@ def _shrink(lo: float, hi: float, buffer: float, min_width: float, label: str,
         return (lo + b, hi - b)
     warnings.append(f"{label}: window width {width} below one discretization cell "
                     f"{min_width}; buffer skipped")
+    log.warning(warnings[-1])
     return (lo, hi)
 
 
 def tighten(inst: Instance, eps_hat) -> TightenedBounds:
     """Buffer each demand window by eps_hat/2 (specs) or by the ratio
     differential (ratios).  A buffer is reduced when it would leave a
-    window narrower than one discretization cell, and skipped with a
+    window narrower than one discretization cell, and skipped with a logged
     warning when the original window is already narrower than that.
     """
     eps = _eps_by_spec(inst, eps_hat)

@@ -23,8 +23,8 @@ from .builders import (CenterOptions, build_center, build_exact_mix,
 from .instance import (Instance, InstanceError, RandomizationParams,
                        extend_periodic, parse_instance, randomize_supply,
                        read_instance, validate_instance, write_instance)
-from .rolling import (RollingError, RollParams, fixed_periods, roll_full,
-                      roll_partial, run_based_periods)
+from .rolling import (RollingError, RollParams, check_step_starts, fixed_periods,
+                      roll_full, roll_partial, run_based_periods)
 from .simulate import (PlanInconsistencyError, audit, loss, read_plan,
                        simulate, write_plan)
 from .solve import (SolveOptions, SolverError, extract_flow_plan, highs_core,
@@ -42,8 +42,8 @@ _STEP_STATUS_ORDER = ("optimal", "gap_reached", "time_limit")
 
 
 def _parse_eps_hat(value):
-    """A number or a per-spec dict from a flag or config value; every
-    precision must be positive (NaN fails)."""
+    """A number or a per-spec dict from a flag or config value; whether
+    each precision is positive is checked where plans are made."""
     if isinstance(value, (int, float)):
         eps = float(value)
     elif isinstance(value, dict):
@@ -55,9 +55,6 @@ def _parse_eps_hat(value):
         for part in value.split(","):
             q, v = part.split("=", 1)
             eps[q.strip()] = float(v)
-    values = eps.values() if isinstance(eps, dict) else (eps,)
-    if not all(e > 0 for e in values):
-        raise ValueError(f"eps_hat must be positive, got {value!r}")
     return eps
 
 
@@ -125,14 +122,17 @@ def run_solve_config(config: dict) -> dict:
     builder = _builder_for(ns)
     opts = _solve_options(ns)
     inst = read_instance(config["instance"])
-    # a per-spec eps_hat must name every spec; a rolling step's
-    # sub-instance has the same specs, so one check covers every build
+    # every precision must be positive and a per-spec eps_hat must name every
+    # spec; a rolling step's sub-instance has the same specs, so one check
+    # covers every build
     make_plans(inst, _parse_eps_hat(ns.eps_hat))
     if ns.scheme != "flat":
         periods = (run_based_periods(inst.runs, inst.horizon, ns.dt)
                    if ns.periods == "run" else fixed_periods(inst.horizon, ns.dt))
         params = RollParams(h_nf=ns.h_nf, n_present=ns.n_present, n_step=ns.n_step,
                             solve=opts)
+        if ns.scheme == "partial":
+            check_step_starts(inst.runs, periods, ns.n_step)
     # the options are all checked above: a rejected one leaves no directory
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -205,6 +205,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    # every jitter flag defaults to 0; without a seed none would take effect
+    given = [f"--{k.replace('_', '-')}" for k in ("jitter_volume", "jitter_spec", "jitter_window")
+             if args.seed is None and getattr(args, k)]
+    if given:
+        raise ValueError(f"jitter flags need --seed, got {', '.join(given)}")
     inst = read_instance(args.instance)
     if args.extend:
         inst = extend_periodic(inst, args.extend)

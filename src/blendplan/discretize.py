@@ -8,6 +8,9 @@ positional base-2 digits on the shifted range, with the digit count chosen
 per variable from its own bounds so that the grid resolution meets the
 requested precision ``eps_hat``.
 
+``plan`` builds every plan, zero-width ranges included, from one formula:
+``n = digit_count(lo, hi, eps_hat)`` digits and ``eps = (hi - lo) * 2**-n``.
+
 Every plan is base 2, one binary per digit row, which is what the models
 build.  Other bases exist for counting only: ``digit_count`` and
 ``binary_count`` compare what a base-``b`` grid would need.
@@ -25,12 +28,16 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class DiscretizationPlan:
-    lambda0: float     # grid origin
     eps: float         # realized grid resolution, eps <= eps_hat
     n: int             # number of digit rows
     lo: float
     hi: float
     eps_hat: float     # requested precision
+
+    @property
+    def lambda0(self) -> float:
+        """Grid origin: the lower bound."""
+        return self.lo
 
     @property
     def width(self) -> float:
@@ -48,8 +55,6 @@ class DiscretizationPlan:
     @property
     def grid_count(self) -> int:
         """Number of representable grid points."""
-        if self.degenerate:
-            return 1
         return 2 ** self.n
 
     def grid_points(self) -> np.ndarray:
@@ -89,23 +94,14 @@ def _ceil_log(x: float, base: int) -> int:
 def plan(lo: float, hi: float, eps_hat: float) -> DiscretizationPlan:
     """Compute the digit plan for a value bounded in [lo, hi].
 
-    ``eps_hat`` must lie in (0, hi - lo]; the realized resolution ``eps``
-    never exceeds it.
+    Any range with ``lo <= hi`` and any ``eps_hat > 0`` is accepted; the
+    realized resolution ``eps`` never exceeds ``eps_hat``.  A range no
+    wider than ``eps_hat`` has no digits and ``eps == hi - lo``.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}] (use degenerate_plan for a fixed value)")
-    width = hi - lo
-    if not (0.0 < eps_hat <= width * (1 + 1e-12)):
-        raise ValueError(f"eps_hat must be in (0, {width}], got {eps_hat}")
-    eps_hat = min(eps_hat, width)
-    n = _ceil_log(width / eps_hat, 2)
-    eps = width * 2 ** (-n)
-    return DiscretizationPlan(lo, eps, n, lo, hi, eps_hat)
-
-
-def degenerate_plan(value: float, eps_hat: float = 0.0) -> DiscretizationPlan:
-    """Plan for a spec whose reachable range has zero width: f is constant."""
-    return DiscretizationPlan(value, 0.0, 0, value, value, eps_hat)
+    if not lo <= hi:
+        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
+    n = digit_count(lo, hi, eps_hat)
+    return DiscretizationPlan((hi - lo) * 2 ** (-n), n, lo, hi, eps_hat)
 
 
 def encode(f: float, p: DiscretizationPlan) -> DigitCode:
@@ -130,8 +126,6 @@ def encode(f: float, p: DiscretizationPlan) -> DigitCode:
 
 def decode(code: DigitCode, p: DiscretizationPlan) -> float:
     """Inverse of encode: lambda0 + eps * sum_i weight_i * digit_i + delta."""
-    if p.degenerate:
-        return p.lambda0
     total = 0.0
     for i, d in enumerate(code.digits, start=1):
         total += p.level_weight(i) * d
@@ -145,15 +139,13 @@ def grid_value(code: DigitCode, p: DiscretizationPlan) -> float:
 
 def digit_count(lo: float, hi: float, eps_hat: float, base: int = 2) -> int:
     """Digits a base-``base`` nmdt grid on [lo, hi] needs to meet
-    ``eps_hat``; 0 if the range is not wider than the requested precision."""
-    width = hi - lo
-    if width <= eps_hat:
-        return 0
+    ``eps_hat``; 0 if the range is not wider than the requested precision.
+    ``eps_hat`` must be positive (NaN fails)."""
     if not eps_hat > 0.0:
         raise ValueError(f"eps_hat must be positive, got {eps_hat}")
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    return _ceil_log(width / eps_hat, base)
+    return _ceil_log((hi - lo) / eps_hat, base)
 
 
 def binary_count(lo: float, hi: float, eps_hat: float, base: int = 2) -> int:

@@ -120,6 +120,16 @@ def _run_days(r) -> tuple[int, int]:
     return tuple(r)
 
 
+def check_step_starts(runs, periods: list[Period], n_step: int) -> None:
+    """Raise ``RollingError`` if a partial-scheme step, which starts at
+    ``periods[i].start`` for every ``n_step``-th ``i``, would split a run."""
+    for p in periods[::n_step]:
+        for r in runs:
+            if r.days[0] < p.start <= r.days[1]:
+                raise RollingError(f"step boundary {p.start} splits run {r.id}; use run-based "
+                                   "periods with the partial scheme")
+
+
 def check_partition(periods: list[Period], horizon: int) -> bool:
     if not periods:
         return horizon == 0
@@ -295,7 +305,8 @@ def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder
 
 def _visible_sub_instance(inst: Instance, acc: FlowPlan, t_start: int, t_nf: int):
     """Shifted instance covering [t_start, t_nf] with the simulated state at
-    t_start as initial conditions and per-barge remainders decremented."""
+    t_start as initial conditions and per-barge remainders decremented; no
+    run straddles t_start (see ``check_step_starts``)."""
     if t_start > 0:
         trace = simulate(inst, acc, through_day=t_start)
         # clamp away float dust so the sub-instance revalidates cleanly
@@ -335,10 +346,6 @@ def _visible_sub_instance(inst: Instance, acc: FlowPlan, t_start: int, t_nf: int
         r0, r1 = r.days
         if r1 < t_start or r0 > t_nf:
             continue
-        if r0 < t_start:
-            raise RollingError(
-                f"step boundary {t_start} splits run {r.id}; use run-based periods "
-                "with the partial scheme")
         runs.append(replace(r, days=(r0 - t_start, min(r1, t_nf) - t_start)))
 
     ops = replace(inst.ops, horizon=t_nf - t_start + 1)
@@ -348,7 +355,9 @@ def _visible_sub_instance(inst: Instance, acc: FlowPlan, t_start: int, t_nf: int
 def roll_partial(inst: Instance, periods: list[Period], params: RollParams, builder,
                  log_path=None, on_step=None) -> RollResult:
     """Partial-horizon scheme: solve only the visible window, freeze all of
-    it that falls in the stepped-over periods, re-simulate, repeat."""
+    it that falls in the stepped-over periods, re-simulate, repeat.  Raises
+    ``RollingError`` before the first build if a step would split a run."""
+    check_step_starts(inst.runs, periods, params.n_step)
     acc = FlowPlan()
 
     def build(t_start, t_nf):

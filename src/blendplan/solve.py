@@ -44,7 +44,7 @@ class SolverError(RuntimeError):
     pass
 
 
-class ExtractionError(RuntimeError):
+class ExtractionError(SolverError):
     """Rounded binaries break a hard counting constraint."""
 
 

@@ -101,6 +101,30 @@ def test_reachable_bounds_no_inflow_is_degenerate():
     assert plans[("T2", "P")].degenerate
 
 
+def _typed(d):
+    return {k: (v, type(v)) for k, v in d.items()}
+
+
+def test_make_plans_pinned_for_zero_width_narrow_and_wide_ranges():
+    # recorded from the three plan constructors this one formula replaced
+    inst = toy_1t1s()
+    inst = replace(inst, barges=(replace(inst.barges[0], allowed_tanks=("T1", "T2", "T3")),),
+                   tanks=inst.tanks + (Tank("T2", 1000.0, 100.0, 500.0, {"P": 60.0}, 0.10),
+                                       Tank("T3", 1000.0, 100.0, 500.0, {"P": 59.5}, 0.10)))
+    head = {"scheme": "nmdt", "base": 2}
+    want = {
+        ("T1", "P"): {**head, "lambda0": 50.0, "eps": 0.625, "n": 4, "m": 1,
+                      "lo": 50.0, "hi": 60.0, "eps_hat": 1.0},    # wide
+        ("T2", "P"): {**head, "lambda0": 60.0, "eps": 0.0, "n": 0, "m": 1,
+                      "lo": 60.0, "hi": 60.0, "eps_hat": 1.0},    # zero width
+        ("T3", "P"): {**head, "lambda0": 59.5, "eps": 0.5, "n": 0, "m": 1,
+                      "lo": 59.5, "hi": 60.0, "eps_hat": 1.0},    # narrower than eps_hat
+    }
+    got = {kq: _typed(p.to_dict()) for kq, p in make_plans(inst, 1.0).items()}
+    assert got == {kq: _typed(d) for kq, d in want.items()}
+    assert list(got[("T1", "P")]) == list(want[("T1", "P")])    # key order of the sidecar
+
+
 def test_tighten_spec_buffer(toy):
     inst = replace(toy, runs=(replace(toy.runs[0], spec_bounds={"P": (40.0, 60.0)}),))
     tb = tighten(inst, 1.0)
@@ -142,6 +166,17 @@ def test_tighten_buffer_reduction_rule(toy):
     tb2 = tighten(inst2, 1.0)
     assert tb2.spec[("R1", "P")] == (50.0, 50.5)
     assert tb2.warnings
+
+
+def test_tighten_logs_skipped_buffer(toy, caplog):
+    # a window narrower than one cell runs unbuffered: the build says so
+    inst = replace(toy, runs=(replace(toy.runs[0], spec_bounds={"P": (50.0, 50.5)}),))
+    with caplog.at_level("WARNING", logger="blendplan.builders"):
+        build_center(inst, make_plans(inst, 1.0))
+    (rec,) = caplog.records
+    assert rec.levelname == "WARNING" and rec.name == "blendplan.builders"
+    assert rec.getMessage() == ("run R1 spec P: window width 0.5 below one discretization "
+                                "cell 1.0; buffer skipped")
 
 
 def test_tightened_windows_are_subsets():

@@ -64,6 +64,25 @@ def test_gen_extend_and_randomize(inst_path, tmp_path, capsys):
     assert open(out).read() == open(out2).read()
 
 
+@pytest.mark.parametrize("flags", [["--jitter-volume", "0.3"], ["--jitter-window", "2"],
+                                   ["--jitter-spec", "nan", "--jitter-window", "2"]],
+                         ids=lambda f: "_".join(a.lstrip("-") for a in f))
+def test_gen_refuses_jitter_flags_without_seed(inst_path, tmp_path, capsys, flags):
+    out = tmp_path / "g.json"
+    assert main(["gen", "--instance", inst_path, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: jitter flags need --seed")
+    assert all(f in err for f in flags if f.startswith("--"))
+    assert not out.exists()
+
+
+def test_gen_takes_default_jitter_flags_without_seed(inst_path, tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert main(["gen", "--instance", inst_path, "--out", str(out),
+                 "--jitter-volume", "0", "--jitter-window", "0"]) == 0
+    assert out.exists()
+
+
 def test_solve_pipeline_writes_artifacts(tiny_path, tmp_path, capsys):
     out_dir = str(tmp_path / "run")
     rc = main(["solve", "--instance", tiny_path, "--out-dir", out_dir,
@@ -214,6 +233,33 @@ def test_bench_records_a_flat_solve_without_a_plan_as_an_error(tiny_path, tmp_pa
     with open(out_dir / "profile_time_center.csv") as fh:
         (profile,) = csv.DictReader(fh)
     assert float(profile["fraction_finished"]) == 0.5
+
+
+def test_extraction_error_exits_with_error(sample_path, tmp_path, capsys, monkeypatch):
+    real_solve = blendplan.cli.solve
+
+    def solve_with_every_unload_on(model, opts):
+        res = real_solve(model, opts)
+        for v in model.vars:
+            if v.kind == "gamma":
+                res.values[v.name] = 1.0
+        return res
+
+    monkeypatch.setattr(blendplan.cli, "solve", solve_with_every_unload_on)
+    assert main(["solve", "--instance", sample_path, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rounded binaries violate counting limits: barge B1: ")
+    assert "Traceback" not in err
+
+
+def test_partial_roll_refuses_split_runs_before_out_dir(sample_path, tmp_path, capsys):
+    # the default fixed 7-day periods split run R2 of the sample at day 7
+    out_dir = tmp_path / "o"
+    assert main(["solve", "--instance", sample_path, "--out-dir", str(out_dir),
+                 "--scheme", "partial", "--h-nf", "30"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: step boundary 7 splits run R2; use run-based periods with the partial scheme")
+    assert not out_dir.exists()
 
 
 def test_infeasible_flat_solve_writes_its_record(tiny_path, tmp_path, capsys, monkeypatch):

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blendplan.discretize import (binary_count, binary_count_ratio,
-                                  decode, degenerate_plan, digit_count, encode,
-                                  grid_value, plan)
+from blendplan.discretize import (binary_count, binary_count_ratio, decode,
+                                  digit_count, encode, grid_value, plan)
 
 BASE_RATIO_TABLE = {
     3: 1.26186, 4: 1.5, 5: 1.72271, 6: 1.93426,
@@ -26,10 +25,17 @@ def test_plan_full_width_precision_has_no_digits():
 
 
 def test_plan_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        plan(1.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        plan(0.0, 1.0, 1.5)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        plan(1.0, 0.5, 0.1)
+    for eps_hat in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="eps_hat must be positive"):
+            plan(0.0, 1.0, eps_hat)
+
+
+@pytest.mark.parametrize("lo,hi,eps_hat", [(1.0, 1.0, 0.1), (0.0, 1.0, 1.5)])
+def test_plan_no_wider_than_precision_has_no_digits(lo, hi, eps_hat):
+    p = plan(lo, hi, eps_hat)
+    assert p.n == 0 and p.eps == hi - lo and p.eps_hat == eps_hat
 
 
 def test_encode_examples():
@@ -83,16 +89,22 @@ def test_grid_cardinality_and_endpoints():
 
 
 def test_degenerate_plan_round_trip():
-    p = degenerate_plan(42.0, 1.0)
+    p = plan(42.0, 42.0, 1.0)
     code = encode(42.0, p)
     assert decode(code, p) == 42.0
-    assert p.grid_count == 1 and p.n == 0
+    assert p.grid_count == 1 and p.n == 0 and p.degenerate
 
 
 def test_digit_counts():
     assert digit_count(0.0, 4.0, 1.0) == 2
     assert digit_count(0.0, 0.5, 1.0) == 0
     assert digit_count(0.0, 5.0, 0.25) == 5
+
+
+def test_digit_count_is_the_plan_digit_count():
+    for width in (0.0, 0.1, 0.5, 1.0, 1.5, 3.0, 7.9, 8.0, 8.1, 100.0):
+        for eps_hat in (0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 8.0, 1e3):
+            assert digit_count(-3.0, -3.0 + width, eps_hat) == plan(-3.0, -3.0 + width, eps_hat).n
 
 
 def test_round_trip_bulk_random():

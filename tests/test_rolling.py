@@ -346,8 +346,10 @@ def test_roll_partial_excludes_exhausted_barges():
 def test_roll_partial_rejects_split_runs():
     inst = rolling_instance(4, reps=2)
     bad = fixed_periods(inst.horizon, 2)   # cuts through runs
+    build, calls = _counting(_builder())
     with pytest.raises(RollingError, match="splits run"):
-        roll_partial(inst, bad, RollParams(solve=SolveOptions(time_limit=300)), _builder())
+        roll_partial(inst, bad, RollParams(solve=SolveOptions(time_limit=300)), build)
+    assert calls == []    # refused before the first step's build
 
 
 def test_roll_partial_end_to_end():
