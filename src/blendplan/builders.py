@@ -14,10 +14,10 @@ last three also share its extension by per-spec volumes:
   whose volume products are bounded by convex-envelope rows.
 
 Both MILPs take their base-2 digit plans, one ``plan`` per (tank, spec),
-from ``make_plans``; a missing plan raises ``KeyError``.  Both tighten
-demand spec and ratio windows by half the requested precision (and its
-ratio differential) so that simulated plans stay inside the original
-windows; ``tighten`` logs each window it must leave unbuffered.
+from ``make_plans``; a missing plan raises ``KeyError``.  Every spec-volume
+model takes its demand windows from ``tighten``: buffered by half the MILPs'
+precision (and its ratio differential) so that simulated plans stay inside
+the original windows, or, at precision 0, the runs' own windows.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ def reachable_spec_bounds(inst: Instance) -> dict[tuple[str, str], tuple[float, 
 
 def _eps_by_spec(inst: Instance, eps_hat) -> dict[str, float]:
     if isinstance(eps_hat, dict):
-        missing = set(inst.spec_ids()) - set(eps_hat)
-        if missing:
-            raise ValueError(f"eps_hat missing specs {sorted(missing)}")
+        missing, unknown = set(inst.spec_ids()) - set(eps_hat), set(eps_hat) - set(inst.spec_ids())
+        if missing or unknown:
+            raise ValueError(f"eps_hat missing specs {sorted(missing)}, "
+                             f"specs the instance lacks {sorted(unknown)}")
         return {q: float(eps_hat[q]) for q in inst.spec_ids()}
     return {q: float(eps_hat) for q in inst.spec_ids()}
 
@@ -108,9 +109,12 @@ def _shrink(lo: float, hi: float, buffer: float, min_width: float, label: str,
 
 def tighten(inst: Instance, eps_hat) -> TightenedBounds:
     """Buffer each demand window by eps_hat/2 (specs) or by the ratio
-    differential (ratios).  A buffer is reduced when it would leave a
-    window narrower than one discretization cell, and skipped with a logged
-    warning when the original window is already narrower than that.
+    differential (ratios); at precision 0 every window is the run's own.  A
+    buffer is reduced when it would leave a window narrower than one
+    discretization cell, and skipped with a logged warning when the original
+    window is already narrower than that.  A ratio's denominator floor is the
+    least reachable ``q2`` if positive, else the run's own lower bound on
+    ``q2``, which validation keeps positive and no feed in the window goes below.
     """
     eps = _eps_by_spec(inst, eps_hat)
     reach = reachable_spec_bounds(inst)
@@ -122,19 +126,10 @@ def tighten(inst: Instance, eps_hat) -> TightenedBounds:
             out.spec[(r.id, q)] = _shrink(lo, hi, eps[q] / 2.0, eps[q],
                                           f"run {r.id} spec {q}", out.warnings)
         for (q1, q2), (lo, hi) in r.ratio_bounds.items():
-            buf = ratio_buffer(ghi[q1], glo[q2], eps[q1], eps[q2])
+            floor = glo[q2] if glo[q2] > 0 else r.spec_bounds[q2][0]
+            buf = ratio_buffer(ghi[q1], floor, eps[q1], eps[q2])
             out.ratio[(r.id, q1, q2)] = _shrink(lo, hi, buf, 2.0 * buf,
                                                 f"run {r.id} ratio {q1}/{q2}", out.warnings)
-    return out
-
-
-def _identity_bounds(inst: Instance) -> TightenedBounds:
-    out = TightenedBounds({}, {})
-    for r in inst.runs:
-        for q, b in r.spec_bounds.items():
-            out.spec[(r.id, q)] = b
-        for (q1, q2), b in r.ratio_bounds.items():
-            out.ratio[(r.id, q1, q2)] = b
     return out
 
 
@@ -159,12 +154,15 @@ class _Core:
         self.mis = {t: m.add_var("mis", (t,), 0.0, ds.demand(t)) for t in ds.demand_days}
         self.gamma = {}
         self.y_in = {}
+        self.inflows = {}          # (tank, day) -> [(barge, y_in)], in barge order
         for b in inst.barges:
             days = range(b.window[0], min(b.window[1], H - 1) + 1)
             for t in days:
                 self.gamma[(b.id, t)] = m.add_var("gamma", (b.id, t), 0.0, 1.0, binary=True)
                 for k in b.allowed_tanks:
-                    self.y_in[(b.id, k, t)] = m.add_var("y_in", (b.id, k, t), 0.0, b.volume)
+                    ref = m.add_var("y_in", (b.id, k, t), 0.0, b.volume)
+                    self.y_in[(b.id, k, t)] = ref
+                    self.inflows.setdefault((k, t), []).append((b.id, ref))
             m.note_structural("barge_window_mask", H - len(list(days)))
             m.note_structural("supply_window", (H - len(list(days))) * len(b.allowed_tanks))
         self.sigma = {}
@@ -188,20 +186,12 @@ class _Core:
         self._rows()
         self._objective()
 
-    def inflow_coeffs(self, k: str, t: int) -> dict[VarRef, float]:
-        out = {}
-        for s in self.ds.barges_by_tank[k]:
-            ref = self.y_in.get((s, k, t))
-            if ref is not None:
-                out[ref] = 1.0
-        return out
-
     def _rows(self):
         m, inst, ds = self.m, self.inst, self.ds
         H = inst.horizon
         for k in inst.tanks:
             for t in range(H):
-                coeffs = self.inflow_coeffs(k.id, t)
+                coeffs = {ref: 1.0 for _, ref in self.inflows.get((k.id, t), ())}
                 coeffs[self.v_mid[(k.id, t)]] = -1.0
                 rhs = 0.0
                 if t == 0:
@@ -346,10 +336,8 @@ class _SpecVolumes(_Core):
                     m.add_eq("spec_mass_split", coeffs, 0.0, f"spec_mass_split[{k.id},{q},{t}]")
 
                     base = {self.vf_mid[(k.id, q, t)]: 1.0}
-                    for s in self.ds.barges_by_tank[k.id]:
-                        ref = self.y_in.get((s, k.id, t))
-                        if ref is not None:
-                            base[ref] = -inst.barge(s).specs[q]
+                    for s, ref in self.inflows.get((k.id, t), ()):
+                        base[ref] = -inst.barge(s).specs[q]
                     rhs = k.specs_init[q] * k.v_init if t == 0 else 0.0
                     if t > 0:
                         base[self.vf_end[(k.id, q, t - 1)]] = -1.0
@@ -444,8 +432,7 @@ def build_exact_mix(inst: Instance) -> QcpModel:
         for q in inst.spec_ids():
             for t in range(H):
                 fv = f[(k.id, q, t)]
-                lin = {ref: -inst.barge(s).specs[q]
-                       for (s, kk, tt), ref in core.y_in.items() if kk == k.id and tt == t}
+                lin = {ref: -inst.barge(s).specs[q] for s, ref in core.inflows.get((k.id, t), ())}
                 quads = [(1.0, fv, core.v_mid[(k.id, t)])]
                 rhs = 0.0
                 if t == 0:
@@ -485,7 +472,7 @@ def build_exact_split(inst: Instance) -> QcpModel:
     m = QcpModel("exact_split")
     s = _SpecVolumes(m, inst)
     s.mass_rows()
-    s.feed_window_rows(_identity_bounds(inst))
+    s.feed_window_rows(tighten(inst, 0.0))
     for k in inst.tanks:
         for q in inst.spec_ids():
             for t in sorted(s.demand_days):
@@ -545,9 +532,7 @@ def build_center(inst: Instance, plans, opts: CenterOptions | None = None) -> Mi
                 for product in s.products(k, q, t):
                     s.digit_rows(k, q, t, product, center0)
 
-    bounds = tighten(inst, plan_eps_hat(plans)) if opts.tighten else _identity_bounds(inst)
-    m.meta["tightened"] = bounds
-    s.feed_window_rows(bounds)
+    s.feed_window_rows(tighten(inst, plan_eps_hat(plans) if opts.tighten else 0.0))
     return m
 
 
@@ -574,9 +559,7 @@ def build_mccormick(inst: Instance, plans, tighten_bounds: bool = True) -> MilpM
                         _envelope_rows(m, f"xdelta_{fam}", x, df, xd, xlo, xhi,
                                        f"{k.id},{q},{t}", scale=p.eps)
 
-    bounds = tighten(inst, plan_eps_hat(plans)) if tighten_bounds else _identity_bounds(inst)
-    m.meta["tightened"] = bounds
-    s.feed_window_rows(bounds)
+    s.feed_window_rows(tighten(inst, plan_eps_hat(plans) if tighten_bounds else 0.0))
     return m
 
 

@@ -133,7 +133,6 @@ class MilpModel:
         self._lookup: dict[tuple[str, tuple], VarRef] = {}
         self.instance = None           # set by builders
         self.plans = None              # per (tank, spec) digit plans, if any
-        self.meta: dict = {}
 
     # -- variables ---------------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .instance import Instance, derive_sets
 
@@ -173,6 +173,17 @@ def simulate(inst: Instance, plan: FlowPlan, through_day: int | None = None) -> 
 # Feasibility audit against the original requirements
 
 
+def _stated(inst: Instance, plan: FlowPlan) -> FlowPlan:
+    """The plan with every ``v_unused`` and ``mis`` entry stated: a missing one
+    is what the flows leave of the barge's volume or the day's demand, never
+    below 0.  ``audit`` and ``loss`` read both entries through this rule."""
+    left = {b.id: max(b.volume - plan.unloaded_total(b.id), 0.0)
+            for b in inst.barges if b.id not in plan.v_unused}
+    mis = {t: max(d - sum(plan.y_out.get((k.id, t), 0.0) for k in inst.tanks), 0.0)
+           for t, d in derive_sets(inst).demand_by_day.items() if t not in plan.mis}
+    return replace(plan, v_unused={**plan.v_unused, **left}, mis={**plan.mis, **mis})
+
+
 @dataclass(frozen=True)
 class FeasViolation:
     tag: str
@@ -218,6 +229,7 @@ def audit(inst: Instance, trace: SimulationTrace, plan: FlowPlan) -> Feasibility
     rep = FeasibilityReport()
     add = rep.violations.append
     ds = derive_sets(inst)
+    plan = _stated(inst, plan)
     H = trace.horizon
     allowed = {b.id: set(b.allowed_tanks) for b in inst.barges}
     windows = ds.window_by_barge
@@ -247,9 +259,9 @@ def audit(inst: Instance, trace: SimulationTrace, plan: FlowPlan) -> Feasibility
     for b in inst.barges:
         s = b.id
         total = plan.unloaded_total(s)
-        slack = plan.v_unused.get(s, b.volume - total)
-        if abs(total + slack - b.volume) > VOL_TOL:
-            add(FeasViolation("supply_total", (s,), abs(total + slack - b.volume)))
+        slack = plan.v_unused[s]
+        if abs(total + slack - b.volume) > VOL_TOL or slack < -VOL_TOL:
+            add(FeasViolation("supply_total", (s,), max(abs(total + slack - b.volume), -slack)))
         days = plan.unload_days(s)
         limit = inst.barge_max_unloads(s)
         if len(days) > limit:
@@ -275,9 +287,9 @@ def audit(inst: Instance, trace: SimulationTrace, plan: FlowPlan) -> Feasibility
         d = r.daily_demand
         for t in range(r.days[0], r.days[1] + 1):
             served = trace.feed_volume.get(t, 0.0)
-            mis = plan.mis.get(t, d - served)
+            mis = plan.mis[t]
             if abs(served + mis - d) > VOL_TOL or mis < -VOL_TOL:
-                add(FeasViolation("demand_balance", (t,), abs(served + mis - d)))
+                add(FeasViolation("demand_balance", (t,), max(abs(served + mis - d), -mis)))
             for tank in inst.tanks:
                 k = tank.id
                 out = plan.y_out.get((k, t), 0.0)
@@ -342,8 +354,11 @@ def loss(inst: Instance, plan: FlowPlan) -> LossReport:
     target = ds.value_target
     if target == 0.0:
         raise ValueError("instance has zero attainable value")
-    missed = sum(b.unload_penalty * plan.v_unused.get(b.id, 0.0) for b in inst.barges)
-    missed += sum(ds.miss_penalty_by_day[t] * plan.mis.get(t, 0.0) for t in ds.demand_days)
+    try:  # stated entries are read directly
+        missed = sum(b.unload_penalty * plan.v_unused[b.id] for b in inst.barges)
+        missed += sum(ds.miss_penalty_by_day[t] * plan.mis[t] for t in ds.demand_days)
+    except KeyError:
+        return loss(inst, _stated(inst, plan))
     return LossReport(target, missed, 100.0 * missed / target)
 
 

@@ -7,6 +7,8 @@ are seeded so every run sees the same instances.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,18 @@ def rolling_instance(seed: int, reps: int = 3) -> Instance:
                     OpsParams(2, 2, 7, 0.10, 15))
     assert validate_instance(base).ok
     return extend_periodic(base, 15 * reps)
+
+
+def zero_denominator_instance() -> Instance:
+    """The bundled sample with tank T1's initial ``S2`` at 0.0: valid, as
+    every run's ``S2`` window stays positive, but the reachable minimum of
+    the ratio denominator ``S2`` is 0."""
+    import blendplan
+    inst = blendplan.read_instance(blendplan.sample_instance_path())
+    t1, *rest = inst.tanks
+    inst = replace(inst, tanks=(replace(t1, specs_init={**t1.specs_init, "S2": 0.0}), *rest))
+    assert validate_instance(inst).ok
+    return inst
 
 
 @pytest.fixture

@@ -5,14 +5,16 @@ from dataclasses import replace
 
 import pytest
 
+from blendplan import read_instance, sample_instance_path
 from blendplan.builders import (CenterOptions, _envelope_rows, build_center,
                                 build_exact_mix, build_exact_split,
                                 build_mccormick, make_plans, ratio_buffer,
                                 reachable_spec_bounds, tighten)
 from blendplan.instance import Barge, Run, SpecDef, Tank
 from blendplan.model import TAGS, VAR_DAY_POS, MilpModel
-from blendplan.solve import SolveOptions, solve
-from conftest import small_instance, toy_1t1s
+from blendplan.simulate import audit, simulate
+from blendplan.solve import SolveOptions, extract_flow_plan, solve
+from conftest import small_instance, toy_1t1s, zero_denominator_instance
 
 CORE_TAGS = {
     "inflow_balance", "outflow_balance", "demand_balance", "supply_total",
@@ -132,8 +134,13 @@ def test_tighten_spec_buffer(toy):
 
 
 def test_tighten_zero_eps_is_identity(toy):
-    tb = tighten(toy, 0.0)
-    assert tb.spec[("R1", "P")] == toy.runs[0].spec_bounds["P"]
+    # precision 0 is how the exact and untightened models get their windows
+    for inst in (toy, read_instance(sample_instance_path()), zero_denominator_instance()):
+        tb = tighten(inst, 0.0)
+        assert tb.spec == {(r.id, q): b for r in inst.runs for q, b in r.spec_bounds.items()}
+        assert tb.ratio == {(r.id, q1, q2): b for r in inst.runs
+                            for (q1, q2), b in r.ratio_bounds.items()}
+        assert tb.warnings == []
 
 
 def test_ratio_buffer_formula():
@@ -152,6 +159,26 @@ def test_tighten_ratio_window():
     )
     tb = tighten(inst, 1.0)
     assert tb.ratio[("R1", "P", "Q")] == (pytest.approx(1.05), pytest.approx(1.95))
+
+
+def test_tighten_ratio_floor_falls_back_to_the_run_bound():
+    # no reachable Q is positive: the floor is the run's own lower bound on Q
+    inst = toy_1t1s()
+    inst = replace(
+        inst,
+        specs=(SpecDef("P"), SpecDef("Q")),
+        tanks=(Tank("T1", 1000.0, 100.0, 500.0, {"P": 60.0, "Q": 0.0}, 0.10),),
+        barges=(Barge("B1", 400.0, {"P": 60.0, "Q": 30.0}, (0, 1), 1000.0, ("T1",)),),
+        runs=(Run("R1", (0, 1), 200.0, {"P": (0.0, 100.0), "Q": (20.0, 100.0)},
+                  {("P", "Q"): (1.0, 2.0)}, 3000.0),),
+    )
+    assert reachable_spec_bounds(inst)[("T1", "Q")] == (0.0, 30.0)
+    with pytest.raises(ValueError, match="denominator"):
+        ratio_buffer(60.0, 0.0, 1.0, 1.0)
+    buf = ratio_buffer(60.0, 20.0, 1.0, 1.0)       # 0.5/20 + 60*0.5/400 = 0.1
+    tb = tighten(inst, 1.0)
+    assert tb.ratio[("R1", "P", "Q")] == (pytest.approx(1.0 + buf), pytest.approx(2.0 - buf))
+    assert buf == pytest.approx(0.1)
 
 
 def test_tighten_buffer_reduction_rule(toy):
@@ -190,6 +217,31 @@ def test_tightened_windows_are_subsets():
             for (q1, q2), (lo, hi) in r.ratio_bounds.items():
                 tlo, thi = tb.ratio[(r.id, q1, q2)]
                 assert lo - 1e-12 <= tlo <= thi <= hi + 1e-12
+
+
+@pytest.mark.parametrize("tightened", [True, False], ids=["tightened", "untightened"])
+def test_every_builder_builds_the_zero_denominator_instance(tightened):
+    # a valid instance whose reachable S2 reaches 0 builds with every method
+    inst = zero_denominator_instance()
+    plans = make_plans(inst, 1.0)
+    models = [build_center(inst, plans, CenterOptions(tighten=tightened)),
+              build_mccormick(inst, plans, tighten_bounds=tightened),
+              build_exact_mix(inst), build_exact_split(inst)]
+    for m in models:
+        assert m.n_rows and {"feed_ratio_lb", "feed_ratio_ub"} <= m.tags()
+
+
+def test_zero_denominator_center_solve_audits_clean():
+    # precision 2 keeps the flat solve short; at precision 1 the same solve
+    # is optimal with 0 % loss but takes minutes
+    inst = zero_denominator_instance()
+    m = build_center(inst, make_plans(inst, 2.0))
+    res = solve(m, SolveOptions(mip_gap=0.005, time_limit=120))
+    assert res.status in ("optimal", "gap_reached")
+    plan = extract_flow_plan(m, res)
+    rep = audit(inst, simulate(inst, plan), plan)
+    assert rep.ok, rep.violations
+    assert any(v > 0 for v in plan.y_out.values())
 
 
 # -- discretized models -------------------------------------------------------

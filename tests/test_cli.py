@@ -15,7 +15,7 @@ from blendplan.builders import CenterOptions, build_center, build_mccormick, mak
 from blendplan.cli import RESULT_FIELDS, _SOLVE_DEFAULTS, main, run_solve_config
 from blendplan.instance import write_instance
 from blendplan.solve import SolveResult
-from conftest import small_instance, tiny_instance
+from conftest import small_instance, tiny_instance, zero_denominator_instance
 
 
 @pytest.fixture
@@ -387,6 +387,37 @@ def test_export_matches_library_model(inst_path, tmp_path, capsys, method, flags
     assert out.read_bytes() != default.read_bytes()   # the flags change the model
 
 
+def test_export_refuses_unknown_spec_in_eps_hat(sample_path, tmp_path, capsys):
+    # a misspelt spec is refused, not dropped with its precision unchecked
+    out = tmp_path / "m.mps"
+    assert main(["export", "--instance", sample_path, "--method", "center",
+                 "--eps-hat", "S1=1,S2=1,S9=0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "S9" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_denominator_instance_exports_tightened(tmp_path, capsys):
+    # no reachable S2 is positive; the ratio buffers fall back to the run's S2 floor
+    path = tmp_path / "zero.json"
+    write_instance(zero_denominator_instance(), path)
+    out = tmp_path / "m.mps"
+    assert main(["export", "--instance", str(path), "--method", "center",
+                 "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["binary"] > 0
+    assert out.exists()
+
+
+def test_audit_and_loss_read_a_plan_file_without_entries(sample_path, tmp_path, capsys):
+    # no flows and no v_unused or mis: every barge unused, every demand missed
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"schema": "blendplan-plan/1"}))
+    assert main(["audit", "--instance", sample_path, "--plan", str(plan)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert main(["loss", "--instance", sample_path, "--plan", str(plan)]) == 0
+    assert json.loads(capsys.readouterr().out)["pct_loss"] == 100.0
+
+
 @pytest.mark.parametrize("method", ["exact-mix", "exact-split"])
 @pytest.mark.parametrize("flags", [["--eps-hat", "0.25"], ["--no-tighten"]],
                          ids=lambda f: f[0].lstrip("-"))
@@ -439,7 +470,7 @@ def test_solve_rejects_nan_option(inst_path, tmp_path, capsys, flag):
     ["--eps-hat", "0"], ["--eps-hat", "nan"], ["--scheme", "full", "--dt", "0"],
     ["--scheme", "partial", "--h-nf", "0"],
     ["--scheme", "full", "--n-step", "2", "--n-present", "1"],
-    ["--eps-hat", "X=1"], ["--scheme", "full", "--time-limit", "1"],
+    ["--eps-hat", "X=1"], ["--eps-hat", "P=1,S9=1"], ["--scheme", "full", "--time-limit", "1"],
 ], ids=lambda f: "_".join(a.lstrip("-") for a in f))
 def test_solve_rejects_bad_option_before_out_dir(tiny_path, tmp_path, capsys, flags):
     assert main(["solve", "--instance", tiny_path, "--out-dir", str(tmp_path / "o"),

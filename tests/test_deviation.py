@@ -9,7 +9,7 @@ may drift from the true one by up to one full cell between blends.
 
 from collections import defaultdict
 
-from blendplan.builders import build_center, build_mccormick, make_plans
+from blendplan.builders import build_center, build_mccormick, make_plans, plan_eps_hat, tighten
 from blendplan.simulate import simulate
 from blendplan.solve import SolveOptions, extract_flow_plan, solve
 from conftest import small_instance
@@ -94,7 +94,7 @@ def test_center_feed_representation_matches_constraint_side():
     # the represented feed mixture is what the demand windows constrain
     inst = small_instance(3, tight=True)
     m, res, plan, trace = _solved(inst, build_center)
-    tb = m.meta["tightened"]
+    tb = tighten(inst, plan_eps_hat(m.plans))
     for r in inst.runs:
         for t in range(r.days[0], r.days[1] + 1):
             out = sum(plan.y_out.get((k.id, t), 0.0) for k in inst.tanks)

@@ -327,6 +327,44 @@ def test_loss_hundred_percent_when_nothing_happens(toy):
     assert loss(toy, empty_plan(toy)).pct_loss == 100.0
 
 
+# -- a plan without v_unused or mis entries ----------------------------------
+
+
+def test_missing_entries_are_the_remainder_the_flows_leave(toy):
+    plan = _base_feasible_plan(toy)
+    plan.y_in[("B1", "T1", 0)] = 300.0
+    plan.y_out[("T1", 1)] = 150.0
+    stated = replace(plan, v_unused={"B1": 100.0}, mis={0: 0.0, 1: 50.0})
+    bare = replace(plan, v_unused={}, mis={})
+    assert loss(toy, bare) == loss(toy, stated)
+    assert audit(toy, simulate(toy, bare), bare).counts() == \
+        audit(toy, simulate(toy, stated), stated).counts()
+
+
+def test_overdrawn_barge_without_entries_is_flagged(toy):
+    # 450 t unloaded from a 400 t barge, both demand days served, no entries:
+    # the missing v_unused is 0, never -50, so the supply total is 50 over
+    plan = replace(_base_feasible_plan(toy), y_in={("B1", "T1", 0): 450.0},
+                   v_unused={}, mis={})
+    rep = audit(toy, simulate(toy, plan), plan)
+    assert [(v.tag, v.magnitude) for v in rep.violations] == [("supply_total", 50.0)]
+    assert loss(toy, plan).pct_loss == 0.0
+
+
+def test_stated_negative_entries_are_flagged_with_their_size(toy):
+    # each total balances, but a negative entry is no plan: the audit flags it
+    plan = replace(_base_feasible_plan(toy), y_in={("B1", "T1", 0): 450.0},
+                   v_unused={"B1": -50.0})
+    rep = audit(toy, simulate(toy, plan), plan)
+    assert [(v.tag, v.magnitude) for v in rep.violations] == [("supply_total", 50.0)]
+    plan = _base_feasible_plan(toy)
+    plan.y_out[("T1", 0)] = 250.0
+    plan.mis[0] = -50.0
+    rep = audit(toy, simulate(toy, plan), plan)
+    assert [(v.index, v.magnitude) for v in rep.by_tag("demand_balance")] == [((0,), 50.0)]
+    assert all(v.magnitude > 0 for v in rep.violations)
+
+
 def test_plan_json_round_trip(toy):
     plan = _base_feasible_plan(toy)
     back = plan_from_dict(json.loads(json.dumps(plan.to_dict())))
