@@ -18,6 +18,10 @@ from ``make_plans``; a missing plan raises ``KeyError``.  Every spec-volume
 model takes its demand windows from ``tighten``: buffered by half the MILPs'
 precision (and its ratio differential) so that simulated plans stay inside
 the original windows, or, at precision 0, the runs' own windows.
+Both MILPs take their options, whether to tighten, as one ``CenterOptions``.
+
+Every row is added as its ``(tag, index)``, the index holding the ids and
+days it ranges over; the model names it from those (see ``model.py``).
 """
 
 from __future__ import annotations
@@ -155,8 +159,9 @@ class _Core:
         self.gamma = {}
         self.y_in = {}
         self.inflows = {}          # (tank, day) -> [(barge, y_in)], in barge order
+        self.window_days = {}      # barge -> the days of its window inside the horizon
         for b in inst.barges:
-            days = range(b.window[0], min(b.window[1], H - 1) + 1)
+            days = self.window_days[b.id] = range(b.window[0], min(b.window[1], H - 1) + 1)
             for t in days:
                 self.gamma[(b.id, t)] = m.add_var("gamma", (b.id, t), 0.0, 1.0, binary=True)
                 for k in b.allowed_tanks:
@@ -198,67 +203,65 @@ class _Core:
                     rhs = -k.v_init
                 else:
                     coeffs[self.v_end[(k.id, t - 1)]] = 1.0
-                m.add_eq("inflow_balance", coeffs, rhs, f"inflow_balance[{k.id},{t}]")
+                m.add_eq("inflow_balance", (k.id, t), coeffs, rhs)
                 coeffs = {self.v_mid[(k.id, t)]: 1.0, self.v_end[(k.id, t)]: -1.0}
                 out = self.y_out.get((k.id, t))
                 if out is not None:
                     coeffs[out] = -1.0
-                m.add_eq("outflow_balance", coeffs, 0.0, f"outflow_balance[{k.id},{t}]")
+                m.add_eq("outflow_balance", (k.id, t), coeffs, 0.0)
 
         for t in ds.demand_days:
             coeffs = {self.y_out[(k.id, t)]: 1.0 for k in inst.tanks}
             coeffs[self.mis[t]] = 1.0
-            m.add_eq("demand_balance", coeffs, ds.demand(t), f"demand_balance[{t}]")
+            m.add_eq("demand_balance", (t,), coeffs, ds.demand(t))
 
         for b in inst.barges:
-            coeffs = {ref: 1.0 for (s, _, _), ref in self.y_in.items() if s == b.id}
+            coeffs = {self.y_in[(b.id, k, t)]: 1.0
+                      for t in self.window_days[b.id] for k in b.allowed_tanks}
             coeffs[self.v_unused[b.id]] = 1.0
-            m.add_eq("supply_total", coeffs, b.volume, f"supply_total[{b.id}]")
+            m.add_eq("supply_total", (b.id,), coeffs, b.volume)
 
         for r in inst.runs:
             for k in inst.tanks:
                 for t in range(r.days[0] + 1, r.days[1] + 1):
-                    m.add_eq("run_const_feed",
-                             {self.y_out[(k.id, t)]: 1.0, self.y_out[(k.id, t - 1)]: -1.0},
-                             0.0, f"run_const_feed[{k.id},{t}]")
+                    m.add_eq("run_const_feed", (k.id, t),
+                             {self.y_out[(k.id, t)]: 1.0, self.y_out[(k.id, t - 1)]: -1.0}, 0.0)
         for k in inst.tanks:
             for t in ds.demand_days:
                 d = ds.demand(t)
-                m.add_row("feed_share_lb",
+                m.add_row("feed_share_lb", (k.id, t),
                           {self.y_out[(k.id, t)]: 1.0, self.sigma[(k.id, t)]: -k.min_feed_pct * d},
-                          lo=0.0, name=f"feed_share_lb[{k.id},{t}]")
-                m.add_row("feed_share_ub",
-                          {self.y_out[(k.id, t)]: 1.0, self.sigma[(k.id, t)]: -d},
-                          hi=0.0, name=f"feed_share_ub[{k.id},{t}]")
+                          lo=0.0)
+                m.add_row("feed_share_ub", (k.id, t),
+                          {self.y_out[(k.id, t)]: 1.0, self.sigma[(k.id, t)]: -d}, hi=0.0)
 
         for b in inst.barges:
-            coeffs = {ref: 1.0 for (s, _), ref in self.gamma.items() if s == b.id}
-            m.add_row("barge_unload_limit", coeffs, hi=float(inst.barge_max_unloads(b.id)),
-                      name=f"barge_unload_limit[{b.id}]")
+            m.add_row("barge_unload_limit", (b.id,),
+                      {self.gamma[(b.id, t)]: 1.0 for t in self.window_days[b.id]},
+                      hi=float(inst.barge_max_unloads(b.id)))
         for t, avail in ds.available_by_day.items():
             coeffs = {self.gamma[(s, t)]: 1.0 for s in avail if (s, t) in self.gamma}
             if coeffs:
-                m.add_row("daily_unload_limit", coeffs, hi=float(inst.ops.max_unloads_per_day),
-                          name=f"daily_unload_limit[{t}]")
+                m.add_row("daily_unload_limit", (t,), coeffs,
+                          hi=float(inst.ops.max_unloads_per_day))
         for (s, k, t), ref in self.y_in.items():
             vol = self.inst.barge(s).volume
-            m.add_row("unload_flow_gate", {ref: 1.0, self.gamma[(s, t)]: -vol},
-                      hi=0.0, name=f"unload_flow_gate[{s},{k},{t}]")
+            m.add_row("unload_flow_gate", (s, k, t), {ref: 1.0, self.gamma[(s, t)]: -vol}, hi=0.0)
         for b in inst.barges:
             need = inst.barge_min_unload_pct(b.id) * b.volume
-            for t in range(b.window[0], min(b.window[1], H - 1) + 1):
+            for t in self.window_days[b.id]:
                 coeffs = {self.y_in[(b.id, k, t)]: 1.0 for k in b.allowed_tanks}
                 coeffs[self.gamma[(b.id, t)]] = -need
-                m.add_row("unload_min_pct", coeffs, lo=0.0, name=f"unload_min_pct[{b.id},{t}]")
+                m.add_row("unload_min_pct", (b.id, t), coeffs, lo=0.0)
 
         for (s, t), g in self.gamma.items():
-            m.add_row("first_unload_ub", {self.t_first[s]: 1.0, g: float(H - t)},
-                      hi=float(H), name=f"first_unload_ub[{s},{t}]")
-            m.add_row("last_unload_lb", {self.t_last[s]: 1.0, g: -float(H + t)},
-                      lo=-float(H), name=f"last_unload_lb[{s},{t}]")
+            m.add_row("first_unload_ub", (s, t), {self.t_first[s]: 1.0, g: float(H - t)},
+                      hi=float(H))
+            m.add_row("last_unload_lb", (s, t), {self.t_last[s]: 1.0, g: -float(H + t)},
+                      lo=-float(H))
         for b in inst.barges:
-            m.add_row("unload_gap", {self.t_last[b.id]: 1.0, self.t_first[b.id]: -1.0},
-                      hi=float(inst.ops.max_unload_gap), name=f"unload_gap[{b.id}]")
+            m.add_row("unload_gap", (b.id,), {self.t_last[b.id]: 1.0, self.t_first[b.id]: -1.0},
+                      hi=float(inst.ops.max_unload_gap))
 
     def _objective(self):
         inst, ds = self.inst, self.ds
@@ -333,7 +336,7 @@ class _SpecVolumes(_Core):
                     out = self.yf_out.get((k.id, q, t))
                     if out is not None:
                         coeffs[out] = -1.0
-                    m.add_eq("spec_mass_split", coeffs, 0.0, f"spec_mass_split[{k.id},{q},{t}]")
+                    m.add_eq("spec_mass_split", (k.id, q, t), coeffs, 0.0)
 
                     base = {self.vf_mid[(k.id, q, t)]: 1.0}
                     for s, ref in self.inflows.get((k.id, t), ()):
@@ -342,16 +345,16 @@ class _SpecVolumes(_Core):
                     if t > 0:
                         base[self.vf_end[(k.id, q, t - 1)]] = -1.0
                     if relax_eps is None:
-                        m.add_eq("spec_mass_blend", base, rhs, f"spec_mass_blend[{k.id},{q},{t}]")
+                        m.add_eq("spec_mass_blend", (k.id, q, t), base, rhs)
                     else:
                         half = relax_eps[(k.id, q)] / 2.0
                         vm = self.v_mid[(k.id, t)]
                         ub = dict(base)
                         ub[vm] = ub.get(vm, 0.0) - half
-                        m.add_row("blend_relax_ub", ub, hi=rhs, name=f"blend_relax_ub[{k.id},{q},{t}]")
+                        m.add_row("blend_relax_ub", (k.id, q, t), ub, hi=rhs)
                         lb = dict(base)
                         lb[vm] = lb.get(vm, 0.0) + half
-                        m.add_row("blend_relax_lb", lb, lo=rhs, name=f"blend_relax_lb[{k.id},{q},{t}]")
+                        m.add_row("blend_relax_lb", (k.id, q, t), lb, lo=rhs)
 
     def products(self, k: Tank, q: str, t: int) -> list[tuple[str, VarRef, VarRef, float, float]]:
         """(family, spec volume, volume, volume lower, volume upper) of each
@@ -370,16 +373,15 @@ class _SpecVolumes(_Core):
         the exact envelope rows of each digit product."""
         fam, xf, x, xlo, xhi = product
         p = self.m.plans[(k.id, q)]
-        name = f"{k.id},{q},{t}"
         coeffs = {xf: 1.0, x: -origin}
         if residual is not None:
             coeffs[residual] = -1.0
         for i in range(1, p.n + 1):
             coeffs[self.xa[(k.id, q, t, i, fam)]] = -_digit_weight(p, i)
-        self.m.add_eq(f"xf_def_{fam}", coeffs, 0.0, f"xf_def_{fam}[{name}]")
+        self.m.add_eq(f"xf_def_{fam}", (k.id, q, t), coeffs, 0.0)
         for i in range(1, p.n + 1):
-            _envelope_rows(self.m, f"xa_{fam}", x, self.alpha[(k.id, q, t, i)],
-                           self.xa[(k.id, q, t, i, fam)], xlo, xhi, f"{name},{i}")
+            _envelope_rows(self.m, f"xa_{fam}", (k.id, q, t, i), x, self.alpha[(k.id, q, t, i)],
+                           self.xa[(k.id, q, t, i, fam)], xlo, xhi)
 
     def feed_window_rows(self, bounds: TightenedBounds):
         m, inst, yf_out = self.m, self.inst, self.yf_out
@@ -392,21 +394,21 @@ class _SpecVolumes(_Core):
                     row = dict(yfs)
                     for ref in outs:
                         row[ref] = -lo
-                    m.add_row("feed_spec_lb", row, lo=0.0, name=f"feed_spec_lb[{q},{t}]")
+                    m.add_row("feed_spec_lb", (q, t), row, lo=0.0)
                     row = dict(yfs)
                     for ref in outs:
                         row[ref] = -hi
-                    m.add_row("feed_spec_ub", row, hi=0.0, name=f"feed_spec_ub[{q},{t}]")
+                    m.add_row("feed_spec_ub", (q, t), row, hi=0.0)
                 for (q1, q2) in sorted(r.ratio_bounds):
                     lo, hi = bounds.ratio[(r.id, q1, q2)]
                     row = {yf_out[(k.id, q1, t)]: 1.0 for k in inst.tanks}
                     for k in inst.tanks:
                         row[yf_out[(k.id, q2, t)]] = -lo
-                    m.add_row("feed_ratio_lb", row, lo=0.0, name=f"feed_ratio_lb[{q1},{q2},{t}]")
+                    m.add_row("feed_ratio_lb", (q1, q2, t), row, lo=0.0)
                     row = {yf_out[(k.id, q1, t)]: 1.0 for k in inst.tanks}
                     for k in inst.tanks:
                         row[yf_out[(k.id, q2, t)]] = -hi
-                    m.add_row("feed_ratio_ub", row, hi=0.0, name=f"feed_ratio_ub[{q1},{q2},{t}]")
+                    m.add_row("feed_ratio_ub", (q1, q2, t), row, hi=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,30 +441,29 @@ def build_exact_mix(inst: Instance) -> QcpModel:
                     rhs = k.specs_init[q] * k.v_init
                 else:
                     quads.append((-1.0, f[(k.id, q, t - 1)], core.v_end[(k.id, t - 1)]))
-                m.add_quad_row("blend_mix", lin, quads, rhs, rhs, f"blend_mix[{k.id},{q},{t}]")
+                m.add_quad_row("blend_mix", (k.id, q, t), lin, quads, rhs, rhs)
                 quads = [(1.0, fv, core.v_mid[(k.id, t)]), (-1.0, fv, core.v_end[(k.id, t)])]
                 out = core.y_out.get((k.id, t))
                 if out is not None:
                     quads.append((-1.0, fv, out))
-                m.add_quad_row("spec_flow_split", {}, quads, 0.0, 0.0,
-                               f"spec_flow_split[{k.id},{q},{t}]")
+                m.add_quad_row("spec_flow_split", (k.id, q, t), {}, quads, 0.0, 0.0)
 
     for r in inst.runs:
         for t in range(r.days[0], r.days[1] + 1):
             outs = {k.id: core.y_out[(k.id, t)] for k in inst.tanks}
             for q, (lo, hi) in sorted(r.spec_bounds.items()):
                 quads = [(1.0, f[(kid, q, t)], ref) for kid, ref in outs.items()]
-                m.add_quad_row("feed_spec_lb", {ref: -lo for ref in outs.values()}, quads,
-                               0.0, INF, f"feed_spec_lb[{q},{t}]")
-                m.add_quad_row("feed_spec_ub", {ref: -hi for ref in outs.values()}, quads,
-                               -INF, 0.0, f"feed_spec_ub[{q},{t}]")
+                m.add_quad_row("feed_spec_lb", (q, t), {ref: -lo for ref in outs.values()},
+                               quads, 0.0, INF)
+                m.add_quad_row("feed_spec_ub", (q, t), {ref: -hi for ref in outs.values()},
+                               quads, -INF, 0.0)
             for (q1, q2), (lo, hi) in sorted(r.ratio_bounds.items()):
                 quads = [(1.0, f[(kid, q1, t)], ref) for kid, ref in outs.items()]
                 quads += [(-lo, f[(kid, q2, t)], ref) for kid, ref in outs.items()]
-                m.add_quad_row("feed_ratio_lb", {}, quads, 0.0, INF, f"feed_ratio_lb[{q1},{q2},{t}]")
+                m.add_quad_row("feed_ratio_lb", (q1, q2, t), {}, quads, 0.0, INF)
                 quads = [(1.0, f[(kid, q1, t)], ref) for kid, ref in outs.items()]
                 quads += [(-hi, f[(kid, q2, t)], ref) for kid, ref in outs.items()]
-                m.add_quad_row("feed_ratio_ub", {}, quads, -INF, 0.0, f"feed_ratio_ub[{q1},{q2},{t}]")
+                m.add_quad_row("feed_ratio_ub", (q1, q2, t), {}, quads, -INF, 0.0)
     return m
 
 
@@ -477,10 +478,10 @@ def build_exact_split(inst: Instance) -> QcpModel:
         for q in inst.spec_ids():
             for t in sorted(s.demand_days):
                 m.add_quad_row(
-                    "outflow_consistency", {},
+                    "outflow_consistency", (k.id, q, t), {},
                     [(1.0, s.vf_mid[(k.id, q, t)], s.y_out[(k.id, t)]),
                      (-1.0, s.yf_out[(k.id, q, t)], s.v_mid[(k.id, t)])],
-                    0.0, 0.0, f"outflow_consistency[{k.id},{q},{t}]")
+                    0.0, 0.0)
     return m
 
 
@@ -492,9 +493,10 @@ def _digit_weight(p: DiscretizationPlan, i: int) -> float:
     return p.eps * p.level_weight(i)
 
 
-def _envelope_rows(m, tag_family: str, x: VarRef, beta: VarRef, prod: VarRef,
-                   xlo: float, xhi: float, name: str, scale: float = 1.0):
-    """Convex-envelope rows for prod = x * (scale * beta), beta in [0, 1].
+def _envelope_rows(m, tag_family: str, index: tuple, x: VarRef, beta: VarRef, prod: VarRef,
+                   xlo: float, xhi: float, scale: float = 1.0):
+    """Convex-envelope rows ``<tag_family>_<kind>[index]`` for
+    prod = x * (scale * beta), beta in [0, 1].
 
     With scale == 1 and binary beta these rows are exact; with scale == eps
     and beta the residual variable in [0, eps] they are its envelope.
@@ -506,8 +508,7 @@ def _envelope_rows(m, tag_family: str, x: VarRef, beta: VarRef, prod: VarRef,
         ("shift_lb", {prod: 1.0, x: -scale, beta: -xhi}, -xhi * scale, INF),
     )
     for kind, coeffs, lo, hi in rows:
-        tag = f"{tag_family}_{kind}"
-        m.add_row(tag, coeffs, lo, hi, f"{tag}[{name}]")
+        m.add_row(f"{tag_family}_{kind}", index, coeffs, lo, hi)
 
 
 def build_center(inst: Instance, plans, opts: CenterOptions | None = None) -> MilpModel:
@@ -536,10 +537,11 @@ def build_center(inst: Instance, plans, opts: CenterOptions | None = None) -> Mi
     return m
 
 
-def build_mccormick(inst: Instance, plans, tighten_bounds: bool = True) -> MilpModel:
+def build_mccormick(inst: Instance, plans, opts: CenterOptions | None = None) -> MilpModel:
     """MILP keeping the spec residual as a variable; residual-volume
     products are enclosed by their convex envelopes.  Blending is exact.
     The digits and residual bounds come from ``plans`` (see ``make_plans``)."""
+    opts = opts or CenterOptions()
     m = MilpModel("mccormick")
     s = _SpecVolumes(m, inst, plans)
     s.mass_rows()
@@ -556,10 +558,10 @@ def build_mccormick(inst: Instance, plans, tighten_bounds: bool = True) -> MilpM
                     s.digit_rows(k, q, t, product, p.lambda0, residual=xd)
                     if xd is not None:
                         # beta = delta_f / eps; rows scaled through by eps
-                        _envelope_rows(m, f"xdelta_{fam}", x, df, xd, xlo, xhi,
-                                       f"{k.id},{q},{t}", scale=p.eps)
+                        _envelope_rows(m, f"xdelta_{fam}", (k.id, q, t), x, df, xd, xlo, xhi,
+                                       scale=p.eps)
 
-    s.feed_window_rows(tighten(inst, plan_eps_hat(plans) if tighten_bounds else 0.0))
+    s.feed_window_rows(tighten(inst, plan_eps_hat(plans) if opts.tighten else 0.0))
     return m
 
 

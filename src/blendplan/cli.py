@@ -59,18 +59,12 @@ def _parse_eps_hat(value):
 
 
 def _builder_for(args):
+    build = {"center": build_center, "mccormick": build_mccormick}.get(args.method)
+    if build is None:
+        raise ValueError(f"method {args.method!r} cannot be solved in-process")
     eps_hat = _parse_eps_hat(args.eps_hat)
-    if args.method == "center":
-        opts = CenterOptions(tighten=not args.no_tighten)
-        return lambda inst: build_center(inst, make_plans(inst, eps_hat), opts)
-    if args.method == "mccormick":
-        return lambda inst: build_mccormick(inst, make_plans(inst, eps_hat),
-                                            tighten_bounds=not args.no_tighten)
-    raise ValueError(f"method {args.method!r} cannot be solved in-process")
-
-
-def _solve_options(args) -> SolveOptions:
-    return SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit)
+    opts = CenterOptions(tighten=not args.no_tighten)
+    return lambda inst: build(inst, make_plans(inst, eps_hat), opts)
 
 
 def _trace_csv(inst: Instance, trace, path) -> None:
@@ -120,7 +114,7 @@ def run_solve_config(config: dict) -> dict:
         raise ValueError(f"unknown solve config keys {unknown}; known: {sorted(_CONFIG_KEYS)}")
     ns = argparse.Namespace(**{**_SOLVE_DEFAULTS, **config})
     builder = _builder_for(ns)
-    opts = _solve_options(ns)
+    opts = SolveOptions(mip_gap=ns.mip_gap, time_limit=ns.time_limit)
     inst = read_instance(config["instance"])
     # every precision must be positive and a per-spec eps_hat must name every
     # spec; a rolling step's sub-instance has the same specs, so one check

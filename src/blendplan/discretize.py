@@ -40,10 +40,6 @@ class DiscretizationPlan:
         return self.lo
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def degenerate(self) -> bool:
         """True for a fixed value (lo == hi): no digits, no residual."""
         return self.eps == 0.0

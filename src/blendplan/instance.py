@@ -101,9 +101,6 @@ class Instance:
     def barge(self, barge_id: str) -> Barge:
         return _by_id(self.barges, barge_id)
 
-    def run(self, run_id: str) -> Run:
-        return _by_id(self.runs, run_id)
-
     def barge_max_unloads(self, barge_id: str) -> int:
         b = self.barge(barge_id)
         return b.max_unloads if b.max_unloads is not None else self.ops.max_unloads_per_barge
@@ -285,7 +282,6 @@ def _check_spec_map(rep: ValidationReport, path: str, mapping: dict[str, float],
 @dataclass(frozen=True)
 class DerivedSets:
     available_by_day: dict[int, tuple[str, ...]]   # day -> barges in window
-    window_by_barge: dict[str, tuple[int, int]]
     demand_days: tuple[int, ...]                   # sorted union of run days
     demand_by_day: dict[int, float]
     miss_penalty_by_day: dict[int, float]
@@ -328,7 +324,6 @@ def _build_sets(inst: Instance) -> DerivedSets:
     demand_days = tuple(sorted(demand_by_day))
     return DerivedSets(
         available_by_day={t: tuple(v) for t, v in sorted(available.items()) if 0 <= t < H},
-        window_by_barge={b.id: b.window for b in inst.barges},
         demand_days=demand_days,
         demand_by_day=demand_by_day,
         miss_penalty_by_day=miss_by_day,

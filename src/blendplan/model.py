@@ -1,10 +1,11 @@
 """Solver-agnostic optimization model containers.
 
 `MilpModel` holds a flat variable registry plus tagged linear rows of the
-form ``lo <= a.x <= hi``; `QcpModel` adds rows with bilinear terms.  Every
-row carries a tag from the documented tag vocabulary (see TAGS) so that
-structural audits and the export sidecar can address whole constraint
-families.
+form ``lo <= a.x <= hi``; `QcpModel` adds rows with bilinear terms.  A
+column is its ``(kind, index)`` and a row its ``(tag, index)``, the tag from
+the documented tag vocabulary (see TAGS), so that structural audits and the
+export sidecar can address whole constraint families.  Both are named by one
+rule, ``head[i1,i2,...]`` (see `_key_name`).
 Constraints enforced purely through variable bounds or sparse variable
 creation are recorded as *structural* tags.
 
@@ -75,6 +76,12 @@ class ModelError(ValueError):
     pass
 
 
+def _key_name(head: str, index: tuple) -> str:
+    """The name of a column ``(kind, index)`` or a row ``(tag, index)``:
+    ``head[i1,i2,...]``."""
+    return f"{head}[{','.join(map(str, index))}]"
+
+
 @dataclass
 class VarRef:
     col: int
@@ -86,8 +93,7 @@ class VarRef:
 
     @property
     def name(self) -> str:
-        inner = ",".join(str(i) for i in self.index)
-        return f"{self.kind}[{inner}]"
+        return _key_name(self.kind, self.index)
 
     @property
     def day(self) -> int | None:
@@ -102,21 +108,23 @@ class VarRef:
 class Row:
     num: int
     tag: str
+    index: tuple
     coeffs: dict[int, float]       # col -> coefficient
     lo: float
     hi: float
-    name: str
+    quads: tuple[tuple[float, int, int], ...] = ()   # (coef, col_a, col_b); none if linear
+
+    @property
+    def name(self) -> str:
+        return _key_name(self.tag, self.index)
 
 
-@dataclass
-class QuadRow:
-    num: int
-    tag: str
-    coeffs: dict[int, float]
-    quads: list[tuple[float, int, int]]   # (coef, col_a, col_b)
-    lo: float
-    hi: float
-    name: str
+def _row(num: int, tag: str, index: tuple, coeffs: dict[VarRef, float], lo: float, hi: float,
+         quads: tuple[tuple[float, int, int], ...] = ()) -> Row:
+    if tag not in TAGS:
+        raise ModelError(f"unknown constraint tag {tag!r}")
+    return Row(num, tag, index, {ref.col: float(c) for ref, c in coeffs.items() if c != 0.0},
+               float(lo), float(hi), quads)
 
 
 class MilpModel:
@@ -159,18 +167,14 @@ class MilpModel:
 
     # -- rows ----------------------------------------------------------------
 
-    def add_row(self, tag: str, coeffs: dict[VarRef, float], lo: float = -INF,
-                hi: float = INF, name: str | None = None) -> Row:
-        if tag not in TAGS:
-            raise ModelError(f"unknown constraint tag {tag!r}")
-        cols = {ref.col: float(c) for ref, c in coeffs.items() if c != 0.0}
-        row = Row(len(self.rows), tag, cols, float(lo), float(hi),
-                  name or f"{tag}_{len(self.rows)}")
+    def add_row(self, tag: str, index: tuple, coeffs: dict[VarRef, float],
+                lo: float = -INF, hi: float = INF) -> Row:
+        row = _row(len(self.rows), tag, index, coeffs, lo, hi)
         self.rows.append(row)
         return row
 
-    def add_eq(self, tag: str, coeffs: dict[VarRef, float], rhs: float, name: str | None = None) -> Row:
-        return self.add_row(tag, coeffs, rhs, rhs, name)
+    def add_eq(self, tag: str, index: tuple, coeffs: dict[VarRef, float], rhs: float) -> Row:
+        return self.add_row(tag, index, coeffs, rhs, rhs)
 
     def note_structural(self, tag: str, count: int = 1) -> None:
         if tag not in TAGS:
@@ -404,19 +408,13 @@ class QcpModel(MilpModel):
 
     def __init__(self, name: str = "model"):
         super().__init__(name)
-        self.quad_rows: list[QuadRow] = []
+        self.quad_rows: list[Row] = []
 
-    def add_quad_row(self, tag: str, coeffs: dict[VarRef, float],
+    def add_quad_row(self, tag: str, index: tuple, coeffs: dict[VarRef, float],
                      quads: list[tuple[float, VarRef, VarRef]],
-                     lo: float = -INF, hi: float = INF, name: str | None = None) -> QuadRow:
-        if tag not in TAGS:
-            raise ModelError(f"unknown constraint tag {tag!r}")
-        row = QuadRow(
-            len(self.quad_rows), tag,
-            {ref.col: float(c) for ref, c in coeffs.items() if c != 0.0},
-            [(float(c), a.col, b.col) for c, a, b in quads if c != 0.0],
-            float(lo), float(hi), name or f"{tag}_q{len(self.quad_rows)}",
-        )
+                     lo: float = -INF, hi: float = INF) -> Row:
+        row = _row(len(self.quad_rows), tag, index, coeffs, lo, hi,
+                   tuple((float(c), a.col, b.col) for c, a, b in quads if c != 0.0))
         self.quad_rows.append(row)
         return row
 

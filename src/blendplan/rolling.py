@@ -36,9 +36,9 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
-from .instance import Instance, derive_sets
+from .instance import Instance
 from .model import MilpModel
-from .simulate import FlowPlan, plan_objective, simulate
+from .simulate import FlowPlan, _stated, plan_objective, simulate
 from .solve import SolveOptions, SolveResult, extract_flow_plan, solve
 
 # Seconds every step is given at least; a budget left below it ends the roll.
@@ -373,10 +373,5 @@ def roll_partial(inst: Instance, periods: list[Period], params: RollParams, buil
                     kept[key[:-1] + (key[-1] + offset,)] = v
 
     steps, _, _ = _roll(inst, periods, params, build, commit, log_path, on_step)
-    ds = derive_sets(inst)
-    for b in inst.barges:
-        acc.v_unused[b.id] = b.volume - acc.unloaded_total(b.id)
-    for t in ds.demand_days:
-        served = sum(acc.y_out.get((k.id, t), 0.0) for k in inst.tanks)
-        acc.mis[t] = max(ds.demand(t) - served, 0.0)
-    return RollResult(acc, steps, plan_objective(inst, acc))
+    plan = _stated(inst, acc)
+    return RollResult(plan, steps, plan_objective(inst, plan))

@@ -38,8 +38,15 @@ class FlowPlan:
     v_unused: dict[str, float] = field(default_factory=dict)
     mis: dict[int, float] = field(default_factory=dict)
 
+    def unloaded_totals(self) -> dict[str, float]:
+        """Volume unloaded from each barge that has a flow, in one pass."""
+        out: dict[str, float] = {}
+        for (s, _, _), v in self.y_in.items():
+            out[s] = out.get(s, 0) + v
+        return out
+
     def unloaded_total(self, s: str) -> float:
-        return sum(v for (b, _, _), v in self.y_in.items() if b == s)
+        return self.unloaded_totals().get(s, 0)
 
     def unload_days(self, s: str) -> list[int]:
         return sorted(t for (b, t), g in self.gamma.items() if b == s and g)
@@ -176,8 +183,10 @@ def simulate(inst: Instance, plan: FlowPlan, through_day: int | None = None) -> 
 def _stated(inst: Instance, plan: FlowPlan) -> FlowPlan:
     """The plan with every ``v_unused`` and ``mis`` entry stated: a missing one
     is what the flows leave of the barge's volume or the day's demand, never
-    below 0.  ``audit`` and ``loss`` read both entries through this rule."""
-    left = {b.id: max(b.volume - plan.unloaded_total(b.id), 0.0)
+    below 0.  ``audit``, ``loss`` and ``roll_partial`` read both entries
+    through this rule."""
+    unloaded = plan.unloaded_totals()
+    left = {b.id: max(b.volume - unloaded.get(b.id, 0), 0.0)
             for b in inst.barges if b.id not in plan.v_unused}
     mis = {t: max(d - sum(plan.y_out.get((k.id, t), 0.0) for k in inst.tanks), 0.0)
            for t, d in derive_sets(inst).demand_by_day.items() if t not in plan.mis}
@@ -232,7 +241,7 @@ def audit(inst: Instance, trace: SimulationTrace, plan: FlowPlan) -> Feasibility
     plan = _stated(inst, plan)
     H = trace.horizon
     allowed = {b.id: set(b.allowed_tanks) for b in inst.barges}
-    windows = ds.window_by_barge
+    windows = {b.id: b.window for b in inst.barges}
 
     # inventory bounds
     for tank in inst.tanks:
@@ -256,9 +265,10 @@ def audit(inst: Instance, trace: SimulationTrace, plan: FlowPlan) -> Feasibility
             add(FeasViolation("unload_flow_gate", (s, k, t), v))
 
     # supply totals and unload-count rules
+    unloaded = plan.unloaded_totals()
     for b in inst.barges:
         s = b.id
-        total = plan.unloaded_total(s)
+        total = unloaded.get(s, 0)
         slack = plan.v_unused[s]
         if abs(total + slack - b.volume) > VOL_TOL or slack < -VOL_TOL:
             add(FeasViolation("supply_total", (s,), max(abs(total + slack - b.volume), -slack)))

@@ -453,13 +453,15 @@ def extract_flow_plan(model: MilpModel, result: SolveResult) -> FlowPlan:
     )
     if inst is not None:
         problems = []
+        per_barge: dict[str, int] = {}
+        per_day: dict[int, int] = {}
+        for (s, t), g in gamma.items():
+            per_barge[s] = per_barge.get(s, 0) + g
+            per_day[t] = per_day.get(t, 0) + g
         for b in inst.barges:
-            n = sum(g for (s, _), g in gamma.items() if s == b.id)
+            n = per_barge.get(b.id, 0)
             if n > inst.barge_max_unloads(b.id):
                 problems.append(f"barge {b.id}: {n} unload days, limit {inst.barge_max_unloads(b.id)}")
-        per_day: dict[int, int] = {}
-        for (_, t), g in gamma.items():
-            per_day[t] = per_day.get(t, 0) + g
         for t, n in sorted(per_day.items()):
             if n > inst.ops.max_unloads_per_day:
                 problems.append(f"day {t}: {n} unloads, limit {inst.ops.max_unloads_per_day}")

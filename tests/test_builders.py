@@ -225,7 +225,7 @@ def test_every_builder_builds_the_zero_denominator_instance(tightened):
     inst = zero_denominator_instance()
     plans = make_plans(inst, 1.0)
     models = [build_center(inst, plans, CenterOptions(tighten=tightened)),
-              build_mccormick(inst, plans, tighten_bounds=tightened),
+              build_mccormick(inst, plans, CenterOptions(tighten=tightened)),
               build_exact_mix(inst), build_exact_split(inst)]
     for m in models:
         assert m.n_rows and {"feed_ratio_lb", "feed_ratio_ub"} <= m.tags()
@@ -396,8 +396,9 @@ def test_envelope_bounds_at_fractional_selector(beta, lo, hi):
     x = m.add_var("v_mid", ("T1", 0), 0.0, 10.0)
     sel = m.add_var("alpha", ("T1", "P", 0, 1), beta, beta)
     prod = m.add_var("x_alpha", ("T1", "P", 0, 1, "mid"), 0.0, 10.0)
-    _envelope_rows(m, "xa_mid", x, sel, prod, 0.0, 10.0, "T1,P,0,1")
-    assert [r.tag for r in m.rows] == ["xa_mid_lb", "xa_mid_ub", "xa_mid_shift_ub", "xa_mid_shift_lb"]
+    _envelope_rows(m, "xa_mid", ("T1", "P", 0, 1), x, sel, prod, 0.0, 10.0)
+    assert [r.name for r in m.rows] == ["xa_mid_lb[T1,P,0,1]", "xa_mid_ub[T1,P,0,1]",
+                                        "xa_mid_shift_ub[T1,P,0,1]", "xa_mid_shift_lb[T1,P,0,1]"]
     if beta == 0.5:
         m.fix(x, 4.0)
     m.obj = {prod.col: 1.0}
@@ -406,3 +407,20 @@ def test_envelope_bounds_at_fractional_selector(beta, lo, hi):
     m.obj = {prod.col: -1.0}
     res_max = solve(m, SolveOptions())
     assert res_max.value(prod) == pytest.approx(hi if beta != 1.0 else res_max.value(x))
+
+
+# (linear rows, quadratic rows) of each builder on the bundled sample at eps_hat 1.0
+@pytest.mark.parametrize("build, sizes", [
+    (lambda i, p: build_center(i, p), (4903, 0)),
+    (lambda i, p: build_mccormick(i, p), (6763, 0)),
+    (lambda i, p: build_exact_mix(i), (643, 510)),
+    (lambda i, p: build_exact_split(i), (1153, 150)),
+], ids=["center", "mccormick", "exact-mix", "exact-split"])
+def test_sample_rows_are_unique_by_tag_and_index(build, sizes):
+    inst = read_instance(sample_instance_path())
+    m = build(inst, make_plans(inst, 1.0))
+    quad_rows = getattr(m, "quad_rows", [])
+    assert (len(m.rows), len(quad_rows)) == sizes
+    keys = [(r.tag, r.index) for r in m.rows + quad_rows]
+    assert len(set(keys)) == len(keys)
+    assert all(r.name == f"{r.tag}[{','.join(map(str, r.index))}]" for r in m.rows + quad_rows)

@@ -371,7 +371,7 @@ def test_export_linear_model_as_lp(inst_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("method,flags,options", [
     ("center", ["--no-tighten"], {"opts": CenterOptions(tighten=False)}),
-    ("mccormick", ["--no-tighten"], {"tighten_bounds": False}),
+    ("mccormick", ["--no-tighten"], {"opts": CenterOptions(tighten=False)}),
 ], ids=["center-no-tighten", "mccormick-no-tighten"])
 def test_export_matches_library_model(inst_path, tmp_path, capsys, method, flags, options):
     out = tmp_path / "cli.mps"

@@ -1,5 +1,6 @@
 """MPS/LP export, sidecar, the minimal MPS reader and the solver arrays."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import blendplan
 from blendplan.builders import build_center, build_exact_split, make_plans
+from blendplan.cli import main
 from blendplan.model import INF, MilpModel, QcpModel, parse_mps
 from conftest import small_instance, tiny_instance
 
@@ -22,13 +24,13 @@ def golden_model(cls=MilpModel):
     z = m.add_var("v_unused", ("c",), 2.5, 2.5)
     m.add_var("v_unused", ("d",), 1.25, INF)
     b3 = m.add_var("gamma", ("q", 0), 0.0, 0.0, binary=True)
-    m.add_eq("supply_total", {b1: 1.0, b2: 1.0}, 1.0)
-    m.add_row("xa_mid_ub", {x: 1.0, y: -0.5, b1: -10.0}, hi=0.0)
-    m.add_row("xa_mid_lb", {z: 1.0 / 3.0, x: 2.0}, lo=-3.0)
-    m.add_row("xa_mid_shift_lb", {y: 1.0, b2: 4.0, b3: 1.0}, lo=-1.0, hi=7.25)
+    m.add_eq("supply_total", ("p",), {b1: 1.0, b2: 1.0}, 1.0)
+    m.add_row("xa_mid_ub", ("a", 0), {x: 1.0, y: -0.5, b1: -10.0}, hi=0.0)
+    m.add_row("xa_mid_lb", ("a", 0), {z: 1.0 / 3.0, x: 2.0}, lo=-3.0)
+    m.add_row("xa_mid_shift_lb", ("b", 1), {y: 1.0, b2: 4.0, b3: 1.0}, lo=-1.0, hi=7.25)
     m.set_objective({x: 1.0, b2: 1e-3}, 123.5)
     if cls is QcpModel:
-        m.add_quad_row("spec_mass_split", {x: -2.0}, [(1.5, y, z)], lo=0.0, hi=0.0)
+        m.add_quad_row("spec_mass_split", ("a", "P", 0), {x: -2.0}, [(1.5, y, z)], lo=0.0, hi=0.0)
     return m
 
 
@@ -147,8 +149,8 @@ def test_mps_sections_and_ranges(tmp_path):
     m = MilpModel("t")
     x = m.add_var("v_unused", ("a",), 0.0, 10.0)
     y = m.add_var("gamma", ("b", 0), 0.0, 1.0, binary=True)
-    m.add_row("xa_mid_lb", {x: 1.0, y: 2.0}, lo=1.0, hi=4.0)   # two-sided -> RANGES
-    m.add_row("xa_mid_ub", {x: 1.0}, hi=9.0)
+    m.add_row("xa_mid_lb", ("a",), {x: 1.0, y: 2.0}, lo=1.0, hi=4.0)   # two-sided -> RANGES
+    m.add_row("xa_mid_ub", ("a",), {x: 1.0}, hi=9.0)
     m.set_objective({x: 1.0}, 0.0)
     path = tmp_path / "r.mps"
     m.write_mps(path)
@@ -225,7 +227,7 @@ def test_sidecar_is_json_dump_layout(tmp_path, make):
     odd = m.add_var("v_unused", ('q"uote', "back\\slash", "t\u00e9\u2013\U0001f600"), 0.0, 1.0,
                     binary=True)
     if m.rows:
-        m.add_row("xa_mid_ub", {odd: 1.0}, hi=1.0, name='row "\\ \u00e9')
+        m.add_row("xa_mid_ub", ('row "\\ \u00e9', 2), {odd: 1.0}, hi=1.0)
     path = tmp_path / "m.tags.json"
     m.write_sidecar(path)
     text = path.read_text()
@@ -281,3 +283,34 @@ def test_to_arrays_rows_are_the_row_coefficients():
     assert row_lo.tolist() == [r.lo for r in m.rows]
     assert row_hi.tolist() == [r.hi for r in m.rows]
     assert len(c) == m.n_vars
+
+
+# SHA-256 of the bundled sample's exports at eps_hat 1.0 and of each sidecar,
+# recorded when every row's name was still formatted by its builder.
+SAMPLE_EXPORTS = {
+    ("center", ()): ("6ceba71c29644bbc4485802a158ad883bf22f4a2d711abf6a92cbb4efc743259",
+                     "64504d9bce7445b99bb4591d6f703239bc69e9e058235fc486f408f462d1d691"),
+    ("center", ("--no-tighten",)): (
+        "3f100bc98634f6f5b802d31956dc666ca580e6053ae665ea4b16189b1ebb60e5",
+        "64504d9bce7445b99bb4591d6f703239bc69e9e058235fc486f408f462d1d691"),
+    ("mccormick", ()): ("8575b40ce8f6db4b8d57e5ec8c275db9d920a56daf41db88d54b173366f6d3a3",
+                        "aa1145d8ef10aa7033c75c260da17e6810c5ef8f9e95edc09dd8cf8678d93afb"),
+    ("mccormick", ("--no-tighten",)): (
+        "5ca719a4dba6f9b45e86f2df335ab9b3451127cbf7f1f0ce0b5923752cfe3613",
+        "aa1145d8ef10aa7033c75c260da17e6810c5ef8f9e95edc09dd8cf8678d93afb"),
+    ("exact-mix", ()): ("323f9d9e264e961b17a8c7ee96ba7d3cea7f4547fe5b07ce8c927cbf26987c30",
+                        "7a786fa036e61e59b19b8f3e3125a10422550715570f17781f9d83bffa785ab3"),
+    ("exact-split", ()): ("5473bf0585a044b854c5b763b06ca7af02d4cb894916588cdd183db0ef172cdb",
+                          "05ed761482580ebb4cce2af936cb8306fcb025251bbd2eaf7cd7496bc81e9118"),
+}
+
+
+@pytest.mark.parametrize("method, flags", list(SAMPLE_EXPORTS),
+                         ids=[m + "".join(f) for m, f in SAMPLE_EXPORTS])
+def test_sample_exports_pinned(tmp_path, capsys, method, flags):
+    out = tmp_path / ("m.mps" if method in ("center", "mccormick") else "m.lp")
+    assert main(["export", "--instance", blendplan.sample_instance_path(), "--method", method,
+                 "--out", str(out), *flags]) == 0
+    sidecar = out.with_name(out.name + ".tags.json")
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, sidecar))
+    assert got == SAMPLE_EXPORTS[(method, flags)]

@@ -281,7 +281,7 @@ ROLL45_PARTIAL_PLAN = {
         ("B2#1", 38), ("B3", 15), ("B3", 19), ("B4", 19), ("B4", 26))],
     "sigma": [[k, t, 1] for k, on in _ON_45.items() for run in on for t in _RUNS_45[run]],
     "v_unused": {"B1": 2.2737367544323206e-13, "B1#1": 2.7284841053187847e-12,
-                 "B2": -2.2737367544323206e-13, "B2#1": 6.821210263296962e-13,
+                 "B2": 0.0, "B2#1": 6.821210263296962e-13,
                  "B3": 61.69991258463324, "B4": 9.094947017729282e-13},
     "mis": [[t, m] for days, m in zip(_RUNS_45, (0.0, 5.684341886080802e-14, 0.0, 0.0,
                                                  1.7905676941154525e-12,
@@ -298,6 +298,9 @@ def test_sample_partial_roll_is_pinned(sample):
            for s in res.steps]
     assert got == ROLL45_PARTIAL_STEPS
     assert res.plan.to_dict() == _approx(ROLL45_PARTIAL_PLAN)
+    # B2's remainder is float noise below 0; the plan states it as 0, the
+    # rule `audit` and `loss` apply to a missing entry
+    assert res.plan.v_unused["B2"] == 0.0
 
 
 def test_roll_partial_state_handoff_matches_simulator():

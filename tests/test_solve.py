@@ -42,8 +42,8 @@ def test_max_x_hits_upper_bound():
 def test_infeasible_pair_detected():
     m = MilpModel("t")
     x = m.add_var("v_unused", ("x",), 0.0, 10.0)
-    m.add_row("xa_mid_lb", {x: 1.0}, lo=5.0)
-    m.add_row("xa_mid_ub", {x: 1.0}, hi=1.0)
+    m.add_row("xa_mid_lb", ("x",), {x: 1.0}, lo=5.0)
+    m.add_row("xa_mid_ub", ("x",), {x: 1.0}, hi=1.0)
     res = solve(m)
     assert res.status == "infeasible"
     assert not res.has_values
@@ -348,9 +348,9 @@ def _gated_model(cost: float, lo: float, hi: float):
     y = m.add_var("y_in", ("B1", "T1", 0), lo, hi)
     # y <= 10 g - 3 (cost < 0: the gate opens) or y >= 3 - 10 g (cost > 0)
     if cost < 0:
-        m.add_row("unload_flow_gate", {y: 1.0, g: -10.0}, hi=-3.0)
+        m.add_row("unload_flow_gate", ("B1", "T1", 0), {y: 1.0, g: -10.0}, hi=-3.0)
     else:
-        m.add_row("unload_min_pct", {y: 1.0, g: 10.0}, lo=3.0)
+        m.add_row("unload_min_pct", ("B1", 0), {y: 1.0, g: 10.0}, lo=3.0)
     m.set_objective({y: cost}, 0.0)
     return m, g, y
 
