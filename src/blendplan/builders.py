@@ -22,12 +22,15 @@ Both MILPs take their options, whether to tighten, as one ``CenterOptions``.
 
 Every row is added as its ``(tag, index)``, the index holding the ids and
 days it ranges over; the model names it from those (see ``model.py``).
+One helper, ``_window_rows``, writes every two-sided window row: feed
+shares, spec windows and ratio windows, bilinear ones included.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 from .discretize import DiscretizationPlan, plan
 from .instance import Instance, Tank, derive_sets
@@ -94,20 +97,18 @@ def ratio_buffer(f1_max: float, f2_min: float, eps1: float, eps2: float) -> floa
 class TightenedBounds:
     spec: dict[tuple[str, str], tuple[float, float]]          # (run, spec)
     ratio: dict[tuple[str, str, str], tuple[float, float]]    # (run, q1, q2)
-    warnings: list[str] = field(default_factory=list)
 
 
-def _shrink(lo: float, hi: float, buffer: float, min_width: float, label: str,
-            warnings: list[str]) -> tuple[float, float]:
+def _shrink(lo: float, hi: float, buffer: float, min_width: float,
+            label: str) -> tuple[float, float]:
     width = hi - lo
     if width - 2.0 * buffer >= min_width - 1e-12:
         return (lo + buffer, hi - buffer)
     if width >= min_width - 1e-12:
         b = (width - min_width) / 2.0
         return (lo + b, hi - b)
-    warnings.append(f"{label}: window width {width} below one discretization cell "
-                    f"{min_width}; buffer skipped")
-    log.warning(warnings[-1])
+    log.warning("%s: window width %s below one discretization cell %s; buffer skipped",
+                label, width, min_width)
     return (lo, hi)
 
 
@@ -128,17 +129,35 @@ def tighten(inst: Instance, eps_hat) -> TightenedBounds:
     for r in inst.runs:
         for q, (lo, hi) in r.spec_bounds.items():
             out.spec[(r.id, q)] = _shrink(lo, hi, eps[q] / 2.0, eps[q],
-                                          f"run {r.id} spec {q}", out.warnings)
+                                          f"run {r.id} spec {q}")
         for (q1, q2), (lo, hi) in r.ratio_bounds.items():
             floor = glo[q2] if glo[q2] > 0 else r.spec_bounds[q2][0]
             buf = ratio_buffer(ghi[q1], floor, eps[q1], eps[q2])
             out.ratio[(r.id, q1, q2)] = _shrink(lo, hi, buf, 2.0 * buf,
-                                                f"run {r.id} ratio {q1}/{q2}", out.warnings)
+                                                f"run {r.id} ratio {q1}/{q2}")
     return out
 
 
 # ---------------------------------------------------------------------------
 # Shared linear core and spec-volume scaffold
+
+
+def _window_rows(m, tag: str, index: tuple, num: dict, den: dict, lo: float, hi: float,
+                 bilinear: bool = False):
+    """Rows ``<tag>_lb``, ``num - lo·den >= 0``, and ``<tag>_ub``, ``num -
+    hi·den <= 0``, each listing ``num``'s terms, then ``den``'s.  Both map a
+    term to its coefficient; a term is a column or, in ``bilinear`` rows, a
+    pair of columns, their product."""
+    for side, bound, row_lo, row_hi in (("lb", lo, 0.0, INF), ("ub", hi, -INF, 0.0)):
+        side_tag = sys.intern(f"{tag}_{side}")     # one string per tag, not one per row
+        terms = {**num, **{x: -bound * c for x, c in den.items()}}
+        if bilinear:
+            m.add_quad_row(side_tag, index,
+                           {x: c for x, c in terms.items() if isinstance(x, VarRef)},
+                           [(c, *x) for x, c in terms.items() if isinstance(x, tuple)],
+                           row_lo, row_hi)
+        else:
+            m.add_row(side_tag, index, terms, row_lo, row_hi)
 
 
 class _Core:
@@ -228,12 +247,8 @@ class _Core:
                              {self.y_out[(k.id, t)]: 1.0, self.y_out[(k.id, t - 1)]: -1.0}, 0.0)
         for k in inst.tanks:
             for t in ds.demand_days:
-                d = ds.demand(t)
-                m.add_row("feed_share_lb", (k.id, t),
-                          {self.y_out[(k.id, t)]: 1.0, self.sigma[(k.id, t)]: -k.min_feed_pct * d},
-                          lo=0.0)
-                m.add_row("feed_share_ub", (k.id, t),
-                          {self.y_out[(k.id, t)]: 1.0, self.sigma[(k.id, t)]: -d}, hi=0.0)
+                _window_rows(m, "feed_share", (k.id, t), {self.y_out[(k.id, t)]: 1.0},
+                             {self.sigma[(k.id, t)]: ds.demand(t)}, k.min_feed_pct, 1.0)
 
         for b in inst.barges:
             m.add_row("barge_unload_limit", (b.id,),
@@ -385,30 +400,19 @@ class _SpecVolumes(_Core):
 
     def feed_window_rows(self, bounds: TightenedBounds):
         m, inst, yf_out = self.m, self.inst, self.yf_out
+
+        def fed(q, t):     # the spec-q feed of day t
+            return {yf_out[(k.id, q, t)]: 1.0 for k in inst.tanks}
+
         for r in inst.runs:
             for t in range(r.days[0], r.days[1] + 1):
-                outs = [self.y_out[(k.id, t)] for k in inst.tanks]
+                outs = {self.y_out[(k.id, t)]: 1.0 for k in inst.tanks}
                 for q in sorted(r.spec_bounds):
-                    lo, hi = bounds.spec[(r.id, q)]
-                    yfs = {yf_out[(k.id, q, t)]: 1.0 for k in inst.tanks}
-                    row = dict(yfs)
-                    for ref in outs:
-                        row[ref] = -lo
-                    m.add_row("feed_spec_lb", (q, t), row, lo=0.0)
-                    row = dict(yfs)
-                    for ref in outs:
-                        row[ref] = -hi
-                    m.add_row("feed_spec_ub", (q, t), row, hi=0.0)
+                    _window_rows(m, "feed_spec", (q, t), fed(q, t), outs,
+                                 *bounds.spec[(r.id, q)])
                 for (q1, q2) in sorted(r.ratio_bounds):
-                    lo, hi = bounds.ratio[(r.id, q1, q2)]
-                    row = {yf_out[(k.id, q1, t)]: 1.0 for k in inst.tanks}
-                    for k in inst.tanks:
-                        row[yf_out[(k.id, q2, t)]] = -lo
-                    m.add_row("feed_ratio_lb", (q1, q2, t), row, lo=0.0)
-                    row = {yf_out[(k.id, q1, t)]: 1.0 for k in inst.tanks}
-                    for k in inst.tanks:
-                        row[yf_out[(k.id, q2, t)]] = -hi
-                    m.add_row("feed_ratio_ub", (q1, q2, t), row, hi=0.0)
+                    _window_rows(m, "feed_ratio", (q1, q2, t), fed(q1, t), fed(q2, t),
+                                 *bounds.ratio[(r.id, q1, q2)])
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +452,17 @@ def build_exact_mix(inst: Instance) -> QcpModel:
                     quads.append((-1.0, fv, out))
                 m.add_quad_row("spec_flow_split", (k.id, q, t), {}, quads, 0.0, 0.0)
 
+    def fed(q, t):         # the spec-q feed of day t: each tank's f times its feed
+        return {(f[(k.id, q, t)], core.y_out[(k.id, t)]): 1.0 for k in inst.tanks}
+
     for r in inst.runs:
         for t in range(r.days[0], r.days[1] + 1):
-            outs = {k.id: core.y_out[(k.id, t)] for k in inst.tanks}
-            for q, (lo, hi) in sorted(r.spec_bounds.items()):
-                quads = [(1.0, f[(kid, q, t)], ref) for kid, ref in outs.items()]
-                m.add_quad_row("feed_spec_lb", (q, t), {ref: -lo for ref in outs.values()},
-                               quads, 0.0, INF)
-                m.add_quad_row("feed_spec_ub", (q, t), {ref: -hi for ref in outs.values()},
-                               quads, -INF, 0.0)
-            for (q1, q2), (lo, hi) in sorted(r.ratio_bounds.items()):
-                quads = [(1.0, f[(kid, q1, t)], ref) for kid, ref in outs.items()]
-                quads += [(-lo, f[(kid, q2, t)], ref) for kid, ref in outs.items()]
-                m.add_quad_row("feed_ratio_lb", (q1, q2, t), {}, quads, 0.0, INF)
-                quads = [(1.0, f[(kid, q1, t)], ref) for kid, ref in outs.items()]
-                quads += [(-hi, f[(kid, q2, t)], ref) for kid, ref in outs.items()]
-                m.add_quad_row("feed_ratio_ub", (q1, q2, t), {}, quads, -INF, 0.0)
+            outs = {core.y_out[(k.id, t)]: 1.0 for k in inst.tanks}
+            for q, bounds in sorted(r.spec_bounds.items()):
+                _window_rows(m, "feed_spec", (q, t), fed(q, t), outs, *bounds, bilinear=True)
+            for (q1, q2), bounds in sorted(r.ratio_bounds.items()):
+                _window_rows(m, "feed_ratio", (q1, q2, t), fed(q1, t), fed(q2, t), *bounds,
+                             bilinear=True)
     return m
 
 

@@ -182,11 +182,13 @@ def validate_instance(inst: Instance) -> ValidationReport:
         rep.add("ops.max_unloads_per_barge", "must be positive")
     if ops.max_unload_gap <= 0:
         rep.add("ops.max_unload_gap", "must be positive")
-    if ops.min_daily_unload_pct <= 0 or ops.min_daily_unload_pct > 1:
+    if not 0 < ops.min_daily_unload_pct <= 1:
         rep.add("ops.min_daily_unload_pct", "must be a fraction in (0, 1]")
 
     for i, t in enumerate(inst.tanks):
         path = f"tanks[{i}]({t.id})"
+        _check_finite(rep, path, {"v_max": t.v_max, "v_min": t.v_min, "v_init": t.v_init,
+                                  "min_feed_pct": t.min_feed_pct})
         if not (0 <= t.v_min <= t.v_init <= t.v_max):
             rep.add(path, "inventory bounds inverted: need 0 <= v_min <= v_init <= v_max")
         if not (0 <= t.min_feed_pct <= 1):
@@ -195,6 +197,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
     for i, b in enumerate(inst.barges):
         path = f"barges[{i}]({b.id})"
+        _check_finite(rep, path, {"volume": b.volume, "unload_penalty": b.unload_penalty})
         if b.volume <= 0:
             rep.add(path + ".volume", "must be positive")
         if b.unload_penalty < 0:
@@ -206,6 +209,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
             rep.add(path + ".window", f"ends on day {t1}, beyond horizon {H}")
         if not b.allowed_tanks:
             rep.add(path + ".allowed_tanks", "must be nonempty")
+        _check_unique(rep, path + ".allowed_tanks", b.allowed_tanks)
         for k in b.allowed_tanks:
             if k not in tank_ids:
                 rep.add(path + ".allowed_tanks", f"unknown tank {k!r}")
@@ -223,6 +227,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
             rep.add(path + ".days", "need 0 <= first <= last")
         elif t1 > H - 1:
             rep.add(path + ".days", f"ends on day {t1}, beyond horizon {H}")
+        _check_finite(rep, path, {"daily_demand": r.daily_demand,
+                                  "miss_penalty": r.miss_penalty})
         if r.daily_demand <= 0:
             rep.add(path + ".daily_demand", "must be positive")
         if r.miss_penalty < 0:
@@ -230,6 +236,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
         for q, (lo, hi) in r.spec_bounds.items():
             if q not in specs:
                 rep.add(path + ".spec_bounds", f"unknown spec {q!r}")
+            _check_finite(rep, path + f".spec_bounds[{q}]", {"lo": lo, "hi": hi})
             if lo > hi:
                 rep.add(path + f".spec_bounds[{q}]", "empty interval")
         for (q1, q2), (lo, hi) in r.ratio_bounds.items():
@@ -239,6 +246,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 continue
             if q1 == q2:
                 rep.add(rpath, "ratio pair must use two distinct specs")
+            _check_finite(rep, rpath, {"lo": lo, "hi": hi})
             if lo > hi:
                 rep.add(rpath, "empty interval")
             denom = r.spec_bounds.get(q2)
@@ -252,7 +260,14 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return rep
 
 
-def _check_unique(rep: ValidationReport, path: str, ids: list[str]) -> None:
+def _check_finite(rep: ValidationReport, path: str, values: dict[str, float]) -> None:
+    """Flag each named value that is not a finite number, NaN included."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            rep.add(f"{path}.{name}", "must be a finite number")
+
+
+def _check_unique(rep: ValidationReport, path: str, ids) -> None:
     seen = set()
     for i in ids:
         if i in seen:
@@ -271,7 +286,9 @@ def _check_spec_map(rep: ValidationReport, path: str, mapping: dict[str, float],
             parts.append(f"unknown specs {extra}")
         rep.add(path, "; ".join(parts))
     for q, v in mapping.items():
-        if v < 0:
+        if not math.isfinite(v):
+            rep.add(f"{path}[{q}]", "concentration must be a finite number")
+        elif v < 0:
             rep.add(f"{path}[{q}]", "concentration must be non-negative")
 
 
@@ -469,7 +486,10 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def _take(obj: dict, path: str, fields: dict[str, bool]) -> dict:
-    """Pull declared fields out of a JSON object, rejecting unknown keys."""
+    """Pull declared fields out of a JSON object, rejecting any other value
+    and unknown keys."""
+    if not isinstance(obj, dict):
+        raise InstanceError(f"{path}: expected a JSON object")
     unknown = set(obj) - set(fields)
     if unknown:
         raise InstanceError(f"{path}: unknown field(s) {sorted(unknown)}")
@@ -483,8 +503,6 @@ def _take(obj: dict, path: str, fields: dict[str, bool]) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    if not isinstance(data, dict):
-        raise InstanceError("top level: expected a JSON object")
     top = _take(data, "top level", {
         "schema": True, "specs": True, "tanks": True, "barges": True, "runs": True, "ops": True,
     })

@@ -201,15 +201,14 @@ class MilpModel:
         """An upper bound on the reported objective from the column bounds
         alone: the offset minus the least value the cost terms can take.
 
-        None when a costed column is unbounded on its cheap side.  The
+        None when a costed column is unbounded on its cheap side; a
+        zero-cost column is not in ``obj`` (see ``set_objective``).  The
         builders cost only ``v_unused`` and ``mis``, at a non-negative
         penalty over columns with lower bound 0, so for their models this
         is ``obj_offset``, the all-served target.
         """
         least = 0.0
         for col, c in self.obj.items():
-            if c == 0.0:        # a free zero-cost column adds nothing (no 0 * inf)
-                continue
             v = self.vars[col]
             x = v.lo if c > 0 else v.hi
             if math.isinf(x):

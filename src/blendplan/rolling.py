@@ -1,8 +1,9 @@
 """Rolling-horizon schemes: period generation and the shared step loop.
 
-Periods partition the day grid.  ``fixed_periods`` cuts equal blocks;
-``run_based_periods`` aligns period boundaries with the ends of demand
-runs and of the gaps between them, so neither is ever subdivided.
+Periods partition the day grid by one rule, ``run_based_periods``: period
+boundaries fall on the ends of demand runs and of the gaps between them,
+so neither is ever subdivided.  ``fixed_periods`` is that rule with no
+runs: equal blocks.
 
 Each step splits the days into four segments: the *past* before the
 present, the *present* block of ``n_present`` periods, the *near future*
@@ -55,69 +56,42 @@ class Period:
     start: int
     end: int              # exclusive
 
-    @property
-    def days(self) -> range:
-        return range(self.start, self.end)
-
     def __len__(self) -> int:
         return self.end - self.start
 
 
 def fixed_periods(horizon: int, dt: int) -> list[Period]:
     """Equal-length periods; the last one is truncated at the horizon."""
-    if dt < 1:
-        raise ValueError("dt must be >= 1")
-    periods = []
-    for i, start in enumerate(range(0, horizon, dt)):
-        periods.append(Period(i, start, min(start + dt, horizon)))
-    return periods
+    return run_based_periods((), horizon, dt)
 
 
 def run_based_periods(runs, horizon: int, dt: int) -> list[Period]:
     """Periods that never subdivide a run or a gap between runs.
 
-    A period runs to the containing segment's end, or further to the last
-    segment end within ``dt`` days of the period start.  Segments are the
-    runs plus the maximal non-demand intervals around them; with no runs
-    at all this degrades to fixed-length stepping.
+    The segment ends are the day before each run, each run's last day and
+    the horizon's last day.  A period ends at the furthest segment end
+    within ``dt`` days of its start; if there is none, at the next segment
+    end.  With no runs a period ends after ``dt`` days: fixed-length
+    stepping.
     """
     if dt < 1:
         raise ValueError("dt must be >= 1")
-    intervals = sorted(_run_days(r) for r in runs)
+    intervals = sorted(tuple(getattr(r, "days", r)) for r in runs)   # Run or (first, last)
     for (a0, a1), (b0, b1) in zip(intervals, intervals[1:]):
         if b0 <= a1:
             raise ValueError("runs overlap")
-    ends: list[int] = []
-    cursor = 0
-    for (r0, r1) in intervals:
-        if r0 > cursor:
-            ends.append(r0 - 1)    # gap before this run
-        ends.append(min(r1, horizon - 1))
-        cursor = r1 + 1
-    if intervals and cursor <= horizon - 1:
-        ends.append(horizon - 1)   # tail gap after the last run
-    periods = []
+    ends = {e for r0, r1 in intervals for e in (r0 - 1, r1)}
+    if intervals:
+        ends.add(horizon - 1)
+    periods: list[Period] = []
     t = 0
-    i = 0
     while t < horizon:
-        t_end = next((e for e in ends if e >= t), None)
-        in_reach = [e for e in ends if t <= e <= t + dt]
-        t_change = max(in_reach) if in_reach else t_end
-        if t_end is None and t_change is None:
-            nxt = t + dt           # no segments: plain stepping
-        else:
-            nxt = max(e for e in (t_end, t_change) if e is not None) + 1
-        nxt = min(nxt, horizon)
-        periods.append(Period(i, t, nxt))
-        t = nxt
-        i += 1
+        later = [e for e in ends if e >= t]
+        within = [e for e in later if e <= t + dt]
+        end = max(within) if within else min(later, default=t + dt - 1)
+        periods.append(Period(len(periods), t, min(end + 1, horizon)))
+        t = periods[-1].end
     return periods
-
-
-def _run_days(r) -> tuple[int, int]:
-    if hasattr(r, "days"):
-        return tuple(r.days)
-    return tuple(r)
 
 
 def check_step_starts(runs, periods: list[Period], n_step: int) -> None:
@@ -305,8 +279,9 @@ def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder
 
 def _visible_sub_instance(inst: Instance, acc: FlowPlan, t_start: int, t_nf: int):
     """Shifted instance covering [t_start, t_nf] with the simulated state at
-    t_start as initial conditions and per-barge remainders decremented; no
-    run straddles t_start (see ``check_step_starts``)."""
+    t_start as initial conditions and per-barge remainders decremented by
+    ``acc``, the plan of the days before t_start; no run straddles t_start
+    (see ``check_step_starts``)."""
     if t_start > 0:
         trace = simulate(inst, acc, through_day=t_start)
         # clamp away float dust so the sub-instance revalidates cleanly
@@ -319,9 +294,10 @@ def _visible_sub_instance(inst: Instance, acc: FlowPlan, t_start: int, t_nf: int
         tanks = inst.tanks
 
     barges = []
+    unload_days, unloaded = acc.unload_days(), acc.unloaded_totals()
     for b in inst.barges:
-        used_days = [t for t in acc.unload_days(b.id) if t < t_start]
-        used_vol = sum(v for (s, _, t), v in acc.y_in.items() if s == b.id and t < t_start)
+        used_days = unload_days.get(b.id, [])
+        used_vol = unloaded.get(b.id, 0)
         n_left = inst.barge_max_unloads(b.id) - len(used_days)
         w0, w1 = b.window
         if used_days:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .instance import Instance, derive_sets
@@ -48,8 +49,13 @@ class FlowPlan:
     def unloaded_total(self, s: str) -> float:
         return self.unloaded_totals().get(s, 0)
 
-    def unload_days(self, s: str) -> list[int]:
-        return sorted(t for (b, t), g in self.gamma.items() if b == s and g)
+    def unload_days(self) -> dict[str, list[int]]:
+        """The sorted unload days of each barge that has one, in one pass."""
+        out: dict[str, list[int]] = {}
+        for (s, t), g in sorted(self.gamma.items()):
+            if g:
+                out.setdefault(s, []).append(t)
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -89,11 +95,7 @@ def read_plan(path) -> FlowPlan:
 
 def empty_plan(inst: Instance) -> FlowPlan:
     """The all-zero-flow plan: everything unused, all demand missed."""
-    ds = derive_sets(inst)
-    return FlowPlan(
-        v_unused={b.id: b.volume for b in inst.barges},
-        mis={t: ds.demand(t) for t in ds.demand_days},
-    )
+    return _stated(inst, FlowPlan())
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +202,22 @@ class FeasViolation:
     magnitude: float
 
 
+def unload_count_violations(inst: Instance, unload_days: dict[str, list[int]]
+                            ) -> tuple[dict[str, FeasViolation], list[FeasViolation]]:
+    """The unload-count rules, which ``extract_flow_plan`` checks too: the
+    ``barge_unload_limit`` violation of each barge over its limit, by barge
+    id, and the ``daily_unload_limit`` violations, in day order."""
+    per_barge = {}
+    for b in inst.barges:
+        n, limit = len(unload_days.get(b.id, ())), inst.barge_max_unloads(b.id)
+        if n > limit:
+            per_barge[b.id] = FeasViolation("barge_unload_limit", (b.id,), n - limit)
+    per_day = Counter(t for days in unload_days.values() for t in days)
+    limit = inst.ops.max_unloads_per_day
+    return per_barge, [FeasViolation("daily_unload_limit", (t,), n - limit)
+                       for t, n in sorted(per_day.items()) if n > limit]
+
+
 @dataclass
 class FeasibilityReport:
     violations: list[FeasViolation] = field(default_factory=list)
@@ -266,16 +284,17 @@ def audit(inst: Instance, trace: SimulationTrace, plan: FlowPlan) -> Feasibility
 
     # supply totals and unload-count rules
     unloaded = plan.unloaded_totals()
+    unload_days = plan.unload_days()
+    over_barge, over_day = unload_count_violations(inst, unload_days)
     for b in inst.barges:
         s = b.id
         total = unloaded.get(s, 0)
         slack = plan.v_unused[s]
         if abs(total + slack - b.volume) > VOL_TOL or slack < -VOL_TOL:
             add(FeasViolation("supply_total", (s,), max(abs(total + slack - b.volume), -slack)))
-        days = plan.unload_days(s)
-        limit = inst.barge_max_unloads(s)
-        if len(days) > limit:
-            add(FeasViolation("barge_unload_limit", (s,), len(days) - limit))
+        if s in over_barge:
+            add(over_barge[s])
+        days = unload_days.get(s, [])
         if days and days[-1] - days[0] > inst.ops.max_unload_gap:
             add(FeasViolation("unload_gap", (s,), days[-1] - days[0] - inst.ops.max_unload_gap))
         for t in days:
@@ -284,13 +303,7 @@ def audit(inst: Instance, trace: SimulationTrace, plan: FlowPlan) -> Feasibility
             if pulled < need - VOL_TOL:
                 add(FeasViolation("unload_min_pct", (s, t), need - pulled))
 
-    by_day: dict[int, int] = {}
-    for (s, t), g in plan.gamma.items():
-        if g:
-            by_day[t] = by_day.get(t, 0) + 1
-    for t, n in sorted(by_day.items()):
-        if n > inst.ops.max_unloads_per_day:
-            add(FeasViolation("daily_unload_limit", (t,), n - inst.ops.max_unloads_per_day))
+    rep.violations += over_day
 
     # demand balance, feed shares, constant feed, spec and ratio bounds
     for r in inst.runs:

@@ -32,8 +32,9 @@ import time
 from dataclasses import dataclass, field
 
 from .discretize import encode
-from .model import MilpModel
-from .simulate import FlowPlan, PlanInconsistencyError, empty_plan, simulate
+from .model import MilpModel, _key_name
+from .simulate import (FlowPlan, PlanInconsistencyError, empty_plan, simulate,
+                       unload_count_violations)
 
 log = logging.getLogger(__name__)
 
@@ -423,7 +424,8 @@ def row_violations(model: MilpModel, values: dict[str, float], tol: float = ROW_
 
 def extract_flow_plan(model: MilpModel, result: SolveResult) -> FlowPlan:
     """Read the decision variables out of a solve, rounding binaries at 0.5
-    and re-validating the hard unload-counting rules."""
+    and checking the rounded unloads by the audit's count rules
+    (``unload_count_violations``)."""
     if not result.has_values and model.n_vars > 0:
         raise ExtractionError(f"no values in result with status {result.status!r}")
     inst = model.instance
@@ -442,29 +444,18 @@ def extract_flow_plan(model: MilpModel, result: SolveResult) -> FlowPlan:
             out[v.index] = 0.0 if abs(x) < 1e-9 else max(x, 0.0)
         return out
 
-    gamma = rounded("gamma")
     plan = FlowPlan(
         y_in={idx: v for idx, v in clipped("y_in").items() if v > 0.0},
         y_out={idx: v for idx, v in clipped("y_out").items() if v > 0.0},
-        gamma=gamma,
+        gamma=rounded("gamma"),
         sigma=rounded("sigma"),
         v_unused={idx[0]: v for idx, v in clipped("v_unused").items()},
         mis={idx[0]: v for idx, v in clipped("mis").items()},
     )
     if inst is not None:
-        problems = []
-        per_barge: dict[str, int] = {}
-        per_day: dict[int, int] = {}
-        for (s, t), g in gamma.items():
-            per_barge[s] = per_barge.get(s, 0) + g
-            per_day[t] = per_day.get(t, 0) + g
-        for b in inst.barges:
-            n = per_barge.get(b.id, 0)
-            if n > inst.barge_max_unloads(b.id):
-                problems.append(f"barge {b.id}: {n} unload days, limit {inst.barge_max_unloads(b.id)}")
-        for t, n in sorted(per_day.items()):
-            if n > inst.ops.max_unloads_per_day:
-                problems.append(f"day {t}: {n} unloads, limit {inst.ops.max_unloads_per_day}")
-        if problems:
-            raise ExtractionError("rounded binaries violate counting limits: " + "; ".join(problems))
+        per_barge, per_day = unload_count_violations(inst, plan.unload_days())
+        broken = [*per_barge.values(), *per_day]
+        if broken:
+            raise ExtractionError("rounded binaries violate counting limits: " + "; ".join(
+                f"{_key_name(v.tag, v.index)} over by {v.magnitude}" for v in broken))
     return plan

@@ -133,14 +133,15 @@ def test_tighten_spec_buffer(toy):
     assert tb.spec[("R1", "P")] == (40.5, 59.5)
 
 
-def test_tighten_zero_eps_is_identity(toy):
+def test_tighten_zero_eps_is_identity(toy, caplog):
     # precision 0 is how the exact and untightened models get their windows
     for inst in (toy, read_instance(sample_instance_path()), zero_denominator_instance()):
-        tb = tighten(inst, 0.0)
+        with caplog.at_level("WARNING", logger="blendplan.builders"):
+            tb = tighten(inst, 0.0)
         assert tb.spec == {(r.id, q): b for r in inst.runs for q, b in r.spec_bounds.items()}
         assert tb.ratio == {(r.id, q1, q2): b for r in inst.runs
                             for (q1, q2), b in r.ratio_bounds.items()}
-        assert tb.warnings == []
+    assert caplog.records == []
 
 
 def test_ratio_buffer_formula():
@@ -181,7 +182,7 @@ def test_tighten_ratio_floor_falls_back_to_the_run_bound():
     assert buf == pytest.approx(0.1)
 
 
-def test_tighten_buffer_reduction_rule(toy):
+def test_tighten_buffer_reduction_rule(toy, caplog):
     # window narrower than 2*eps_hat: buffer shrinks until one cell remains
     inst = replace(toy, runs=(replace(toy.runs[0], spec_bounds={"P": (50.0, 51.5)}),))
     tb = tighten(inst, 1.0)
@@ -190,9 +191,10 @@ def test_tighten_buffer_reduction_rule(toy):
     assert lo == pytest.approx(50.25) and hi == pytest.approx(51.25)
     # window narrower than one cell: buffer skipped with a warning
     inst2 = replace(toy, runs=(replace(toy.runs[0], spec_bounds={"P": (50.0, 50.5)}),))
-    tb2 = tighten(inst2, 1.0)
+    with caplog.at_level("WARNING", logger="blendplan.builders"):
+        tb2 = tighten(inst2, 1.0)
     assert tb2.spec[("R1", "P")] == (50.0, 50.5)
-    assert tb2.warnings
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
 
 
 def test_tighten_logs_skipped_buffer(toy, caplog):

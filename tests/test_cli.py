@@ -248,7 +248,8 @@ def test_extraction_error_exits_with_error(sample_path, tmp_path, capsys, monkey
     monkeypatch.setattr(blendplan.cli, "solve", solve_with_every_unload_on)
     assert main(["solve", "--instance", sample_path, "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: rounded binaries violate counting limits: barge B1: ")
+    assert err.startswith("error: rounded binaries violate counting limits: "
+                          "barge_unload_limit[B1] over by ")
     assert "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 """Instance model: validation, derived sets, generation, serialization."""
 
 import json
+import math
 import pickle
 from dataclasses import replace
 
@@ -12,6 +13,8 @@ from blendplan.instance import (Barge, InstanceError, RandomizationParams, Tank,
                                 derive_sets, extend_periodic, instance_from_dict,
                                 instance_to_dict, randomize_supply, read_instance,
                                 validate_instance, write_instance)
+from blendplan import sample_instance_path
+from blendplan.cli import main
 from conftest import small_instance, tiny_instance, toy_1t1s
 
 
@@ -53,6 +56,115 @@ def test_ratio_denominator_needs_positive_lower_bound():
         for r in base.runs)
     rep = validate_instance(replace(base, runs=bad_runs))
     assert any("denominator" in v.message for v in rep.violations)
+
+
+NAN, INF = math.nan, math.inf
+
+# (where in the sample's JSON, the value put there, a violation it causes);
+# every rule of `validate_instance`, each non-finite number JSON can hold
+VALIDATION_CASES = [
+    (("specs", 1, "id"), "S1", "specs: duplicate id 'S1'"),
+    (("tanks", 1, "id"), "T1", "tanks: duplicate id 'T1'"),
+    (("barges", 1, "id"), "B1", "barges: duplicate id 'B1'"),
+    (("runs", 1, "id"), "R1", "runs: duplicate id 'R1'"),
+    (("ops", "horizon"), 0, "ops.horizon: must be positive"),
+    (("ops", "max_unloads_per_day"), 0, "ops.max_unloads_per_day: must be positive"),
+    (("ops", "max_unloads_per_barge"), 0, "ops.max_unloads_per_barge: must be positive"),
+    (("ops", "max_unload_gap"), 0, "ops.max_unload_gap: must be positive"),
+    (("ops", "min_daily_unload_pct"), 1.5,
+     "ops.min_daily_unload_pct: must be a fraction in (0, 1]"),
+    (("ops", "min_daily_unload_pct"), NAN,
+     "ops.min_daily_unload_pct: must be a fraction in (0, 1]"),
+    (("tanks", 0, "v_min"), 2000.0,
+     "tanks[0](T1): inventory bounds inverted: need 0 <= v_min <= v_init <= v_max"),
+    (("tanks", 0, "v_max"), INF, "tanks[0](T1).v_max: must be a finite number"),
+    (("tanks", 0, "v_init"), NAN, "tanks[0](T1).v_init: must be a finite number"),
+    (("tanks", 0, "min_feed_pct"), 1.5, "tanks[0](T1).min_feed_pct: must be a fraction in [0, 1]"),
+    (("tanks", 0, "specs_init"), {"S1": 49.0}, "tanks[0](T1).specs_init: missing specs ['S2']"),
+    (("tanks", 0, "specs_init", "S9"), 1.0, "tanks[0](T1).specs_init: unknown specs ['S9']"),
+    (("tanks", 0, "specs_init", "S1"), -1.0,
+     "tanks[0](T1).specs_init[S1]: concentration must be non-negative"),
+    (("tanks", 0, "specs_init", "S1"), NAN,
+     "tanks[0](T1).specs_init[S1]: concentration must be a finite number"),
+    (("barges", 0, "volume"), 0.0, "barges[0](B1).volume: must be positive"),
+    (("barges", 0, "volume"), NAN, "barges[0](B1).volume: must be a finite number"),
+    (("barges", 0, "volume"), INF, "barges[0](B1).volume: must be a finite number"),
+    (("barges", 0, "unload_penalty"), -1.0, "barges[0](B1).unload_penalty: must be non-negative"),
+    (("barges", 0, "unload_penalty"), NAN,
+     "barges[0](B1).unload_penalty: must be a finite number"),
+    (("barges", 0, "window"), [3, 1], "barges[0](B1).window: need 0 <= first <= last"),
+    (("barges", 0, "window"), [0, 30], "barges[0](B1).window: ends on day 30, beyond horizon 30"),
+    (("barges", 0, "allowed_tanks"), [], "barges[0](B1).allowed_tanks: must be nonempty"),
+    (("barges", 0, "allowed_tanks"), ["T1", "T1"],
+     "barges[0](B1).allowed_tanks: duplicate id 'T1'"),
+    (("barges", 0, "allowed_tanks"), ["T9"], "barges[0](B1).allowed_tanks: unknown tank 'T9'"),
+    (("barges", 0, "max_unloads"), -1, "barges[0](B1).max_unloads: must be non-negative"),
+    (("barges", 0, "min_unload_pct"), 0.0,
+     "barges[0](B1).min_unload_pct: must be a fraction in (0, 1]"),
+    (("barges", 0, "specs", "S1"), NAN,
+     "barges[0](B1).specs[S1]: concentration must be a finite number"),
+    (("runs", 0, "days"), [4, 0], "runs[0](R1).days: need 0 <= first <= last"),
+    (("runs", 3, "days"), [24, 30], "runs[3](R4).days: ends on day 30, beyond horizon 30"),
+    (("runs", 0, "daily_demand"), 0.0, "runs[0](R1).daily_demand: must be positive"),
+    (("runs", 0, "daily_demand"), NAN, "runs[0](R1).daily_demand: must be a finite number"),
+    (("runs", 0, "miss_penalty"), -1.0, "runs[0](R1).miss_penalty: must be non-negative"),
+    (("runs", 0, "miss_penalty"), INF, "runs[0](R1).miss_penalty: must be a finite number"),
+    (("runs", 0, "spec_bounds", "S9"), [0.0, 1.0], "runs[0](R1).spec_bounds: unknown spec 'S9'"),
+    (("runs", 0, "spec_bounds", "S1"), [53.0, 46.5], "runs[0](R1).spec_bounds[S1]: empty interval"),
+    (("runs", 0, "spec_bounds", "S1"), [NAN, 53.0],
+     "runs[0](R1).spec_bounds[S1].lo: must be a finite number"),
+    (("runs", 0, "ratio_bounds", "S1/S9"), [1.0, 2.0],
+     "runs[0](R1).ratio_bounds[S1/S9]: unknown spec in ratio pair"),
+    (("runs", 0, "ratio_bounds", "S1/S1"), [0.5, 2.0],
+     "runs[0](R1).ratio_bounds[S1/S1]: ratio pair must use two distinct specs"),
+    (("runs", 0, "ratio_bounds", "S1/S2"), [5.0, 3.4],
+     "runs[0](R1).ratio_bounds[S1/S2]: empty interval"),
+    (("runs", 0, "ratio_bounds", "S1/S2"), [3.4, INF],
+     "runs[0](R1).ratio_bounds[S1/S2].hi: must be a finite number"),
+    (("runs", 0, "spec_bounds", "S2"), [0.0, 13.5], "runs[0](R1).ratio_bounds[S1/S2]: "
+     "denominator spec needs a positive lower bound in spec_bounds"),
+    (("runs", 1, "days"), [4, 11], "runs[1](R2).days: runs overlap: R2 and R1"),
+]
+
+
+def _sample_with(where, value):
+    data = json.load(open(sample_instance_path()))
+    *path, last = where
+    node = data
+    for key in path:
+        node = node[key]
+    node[last] = value
+    return data
+
+
+@pytest.mark.parametrize("where,value,want", VALIDATION_CASES)
+def test_validation_flags_each_rule(where, value, want, tmp_path, capsys):
+    data = _sample_with(where, value)
+    assert want in [str(v) for v in validate_instance(instance_from_dict(data)).violations]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))    # NaN and Infinity as Python's json writes them
+    assert main(["validate", "--instance", str(p)]) == 2
+    assert want in json.loads(capsys.readouterr().out)["violations"]
+
+
+@pytest.mark.parametrize("where,value,want", [
+    ((), [], "top level: expected a JSON object"),
+    (("specs", 0), 1, "specs[0]: expected a JSON object"),
+    (("schema",), "blendplan-instance/0", "schema: expected 'blendplan-instance/1'"),
+    (("barges", 0, "window"), [0], "barges[0].window: expected [first, last]"),
+    (("runs", 0, "days"), [0, 1, 2], "runs[0].days: expected [first, last]"),
+    (("runs", 0, "ratio_bounds"), {"S1S2": [3.4, 5.0]},
+     "runs[0].ratio_bounds: key 'S1S2' is not 'q1/q2'"),
+])
+def test_instance_from_dict_rejects_malformed_data(where, value, want, tmp_path, capsys):
+    data = _sample_with(where, value) if where else value
+    with pytest.raises(InstanceError) as err:
+        instance_from_dict(data)
+    assert str(err.value).startswith(want)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", "--instance", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {want}")
 
 
 def test_derive_sets_windows_and_demand_days():

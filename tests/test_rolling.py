@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,15 @@ def test_partition_property(h, dt, data):
     periods = run_based_periods(runs, h, dt)
     assert check_partition(periods, h)
     assert all(len(p) >= 1 for p in periods)
+    if runs:    # a period starts only where a run or a gap does
+        assert {p.start for p in periods[1:]} <= {d for r0, r1 in runs for d in (r0, r1 + 1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(0, 400), dt=st.integers(1, 40))
+def test_fixed_periods_are_run_based_periods_without_runs(h, dt):
+    blocks = [Period(i, s, min(s + dt, h)) for i, s in enumerate(range(0, h, dt))]
+    assert fixed_periods(h, dt) == run_based_periods((), h, dt) == blocks
 
 
 def test_policy_tables():
@@ -346,6 +356,16 @@ def test_roll_partial_excludes_exhausted_barges():
     assert all(b.id != "B1" for b in sub.barges)
 
 
+def test_roll_partial_drops_a_barge_whose_remainder_rounds_to_nothing():
+    inst = rolling_instance(3, reps=2)   # B1: 700 t, window (1, 5)
+    acc = FlowPlan(y_in={("B1", "T2", 1): 699.0}, gamma={("B1", 1): 1})
+    sub = _visible_sub_instance(inst, acc, 3, 20)
+    assert [(b.id, b.volume) for b in sub.barges][:2] == [("B1", 1.0), ("B2", 600.0)]
+    acc.y_in[("B1", "T2", 1)] = 700.0 - 1e-10
+    sub = _visible_sub_instance(inst, acc, 3, 20)
+    assert [b.id for b in sub.barges] == ["B2", "B1#1"]
+
+
 def test_roll_partial_rejects_split_runs():
     inst = rolling_instance(4, reps=2)
     bad = fixed_periods(inst.horizon, 2)   # cuts through runs
@@ -421,6 +441,22 @@ def test_binary_states_follow_the_policy_table(roller):
             seen.add(segment)
     want = {"past", *SEGMENTS} if roller is roll_full else {"present", "near"}
     assert seen == want
+
+
+def test_roll_ends_when_the_budget_runs_out(monkeypatch):
+    now = [0.0]
+
+    def solve_on_a_slow_clock(model, opts):
+        now[0] += 1000.0       # step 0's solve takes more than the whole budget
+        return solve(model, opts)
+
+    monkeypatch.setattr(blendplan.rolling, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(blendplan.rolling, "solve", solve_on_a_slow_clock)
+    inst = toy_1t1s()
+    params = RollParams(solve=SolveOptions(time_limit=600))
+    with pytest.raises(RollingError, match="time budget exhausted with 1 steps left"):
+        roll_full(inst, fixed_periods(inst.horizon, 1), params, _builder())
+    assert now == [1000.0]     # one step ran
 
 
 def test_failed_step_solves_once_and_raises(monkeypatch):

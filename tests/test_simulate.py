@@ -1,6 +1,7 @@
 """Simulator semantics, audit coverage, loss metric, brute-force oracle."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +84,21 @@ def test_feed_from_empty_tank_raises():
     inst = _single_tank(v_init=0.0)
     plan = FlowPlan(y_out={("T1", 1): 0.5}, sigma={("T1", 1): 1})
     with pytest.raises(PlanInconsistencyError):
+        simulate(inst, plan)
+
+
+def test_negative_feed_raises():
+    inst = _single_tank(v_init=500.0)
+    plan = FlowPlan(y_out={("T1", 1): -1.0}, sigma={("T1", 1): 1})
+    with pytest.raises(PlanInconsistencyError, match="negative feed from T1 on day 1"):
+        simulate(inst, plan)
+
+
+def test_feed_from_a_tank_holding_float_noise_raises():
+    # within VOL_TOL of the available volume, so no overdraw, but nothing to draw
+    inst = _single_tank(v_init=1e-6)
+    plan = FlowPlan(y_out={("T1", 1): 1.5e-6}, sigma={("T1", 1): 1})
+    with pytest.raises(PlanInconsistencyError, match="tank T1 day 1: feed from an empty tank"):
         simulate(inst, plan)
 
 
@@ -193,6 +209,47 @@ def test_audit_flags_ratio_bounds():
     assert v.magnitude > 2.0   # ratio is ~5.4, bound 2 -> excess > 2 in ratio units
 
 
+def _ratio_instance(q_init, ratio_bounds):
+    """``toy`` with a second spec Q and a P/Q ratio window."""
+    inst = toy_1t1s()
+    return replace(
+        inst,
+        specs=(SpecDef("P"), SpecDef("Q")),
+        tanks=(Tank("T1", 1000.0, 100.0, 500.0, {"P": 50.0, "Q": q_init}, 0.10),),
+        barges=(Barge("B1", 400.0, {"P": 60.0, "Q": q_init}, (0, 1), 1000.0, ("T1",)),),
+        runs=(Run("R1", (0, 1), 200.0, {"P": (0.0, 100.0), "Q": (5.0, 100.0)},
+                  {("P", "Q"): ratio_bounds}, 3000.0),),
+    )
+
+
+def test_audit_flags_feed_spec_lb(toy):
+    toy = replace(toy, runs=(replace(toy.runs[0], spec_bounds={"P": (55.0, 70.0)}),))
+    plan = _base_feasible_plan(toy)   # blend lands at 54.44
+    rep = audit(toy, simulate(toy, plan), plan)
+    assert set(rep.counts()) == {"feed_spec_lb"}
+    assert rep.worst_spec_violation == pytest.approx(50 / 90, rel=1e-6)
+
+
+def test_audit_flags_ratio_below_its_window():
+    inst = _ratio_instance(10.0, (6.0, 10.0))
+    plan = _base_feasible_plan(inst)   # P/Q ratio 54.44 / 10
+    rep = audit(inst, simulate(inst, plan), plan)
+    assert set(rep.counts()) == {"feed_ratio_lb"}
+    assert rep.by_tag("feed_ratio_lb")[0].magnitude == pytest.approx(6.0 - 49 / 9, rel=1e-6)
+
+
+def test_audit_flags_ratio_with_a_zero_denominator():
+    # a feed without Q has no P/Q ratio; it also breaks Q's own window,
+    # whose lower bound validation keeps positive
+    inst = _ratio_instance(0.0, (1.0, 2.0))
+    plan = _base_feasible_plan(inst)
+    rep = audit(inst, simulate(inst, plan), plan)
+    assert set(rep.counts()) == {"feed_ratio_lb", "feed_spec_lb"}
+    assert [(v.index, v.magnitude) for v in rep.by_tag("feed_ratio_lb")] == [
+        (("P", "Q", 0), math.inf), (("P", "Q", 1), math.inf)]
+    assert {v.index for v in rep.by_tag("feed_spec_lb")} == {("Q", 0), ("Q", 1)}
+
+
 def test_audit_flags_nonconstant_run_feed(toy):
     plan = _base_feasible_plan(toy)
     plan.y_out[("T1", 1)] = 150.0
@@ -273,6 +330,24 @@ def test_audit_flags_off_window_flow(toy):
     inst = replace(toy, barges=(replace(toy.barges[0], window=(0, 0)),))
     rep = audit(inst, simulate(inst, plan), plan)
     assert "supply_window" in rep.counts()
+
+
+def test_audit_flags_flow_into_a_tank_the_barge_may_not_use(toy):
+    inst = replace(toy, tanks=toy.tanks + (replace(toy.tanks[0], id="T2"),))
+    plan = FlowPlan(y_in={("B1", "T1", 0): 100.0, ("B1", "T2", 0): 100.0},
+                    gamma={("B1", 0): 1}, v_unused={"B1": 200.0}, mis={0: 200.0, 1: 200.0})
+    rep = audit(inst, simulate(inst, plan), plan)
+    assert [(v.tag, v.index, v.magnitude) for v in rep.violations] == [
+        ("supply_window", ("B1", "T2", 0), 100.0)]
+
+
+def test_audit_flags_feed_on_a_day_without_demand(toy):
+    inst = replace(toy, ops=replace(toy.ops, horizon=3))
+    plan = FlowPlan(y_out={("T1", 2): 50.0}, sigma={("T1", 2): 1},
+                    v_unused={"B1": 400.0}, mis={0: 200.0, 1: 200.0})
+    rep = audit(inst, simulate(inst, plan), plan)
+    assert [(v.tag, v.index, v.magnitude) for v in rep.violations] == [
+        ("demand_balance", (2,), 50.0)]
 
 
 def test_audit_flags_flow_without_unload_mark(toy):

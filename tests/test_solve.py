@@ -135,6 +135,21 @@ def test_extract_rejects_broken_counts(toy):
         extract_flow_plan(m, res)
 
 
+def test_extract_rejects_a_broken_daily_limit():
+    inst = small_instance(4)          # max_unloads_per_day = 2
+    m = build_center(inst, make_plans(inst, 1.0))
+    res = solve(m)
+    for v in m.vars_of_kind("gamma"):
+        res.values[v.name] = 0.0
+    res.values["gamma[B1,2]"] = 1.0
+    res.values["gamma[B2,2]"] = 1.0
+    m.instance = replace(inst, ops=replace(inst.ops, max_unloads_per_day=1))
+    with pytest.raises(ExtractionError) as err:
+        extract_flow_plan(m, res)
+    assert str(err.value) == ("rounded binaries violate counting limits: "
+                              "daily_unload_limit[2] over by 1")
+
+
 def test_two_unloads_same_day_within_limit():
     inst = small_instance(4)          # max_unloads_per_day = 2
     m = build_center(inst, make_plans(inst, 1.0))
@@ -148,6 +163,19 @@ def test_two_unloads_same_day_within_limit():
 
 
 # -- warm starts ---------------------------------------------------------------
+
+
+def test_inconsistent_start_gets_no_digits(toy, caplog):
+    # tank T1 holds 100 and the plan draws 200 on day 0
+    inst = replace(toy, tanks=(replace(toy.tanks[0], v_init=100.0),))
+    m = build_center(inst, make_plans(inst, 1.0))
+    plan = FlowPlan(y_out={("T1", 0): 200.0}, sigma={("T1", 0): 1})
+    with caplog.at_level("WARNING", logger="blendplan.solve"):
+        warm_start(m, plan)
+    assert [r.getMessage() for r in caplog.records] == [
+        "warm start digits skipped, plan inconsistent: "
+        "tank T1 day 0: outflow 200.0 exceeds available volume 100.0"]
+    assert sorted(m.vars[col].name for col in m.starts) == ["sigma[T1,0]", "y_out[T1,0]"]
 
 
 def test_warm_start_empty_plan_is_noop(toy):
@@ -336,6 +364,7 @@ def test_value_bound_of_hand_built_models():
     free = m.add_var("v_mid", ("T1", 0), -INF, INF)
     m.set_objective({y: -3.0, miss: 5.0, free: 0.0}, 100.0)
     # y at its upper bound, miss at 0; the zero-cost free column adds nothing
+    assert free.col not in m.obj
     assert m.value_bound() == 130.0
     m.set_objective({y: 3.0, miss: 5.0}, 100.0)
     assert m.value_bound() == 94.0
