@@ -25,7 +25,7 @@ from .instance import (Barge, DerivedSets, Instance, InstanceError, OpsParams,
                        ValidationReport, derive_sets, extend_periodic,
                        randomize_supply, read_instance, validate_instance,
                        write_instance)
-from .model import MilpModel, QcpModel, VarRef
+from .model import MilpModel, VarRef
 from .rolling import (SEGMENT_POLICY, Period, RollParams, RollResult,
                       fixed_periods, roll_full, roll_partial,
                       run_based_periods)

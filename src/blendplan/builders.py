@@ -16,8 +16,10 @@ last three also share its extension by per-spec volumes:
 Both MILPs take their base-2 digit plans, one ``plan`` per (tank, spec),
 from ``make_plans``; a missing plan raises ``KeyError``.  Every spec-volume
 model takes its demand windows from ``tighten``: buffered by half the MILPs'
-precision (and its ratio differential) so that simulated plans stay inside
-the original windows, or, at precision 0, the runs' own windows.
+precision (and its ratio differential), or, at precision 0, the runs' own
+windows.  The buffers bound the digits' spec error to first order only:
+where the specs bind, a simulated plan can still break an original window,
+and the audit reports each break.
 Both MILPs take their options, whether to tighten, as one ``CenterOptions``.
 
 Every row is added as its ``(tag, index)``, the index holding the ids and
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 from .discretize import DiscretizationPlan, plan
 from .instance import Instance, Tank, derive_sets
-from .model import INF, MilpModel, QcpModel, VarRef
+from .model import INF, MilpModel, VarRef
 from .simulate import value_target
 
 log = logging.getLogger(__name__)
@@ -120,6 +122,8 @@ def tighten(inst: Instance, eps_hat) -> TightenedBounds:
     window is already narrower than that.  A ratio's denominator floor is the
     least reachable ``q2`` if positive, else the run's own lower bound on
     ``q2``, which validation keeps positive and no feed in the window goes below.
+    The buffers bound the digits' error to first order; a simulated plan can
+    still break an original window, and ``audit`` reports it if it does.
     """
     eps = _eps_by_spec(inst, eps_hat)
     reach = reachable_spec_bounds(inst)
@@ -145,12 +149,15 @@ def tighten(inst: Instance, eps_hat) -> TightenedBounds:
 def _window_rows(m, tag: str, index: tuple, num: dict, den: dict, lo: float, hi: float,
                  bilinear: bool = False):
     """Rows ``<tag>_lb``, ``num - lo·den >= 0``, and ``<tag>_ub``, ``num -
-    hi·den <= 0``, each listing ``num``'s terms, then ``den``'s.  Both map a
-    term to its coefficient; a term is a column or, in ``bilinear`` rows, a
-    pair of columns, their product."""
+    hi·den <= 0``, each listing ``num``'s terms, then ``den``'s others.  Both
+    map a term to its coefficient; a term is a column or, in ``bilinear``
+    rows, a pair of columns, their product.  A term in both gets the sum of
+    its two coefficients."""
     for side, bound, row_lo, row_hi in (("lb", lo, 0.0, INF), ("ub", hi, -INF, 0.0)):
         side_tag = sys.intern(f"{tag}_{side}")     # one string per tag, not one per row
-        terms = {**num, **{x: -bound * c for x, c in den.items()}}
+        terms = dict(num)
+        for x, c in den.items():
+            terms[x] = terms.get(x, 0.0) - bound * c
         if bilinear:
             m.add_quad_row(side_tag, index,
                            {x: c for x, c in terms.items() if isinstance(x, VarRef)},
@@ -419,9 +426,9 @@ class _SpecVolumes(_Core):
 # Exact bilinear models
 
 
-def build_exact_mix(inst: Instance) -> QcpModel:
+def build_exact_mix(inst: Instance) -> MilpModel:
     """Bilinear model with explicit tank concentrations (products f x v)."""
-    m = QcpModel("exact_mix")
+    m = MilpModel("exact_mix")
     core = _Core(m, inst)
     reach = reachable_spec_bounds(inst)
     H = inst.horizon
@@ -466,10 +473,10 @@ def build_exact_mix(inst: Instance) -> QcpModel:
     return m
 
 
-def build_exact_split(inst: Instance) -> QcpModel:
+def build_exact_split(inst: Instance) -> MilpModel:
     """Bilinear model tracking spec volumes; mixing is linear and the only
     bilinear rows force outflow composition to match tank composition."""
-    m = QcpModel("exact_split")
+    m = MilpModel("exact_split")
     s = _SpecVolumes(m, inst)
     s.mass_rows()
     s.feed_window_rows(tighten(inst, 0.0))

@@ -179,7 +179,7 @@ _MODEL_DEFAULTS = vars(_MODEL_FLAGS.parse_args([]))
 _SOLVE_FLAGS = argparse.ArgumentParser(add_help=False, parents=[_MODEL_FLAGS])
 _SOLVE_FLAGS.add_argument("--method", choices=["center", "mccormick"], default="center")
 _SOLVE_FLAGS.add_argument("--scheme", choices=["flat", "full", "partial"], default="flat")
-_SOLVE_FLAGS.add_argument("--periods", choices=["fixed", "run"], default="fixed")
+_SOLVE_FLAGS.add_argument("--periods", choices=["fixed", "run"], default="run")
 _SOLVE_FLAGS.add_argument("--dt", type=int, default=7)
 _SOLVE_FLAGS.add_argument("--h-nf", dest="h_nf", type=int, default=90)
 _SOLVE_FLAGS.add_argument("--n-present", dest="n_present", type=int, default=1)
@@ -287,7 +287,7 @@ def cmd_export(args) -> int:
     model.write_sidecar(args.out + ".tags.json")
     print(json.dumps({"out": args.out, "vars": model.n_vars, "rows": model.n_rows,
                       "binary": model.n_binary,
-                      "bilinear": len(getattr(model, "quad_rows", []))}))
+                      "bilinear": len(model.quad_rows)}))
     return 0
 
 

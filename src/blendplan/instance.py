@@ -30,7 +30,7 @@ SCHEMA_ID = "blendplan-instance/1"
 
 
 class InstanceError(ValueError):
-    """Raised for malformed instance files or invalid instance data."""
+    """Raised for malformed instance or plan files and invalid instance data."""
 
 
 @dataclass(frozen=True)
@@ -433,154 +433,164 @@ def randomize_supply(inst: Instance, seed: int, jitter: RandomizationParams) -> 
 
 
 # ---------------------------------------------------------------------------
-# Canonical JSON serialization (schema "blendplan-instance/1")
+# File formats (instance schema "blendplan-instance/1"; plans in simulate.py)
+#
+# Each record is declared once, as a table of its members in file order,
+# each mapped to the shape of its value.  One reader and one writer per
+# shape serve every table; a reader refuses a value of the wrong shape
+# with the value's path, e.g. ``barges[0].window[0]``.
+
+
+@dataclass(frozen=True)
+class Shape:
+    """How a value reads from JSON, ``read(value, path)``, and writes back.
+    An ``optional`` member may be missing: it then takes its dataclass
+    default, or ``default()`` where the field has none."""
+    read: object
+    write: object
+    optional: bool = False
+    default: object = None
+
+
+def _refuse(path: str, want: str, value):
+    got = json.dumps(value, default=repr)
+    raise InstanceError(f"{path}: expected {want}, got {got if len(got) <= 60 else got[:57] + '...'}")
+
+
+def _scalar(want: str, ok, convert, write=lambda v: v) -> Shape:
+    def read(value, path):
+        try:
+            if not isinstance(value, bool) and ok(value):
+                return convert(value)
+        except OverflowError:   # an integer beyond the float range
+            pass
+        _refuse(path, want, value)
+    return Shape(read, write)
+
+
+NUMBER = _scalar("a number", lambda v: isinstance(v, (int, float)), float)
+FINITE = _scalar("a finite number",
+                 lambda v: isinstance(v, (int, float)) and math.isfinite(v), float)
+WHOLE = _scalar("a whole number",
+                lambda v: isinstance(v, int) or isinstance(v, float) and v.is_integer(), int, int)
+STRING = _scalar("a string", lambda v: isinstance(v, str), str)
+
+
+def optional(shape: Shape, default=None) -> Shape:
+    return replace(shape, optional=True, default=default)
+
+
+def array(item: Shape) -> Shape:
+    """A JSON array of ``item``s, read as a tuple."""
+    def read(value, path):
+        if not isinstance(value, list):
+            _refuse(path, "an array", value)
+        return tuple(item.read(x, f"{path}[{i}]") for i, x in enumerate(value))
+    return Shape(read, lambda value: [item.write(x) for x in value])
+
+
+def fixed(want: str, *parts: Shape) -> Shape:
+    """A JSON array of one value per part, ``want`` naming them, read as a
+    tuple: a ``[first, last]`` pair or a plan entry."""
+    def read(value, path):
+        if not isinstance(value, list) or len(value) != len(parts):
+            _refuse(path, want, value)
+        return tuple(s.read(x, f"{path}[{i}]") for i, (s, x) in enumerate(zip(parts, value)))
+    return Shape(read, lambda value: [s.write(x) for s, x in zip(parts, value)])
+
+
+def keyed(item: Shape, key: Shape = STRING) -> Shape:
+    """A JSON object of ``item``s, written in key order."""
+    def read(value, path):
+        if not isinstance(value, dict):
+            _refuse(path, "a JSON object", value)
+        return {key.read(k, path): item.read(x, f"{path}[{k}]") for k, x in value.items()}
+    return Shape(read, lambda value: {key.write(k): item.write(x) for k, x in sorted(value.items())})
+
+
+def entries(want: str, *parts: Shape) -> Shape:
+    """A map as a JSON array of ``[*key, value]`` entries, the plan files'
+    form, written in key order; a one-part key reads bare."""
+    rows, bare = array(fixed(want, *parts)), len(parts) == 2
+
+    def read(value, path):
+        out = {}
+        for i, (*key, x) in enumerate(rows.read(value, path)):
+            key = key[0] if bare else tuple(key)
+            if key in out:
+                raise InstanceError(f"{path}[{i}]: repeats the key of an earlier entry")
+            out[key] = x
+        return out
+    return Shape(read, lambda value: [[*((k,) if bare else k), parts[-1].write(x)]
+                                      for k, x in sorted(value.items())])
+
+
+def record(cls, fields: dict[str, Shape], schema: str | None = None, label: str = "") -> Shape:
+    """A JSON object read as ``cls(**members)``; a member that is None is not
+    written.  A file's record leads with a ``schema`` member holding
+    ``schema``, and its own errors name it ``label``."""
+    head = {} if schema is None else {"schema": schema}
+
+    def read(value, path=""):
+        where = path or label
+        if not isinstance(value, dict):
+            _refuse(where, "a JSON object", value)
+        if schema is not None and value.get("schema") != schema:
+            _refuse("schema", repr(schema), value.get("schema"))
+        unknown = sorted(value.keys() - fields.keys() - head.keys())
+        if unknown:
+            raise InstanceError(f"{where}: unknown field(s) {unknown}")
+        out = {}
+        for name, shape in fields.items():
+            if name in value:
+                out[name] = shape.read(value[name], f"{path}.{name}" if path else name)
+            elif not shape.optional:
+                raise InstanceError(f"{where}: missing field {name!r}")
+            elif shape.default is not None:
+                out[name] = shape.default()
+        return cls(**out)
+
+    def write(obj):
+        return {**head, **{name: shape.write(v) for name, shape in fields.items()
+                           if (v := getattr(obj, name)) is not None}}
+    return Shape(read, write)
+
+
+def _ratio_key(key: str, path: str) -> tuple[str, str]:
+    q1, sep, q2 = key.partition("/")
+    if not sep:
+        raise InstanceError(f"{path}: key {key!r} is not 'q1/q2'")
+    return q1, q2
+
+
+_DAYS, _BOUNDS = fixed("[first, last]", WHOLE, WHOLE), fixed("[lo, hi]", NUMBER, NUMBER)
+INSTANCE_FORMAT = record(Instance, {
+    "specs": array(record(SpecDef, {"id": STRING, "unit": optional(STRING)})),
+    "tanks": array(record(Tank, {
+        "id": STRING, "v_max": NUMBER, "v_min": NUMBER, "v_init": NUMBER,
+        "specs_init": keyed(NUMBER), "min_feed_pct": NUMBER})),
+    "barges": array(record(Barge, {
+        "id": STRING, "volume": NUMBER, "specs": keyed(NUMBER), "window": _DAYS,
+        "unload_penalty": NUMBER, "allowed_tanks": array(STRING),
+        "max_unloads": optional(WHOLE), "min_unload_pct": optional(NUMBER)})),
+    "runs": array(record(Run, {
+        "id": STRING, "days": _DAYS, "daily_demand": NUMBER, "spec_bounds": keyed(_BOUNDS),
+        "ratio_bounds": optional(keyed(_BOUNDS, Shape(_ratio_key, "/".join)), dict),
+        "miss_penalty": NUMBER})),
+    "ops": record(OpsParams, {
+        "max_unloads_per_day": WHOLE, "max_unloads_per_barge": WHOLE,
+        "max_unload_gap": WHOLE, "min_daily_unload_pct": NUMBER, "horizon": WHOLE}),
+}, schema=SCHEMA_ID, label="top level")
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    return {
-        "schema": SCHEMA_ID,
-        "specs": [{"id": s.id, "unit": s.unit} for s in inst.specs],
-        "tanks": [
-            {
-                "id": t.id,
-                "v_max": t.v_max,
-                "v_min": t.v_min,
-                "v_init": t.v_init,
-                "specs_init": {q: t.specs_init[q] for q in sorted(t.specs_init)},
-                "min_feed_pct": t.min_feed_pct,
-            }
-            for t in inst.tanks
-        ],
-        "barges": [
-            {
-                "id": b.id,
-                "volume": b.volume,
-                "specs": {q: b.specs[q] for q in sorted(b.specs)},
-                "window": list(b.window),
-                "unload_penalty": b.unload_penalty,
-                "allowed_tanks": list(b.allowed_tanks),
-                **({"max_unloads": b.max_unloads} if b.max_unloads is not None else {}),
-                **({"min_unload_pct": b.min_unload_pct} if b.min_unload_pct is not None else {}),
-            }
-            for b in inst.barges
-        ],
-        "runs": [
-            {
-                "id": r.id,
-                "days": list(r.days),
-                "daily_demand": r.daily_demand,
-                "spec_bounds": {q: list(r.spec_bounds[q]) for q in sorted(r.spec_bounds)},
-                "ratio_bounds": {f"{q1}/{q2}": list(v) for (q1, q2), v in sorted(r.ratio_bounds.items())},
-                "miss_penalty": r.miss_penalty,
-            }
-            for r in inst.runs
-        ],
-        "ops": {
-            "max_unloads_per_day": inst.ops.max_unloads_per_day,
-            "max_unloads_per_barge": inst.ops.max_unloads_per_barge,
-            "max_unload_gap": inst.ops.max_unload_gap,
-            "min_daily_unload_pct": inst.ops.min_daily_unload_pct,
-            "horizon": inst.ops.horizon,
-        },
-    }
-
-
-def _take(obj: dict, path: str, fields: dict[str, bool]) -> dict:
-    """Pull declared fields out of a JSON object, rejecting any other value
-    and unknown keys."""
-    if not isinstance(obj, dict):
-        raise InstanceError(f"{path}: expected a JSON object")
-    unknown = set(obj) - set(fields)
-    if unknown:
-        raise InstanceError(f"{path}: unknown field(s) {sorted(unknown)}")
-    out = {}
-    for name, required in fields.items():
-        if name in obj:
-            out[name] = obj[name]
-        elif required:
-            raise InstanceError(f"{path}: missing field {name!r}")
-    return out
+    return INSTANCE_FORMAT.write(inst)
 
 
 def instance_from_dict(data: dict) -> Instance:
-    top = _take(data, "top level", {
-        "schema": True, "specs": True, "tanks": True, "barges": True, "runs": True, "ops": True,
-    })
-    if top["schema"] != SCHEMA_ID:
-        raise InstanceError(f"schema: expected {SCHEMA_ID!r}, got {top['schema']!r}")
-
-    specs = []
-    for i, s in enumerate(top["specs"]):
-        f = _take(s, f"specs[{i}]", {"id": True, "unit": False})
-        specs.append(SpecDef(id=f["id"], unit=f.get("unit", "vol%")))
-
-    tanks = []
-    for i, t in enumerate(top["tanks"]):
-        f = _take(t, f"tanks[{i}]", {
-            "id": True, "v_max": True, "v_min": True, "v_init": True,
-            "specs_init": True, "min_feed_pct": True,
-        })
-        tanks.append(Tank(
-            id=f["id"], v_max=float(f["v_max"]), v_min=float(f["v_min"]),
-            v_init=float(f["v_init"]),
-            specs_init={q: float(v) for q, v in f["specs_init"].items()},
-            min_feed_pct=float(f["min_feed_pct"]),
-        ))
-
-    barges = []
-    for i, b in enumerate(top["barges"]):
-        f = _take(b, f"barges[{i}]", {
-            "id": True, "volume": True, "specs": True, "window": True,
-            "unload_penalty": True, "allowed_tanks": True, "max_unloads": False,
-            "min_unload_pct": False,
-        })
-        w = f["window"]
-        if not (isinstance(w, list) and len(w) == 2):
-            raise InstanceError(f"barges[{i}].window: expected [first, last]")
-        barges.append(Barge(
-            id=f["id"], volume=float(f["volume"]),
-            specs={q: float(v) for q, v in f["specs"].items()},
-            window=(int(w[0]), int(w[1])),
-            unload_penalty=float(f["unload_penalty"]),
-            allowed_tanks=tuple(f["allowed_tanks"]),
-            max_unloads=int(f["max_unloads"]) if "max_unloads" in f else None,
-            min_unload_pct=float(f["min_unload_pct"]) if "min_unload_pct" in f else None,
-        ))
-
-    runs = []
-    for i, r in enumerate(top["runs"]):
-        f = _take(r, f"runs[{i}]", {
-            "id": True, "days": True, "daily_demand": True,
-            "spec_bounds": True, "ratio_bounds": False, "miss_penalty": True,
-        })
-        d = f["days"]
-        if not (isinstance(d, list) and len(d) == 2):
-            raise InstanceError(f"runs[{i}].days: expected [first, last]")
-        ratio_bounds = {}
-        for key, v in f.get("ratio_bounds", {}).items():
-            if "/" not in key:
-                raise InstanceError(f"runs[{i}].ratio_bounds: key {key!r} is not 'q1/q2'")
-            q1, q2 = key.split("/", 1)
-            ratio_bounds[(q1, q2)] = (float(v[0]), float(v[1]))
-        runs.append(Run(
-            id=f["id"], days=(int(d[0]), int(d[1])), daily_demand=float(f["daily_demand"]),
-            spec_bounds={q: (float(v[0]), float(v[1])) for q, v in f["spec_bounds"].items()},
-            ratio_bounds=ratio_bounds, miss_penalty=float(f["miss_penalty"]),
-        ))
-
-    o = _take(top["ops"], "ops", {
-        "max_unloads_per_day": True, "max_unloads_per_barge": True,
-        "max_unload_gap": True, "min_daily_unload_pct": True, "horizon": True,
-    })
-    ops = OpsParams(
-        max_unloads_per_day=int(o["max_unloads_per_day"]),
-        max_unloads_per_barge=int(o["max_unloads_per_barge"]),
-        max_unload_gap=int(o["max_unload_gap"]),
-        min_daily_unload_pct=float(o["min_daily_unload_pct"]),
-        horizon=int(o["horizon"]),
-    )
-    return Instance(specs=tuple(specs), tanks=tuple(tanks), barges=tuple(barges),
-                    runs=tuple(runs), ops=ops)
+    """The instance in ``data``, not validated; a value of the wrong shape
+    raises ``InstanceError`` naming its path."""
+    return INSTANCE_FORMAT.read(data)
 
 
 def write_instance(inst: Instance, path) -> None:
@@ -592,7 +602,7 @@ def write_instance(inst: Instance, path) -> None:
 
 def parse_instance(path) -> Instance:
     """The instance in a file, not validated; a file that does not parse or
-    has unknown or missing fields raises ``InstanceError``."""
+    has an unknown, missing or wrongly shaped member raises ``InstanceError``."""
     try:
         with open(path) as fh:
             data = json.load(fh)

@@ -1,7 +1,8 @@
 """Solver-agnostic optimization model containers.
 
 `MilpModel` holds a flat variable registry plus tagged linear rows of the
-form ``lo <= a.x <= hi``; `QcpModel` adds rows with bilinear terms.  A
+form ``lo <= a.x <= hi`` and, for the exact models, rows with bilinear
+terms (``quad_rows``, empty in a MILP).  A
 column is its ``(kind, index)`` and a row its ``(tag, index)``, the tag from
 the documented tag vocabulary (see TAGS), so that structural audits and the
 export sidecar can address whole constraint families.  Both are named by one
@@ -128,12 +129,14 @@ def _row(num: int, tag: str, index: tuple, coeffs: dict[VarRef, float], lo: floa
 
 
 class MilpModel:
-    """Linear constraint registry with tagged rows and a linear objective."""
+    """Constraint registry with tagged linear rows, tagged rows with
+    bilinear terms and a linear objective."""
 
     def __init__(self, name: str = "model"):
         self.name = name
         self.vars: list[VarRef] = []
         self.rows: list[Row] = []
+        self.quad_rows: list[Row] = []
         self.obj: dict[int, float] = {}
         self.obj_offset = 0.0          # target value; reported = offset - min
         self.structural_tags: Counter = Counter()
@@ -176,6 +179,14 @@ class MilpModel:
     def add_eq(self, tag: str, index: tuple, coeffs: dict[VarRef, float], rhs: float) -> Row:
         return self.add_row(tag, index, coeffs, rhs, rhs)
 
+    def add_quad_row(self, tag: str, index: tuple, coeffs: dict[VarRef, float],
+                     quads: list[tuple[float, VarRef, VarRef]],
+                     lo: float = -INF, hi: float = INF) -> Row:
+        row = _row(len(self.quad_rows), tag, index, coeffs, lo, hi,
+                   tuple((float(c), a.col, b.col) for c, a, b in quads if c != 0.0))
+        self.quad_rows.append(row)
+        return row
+
     def note_structural(self, tag: str, count: int = 1) -> None:
         if tag not in TAGS:
             raise ModelError(f"unknown structural tag {tag!r}")
@@ -183,7 +194,7 @@ class MilpModel:
             self.structural_tags[tag] += count
 
     def tags(self) -> set[str]:
-        return {r.tag for r in self.rows} | set(self.structural_tags)
+        return {r.tag for r in itertools.chain(self.rows, self.quad_rows)} | set(self.structural_tags)
 
     def rows_by_tag(self, tag: str) -> list[Row]:
         return [r for r in self.rows if r.tag == tag]
@@ -231,7 +242,22 @@ class MilpModel:
         return sum(1 for v in self.vars if v.binary)
 
     def has_bilinear(self) -> bool:
-        return False
+        return any(qr.quads for qr in self.quad_rows)
+
+    def bilinear_pairs(self) -> set[tuple[int, int]]:
+        """Distinct unordered column pairs appearing in bilinear terms."""
+        pairs = set()
+        for qr in self.quad_rows:
+            for _, a, b in qr.quads:
+                pairs.add((min(a, b), max(a, b)))
+        return pairs
+
+    def bilinear_kind_pairs(self) -> set[tuple[str, str]]:
+        out = set()
+        for a, b in self.bilinear_pairs():
+            ka, kb = self.vars[a].kind, self.vars[b].kind
+            out.add((ka, kb) if ka <= kb else (kb, ka))
+        return out
 
     # -- solver arrays ---------------------------------------------------------
 
@@ -292,9 +318,8 @@ class MilpModel:
         if self.plans is not None:
             sections.append(_json_member(
                 "plans", {f"{k},{q}": p.to_dict() for (k, q), p in sorted(self.plans.items())}))
-        quad_rows = getattr(self, "quad_rows", ())
-        if quad_rows:
-            sections.append(_json_map("quad_rows", _json_tag_entries("Q", quad_rows)))
+        if self.quad_rows:
+            sections.append(_json_map("quad_rows", _json_tag_entries("Q", self.quad_rows)))
         with open(path, "w") as fh:
             fh.write("{\n" + ",\n".join(sections) + "\n}\n")
 
@@ -369,7 +394,7 @@ class MilpModel:
             fh.write("\n".join(out) + "\n")
 
     def write_lp(self, path) -> None:
-        """LP-format text; `QcpModel` adds rows with [ ... ] quadratic blocks."""
+        """LP-format text; rows with bilinear terms hold [ ... ] quadratic blocks."""
         num, snum = functools.cache(_num), functools.cache(_snum)
         col_ids = [f"C{v.col + 1}" for v in self.vars]
         out = [f"\\ Problem: {self.name}", "Minimize",
@@ -379,7 +404,11 @@ class MilpModel:
             body = _lp_terms(r.coeffs, col_ids, snum) or "0 " + col_ids[0]
             for suffix, sense, val in _senses(r.lo, r.hi):
                 out.append(f" R{r.num + 1}{suffix}: {body} {sense} {num(val)}")
-        out += self._lp_quad_rows(col_ids, num, snum)
+        for qr in self.quad_rows:
+            inner = " ".join(f"{snum(c)} {col_ids[a]} * {col_ids[b]}" for c, a, b in qr.quads)
+            body = " ".join(x for x in (_lp_terms(qr.coeffs, col_ids, snum), f"[ {inner} ]") if x)
+            for suffix, sense, val in _senses(qr.lo, qr.hi):
+                out.append(f" Q{qr.num + 1}{suffix}: {body} {sense} {num(val)}")
         out.append("Bounds")
         for v, cid in zip(self.vars, col_ids):
             if v.lo == v.hi:
@@ -396,57 +425,6 @@ class MilpModel:
         out.append("End")
         with open(path, "w") as fh:
             fh.write("\n".join(out) + "\n")
-
-    def _lp_quad_rows(self, col_ids, num, snum) -> list[str]:
-        """LP lines of the rows with bilinear terms; a linear model has none."""
-        return []
-
-
-class QcpModel(MilpModel):
-    """MilpModel plus rows with bilinear (spec x volume) terms."""
-
-    def __init__(self, name: str = "model"):
-        super().__init__(name)
-        self.quad_rows: list[Row] = []
-
-    def add_quad_row(self, tag: str, index: tuple, coeffs: dict[VarRef, float],
-                     quads: list[tuple[float, VarRef, VarRef]],
-                     lo: float = -INF, hi: float = INF) -> Row:
-        row = _row(len(self.quad_rows), tag, index, coeffs, lo, hi,
-                   tuple((float(c), a.col, b.col) for c, a, b in quads if c != 0.0))
-        self.quad_rows.append(row)
-        return row
-
-    def has_bilinear(self) -> bool:
-        return any(qr.quads for qr in self.quad_rows)
-
-    def tags(self) -> set[str]:
-        return super().tags() | {qr.tag for qr in self.quad_rows}
-
-    def bilinear_pairs(self) -> set[tuple[int, int]]:
-        """Distinct unordered column pairs appearing in bilinear terms."""
-        pairs = set()
-        for qr in self.quad_rows:
-            for _, a, b in qr.quads:
-                pairs.add((min(a, b), max(a, b)))
-        return pairs
-
-    def bilinear_kind_pairs(self) -> set[tuple[str, str]]:
-        out = set()
-        for a, b in self.bilinear_pairs():
-            ka, kb = self.vars[a].kind, self.vars[b].kind
-            out.add((ka, kb) if ka <= kb else (kb, ka))
-        return out
-
-    def _lp_quad_rows(self, col_ids, num, snum) -> list[str]:
-        out = []
-        for qr in self.quad_rows:
-            inner = " ".join(f"{snum(c)} {col_ids[a]} * {col_ids[b]}" for c, a, b in qr.quads)
-            body = " ".join(x for x in (_lp_terms(qr.coeffs, col_ids, snum), f"[ {inner} ]") if x)
-            for suffix, sense, val in _senses(qr.lo, qr.hi):
-                out.append(f" Q{qr.num + 1}{suffix}: {body} {sense} {num(val)}")
-        return out
-
 
 def _senses(lo: float, hi: float):
     if lo == hi:

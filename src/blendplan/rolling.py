@@ -52,7 +52,6 @@ class RollingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Period:
-    index: int
     start: int
     end: int              # exclusive
 
@@ -89,7 +88,7 @@ def run_based_periods(runs, horizon: int, dt: int) -> list[Period]:
         later = [e for e in ends if e >= t]
         within = [e for e in later if e <= t + dt]
         end = max(within) if within else min(later, default=t + dt - 1)
-        periods.append(Period(len(periods), t, min(end + 1, horizon)))
+        periods.append(Period(t, min(end + 1, horizon)))
         t = periods[-1].end
     return periods
 

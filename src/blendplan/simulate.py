@@ -19,7 +19,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .instance import Instance, derive_sets
+from .instance import (FINITE, STRING, WHOLE, Instance, derive_sets, entries, keyed,
+                       optional, record)
 
 PLAN_SCHEMA = "blendplan-plan/1"
 VOL_TOL = 1e-6    # metric tons: deviations below this are float noise
@@ -27,7 +28,8 @@ SPEC_TOL = 1e-6   # concentration points
 
 
 class PlanInconsistencyError(ValueError):
-    """Plan implies negative inventory or feed drawn from an empty tank."""
+    """Plan implies negative inventory, feed drawn from an empty tank or an
+    inflow from a barge the instance lacks."""
 
 
 @dataclass
@@ -58,28 +60,23 @@ class FlowPlan:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "schema": PLAN_SCHEMA,
-            "y_in": [[s, k, t, v] for (s, k, t), v in sorted(self.y_in.items())],
-            "y_out": [[k, t, v] for (k, t), v in sorted(self.y_out.items())],
-            "gamma": [[s, t, int(g)] for (s, t), g in sorted(self.gamma.items())],
-            "sigma": [[k, t, int(g)] for (k, t), g in sorted(self.sigma.items())],
-            "v_unused": {s: v for s, v in sorted(self.v_unused.items())},
-            "mis": [[t, v] for t, v in sorted(self.mis.items())],
-        }
+        return PLAN_FORMAT.write(self)
+
+
+PLAN_FORMAT = record(FlowPlan, {
+    "y_in": optional(entries("[barge, tank, day, volume]", STRING, STRING, WHOLE, FINITE)),
+    "y_out": optional(entries("[tank, day, volume]", STRING, WHOLE, FINITE)),
+    "gamma": optional(entries("[barge, day, 0 or 1]", STRING, WHOLE, WHOLE)),
+    "sigma": optional(entries("[tank, day, 0 or 1]", STRING, WHOLE, WHOLE)),
+    "v_unused": optional(keyed(FINITE)),
+    "mis": optional(entries("[day, volume]", WHOLE, FINITE)),
+}, schema=PLAN_SCHEMA, label="plan")
 
 
 def plan_from_dict(data: dict) -> FlowPlan:
-    if data.get("schema") != PLAN_SCHEMA:
-        raise ValueError(f"expected schema {PLAN_SCHEMA!r}, got {data.get('schema')!r}")
-    return FlowPlan(
-        y_in={(s, k, int(t)): float(v) for s, k, t, v in data.get("y_in", [])},
-        y_out={(k, int(t)): float(v) for k, t, v in data.get("y_out", [])},
-        gamma={(s, int(t)): int(g) for s, t, g in data.get("gamma", [])},
-        sigma={(k, int(t)): int(g) for k, t, g in data.get("sigma", [])},
-        v_unused={s: float(v) for s, v in data.get("v_unused", {}).items()},
-        mis={int(t): float(v) for t, v in data.get("mis", [])},
-    )
+    """The plan in ``data``; a missing member is empty, and a value of the
+    wrong shape raises ``InstanceError``, a ``ValueError``, naming its path."""
+    return PLAN_FORMAT.read(data)
 
 
 def write_plan(plan: FlowPlan, path) -> None:
@@ -144,6 +141,8 @@ def simulate(inst: Instance, plan: FlowPlan, through_day: int | None = None) -> 
     inflows_by_kt: dict[tuple[str, int], list[tuple[str, float]]] = {}
     for (s, k, t), v in plan.y_in.items():
         if v:
+            if s not in barge_specs:
+                raise PlanInconsistencyError(f"inflow from {s!r}, a barge the instance lacks")
             inflows_by_kt.setdefault((k, t), []).append((s, v))
 
     for t in range(H):

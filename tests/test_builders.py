@@ -6,12 +6,12 @@ from dataclasses import replace
 import pytest
 
 from blendplan import read_instance, sample_instance_path
-from blendplan.builders import (CenterOptions, _envelope_rows, build_center,
+from blendplan.builders import (CenterOptions, _envelope_rows, _window_rows, build_center,
                                 build_exact_mix, build_exact_split,
                                 build_mccormick, make_plans, ratio_buffer,
                                 reachable_spec_bounds, tighten)
 from blendplan.instance import Barge, Run, SpecDef, Tank
-from blendplan.model import TAGS, VAR_DAY_POS, MilpModel
+from blendplan.model import INF, TAGS, VAR_DAY_POS, MilpModel
 from blendplan.simulate import audit, simulate
 from blendplan.solve import SolveOptions, extract_flow_plan, solve
 from conftest import small_instance, toy_1t1s, zero_denominator_instance
@@ -374,7 +374,7 @@ _DIGIT_COLS = {**_SPEC_COLS, "alpha": 18, "x_alpha": 48}
 def test_model_size_per_tag_pinned(build, rows, cols):
     inst = small_instance(0)
     m = build(inst, make_plans(inst, 1.0))
-    got_rows = Counter(r.tag for r in m.rows) + Counter(q.tag for q in getattr(m, "quad_rows", []))
+    got_rows = Counter(r.tag for r in m.rows) + Counter(q.tag for q in m.quad_rows)
     assert dict(got_rows) == rows
     assert dict(Counter(v.kind for v in m.vars)) == cols
 
@@ -388,6 +388,24 @@ def test_builders_use_the_whole_vocabulary():
               build_mccormick(inst, plans), build_exact_mix(inst), build_exact_split(inst)]
     assert set().union(*(m.tags() for m in models)) == TAGS
     assert {v.kind for m in models for v in m.vars} == set(VAR_DAY_POS)
+
+
+def test_window_rows_sum_a_term_in_both_num_and_den():
+    # lo·den and hi·den share x with num: each row holds x once, at the sum
+    m = MilpModel("w")
+    x = m.add_var("y_out", ("T1", 0), 0.0, 10.0)
+    y = m.add_var("y_out", ("T2", 0), 0.0, 10.0)
+    f = m.add_var("f", ("T1", "P", 0), 0.0, 100.0)
+    _window_rows(m, "feed_share", ("T1", 0), {x: 1.0}, {x: 1.0, y: 1.0}, 0.25, 1.0)
+    lb, ub = m.rows
+    assert (lb.tag, lb.coeffs, lb.lo, lb.hi) == ("feed_share_lb", {x.col: 0.75, y.col: -0.25},
+                                                 0.0, INF)
+    assert (ub.tag, ub.coeffs, ub.lo, ub.hi) == ("feed_share_ub", {y.col: -1.0}, -INF, 0.0)
+    _window_rows(m, "feed_spec", ("P", 0), {(f, x): 1.0, y: 2.0}, {(f, x): 1.0, x: 4.0},
+                 40.0, 60.0, bilinear=True)
+    lb, ub = m.quad_rows
+    assert (lb.coeffs, lb.quads) == ({y.col: 2.0, x.col: -160.0}, ((-39.0, f.col, x.col),))
+    assert (ub.coeffs, ub.quads) == ({y.col: 2.0, x.col: -240.0}, ((-59.0, f.col, x.col),))
 
 
 @pytest.mark.parametrize("beta,lo,hi", [(0.0, 0.0, 0.0), (1.0, 10.0, 10.0), (0.5, 0.0, 4.0)])
@@ -421,8 +439,7 @@ def test_envelope_bounds_at_fractional_selector(beta, lo, hi):
 def test_sample_rows_are_unique_by_tag_and_index(build, sizes):
     inst = read_instance(sample_instance_path())
     m = build(inst, make_plans(inst, 1.0))
-    quad_rows = getattr(m, "quad_rows", [])
-    assert (len(m.rows), len(quad_rows)) == sizes
-    keys = [(r.tag, r.index) for r in m.rows + quad_rows]
+    assert (len(m.rows), len(m.quad_rows)) == sizes
+    keys = [(r.tag, r.index) for r in m.rows + m.quad_rows]
     assert len(set(keys)) == len(keys)
-    assert all(r.name == f"{r.tag}[{','.join(map(str, r.index))}]" for r in m.rows + quad_rows)
+    assert all(r.name == f"{r.tag}[{','.join(map(str, r.index))}]" for r in m.rows + m.quad_rows)

@@ -254,13 +254,21 @@ def test_extraction_error_exits_with_error(sample_path, tmp_path, capsys, monkey
 
 
 def test_partial_roll_refuses_split_runs_before_out_dir(sample_path, tmp_path, capsys):
-    # the default fixed 7-day periods split run R2 of the sample at day 7
+    # fixed 7-day periods split run R2 of the sample at day 7
     out_dir = tmp_path / "o"
     assert main(["solve", "--instance", sample_path, "--out-dir", str(out_dir),
-                 "--scheme", "partial", "--h-nf", "30"]) == 2
+                 "--scheme", "partial", "--periods", "fixed", "--h-nf", "30"]) == 2
     assert capsys.readouterr().err.startswith(
         "error: step boundary 7 splits run R2; use run-based periods with the partial scheme")
     assert not out_dir.exists()
+
+
+def test_partial_roll_defaults_to_run_based_periods(inst_path, tmp_path, capsys):
+    # fixed 2-day periods would split run R1 at day 2; the default periods do not
+    assert main(["solve", "--instance", inst_path, "--out-dir", str(tmp_path / "o"),
+                 "--scheme", "partial", "--dt", "2", "--time-limit", "300"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["scheme"], record["steps"], record["violations"]) == ("partial", 2, 0)
 
 
 def test_infeasible_flat_solve_writes_its_record(tiny_path, tmp_path, capsys, monkeypatch):
@@ -556,7 +564,7 @@ def test_bench_run_without_instance_is_an_error_row(tmp_path, capsys):
 def test_solve_defaults_pinned():
     # the defaults `solve`, `bench` and `run_solve_config` share
     want = {
-        "method": "center", "eps_hat": "1.0", "scheme": "flat", "periods": "fixed",
+        "method": "center", "eps_hat": "1.0", "scheme": "flat", "periods": "run",
         "dt": 7, "h_nf": 90, "n_present": 1, "n_step": 1,
         "no_tighten": False,
         "mip_gap": 0.005, "time_limit": 600.0,

@@ -9,14 +9,14 @@ import pytest
 import blendplan
 from blendplan.builders import build_center, build_exact_split, make_plans
 from blendplan.cli import main
-from blendplan.model import INF, MilpModel, QcpModel, parse_mps
+from blendplan.model import INF, MilpModel, parse_mps
 from conftest import small_instance, tiny_instance
 
 
-def golden_model(cls=MilpModel):
+def golden_model(bilinear=False):
     """Hand-built model: E, L, G and ranged rows, two integer blocks, every
     bound kind, a column with no entries and a nonzero objective offset."""
-    m = cls("golden")
+    m = MilpModel("golden")
     x = m.add_var("v_unused", ("a",), 0.0, 10.0)
     y = m.add_var("v_unused", ("b",), -INF, 5.5)
     b1 = m.add_var("gamma", ("p", 0), 0.0, 1.0, binary=True)
@@ -29,7 +29,7 @@ def golden_model(cls=MilpModel):
     m.add_row("xa_mid_lb", ("a", 0), {z: 1.0 / 3.0, x: 2.0}, lo=-3.0)
     m.add_row("xa_mid_shift_lb", ("b", 1), {y: 1.0, b2: 4.0, b3: 1.0}, lo=-1.0, hi=7.25)
     m.set_objective({x: 1.0, b2: 1e-3}, 123.5)
-    if cls is QcpModel:
+    if bilinear:
         m.add_quad_row("spec_mass_split", ("a", "P", 0), {x: -2.0}, [(1.5, y, z)], lo=0.0, hi=0.0)
     return m
 
@@ -120,7 +120,7 @@ def reference_sidecar(m) -> dict:
     }
     if m.plans is not None:
         data["plans"] = {f"{k},{q}": p.to_dict() for (k, q), p in sorted(m.plans.items())}
-    if getattr(m, "quad_rows", None):
+    if m.quad_rows:
         data["quad_rows"] = {f"Q{qr.num + 1}": {"name": qr.name, "tag": qr.tag}
                              for qr in m.quad_rows}
     return data
@@ -205,10 +205,11 @@ def test_mps_matches_golden_text(tmp_path):
     assert path.read_text() == "\n".join(GOLDEN_MPS) + "\n"
 
 
-@pytest.mark.parametrize("cls, quad", [(MilpModel, ()), (QcpModel, GOLDEN_LP_QUAD)])
-def test_lp_matches_golden_text(tmp_path, cls, quad):
+@pytest.mark.parametrize("bilinear, quad", [(False, ()), (True, GOLDEN_LP_QUAD)],
+                         ids=["linear", "bilinear"])
+def test_lp_matches_golden_text(tmp_path, bilinear, quad):
     path = tmp_path / "g.lp"
-    golden_model(cls).write_lp(path)
+    golden_model(bilinear).write_lp(path)
     assert path.read_text() == "\n".join(GOLDEN_LP_HEAD + quad + GOLDEN_LP_TAIL) + "\n"
 
 

@@ -98,7 +98,7 @@ def test_partition_property(h, dt, data):
 @settings(max_examples=200, deadline=None)
 @given(h=st.integers(0, 400), dt=st.integers(1, 40))
 def test_fixed_periods_are_run_based_periods_without_runs(h, dt):
-    blocks = [Period(i, s, min(s + dt, h)) for i, s in enumerate(range(0, h, dt))]
+    blocks = [Period(s, min(s + dt, h)) for s in range(0, h, dt)]
     assert fixed_periods(h, dt) == run_based_periods((), h, dt) == blocks
 
 
@@ -393,7 +393,7 @@ def test_roll_partial_end_to_end():
 def test_roll_rejects_bad_partition():
     inst = small_instance(11)
     with pytest.raises(ValueError):
-        roll_full(inst, [Period(0, 0, 3)], RollParams(), _builder())
+        roll_full(inst, [Period(0, 3)], RollParams(), _builder())
 
 
 def test_roll_params_validation():
