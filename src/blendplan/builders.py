@@ -14,12 +14,12 @@ last three also share its extension by per-spec volumes:
   whose volume products are bounded by convex-envelope rows.
 
 Both MILPs take their base-2 digit plans, one ``plan`` per (tank, spec),
-from ``make_plans``; a missing plan raises ``KeyError``.  Every spec-volume
-model takes its demand windows from ``tighten``: buffered by half the MILPs'
-precision (and its ratio differential), or, at precision 0, the runs' own
-windows.  The buffers bound the digits' spec error to first order only:
-where the specs bind, a simulated plan can still break an original window,
-and the audit reports each break.
+from ``make_plans``; a missing plan raises ``KeyError``.  Every model writes
+its demand windows with ``_Core.feed_window_rows``, from ``tighten``: buffered
+by half the MILPs' precision (and its ratio differential), or, at precision
+0, the runs' own windows.  The buffers bound the digits' spec error to first
+order only: where the specs bind, a simulated plan can still break an
+original window, and the audit reports each break.
 Both MILPs take their options, whether to tighten, as one ``CenterOptions``.
 
 Every row is added as its ``(tag, index)``, the index holding the ids and
@@ -294,6 +294,20 @@ class _Core:
             coeffs[self.mis[t]] = ds.miss_penalty_by_day[t]
         self.m.set_objective(coeffs, value_target(inst))
 
+    def feed_window_rows(self, bounds: TightenedBounds, fed, bilinear: bool = False):
+        """Every run day's spec and ratio window rows at ``bounds``; ``fed(q, t)``
+        gives the spec-``q`` feed of day ``t`` as ``_window_rows`` terms."""
+        m, inst = self.m, self.inst
+        for r in inst.runs:
+            for t in range(r.days[0], r.days[1] + 1):
+                outs = {self.y_out[(k.id, t)]: 1.0 for k in inst.tanks}
+                for q in sorted(r.spec_bounds):
+                    _window_rows(m, "feed_spec", (q, t), fed(q, t), outs,
+                                 *bounds.spec[(r.id, q)], bilinear=bilinear)
+                for (q1, q2) in sorted(r.ratio_bounds):
+                    _window_rows(m, "feed_ratio", (q1, q2, t), fed(q1, t), fed(q2, t),
+                                 *bounds.ratio[(r.id, q1, q2)], bilinear=bilinear)
+
 
 class _SpecVolumes(_Core):
     """The core plus per-(tank, spec, day) spec volumes: ``vf_mid``,
@@ -405,21 +419,8 @@ class _SpecVolumes(_Core):
             _envelope_rows(self.m, f"xa_{fam}", (k.id, q, t, i), x, self.alpha[(k.id, q, t, i)],
                            self.xa[(k.id, q, t, i, fam)], xlo, xhi)
 
-    def feed_window_rows(self, bounds: TightenedBounds):
-        m, inst, yf_out = self.m, self.inst, self.yf_out
-
-        def fed(q, t):     # the spec-q feed of day t
-            return {yf_out[(k.id, q, t)]: 1.0 for k in inst.tanks}
-
-        for r in inst.runs:
-            for t in range(r.days[0], r.days[1] + 1):
-                outs = {self.y_out[(k.id, t)]: 1.0 for k in inst.tanks}
-                for q in sorted(r.spec_bounds):
-                    _window_rows(m, "feed_spec", (q, t), fed(q, t), outs,
-                                 *bounds.spec[(r.id, q)])
-                for (q1, q2) in sorted(r.ratio_bounds):
-                    _window_rows(m, "feed_ratio", (q1, q2, t), fed(q1, t), fed(q2, t),
-                                 *bounds.ratio[(r.id, q1, q2)])
+    def fed(self, q: str, t: int) -> dict[VarRef, float]:     # the spec-q feed of day t
+        return {self.yf_out[(k.id, q, t)]: 1.0 for k in self.inst.tanks}
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +438,9 @@ def build_exact_mix(inst: Instance) -> MilpModel:
     for k in inst.tanks:
         for q in inst.spec_ids():
             lo, hi = reach[(k.id, q)]
-            for t in range(H):
-                f[(k.id, q, t)] = m.add_var("f", (k.id, q, t), lo, hi)
             m.note_structural("init_spec")
-
-    for k in inst.tanks:
-        for q in inst.spec_ids():
             for t in range(H):
-                fv = f[(k.id, q, t)]
+                fv = f[(k.id, q, t)] = m.add_var("f", (k.id, q, t), lo, hi)
                 lin = {ref: -inst.barge(s).specs[q] for s, ref in core.inflows.get((k.id, t), ())}
                 quads = [(1.0, fv, core.v_mid[(k.id, t)])]
                 rhs = 0.0
@@ -462,14 +458,7 @@ def build_exact_mix(inst: Instance) -> MilpModel:
     def fed(q, t):         # the spec-q feed of day t: each tank's f times its feed
         return {(f[(k.id, q, t)], core.y_out[(k.id, t)]): 1.0 for k in inst.tanks}
 
-    for r in inst.runs:
-        for t in range(r.days[0], r.days[1] + 1):
-            outs = {core.y_out[(k.id, t)]: 1.0 for k in inst.tanks}
-            for q, bounds in sorted(r.spec_bounds.items()):
-                _window_rows(m, "feed_spec", (q, t), fed(q, t), outs, *bounds, bilinear=True)
-            for (q1, q2), bounds in sorted(r.ratio_bounds.items()):
-                _window_rows(m, "feed_ratio", (q1, q2, t), fed(q1, t), fed(q2, t), *bounds,
-                             bilinear=True)
+    core.feed_window_rows(tighten(inst, 0.0), fed, bilinear=True)
     return m
 
 
@@ -479,7 +468,7 @@ def build_exact_split(inst: Instance) -> MilpModel:
     m = MilpModel("exact_split")
     s = _SpecVolumes(m, inst)
     s.mass_rows()
-    s.feed_window_rows(tighten(inst, 0.0))
+    s.feed_window_rows(tighten(inst, 0.0), s.fed)
     for k in inst.tanks:
         for q in inst.spec_ids():
             for t in sorted(s.demand_days):
@@ -539,7 +528,7 @@ def build_center(inst: Instance, plans, opts: CenterOptions | None = None) -> Mi
                 for product in s.products(k, q, t):
                     s.digit_rows(k, q, t, product, center0)
 
-    s.feed_window_rows(tighten(inst, plan_eps_hat(plans) if opts.tighten else 0.0))
+    s.feed_window_rows(tighten(inst, plan_eps_hat(plans) if opts.tighten else 0.0), s.fed)
     return m
 
 
@@ -567,7 +556,7 @@ def build_mccormick(inst: Instance, plans, opts: CenterOptions | None = None) ->
                         _envelope_rows(m, f"xdelta_{fam}", (k.id, q, t), x, df, xd, xlo, xhi,
                                        scale=p.eps)
 
-    s.feed_window_rows(tighten(inst, plan_eps_hat(plans) if opts.tighten else 0.0))
+    s.feed_window_rows(tighten(inst, plan_eps_hat(plans) if opts.tighten else 0.0), s.fed)
     return m
 
 

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .instance import Instance
 from .model import MilpModel
-from .simulate import FlowPlan, _stated, plan_objective, simulate
+from .simulate import PLAN_FIELDS, FlowPlan, _stated, plan_objective, simulate
 from .solve import SolveOptions, SolveResult, extract_flow_plan, solve
 
 # Seconds every step is given at least; a budget left below it ends the roll.
@@ -340,8 +340,8 @@ def roll_partial(inst: Instance, periods: list[Period], params: RollParams, buil
 
     def commit(model, res, offset, next_start):
         sub_plan = extract_flow_plan(model, res)
-        # the day is the last index of each of these plan entries
-        for name in ("y_in", "y_out", "gamma", "sigma"):
+        # every field but the slacks is dated: the day is its key's last part
+        for name in [name for name, fld in PLAN_FIELDS.items() if fld.read != "slack"]:
             kept = getattr(acc, name)
             for key, v in getattr(sub_plan, name).items():
                 if key[-1] + offset < next_start and v > 0.0:

@@ -18,9 +18,10 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
-from .instance import (FINITE, STRING, WHOLE, Instance, derive_sets, entries, keyed,
-                       optional, record)
+from .instance import (BINARY, FINITE, STRING, WHOLE, Instance, derive_sets, entries,
+                       keyed, optional, record)
 
 PLAN_SCHEMA = "blendplan-plan/1"
 VOL_TOL = 1e-6    # metric tons: deviations below this are float noise
@@ -28,8 +29,8 @@ SPEC_TOL = 1e-6   # concentration points
 
 
 class PlanInconsistencyError(ValueError):
-    """Plan implies negative inventory, feed drawn from an empty tank or an
-    inflow from a barge the instance lacks."""
+    """Plan names a barge or tank the instance lacks, or implies negative
+    feed or inventory, or feed drawn from an empty tank."""
 
 
 @dataclass
@@ -63,11 +64,33 @@ class FlowPlan:
         return PLAN_FORMAT.write(self)
 
 
+class PlanField(NamedTuple):
+    """A ``FlowPlan`` field's model columns, of the kind named like it, one at
+    each entry's key: ``parts`` names the key's ids, and ``read`` how a solve's
+    value reads back ("binary": rounded at 0.5; "flow": clipped, kept only
+    where positive; "slack": clipped, always kept)."""
+    parts: tuple[str, ...]
+    read: str
+
+    def index(self, key) -> tuple:     # a one-part key is stored bare
+        return key if len(self.parts) > 1 else (key,)
+
+
+# The one map between plan entries and model columns, in FlowPlan field order.
+PLAN_FIELDS = {
+    "y_in": PlanField(("barge", "tank", "day"), "flow"),
+    "y_out": PlanField(("tank", "day"), "flow"),
+    "gamma": PlanField(("barge", "day"), "binary"),
+    "sigma": PlanField(("tank", "day"), "binary"),
+    "v_unused": PlanField(("barge",), "slack"),
+    "mis": PlanField(("day",), "slack"),
+}
+
 PLAN_FORMAT = record(FlowPlan, {
     "y_in": optional(entries("[barge, tank, day, volume]", STRING, STRING, WHOLE, FINITE)),
     "y_out": optional(entries("[tank, day, volume]", STRING, WHOLE, FINITE)),
-    "gamma": optional(entries("[barge, day, 0 or 1]", STRING, WHOLE, WHOLE)),
-    "sigma": optional(entries("[tank, day, 0 or 1]", STRING, WHOLE, WHOLE)),
+    "gamma": optional(entries("[barge, day, 0 or 1]", STRING, WHOLE, BINARY)),
+    "sigma": optional(entries("[tank, day, 0 or 1]", STRING, WHOLE, BINARY)),
     "v_unused": optional(keyed(FINITE)),
     "mis": optional(entries("[day, volume]", WHOLE, FINITE)),
 }, schema=PLAN_SCHEMA, label="plan")
@@ -125,7 +148,8 @@ def simulate(inst: Instance, plan: FlowPlan, through_day: int | None = None) -> 
 
     Within a day: all inflows mix completely, then outflow happens.  With
     no volume in a tank the previous spec value carries forward; feed from
-    an empty tank is a plan inconsistency, as is negative inventory.
+    an empty tank is a plan inconsistency, as are negative inventory and an
+    entry of any field naming a barge or tank the instance lacks.
     """
     H = inst.horizon if through_day is None else through_day
     spec_ids = inst.spec_ids()
@@ -138,11 +162,16 @@ def simulate(inst: Instance, plan: FlowPlan, through_day: int | None = None) -> 
     state_v = {k.id: k.v_init for k in inst.tanks}
     state_f = {(k.id, q): k.specs_init[q] for k in inst.tanks for q in spec_ids}
     barge_specs = {b.id: b.specs for b in inst.barges}
+    known = {"barge": barge_specs, "tank": state_v}
+    for name, fld in PLAN_FIELDS.items():
+        for key in getattr(plan, name):
+            for part, x in zip(fld.parts, fld.index(key)):
+                if part in known and x not in known[part]:
+                    raise PlanInconsistencyError(
+                        f"{name} names {part} {x!r}, which the instance lacks")
     inflows_by_kt: dict[tuple[str, int], list[tuple[str, float]]] = {}
     for (s, k, t), v in plan.y_in.items():
         if v:
-            if s not in barge_specs:
-                raise PlanInconsistencyError(f"inflow from {s!r}, a barge the instance lacks")
             inflows_by_kt.setdefault((k, t), []).append((s, v))
 
     for t in range(H):

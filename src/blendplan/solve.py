@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .discretize import encode
 from .model import MilpModel, _key_name
-from .simulate import (FlowPlan, PlanInconsistencyError, empty_plan, simulate,
+from .simulate import (PLAN_FIELDS, FlowPlan, PlanInconsistencyError, empty_plan, simulate,
                        unload_count_violations)
 
 log = logging.getLogger(__name__)
@@ -369,7 +369,7 @@ def _plan_starts(model: MilpModel, plan: FlowPlan, level: int = logging.WARNING)
     """The column starts ``warm_start`` takes from a plan; a value outside
     its column's bounds is dropped and logged at ``level``."""
     starts: dict[int, float] = {}
-    if not any((plan.y_in, plan.y_out, plan.gamma, plan.sigma, plan.v_unused, plan.mis)):
+    if not any(getattr(plan, name) for name in PLAN_FIELDS):
         return starts
 
     def put(kind, index, value):
@@ -382,18 +382,9 @@ def _plan_starts(model: MilpModel, plan: FlowPlan, level: int = logging.WARNING)
             return
         starts[ref.col] = float(min(max(value, ref.lo), ref.hi))
 
-    for (s, t), g in plan.gamma.items():
-        put("gamma", (s, t), float(g))
-    for (k, t), g in plan.sigma.items():
-        put("sigma", (k, t), float(g))
-    for (s, k, t), v in plan.y_in.items():
-        put("y_in", (s, k, t), v)
-    for (k, t), v in plan.y_out.items():
-        put("y_out", (k, t), v)
-    for s, v in plan.v_unused.items():
-        put("v_unused", (s,), v)
-    for t, v in plan.mis.items():
-        put("mis", (t,), v)
+    for name, fld in PLAN_FIELDS.items():
+        for key, value in getattr(plan, name).items():
+            put(name, fld.index(key), float(value))
 
     if model.plans is not None and model.instance is not None:
         try:
@@ -423,35 +414,24 @@ def row_violations(model: MilpModel, values: dict[str, float], tol: float = ROW_
 
 
 def extract_flow_plan(model: MilpModel, result: SolveResult) -> FlowPlan:
-    """Read the decision variables out of a solve, rounding binaries at 0.5
-    and checking the rounded unloads by the audit's count rules
-    (``unload_count_violations``)."""
+    """Read the plan out of a solve: each column of a ``PLAN_FIELDS`` kind by
+    its field's rule, binaries rounded at 0.5; then check the rounded unloads
+    by the audit's count rules (``unload_count_violations``)."""
     if not result.has_values and model.n_vars > 0:
         raise ExtractionError(f"no values in result with status {result.status!r}")
     inst = model.instance
-    vals = result.values
-
-    def rounded(kind):
-        out = {}
-        for v in model.vars_of_kind(kind):
-            out[v.index] = 1 if vals[v.name] >= 0.5 else 0
-        return out
-
-    def clipped(kind):
-        out = {}
-        for v in model.vars_of_kind(kind):
-            x = vals[v.name]
-            out[v.index] = 0.0 if abs(x) < 1e-9 else max(x, 0.0)
-        return out
-
-    plan = FlowPlan(
-        y_in={idx: v for idx, v in clipped("y_in").items() if v > 0.0},
-        y_out={idx: v for idx, v in clipped("y_out").items() if v > 0.0},
-        gamma=rounded("gamma"),
-        sigma=rounded("sigma"),
-        v_unused={idx[0]: v for idx, v in clipped("v_unused").items()},
-        mis={idx[0]: v for idx, v in clipped("mis").items()},
-    )
+    plan = FlowPlan()
+    for v in model.vars:
+        fld = PLAN_FIELDS.get(v.kind)
+        if fld is None:
+            continue
+        x = result.values[v.name]
+        if fld.read == "binary":
+            x = 1 if x >= 0.5 else 0
+        else:
+            x = 0.0 if abs(x) < 1e-9 else max(x, 0.0)
+        if x > 0.0 or fld.read != "flow":
+            getattr(plan, v.kind)[v.index if len(fld.parts) > 1 else v.index[0]] = x
     if inst is not None:
         per_barge, per_day = unload_count_violations(inst, plan.unload_days())
         broken = [*per_barge.values(), *per_day]

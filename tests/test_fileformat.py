@@ -130,7 +130,7 @@ def test_plan_members_read_fresh_and_empty():
 def _plan_probes(plan):
     return [
         (("y_in", 0, 2), 4.5, "y_in[0][2]: expected a whole number, got 4.5"),
-        (("gamma", 0, 2), 0.7, "gamma[0][2]: expected a whole number, got 0.7"),
+        (("gamma", 0, 2), 0.7, "gamma[0][2]: expected 0 or 1, got 0.7"),
         (("extra",), 1, "plan: unknown field(s) ['extra']"),
         (("y_in", 0, 3), None, "y_in[0][3]: expected a finite number, got null"),
         (("v_unused",), [], "v_unused: expected a JSON object, got []"),
@@ -154,11 +154,36 @@ def test_audit_refuses_a_plan_value_of_the_wrong_shape(solved, tmp_path, capsys)
     assert rc == 2 and err.startswith("error: plan: expected a JSON object, got [{")
 
 
-def test_audit_refuses_an_inflow_from_an_unknown_barge(solved, tmp_path, capsys):
+@pytest.mark.parametrize("field,where,part,name", [
+    ("y_in", 0, "barge", "B9"), ("y_in", 1, "tank", "T9"), ("y_out", 0, "tank", "T9"),
+    ("gamma", 0, "barge", "B9"), ("sigma", 0, "tank", "T9"), ("v_unused", None, "barge", "B9"),
+])
+@pytest.mark.parametrize("command", ["audit", "simulate"])
+def test_a_plan_naming_an_unknown_id_is_refused(solved, tmp_path, capsys, command, field,
+                                                where, part, name):
     inst_path, plan = solved
-    rc, _, err = _run("audit", _with(plan, ("y_in", 0, 0), "B9"), tmp_path, capsys,
-                      instance=inst_path)
-    assert rc == 2 and err.startswith("error: inflow from 'B9', a barge the instance lacks")
+    if field == "v_unused":     # a keyed object: rename its first key
+        data = copy.deepcopy(plan)
+        first = min(data["v_unused"])
+        data["v_unused"][name] = data["v_unused"].pop(first)
+    else:
+        data = _with(plan, (field, 0, where), name)
+    rc, _, err = _run(command, data, tmp_path, capsys, instance=inst_path)
+    assert rc == 2 and err.startswith(
+        f"error: {field} names {part} {name!r}, which the instance lacks"), err
+
+
+@pytest.mark.parametrize("field", ["gamma", "sigma"])
+@pytest.mark.parametrize("value", [2, -1, 7])
+def test_a_plan_indicator_other_than_0_or_1_is_refused(solved, tmp_path, capsys, field, value):
+    inst_path, plan = solved
+    data = _with(plan, (field, 0, 2), value)
+    want = f"{field}[0][2]: expected 0 or 1, got {value}"
+    with pytest.raises(ValueError) as err:
+        plan_from_dict(data)
+    assert str(err.value) == want
+    rc, _, err = _run("audit", data, tmp_path, capsys, instance=inst_path)
+    assert rc == 2 and err == f"error: {want}\n"
 
 
 def test_solved_plan_writes_back_byte_identical(solved, tmp_path):

@@ -12,11 +12,12 @@ from dataclasses import replace
 import pytest
 
 from blendplan.builders import build_center, build_mccormick, make_plans
+from blendplan.instance import derive_sets
 from blendplan.model import INF, MilpModel
 from blendplan.rolling import StepLog
-from blendplan.simulate import FlowPlan, empty_plan
-from blendplan.solve import (HIGHS_CORE, ExtractionError, SolveOptions, SolverError,
-                             _stdout_to_stderr, extract_flow_plan,
+from blendplan.simulate import PLAN_FIELDS, FlowPlan, empty_plan
+from blendplan.solve import (HIGHS_CORE, ExtractionError, SolveOptions, SolveResult,
+                             SolverError, _stdout_to_stderr, extract_flow_plan,
                              row_violations, solve, solve_reference,
                              warm_start)
 from conftest import small_instance
@@ -212,6 +213,34 @@ def test_warm_start_echoed_in_export(toy, tmp_path):
     import json
     data = json.loads(side.read_text())
     assert data["starts"]
+
+
+@pytest.fixture(scope="module")
+def sample_plan():
+    """The bundled sample and its flat ``center`` plan."""
+    import blendplan
+    inst = blendplan.read_instance(blendplan.sample_instance_path())
+    model = build_center(inst, make_plans(inst, 1.0))
+    return inst, extract_flow_plan(model, solve(model))
+
+
+@pytest.mark.parametrize("build", [build_center, build_mccormick])
+def test_a_plan_round_trips_through_its_columns(sample_plan, build):
+    inst, plan = sample_plan
+    # the plan states every slack, zeros included
+    assert plan.v_unused.keys() == {b.id for b in inst.barges}
+    assert plan.mis.keys() == set(derive_sets(inst).demand_days)
+    m = warm_start(build(inst, make_plans(inst, 1.0)), plan)
+    for name, fld in PLAN_FIELDS.items():
+        for key, value in getattr(plan, name).items():
+            assert m.starts[m.var(name, fld.index(key)).col] == pytest.approx(value, abs=1e-9)
+    # a result holding the starts, every other column 0, reads back as the plan
+    values = {v.name: m.starts.get(v.col, 0.0) for v in m.vars}
+    back = extract_flow_plan(m, SolveResult("optimal", None, None, values))
+    for name in PLAN_FIELDS:
+        got, want = getattr(back, name), getattr(plan, name)
+        assert got.keys() == want.keys(), name
+        assert all(abs(got[key] - want[key]) <= 1e-9 for key in want), name
 
 
 # -- starts and solver telemetry ---------------------------------------------
