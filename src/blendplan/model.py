@@ -45,6 +45,10 @@ VAR_DAY_POS: dict[str, int | None] = {
     "v_unused": None, "mis": 0,
 }
 
+# The dated binary kinds: the builders make their columns binary, and a
+# rolling step may relax them.
+BINARY_KINDS = ("gamma", "sigma", "alpha")
+
 # Documented constraint-tag vocabulary.  Rows outside this set are a bug.
 TAGS = frozenset({
     # flow / demand / unloading core

@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .instance import Instance
 from .model import MilpModel
 from .simulate import PLAN_FIELDS, FlowPlan, _stated, plan_objective, simulate
-from .solve import SolveOptions, SolveResult, extract_flow_plan, solve
+from .solve import SolveOptions, SolveResult, extract_flow_plan, round_binary, solve
 
 # Seconds every step is given at least; a budget left below it ends the roll.
 MIN_STEP_TIME = 2.0
@@ -254,7 +254,8 @@ def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder
     step solves that whole-horizon model with its past binaries fixed and
     the others kept binary or relaxed per ``SEGMENT_POLICY``.  After each
     step the binaries of the days it steps over are fixed in place,
-    rounded at 0.5.
+    rounded by ``round_binary``, the rule ``extract_flow_plan`` reads
+    binary plan fields by.
 
     ``on_step(step, model, result)`` is called after each solve, before the
     step's binaries are fixed: it sees the model as the solver saw it.
@@ -264,7 +265,7 @@ def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder
     def commit(model, res, offset, next_start):
         for v in model.vars:
             if v.kind in SEGMENT_POLICY and v.day < next_start:
-                model.fix(v, 1.0 if res.values[v.name] >= 0.5 else 0.0)
+                model.fix(v, round_binary(res.values[v.name]))
 
     steps, model, res = _roll(inst, periods, params, lambda t_start, t_nf: (model, 0),
                               commit, log_path, on_step)

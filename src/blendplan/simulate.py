@@ -29,7 +29,7 @@ SPEC_TOL = 1e-6   # concentration points
 
 
 class PlanInconsistencyError(ValueError):
-    """Plan names a barge or tank the instance lacks, or implies negative
+    """Plan names a barge, tank or day the instance lacks, or implies negative
     feed or inventory, or feed drawn from an empty tank."""
 
 
@@ -67,8 +67,8 @@ class FlowPlan:
 class PlanField(NamedTuple):
     """A ``FlowPlan`` field's model columns, of the kind named like it, one at
     each entry's key: ``parts`` names the key's ids, and ``read`` how a solve's
-    value reads back ("binary": rounded at 0.5; "flow": clipped, kept only
-    where positive; "slack": clipped, always kept)."""
+    value reads back ("binary": 0 or 1 by ``solve.round_binary``; "flow":
+    clipped, kept only where positive; "slack": clipped, always kept)."""
     parts: tuple[str, ...]
     read: str
 
@@ -149,7 +149,8 @@ def simulate(inst: Instance, plan: FlowPlan, through_day: int | None = None) -> 
     Within a day: all inflows mix completely, then outflow happens.  With
     no volume in a tank the previous spec value carries forward; feed from
     an empty tank is a plan inconsistency, as are negative inventory and an
-    entry of any field naming a barge or tank the instance lacks.
+    entry of any field naming a barge or tank the instance lacks or a day
+    outside ``[0, inst.horizon)``.
     """
     H = inst.horizon if through_day is None else through_day
     spec_ids = inst.spec_ids()
@@ -162,7 +163,7 @@ def simulate(inst: Instance, plan: FlowPlan, through_day: int | None = None) -> 
     state_v = {k.id: k.v_init for k in inst.tanks}
     state_f = {(k.id, q): k.specs_init[q] for k in inst.tanks for q in spec_ids}
     barge_specs = {b.id: b.specs for b in inst.barges}
-    known = {"barge": barge_specs, "tank": state_v}
+    known = {"barge": barge_specs, "tank": state_v, "day": range(inst.horizon)}
     for name, fld in PLAN_FIELDS.items():
         for key in getattr(plan, name):
             for part, x in zip(fld.parts, fld.index(key)):

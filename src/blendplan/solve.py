@@ -3,7 +3,10 @@
 ``solve`` runs in-process HiGHS through the ``_Highs`` object of
 ``scipy.optimize._highspy._core`` (the HiGHS build scipy ships, scipy >=
 1.15), and starts every solve from a plan: the caller's starts, or else the
-all-miss plan (no unloads, all demand missed).
+all-miss plan (no unloads, all demand missed).  ``solve`` completes that
+start itself, in a *held run* of the same HiGHS object with the start's
+dated binaries fixed, and runs the full model only when the held run's
+plan falls short of the value bound (see ``solve``).
 ``highs_core`` loads that extension module on its own, without the
 ``scipy.optimize`` package: it runs scipy's package init only, then loads
 ``_core`` from scipy's ``optimize/_highspy`` directory under its full name,
@@ -32,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from .discretize import encode
-from .model import MilpModel, _key_name
+from .model import BINARY_KINDS, MilpModel, _key_name
 from .simulate import (PLAN_FIELDS, FlowPlan, PlanInconsistencyError, empty_plan, simulate,
                        unload_count_violations)
 
@@ -140,19 +143,31 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     encoded as ``warm_start`` encodes a plan (``"all-miss"``), and
     ``model.starts`` stays as it was.  That start is partial: it holds the
     digit binaries of the simulated empty plan and the ``v_unused`` and
-    ``mis`` columns, but no ``gamma`` and no ``sigma``.  HiGHS completes it
-    with a sub-MIP over the free discrete columns, which usually finds the
-    plan the solve returns and takes most of its time.
+    ``mis`` columns, but no ``gamma`` and no ``sigma``.
+
+    A MIP with a start runs HiGHS twice on one model object.  The *held
+    run* fixes every started column of a ``BINARY_KINDS`` kind (``gamma``,
+    ``sigma``, ``alpha``) at its start value, relaxed columns of a rolling
+    step included, and stops at HiGHS's own start-node limit
+    (``mip_max_start_nodes``).  When its plan meets the value-bound target
+    below, that plan is the result.  Otherwise the bounds are put back and
+    the *full run* solves the model from the held run's plan, now a
+    complete start; from the start without its held columns when the held
+    run found no plan.  The full run gets the part of ``opts.time_limit``
+    that the held run left; a held run that leaves none ends the solve
+    with ``status`` ``"time_limit"``, its plan if it found one, and no
+    bound.
 
     No plan is worth more than ``model.value_bound()``.  When a MIP has a
-    finite, positive value bound and ``opts.mip_gap`` is finite, HiGHS stops
-    every phase, the start's completion included, at the first incumbent
-    within ``opts.mip_gap`` of that bound.  Such a
-    result has ``message`` "value bound reached" and a ``best_bound`` that
-    is the smaller of the value bound and HiGHS's own dual bound (when it
-    has one); ``gap`` is ``(best_bound - objective) / |objective|``, and
-    ``status`` is ``"optimal"`` at gap 0, else ``"gap_reached"``.
-    ``nodes`` reads 0 when the stop comes before the root node.
+    finite, positive value bound and ``opts.mip_gap`` is finite, both runs
+    stop at the first incumbent within ``opts.mip_gap`` of that bound.  Such
+    a result has ``message`` "value bound reached"; its ``best_bound`` is
+    the value bound after the held run (whose dual bound bounds only the
+    restricted model), and the smaller of the value bound and HiGHS's dual
+    bound (when it has one) after the full run.  ``gap`` is
+    ``(best_bound - objective) / |objective|``, and ``status`` is
+    ``"optimal"`` at gap 0, else ``"gap_reached"``.  ``nodes`` counts the
+    nodes of both runs; it reads 0 when the stop comes before a root node.
 
     A solve that runs past ``opts.time_limit`` (HiGHS can overspend it) is
     logged as a warning.
@@ -208,7 +223,6 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
     # command that validates, exports, simulates or audits a plan.
     import numpy as np
     _core = highs_core()
-    _Status = _core.HighsModelStatus
     lp, _, integrality = _highs_lp(model, _core)
     h = _core._Highs()
     h.setOptionValue("output_flag", False)
@@ -219,29 +233,68 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
     if is_mip and value_bound is not None and value_bound > 0 and math.isfinite(opts.mip_gap):
         # No plan is worth more than value_bound, so an incumbent within
         # mip_gap of it needs no further proof.  HiGHS minimises the negated
-        # value (its objective includes offset_) and stops every phase, the
-        # completion of the start included, at the first incumbent below
-        # this target: its own relative-gap rule, measured against the
-        # bound.  An LP proves its optimum anyway, and an infinite mip_gap
-        # already stops at the first incumbent.
+        # value (its objective includes offset_) and stops at the first
+        # incumbent below this target, in the held run and the full run
+        # alike: its own relative-gap rule, measured against the bound.  An
+        # LP proves its optimum anyway, and an infinite mip_gap already
+        # stops at the first incumbent.
         h.setOptionValue("objective_target", -value_bound / (1.0 + opts.mip_gap))
     if h.passModel(lp) == _core.HighsStatus.kError:
         return SolveResult("error", None, None, message="HiGHS rejected the model")
+    held = [col for col in sorted(starts) if model.vars[col].kind in BINARY_KINDS] if is_mip else []
+    nodes = 0
+    if held:
+        # The held run: the start's binaries, relaxed ones included, fixed
+        # at their values, under the node limit HiGHS puts on completing a
+        # start.  Its incumbents are plans of the full model.
+        cols = np.array(held, dtype=np.int32)
+        at = np.array([starts[col] for col in held])
+        h.changeColsBounds(len(cols), cols, at, at)
+        h.setOptionValue("mip_max_nodes", h.getOptionValue("mip_max_start_nodes")[1])
+        remaining = opts.time_limit - _run(h)
+        if h.getModelStatus() == _core.HighsModelStatus.kObjectiveTarget or remaining <= 0.0:
+            return _run_result(model, h, _core, value_bound, is_mip, held=True)
+        # read before the bounds change, which clears HiGHS's solution
+        info = h.getInfo()
+        nodes = max(info.mip_node_count, 0)
+        if info.primal_solution_status == _core.kSolutionStatusFeasible:
+            starts = dict(enumerate(h.getSolution().col_value))
+        else:
+            starts = {col: x for col, x in starts.items()
+                      if model.vars[col].kind not in BINARY_KINDS}
+        h.setOptionValue("mip_max_nodes", _core.kHighsIInf)
+        h.changeColsBounds(len(cols), cols, np.array([model.vars[col].lo for col in held]),
+                           np.array([model.vars[col].hi for col in held]))
+        h.setOptionValue("time_limit", remaining)
     if starts:
         cols = sorted(starts)
         h.setSolution(len(cols), np.array(cols, dtype=np.int32),
                       np.array([starts[col] for col in cols]))
+    _run(h)
+    result = _run_result(model, h, _core, value_bound, is_mip, held=False)
+    result.nodes += nodes
+    return result
+
+
+def _run(h) -> float:
+    """Run HiGHS, its stray prints kept off stdout; the seconds it took."""
+    t0 = time.perf_counter()
     with _stdout_to_stderr():
         h.run()
+    return time.perf_counter() - t0
+
+
+def _run_result(model: MilpModel, h, _core, value_bound: float | None, is_mip: bool,
+                held: bool) -> SolveResult:
+    """The result of HiGHS's last run.  A ``held`` run solved the model with
+    columns fixed: its incumbent is a plan of the model, but its dual bound
+    speaks of the restriction only, so it ends a solve only at the
+    value-bound target or out of time."""
+    _Status = _core.HighsModelStatus
     status = h.getModelStatus()
     info = h.getInfo()
     message = h.modelStatusToString(status)
     nodes = max(info.mip_node_count, 0)    # -1 for an LP
-    if status == _Status.kInfeasible:
-        return SolveResult("infeasible", None, None, message=message, nodes=nodes)
-    if status not in (_Status.kOptimal, _Status.kTimeLimit, _Status.kIterationLimit,
-                      _Status.kObjectiveTarget):
-        return SolveResult("error", None, None, message=message, nodes=nodes)
     values, objective = {}, None
     if info.primal_solution_status == _core.kSolutionStatusFeasible:
         values = _values_from_x(model, h.getSolution().col_value)
@@ -249,14 +302,21 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
         # reported value is the negation; without one, the target is 0.
         objective = _negated(info.objective_function_value)
     if status == _Status.kObjectiveTarget:
-        # the incumbent is within mip_gap of value_bound; HiGHS's own dual
-        # bound, when it has one, can only be tighter.  The gap is HiGHS's
-        # (a bound a tolerance below the plan reads as 0).
-        dual = _finite(_negated(info.mip_dual_bound))
+        # the incumbent is within mip_gap of value_bound; the full model's
+        # dual bound, when HiGHS has one, can only be tighter.  The gap is
+        # HiGHS's (a bound a tolerance below the plan reads as 0).
+        dual = None if held else _finite(_negated(info.mip_dual_bound))
         bound = value_bound if dual is None else min(value_bound, dual)
         gap = max(bound - objective, 0.0) / abs(objective)
         return SolveResult("optimal" if gap == 0.0 else "gap_reached", objective, bound,
                            values, gap=gap, message="value bound reached", nodes=nodes)
+    if held:                   # out of time before the full model ran
+        return SolveResult("time_limit", objective, None, values,
+                           message=h.modelStatusToString(_Status.kTimeLimit), nodes=nodes)
+    if status == _Status.kInfeasible:
+        return SolveResult("infeasible", None, None, message=message, nodes=nodes)
+    if status not in (_Status.kOptimal, _Status.kTimeLimit, _Status.kIterationLimit):
+        return SolveResult("error", None, None, message=message, nodes=nodes)
     if not is_mip:             # an LP: HiGHS reports no MIP gap or bound
         bound, gap = (objective, 0.0) if status == _Status.kOptimal else (None, None)
     else:
@@ -413,10 +473,15 @@ def row_violations(model: MilpModel, values: dict[str, float], tol: float = ROW_
     return out
 
 
+def round_binary(x: float) -> int:
+    """A binary column's solved value as 0 or 1: rounded at 0.5."""
+    return 1 if x >= 0.5 else 0
+
+
 def extract_flow_plan(model: MilpModel, result: SolveResult) -> FlowPlan:
     """Read the plan out of a solve: each column of a ``PLAN_FIELDS`` kind by
-    its field's rule, binaries rounded at 0.5; then check the rounded unloads
-    by the audit's count rules (``unload_count_violations``)."""
+    its field's rule, binaries by ``round_binary``; then check the rounded
+    unloads by the audit's count rules (``unload_count_violations``)."""
     if not result.has_values and model.n_vars > 0:
         raise ExtractionError(f"no values in result with status {result.status!r}")
     inst = model.instance
@@ -427,7 +492,7 @@ def extract_flow_plan(model: MilpModel, result: SolveResult) -> FlowPlan:
             continue
         x = result.values[v.name]
         if fld.read == "binary":
-            x = 1 if x >= 0.5 else 0
+            x = round_binary(x)
         else:
             x = 0.0 if abs(x) < 1e-9 else max(x, 0.0)
         if x > 0.0 or fld.read != "flow":

@@ -157,6 +157,7 @@ def test_audit_refuses_a_plan_value_of_the_wrong_shape(solved, tmp_path, capsys)
 @pytest.mark.parametrize("field,where,part,name", [
     ("y_in", 0, "barge", "B9"), ("y_in", 1, "tank", "T9"), ("y_out", 0, "tank", "T9"),
     ("gamma", 0, "barge", "B9"), ("sigma", 0, "tank", "T9"), ("v_unused", None, "barge", "B9"),
+    ("sigma", 1, "day", 99), ("mis", 0, "day", 99),
 ])
 @pytest.mark.parametrize("command", ["audit", "simulate"])
 def test_a_plan_naming_an_unknown_id_is_refused(solved, tmp_path, capsys, command, field,

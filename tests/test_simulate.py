@@ -94,6 +94,19 @@ def test_negative_feed_raises():
         simulate(inst, plan)
 
 
+@pytest.mark.parametrize("field, key, value, day", [
+    ("sigma", ("T1", 99), 1, 99), ("mis", 99, 5.0, 99), ("y_out", ("T1", -1), 0.0, -1),
+    ("gamma", ("B1", 30), 0, 30), ("y_in", ("B1", "T1", 30), 0.0, 30),
+])
+def test_a_plan_day_outside_the_horizon_is_refused(sample, field, key, value, day):
+    # a 30-day instance: an entry on day 99 used to audit clean
+    plan = empty_plan(sample)
+    getattr(plan, field)[key] = value
+    with pytest.raises(PlanInconsistencyError,
+                       match=f"^{field} names day {day}, which the instance lacks$"):
+        audit(sample, simulate(sample, plan), plan)
+
+
 def test_feed_from_a_tank_holding_float_noise_raises():
     # within VOL_TOL of the available volume, so no overdraw, but nothing to draw
     inst = _single_tank(v_init=1e-6)

@@ -7,17 +7,18 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 from blendplan.builders import build_center, build_mccormick, make_plans
 from blendplan.instance import derive_sets
-from blendplan.model import INF, MilpModel
+from blendplan.model import BINARY_KINDS, INF, MilpModel
 from blendplan.rolling import StepLog
-from blendplan.simulate import PLAN_FIELDS, FlowPlan, empty_plan
+from blendplan.simulate import PLAN_FIELDS, FlowPlan, audit, empty_plan, simulate
 from blendplan.solve import (HIGHS_CORE, ExtractionError, SolveOptions, SolveResult,
-                             SolverError, _stdout_to_stderr, extract_flow_plan,
+                             SolverError, _stdout_to_stderr, extract_flow_plan, highs_core,
                              row_violations, solve, solve_reference,
                              warm_start)
 from conftest import small_instance
@@ -507,3 +508,124 @@ def test_missing_highs_extension_is_a_solver_error(toy, tmp_path, monkeypatch):
     with pytest.raises(SolverError, match=f"no HiGHS extension _core in {tmp_path}"):
         solve(build_center(toy, make_plans(toy, 1.0)))
     assert HIGHS_CORE not in sys.modules
+
+
+# -- the held run ---------------------------------------------------------------
+
+
+class _Recorded:
+    """A ``_Highs`` that records, for each run, the time limit it ran under,
+    the seconds it took, its status and the value of its incumbent, and the
+    columns of each start it was given."""
+
+    def __init__(self, real, runs, starts):
+        self._h, self._runs, self._starts = real(), runs, starts
+
+    def __getattr__(self, name):
+        return getattr(self._h, name)
+
+    def setSolution(self, n, cols, values):
+        self._starts.append(set(int(c) for c in cols))
+        return self._h.setSolution(n, cols, values)
+
+    def run(self):
+        limit = self._h.getOptionValue("time_limit")[1]
+        t0 = time.perf_counter()
+        status = self._h.run()
+        seconds = time.perf_counter() - t0
+        info = self._h.getInfo()
+        found = info.primal_solution_status == highs_core().kSolutionStatusFeasible
+        self._runs.append({"time_limit": limit, "seconds": seconds,
+                           "status": self._h.modelStatusToString(self._h.getModelStatus()),
+                           "objective": 0.0 - info.objective_function_value if found else None})
+        return status
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The runs and starts of every ``_Highs`` a solve makes."""
+    core = highs_core()
+    runs, starts = [], []
+    real = core._Highs
+    monkeypatch.setattr(core, "_Highs", lambda: _Recorded(real, runs, starts))
+    return runs, starts
+
+
+def _binaries_started_at(model, value: float):
+    """The model with every gamma and sigma started at ``value`` and the
+    all-miss plan's other columns."""
+    warm_start(model, empty_plan(model.instance))
+    for v in model.vars_of_kind("gamma", "sigma"):
+        model.starts[v.col] = value
+    return model
+
+
+def test_sample_flat_solve_ends_in_its_held_run(sample, recorded):
+    # the completed all-miss start meets the target: one run, no full model
+    runs, starts = recorded
+    m = build_center(sample, make_plans(sample, 1.0))
+    res = solve(m)
+    assert [r["status"] for r in runs] == ["Target for objective reached"]
+    assert starts == []
+    assert res.message == "value bound reached" and res.best_bound == m.value_bound()
+
+
+def test_full_run_betters_a_held_run_that_misses_the_target(recorded):
+    # no unload and no feed: the held run's plan misses all demand
+    runs, starts = recorded
+    inst = small_instance(0)
+    m = _binaries_started_at(build_center(inst, make_plans(inst, 1.0)), 0.0)
+    held = {v.col for v in m.vars if v.kind in BINARY_KINDS and v.col in m.starts}
+    res = solve(m)
+    assert len(runs) == 2 and runs[0]["status"] == "Optimal"
+    assert runs[0]["objective"] < m.value_bound() / 1.005
+    # the full run starts from the held run's plan, every column of it
+    assert starts == [set(range(m.n_vars))] and held < starts[0]
+    assert res.status in ("optimal", "gap_reached") and res.start == "given"
+    assert res.objective >= runs[0]["objective"]
+    assert res.objective == pytest.approx(runs[1]["objective"], rel=1e-12)
+
+
+def test_infeasible_held_values_still_give_a_plan(recorded):
+    # every barge unloading every day breaks the unload-count limits
+    runs, starts = recorded
+    inst = small_instance(0)
+    m = _binaries_started_at(build_center(inst, make_plans(inst, 1.0)), 1.0)
+    held = {v.col for v in m.vars if v.kind in BINARY_KINDS and v.col in m.starts}
+    res = solve(m)
+    assert [r["status"] for r in runs][0] == "Infeasible" and len(runs) == 2
+    # the full run gets the start without the held columns
+    assert starts == [set(m.starts) - held]
+    assert res.has_plan and res.status in ("optimal", "gap_reached")
+    plan = extract_flow_plan(m, res)
+    assert audit(inst, simulate(inst, plan), plan).ok
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("start", [None, 0.0, 1.0])
+def test_best_bound_lies_between_objective_and_value_bound(seed, start):
+    inst = small_instance(seed)
+    m = build_center(inst, make_plans(inst, 1.0))
+    if start is not None:
+        _binaries_started_at(m, start)
+    res = solve(m)
+    assert res.status in ("optimal", "gap_reached")
+    # HiGHS's dual bound may sit a tolerance below its plan
+    assert res.objective <= res.best_bound * (1.0 + 1e-9) <= m.value_bound() * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("time_limit", [60.0, 0.05])
+def test_the_full_run_gets_the_time_the_held_run_left(recorded, time_limit):
+    runs, _ = recorded
+    inst = small_instance(0)
+    m = _binaries_started_at(build_center(inst, make_plans(inst, 1.0)), 0.0)
+    solve(m, SolveOptions(time_limit=time_limit))
+    assert len(runs) == 2 and runs[0]["time_limit"] == time_limit
+    assert runs[0]["seconds"] + runs[1]["time_limit"] <= time_limit
+
+
+def test_a_held_run_out_of_time_ends_the_solve(sample, recorded):
+    runs, _ = recorded
+    res = solve(build_center(sample, make_plans(sample, 1.0)), SolveOptions(time_limit=0.01))
+    assert [r["status"] for r in runs] == ["Time limit reached"]
+    assert res.status == "time_limit" and res.best_bound is None
