@@ -14,9 +14,15 @@ The objective is stored in minimization form (penalty value of unloading
 misses and feed misses) together with the constant target value, so the
 reported objective ``offset - min_value`` is the usual maximization value.
 
+The linear coefficients of every row are kept once, in flat typed arrays
+(`RowMatrix`, row-wise); a `Row` holds its number, name parts and bounds,
+and its ``coeffs`` is a dict read from those arrays on each access.
+
 Export targets: fixed-format MPS for linear models, LP text for any model
 (with quadratic constraint blocks for bilinear rows).  Both use short
-row/column ids and emit a JSON sidecar mapping ids to names and tags.
+row/column ids and emit a JSON sidecar mapping ids to names and tags.  The
+writers stream: each section goes to the file a block of lines at a time,
+and no file is held whole in memory.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ import functools
 import itertools
 import json
 import math
-from collections import Counter
+import operator
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -87,7 +95,7 @@ def _key_name(head: str, index: tuple) -> str:
     return f"{head}[{','.join(map(str, index))}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class VarRef:
     col: int
     kind: str
@@ -109,27 +117,85 @@ class VarRef:
         return self.col
 
 
-@dataclass
+class RowMatrix:
+    """The linear coefficients of a list of rows, row-wise (CSR) in flat
+    typed arrays: row ``i`` holds the columns ``index[start[i]:start[i + 1]]``
+    with the coefficients ``value[start[i]:start[i + 1]]``, in the order they
+    were added.  ``start`` and ``index`` are C ``int`` (32 bits), ``value``
+    is ``double``."""
+
+    __slots__ = ("start", "index", "value")
+
+    def __init__(self):
+        self.start = array("i", [0])
+        self.index = array("i")
+        self.value = array("d")
+
+    def append(self, coeffs: dict[VarRef, float]) -> int:
+        """Add a row of the nonzero ``coeffs``; return its number."""
+        index, value = self.index, self.value
+        n = len(index)
+        try:
+            for ref, c in coeffs.items():
+                if c != 0.0:
+                    col = ref.col
+                    value.append(c)
+                    index.append(col)
+        except BaseException:
+            del index[n:], value[n:]
+            raise
+        self.start.append(len(index))
+        return len(self.start) - 2
+
+    def terms(self, i: int):
+        """Row ``i``'s ``(col, coefficient)`` pairs."""
+        s, e = self.start[i], self.start[i + 1]
+        return zip(self.index[s:e], self.value[s:e])
+
+    def all_terms(self):
+        """Every row's ``(col, coefficient)`` pairs, a list per row, row by row."""
+        pairs = zip(self.index, self.value)
+        for n in map(operator.sub, self.start[1:], self.start):
+            yield list(itertools.islice(pairs, n))
+
+
 class Row:
-    num: int
-    tag: str
-    index: tuple
-    coeffs: dict[int, float]       # col -> coefficient
-    lo: float
-    hi: float
-    quads: tuple[tuple[float, int, int], ...] = ()   # (coef, col_a, col_b); none if linear
+    """Row ``num`` of its model list, ``lo <= a.x (+ quads) <= hi``, named by
+    ``(tag, index)``.  ``quads`` lists ``(coef, col_a, col_b)`` bilinear
+    terms and is empty for a linear row; ``a`` lives in the model's
+    `RowMatrix`, and ``coeffs`` is a new dict read from it on every access,
+    so changing that dict leaves the model as it was."""
+
+    __slots__ = ("num", "tag", "index", "lo", "hi", "quads", "_matrix")
+
+    def __init__(self, matrix: RowMatrix, num: int, tag: str, index: tuple, lo: float, hi: float,
+                 quads: tuple[tuple[float, int, int], ...] = ()):
+        self._matrix, self.num, self.tag, self.index = matrix, num, tag, index
+        self.lo, self.hi, self.quads = lo, hi, quads
+
+    @property
+    def coeffs(self) -> dict[int, float]:
+        """col -> coefficient, nonzeros only."""
+        return dict(self._matrix.terms(self.num))
 
     @property
     def name(self) -> str:
         return _key_name(self.tag, self.index)
 
+    def __repr__(self) -> str:
+        return (f"Row({self.num}, {self.name}, {self.coeffs}, lo={self.lo}, hi={self.hi}"
+                + (f", quads={self.quads})" if self.quads else ")"))
 
-def _row(num: int, tag: str, index: tuple, coeffs: dict[VarRef, float], lo: float, hi: float,
-         quads: tuple[tuple[float, int, int], ...] = ()) -> Row:
+
+def _add_row(rows: list[Row], matrix: RowMatrix, tag: str, index: tuple,
+             coeffs: dict[VarRef, float], lo: float, hi: float,
+             quads: tuple[tuple[float, int, int], ...] = ()) -> Row:
     if tag not in TAGS:
         raise ModelError(f"unknown constraint tag {tag!r}")
-    return Row(num, tag, index, {ref.col: float(c) for ref, c in coeffs.items() if c != 0.0},
-               float(lo), float(hi), quads)
+    lo, hi = float(lo), float(hi)
+    row = Row(matrix, matrix.append(coeffs), tag, index, lo, hi, quads)
+    rows.append(row)
+    return row
 
 
 class MilpModel:
@@ -141,6 +207,8 @@ class MilpModel:
         self.vars: list[VarRef] = []
         self.rows: list[Row] = []
         self.quad_rows: list[Row] = []
+        self.matrix = RowMatrix()          # coefficients of `rows`
+        self.quad_matrix = RowMatrix()     # linear coefficients of `quad_rows`
         self.obj: dict[int, float] = {}
         self.obj_offset = 0.0          # target value; reported = offset - min
         self.structural_tags: Counter = Counter()
@@ -176,9 +244,7 @@ class MilpModel:
 
     def add_row(self, tag: str, index: tuple, coeffs: dict[VarRef, float],
                 lo: float = -INF, hi: float = INF) -> Row:
-        row = _row(len(self.rows), tag, index, coeffs, lo, hi)
-        self.rows.append(row)
-        return row
+        return _add_row(self.rows, self.matrix, tag, index, coeffs, lo, hi)
 
     def add_eq(self, tag: str, index: tuple, coeffs: dict[VarRef, float], rhs: float) -> Row:
         return self.add_row(tag, index, coeffs, rhs, rhs)
@@ -186,10 +252,8 @@ class MilpModel:
     def add_quad_row(self, tag: str, index: tuple, coeffs: dict[VarRef, float],
                      quads: list[tuple[float, VarRef, VarRef]],
                      lo: float = -INF, hi: float = INF) -> Row:
-        row = _row(len(self.quad_rows), tag, index, coeffs, lo, hi,
-                   tuple((float(c), a.col, b.col) for c, a, b in quads if c != 0.0))
-        self.quad_rows.append(row)
-        return row
+        return _add_row(self.quad_rows, self.quad_matrix, tag, index, coeffs, lo, hi,
+                        tuple((float(c), a.col, b.col) for c, a, b in quads if c != 0.0))
 
     def note_structural(self, tag: str, count: int = 1) -> None:
         if tag not in TAGS:
@@ -273,7 +337,9 @@ class MilpModel:
         ``index[start[i]:start[i + 1]]`` with the coefficients
         ``value[start[i]:start[i + 1]]``, in the order of ``Row.coeffs``.
         ``start`` has ``n_rows + 1`` entries; ``index`` and ``start`` are
-        int32, the index type HiGHS takes.
+        int32, the index type HiGHS takes.  They are copies of ``matrix``'s
+        arrays: a numpy view would keep those arrays from growing, so the
+        model could take no further row while the result lives.
         """
         # Imported here, not at module level: only solving needs the arrays,
         # and loading numpy is a large part of the start-up time of every
@@ -289,13 +355,10 @@ class MilpModel:
         var_hi = np.array([v.hi for v in self.vars])
         row_lo = np.array([r.lo for r in self.rows])
         row_hi = np.array([r.hi for r in self.rows])
-        start = np.zeros(len(self.rows) + 1, dtype=np.int32)
-        start[1:] = np.cumsum([len(r.coeffs) for r in self.rows])
-        nnz = int(start[-1])
-        index = np.fromiter(itertools.chain.from_iterable(r.coeffs for r in self.rows),
-                            dtype=np.int32, count=nnz)
-        value = np.fromiter(itertools.chain.from_iterable(r.coeffs.values() for r in self.rows),
-                            dtype=float, count=nnz)
+        mat = self.matrix
+        start = np.frombuffer(mat.start, dtype=np.int32).copy()
+        index = np.frombuffer(mat.index, dtype=np.int32).copy()
+        value = np.frombuffer(mat.value, dtype=np.float64).copy()
         return c, integrality, var_lo, var_hi, (start, index, value), row_lo, row_hi
 
     # -- export ---------------------------------------------------------------
@@ -308,129 +371,184 @@ class MilpModel:
         """
         enc = encode_basestring_ascii
         sections = [
-            _json_member("model", self.name),
-            _json_member("objective_offset", self.obj_offset),
-            _json_member("objective_sense", "min (reported objective = offset - min value)"),
+            [_json_member("model", self.name)],
+            [_json_member("objective_offset", self.obj_offset)],
+            [_json_member("objective_sense", "min (reported objective = offset - min value)")],
             _json_map("rows", _json_tag_entries("R", self.rows)),
-            _json_map("columns", [
+            _json_map("columns", (
                 f'    "C{v.col + 1}": {{\n      "name": {enc(v.name)},\n'
                 f'      "kind": {enc(v.kind)},\n'
-                f'      "binary": {"true" if v.binary else "false"}\n    }}' for v in self.vars]),
-            _json_member("structural_tags", dict(self.structural_tags)),
-            _json_member("starts", {f"C{c + 1}": v for c, v in sorted(self.starts.items())}),
+                f'      "binary": {"true" if v.binary else "false"}\n    }}' for v in self.vars)),
+            [_json_member("structural_tags", dict(self.structural_tags))],
+            [_json_member("starts", {f"C{c + 1}": v for c, v in sorted(self.starts.items())})],
         ]
         if self.plans is not None:
-            sections.append(_json_member(
-                "plans", {f"{k},{q}": p.to_dict() for (k, q), p in sorted(self.plans.items())}))
+            sections.append([_json_member(
+                "plans", {f"{k},{q}": p.to_dict() for (k, q), p in sorted(self.plans.items())})])
         if self.quad_rows:
             sections.append(_json_map("quad_rows", _json_tag_entries("Q", self.quad_rows)))
         with open(path, "w") as fh:
-            fh.write("{\n" + ",\n".join(sections) + "\n}\n")
+            fh.write("{\n")
+            for i, section in enumerate(sections):
+                if i:
+                    fh.write(",\n")
+                fh.writelines(section)
+            fh.write("\n}\n")
 
     def write_mps(self, path) -> None:
+        """Fixed-format MPS, written a block of lines at a time.  ``COLUMNS``
+        gathers each column's entries, in row order, in one pass over the
+        nonzeros and joins each column's lines once."""
         if self.has_bilinear():
             raise ModelError("bilinear rows cannot be written as MPS; use write_lp")
+        senses = "".join(map(_mps_sense, self.rows))    # raises before the file is opened
+        _write_lines(path, self._mps_lines(senses))
+
+    def _mps_lines(self, senses: str):
         num = functools.cache(_num)
-        out = [f"NAME          {self.name}", "ROWS", " N  OBJ"]
-        entries: list[list[str]] = [[] for _ in self.vars]   # per column: "rid  value"
-        rhs_lines, range_lines = [], []
-        for r in self.rows:
-            rid = f"R{r.num + 1}"
-            if r.lo == r.hi:
-                sense, rhs = "E", r.lo
-            elif r.lo == -INF and r.hi < INF:
-                sense, rhs = "L", r.hi
-            elif r.hi == INF and r.lo > -INF:
-                sense, rhs = "G", r.lo
-            elif r.lo > -INF and r.hi < INF:
-                sense, rhs = "L", r.hi
-                range_lines.append(f"    RNG       {rid:<8}  {num(r.hi - r.lo)}")
-            else:
-                raise ModelError(f"row {r.name} is unbounded on both sides")
-            out.append(f" {sense}  {rid}")
-            if rhs != 0.0:
-                rhs_lines.append(f"    RHS       {rid:<8}  {num(rhs)}")
-            padded = f"{rid:<8}  "
-            for col, val in r.coeffs.items():
-                entries[col].append(padded + num(val))
-        out.append("COLUMNS")
+        yield f"NAME          {self.name}"
+        yield "ROWS"
+        yield " N  OBJ"
+        rids = [f"R{i}" for i in range(1, len(senses) + 1)]
+        yield from map(operator.add, map(_MPS_ROW_HEAD.__getitem__, senses), rids)
+        yield "COLUMNS"
+        # Each column's entries in row order, as two lists: the row ids,
+        # padded to 8 characters plus the gap, and the values' text.  Both
+        # hold strings shared with other entries, and map() fills them
+        # without a Python step per nonzero.
+        rids = [rid.ljust(8) + "  " for rid in rids]
+        mat = self.matrix
+        rid_lists = [[] for _ in self.vars]
+        num_lists = [[] for _ in self.vars]
+        row_rids = itertools.chain.from_iterable(
+            map(itertools.repeat, rids, map(operator.sub, mat.start[1:], mat.start)))
+        deque(map(list.append, map(rid_lists.__getitem__, mat.index), row_rids), 0)
+        deque(map(list.append, map(num_lists.__getitem__, mat.index), map(num, mat.value)), 0)
         in_int = False
         marker = 0
-        for v, col_entries in zip(self.vars, entries):
+        for v, col_rids, col_nums in zip(self.vars, rid_lists, num_lists):
             if v.binary != in_int:
                 kindmark = "'INTORG'" if v.binary else "'INTEND'"
-                out.append(f"    MARK{marker:04d}  {'MARKER':<8}  {'':<12} {kindmark}")
+                yield f"    MARK{marker:04d}  {'MARKER':<8}  {'':<12} {kindmark}"
                 marker += 1
                 in_int = v.binary
             prefix = f"    {f'C{v.col + 1}':<8}  "
             if v.col in self.obj:
-                out.append(f"{prefix}{'OBJ':<8}  {num(self.obj[v.col])}")
-            elif not col_entries:   # column must still appear
-                out.append(f"{prefix}{'OBJ':<8}  0")
-            if col_entries:
-                out.append(prefix + ("\n" + prefix).join(col_entries))
+                yield f"{prefix}{'OBJ':<8}  {num(self.obj[v.col])}"
+            elif not col_rids:   # column must still appear
+                yield f"{prefix}{'OBJ':<8}  0"
+            if col_rids:
+                yield prefix + ("\n" + prefix).join(map(operator.add, col_rids, col_nums))
+        del rid_lists, num_lists     # not held while the rest of the file is written
         if in_int:
-            out.append(f"    MARK{marker:04d}  {'MARKER':<8}  {'':<12} 'INTEND'")
-        out.append("RHS")
+            yield f"    MARK{marker:04d}  {'MARKER':<8}  {'':<12} 'INTEND'"
+        yield "RHS"
         if self.obj_offset:
             # objective constant: minimize c.x - offset
-            out.append(f"    RHS       {'OBJ':<8}  {num(self.obj_offset)}")
-        out += rhs_lines
-        if range_lines:
-            out.append("RANGES")
-            out += range_lines
-        out.append("BOUNDS")
+            yield f"    RHS       {'OBJ':<8}  {num(self.obj_offset)}"
+        for rid, sense, r in zip(rids, senses, self.rows):
+            rhs = r.lo if sense in "EG" else r.hi
+            if rhs != 0.0:
+                yield "    RHS       " + rid + num(rhs)
+        if "R" in senses:
+            yield "RANGES"
+            for rid, sense, r in zip(rids, senses, self.rows):
+                if sense == "R":
+                    yield "    RNG       " + rid + num(r.hi - r.lo)
+        yield "BOUNDS"
         for v in self.vars:
             cid = f"C{v.col + 1}"
             if v.binary and v.lo == 0.0 and v.hi == 1.0:
-                out.append(f" BV BND       {cid}")
+                yield f" BV BND       {cid}"
             elif v.lo == v.hi:
-                out.append(f" FX BND       {cid:<8}  {num(v.lo)}")
+                yield f" FX BND       {cid:<8}  {num(v.lo)}"
             else:
                 if v.lo != 0.0:
                     kind = "MI" if v.lo == -INF else "LO"
                     val = "" if v.lo == -INF else f"  {num(v.lo)}"
-                    out.append(f" {kind} BND       {cid:<8}{val}")
+                    yield f" {kind} BND       {cid:<8}{val}"
                 if v.hi < INF:
-                    out.append(f" UP BND       {cid:<8}  {num(v.hi)}")
-        out.append("ENDATA")
-        with open(path, "w") as fh:
-            fh.write("\n".join(out) + "\n")
+                    yield f" UP BND       {cid:<8}  {num(v.hi)}"
+        yield "ENDATA"
 
     def write_lp(self, path) -> None:
-        """LP-format text; rows with bilinear terms hold [ ... ] quadratic blocks."""
+        """LP-format text, written a block of lines at a time; rows with
+        bilinear terms hold [ ... ] quadratic blocks."""
+        if not all(r.lo == r.hi or r.hi < INF or r.lo > -INF
+                   for r in itertools.chain(self.rows, self.quad_rows)):
+            raise ModelError("row unbounded on both sides")
+        _write_lines(path, self._lp_lines())
+
+    def _lp_lines(self):
         num, snum = functools.cache(_num), functools.cache(_snum)
         col_ids = [f"C{v.col + 1}" for v in self.vars]
-        out = [f"\\ Problem: {self.name}", "Minimize",
-               " obj: " + (_lp_terms(self.obj, col_ids, snum) or "0 " + col_ids[0]),
-               "Subject To"]
-        for r in self.rows:
-            body = _lp_terms(r.coeffs, col_ids, snum) or "0 " + col_ids[0]
+        yield f"\\ Problem: {self.name}"
+        yield "Minimize"
+        yield " obj: " + (_lp_terms(self.obj.items(), col_ids, snum) or "0 " + col_ids[0])
+        yield "Subject To"
+        for r, terms in zip(self.rows, self.matrix.all_terms()):
+            body = _lp_terms(terms, col_ids, snum) or "0 " + col_ids[0]
             for suffix, sense, val in _senses(r.lo, r.hi):
-                out.append(f" R{r.num + 1}{suffix}: {body} {sense} {num(val)}")
-        for qr in self.quad_rows:
+                yield f" R{r.num + 1}{suffix}: {body} {sense} {num(val)}"
+        for qr, terms in zip(self.quad_rows, self.quad_matrix.all_terms()):
             inner = " ".join(f"{snum(c)} {col_ids[a]} * {col_ids[b]}" for c, a, b in qr.quads)
-            body = " ".join(x for x in (_lp_terms(qr.coeffs, col_ids, snum), f"[ {inner} ]") if x)
+            body = " ".join(x for x in (_lp_terms(terms, col_ids, snum), f"[ {inner} ]") if x)
             for suffix, sense, val in _senses(qr.lo, qr.hi):
-                out.append(f" Q{qr.num + 1}{suffix}: {body} {sense} {num(val)}")
-        out.append("Bounds")
+                yield f" Q{qr.num + 1}{suffix}: {body} {sense} {num(val)}"
+        yield "Bounds"
         for v, cid in zip(self.vars, col_ids):
             if v.lo == v.hi:
-                out.append(f" {cid} = {num(v.lo)}")
+                yield f" {cid} = {num(v.lo)}"
             else:
                 lo = "-inf" if v.lo == -INF else num(v.lo)
                 hi = "+inf" if v.hi == INF else num(v.hi)
-                out.append(f" {lo} <= {cid} <= {hi}")
+                yield f" {lo} <= {cid} <= {hi}"
         bins = [cid for v, cid in zip(self.vars, col_ids) if v.binary]
         if bins:
-            out.append("Binaries")
+            yield "Binaries"
             for i in range(0, len(bins), 12):
-                out.append(" " + " ".join(bins[i:i + 12]))
-        out.append("End")
-        with open(path, "w") as fh:
-            fh.write("\n".join(out) + "\n")
+                yield " " + " ".join(bins[i:i + 12])
+        yield "End"
+
+
+# The ROWS line head of each `_mps_sense`.
+_MPS_ROW_HEAD = {"E": " E  ", "L": " L  ", "G": " G  ", "R": " L  "}
+
+
+def _mps_sense(r: Row) -> str:
+    """A row's MPS sense, ``E``, ``L`` or ``G``, or ``R`` for an ``L`` row
+    with a range: its right-hand side is ``lo`` for ``E`` and ``G``, ``hi``
+    for ``L`` and ``R``."""
+    if r.lo == r.hi:
+        return "E"
+    if r.lo == -INF and r.hi < INF:
+        return "L"
+    if r.hi == INF and r.lo > -INF:
+        return "G"
+    if r.lo > -INF and r.hi < INF:
+        return "R"
+    raise ModelError(f"row {r.name} is unbounded on both sides")
+
+
+def _blocks(items, sep: str, size: int = 4096):
+    """``sep.join(items)`` as a series of strings of up to ``size`` items each."""
+    items = iter(items)
+    lead = ""
+    while block := list(itertools.islice(items, size)):
+        yield lead + sep.join(block)
+        lead = sep
+
+
+def _write_lines(path, lines) -> None:
+    """Write each of ``lines`` and a newline to the file at ``path``."""
+    with open(path, "w") as fh:
+        fh.writelines(_blocks(lines, "\n"))
+        fh.write("\n")
+
 
 def _senses(lo: float, hi: float):
+    """A row's LP constraints as ``(name suffix, sense, right-hand side)``;
+    ``write_lp`` has checked that the row is bounded on some side."""
     if lo == hi:
         return [("", "=", lo)]
     parts = []
@@ -438,8 +556,6 @@ def _senses(lo: float, hi: float):
         parts.append(("_ub" if lo > -INF else "", "<=", hi))
     if lo > -INF:
         parts.append(("_lb" if hi < INF else "", ">=", lo))
-    if not parts:
-        raise ModelError("row unbounded on both sides")
     return parts
 
 
@@ -453,8 +569,9 @@ def _snum(x: float) -> str:
     return ("+ " if x >= 0 else "- ") + _num(abs(x))
 
 
-def _lp_terms(coeffs: dict[int, float], col_ids: list[str], snum) -> str:
-    return " ".join([f"{snum(v)} {col_ids[c]}" for c, v in sorted(coeffs.items())])
+def _lp_terms(terms, col_ids: list[str], snum) -> str:
+    """``(col, coefficient)`` pairs as LP text, in column order."""
+    return " ".join([f"{snum(v)} {col_ids[c]}" for c, v in sorted(terms)])
 
 
 def _json_member(key: str, value) -> str:
@@ -466,17 +583,23 @@ def _json_member(key: str, value) -> str:
     return f'  "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-def _json_tag_entries(prefix: str, rows) -> list[str]:
+def _json_tag_entries(prefix: str, rows):
     enc = encode_basestring_ascii
-    return [f'    "{prefix}{r.num + 1}": {{\n      "name": {enc(r.name)},\n'
-            f'      "tag": {enc(r.tag)}\n    }}' for r in rows]
+    return (f'    "{prefix}{r.num + 1}": {{\n      "name": {enc(r.name)},\n'
+            f'      "tag": {enc(r.tag)}\n    }}' for r in rows)
 
 
-def _json_map(key: str, entries: list[str]) -> str:
-    """A top-level member whose value is an object of preformatted entries."""
-    if not entries:
-        return f'  "{key}": {{}}'
-    return f'  "{key}": {{\n' + ",\n".join(entries) + "\n  }"
+def _json_map(key: str, entries):
+    """A top-level member whose value is an object of preformatted entries,
+    as a series of strings."""
+    blocks = _blocks(entries, ",\n")
+    first = next(blocks, None)
+    if first is None:
+        yield f'  "{key}": {{}}'
+        return
+    yield f'  "{key}": {{\n' + first
+    yield from blocks
+    yield "\n  }"
 
 
 def parse_mps(path) -> dict:

@@ -465,9 +465,9 @@ def _plan_starts(model: MilpModel, plan: FlowPlan, level: int = logging.WARNING)
 def row_violations(model: MilpModel, values: dict[str, float], tol: float = ROW_FEAS_TOL):
     """Rows violated by more than ``tol`` at the given point (diagnostics)."""
     out = []
-    val = {v.col: values[v.name] for v in model.vars if v.name in values}
-    for row in model.rows:
-        ax = sum(c * val.get(col, 0.0) for col, c in row.coeffs.items())
+    x = [values.get(v.name, 0.0) for v in model.vars]
+    for row, terms in zip(model.rows, model.matrix.all_terms()):
+        ax = sum(c * x[col] for col, c in terms)
         if ax < row.lo - tol or ax > row.hi + tol:
             out.append((row.name, ax, row.lo, row.hi))
     return out

@@ -2,14 +2,16 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import blendplan
-from blendplan.builders import build_center, build_exact_split, make_plans
+from blendplan.builders import build_center, build_exact_split, build_mccormick, make_plans
 from blendplan.cli import main
-from blendplan.model import INF, MilpModel, parse_mps
+from blendplan.instance import RandomizationParams, extend_periodic, randomize_supply
+from blendplan.model import INF, MilpModel, ModelError, parse_mps
 from conftest import small_instance, tiny_instance
 
 
@@ -162,6 +164,18 @@ def test_mps_sections_and_ranges(tmp_path):
     assert stats == {"rows": 2, "columns": 2, "integer_columns": 1}
 
 
+@pytest.mark.parametrize("write", ["write_mps", "write_lp"])
+def test_a_row_free_on_both_sides_is_refused_before_the_file_opens(tmp_path, write):
+    m = MilpModel("free")
+    x = m.add_var("v_unused", ("a",), 0.0, 1.0)
+    m.add_row("xa_mid_ub", ("a",), {x: 1.0}, hi=1.0)
+    m.add_row("xa_mid_lb", ("a",), {x: 1.0})
+    path = tmp_path / "m.out"
+    with pytest.raises(ModelError, match="unbounded on both sides"):
+        getattr(m, write)(path)
+    assert not path.exists()
+
+
 def test_sidecar_maps_rows_and_columns(tmp_path):
     inst = small_instance(2)
     m = build_center(inst, make_plans(inst, 1.0))
@@ -267,7 +281,7 @@ def test_to_arrays_rows_are_the_row_coefficients():
     inst = tiny_instance(0)
     m = build_center(inst, make_plans(inst, 1.0))
     c, _, _, _, (start, index, value), row_lo, row_hi = m.to_arrays()
-    assert start.dtype == index.dtype == np.int32
+    assert start.dtype == index.dtype == np.int32 and value.dtype == np.float64
     assert len(start) == m.n_rows + 1 and start[0] == 0
     assert start[-1] == len(index) == len(value) == sum(len(r.coeffs) for r in m.rows)
     assert np.all(value != 0.0)
@@ -284,6 +298,35 @@ def test_to_arrays_rows_are_the_row_coefficients():
     assert row_lo.tolist() == [r.lo for r in m.rows]
     assert row_hi.tolist() == [r.hi for r in m.rows]
     assert len(c) == m.n_vars
+
+    # by hand: a zero is dropped, an int or numpy coefficient is stored as a
+    # float, and a quad row's linear part is its own and not in A
+    m = MilpModel("hand")
+    x, y, z = (m.add_var("v_unused", (k,), 0.0, 10.0) for k in "xyz")
+    r0 = m.add_row("xa_mid_ub", ("a",), {x: 2, y: 0.0, z: np.float64(-1.5)}, hi=4)
+    q0 = m.add_quad_row("spec_mass_split", ("a",), {z: 3, x: 0, y: np.float64(0.25)},
+                        [(1.0, x, y)], lo=0.0, hi=0.0)
+    r1 = m.add_eq("supply_total", ("b",), {y: 1.0, x: np.int64(7)}, 1)
+    assert r0.coeffs == {x.col: 2.0, z.col: -1.5} and list(r0.coeffs) == [x.col, z.col]
+    assert q0.coeffs == {z.col: 3.0, y.col: 0.25} and q0.quads == ((1.0, x.col, y.col),)
+    assert r1.coeffs == {y.col: 1.0, x.col: 7.0}
+    assert all(type(v) is float for r in (r0, q0, r1) for v in r.coeffs.values())
+    assert (r0.num, r1.num, q0.num) == (0, 1, 0)
+    _, _, _, _, (start, index, value), _, _ = m.to_arrays()
+    assert start.dtype == index.dtype == np.int32 and value.dtype == np.float64
+    assert start.tolist() == [0, 2, 4]
+    assert index.tolist() == [x.col, z.col, y.col, x.col]
+    assert value.tolist() == [2.0, -1.5, 1.0, 7.0]
+    # a returned dict is the caller's: changing it leaves the model as it was
+    got = r0.coeffs
+    got[y.col] = 5.0
+    del got[x.col]
+    assert r0.coeffs == {x.col: 2.0, z.col: -1.5}
+    assert m.to_arrays()[4][1].tolist() == [x.col, z.col, y.col, x.col]
+    # a row that fails part-way adds nothing
+    with pytest.raises(TypeError):
+        m.add_row("xa_mid_lb", ("c",), {x: 1.0, y: None}, lo=0.0)
+    assert m.n_rows == 2 and m.to_arrays()[4][1].tolist() == [x.col, z.col, y.col, x.col]
 
 
 # SHA-256 of the bundled sample's exports at eps_hat 1.0 and of each sidecar,
@@ -306,12 +349,78 @@ SAMPLE_EXPORTS = {
 }
 
 
+# The same for a 120-day instance: the sample extended periodically, then
+# jittered (seed 0, volumes 10 %, specs 5 %, windows 2 days).  Recorded when
+# each row still held its coefficients in a dict and each writer built its
+# whole file before writing it.
+LONG_EXPORTS = {
+    "center": ("4bda9ed5323f21025becb88838c2304aa40a2bb24309730d2b678053e0ee5276",
+               "9c131732c4c06f8b2e34c8329d4d25df974621dee61f2a008790ac222f9196ac"),
+    "mccormick": ("8cc25efeb3dbc8b58dacb7db7a9e7e5a130ba3bb2ab2da1cd1709adc367c2646",
+                  "9e6e3c427355ed7d07e17c055922ca9db4ebc192fc7840ba8553b5032f5699e2"),
+    "exact-mix": ("414c0fe4839c903adbe04866a48c5c9be09f9fa64c9e105263f350f481f69ae8",
+                  "4ea510e7379dc9286b1e5c7754b1afb62830425041aa683dba1f82a1a3549114"),
+    "exact-split": ("17ab0e9415c4f10c56c761bd9e00f0ae521c12923b4fcab69aa1a81deded0e27",
+                    "473097f48aa6589d80ec299101051739529142e3b58f505bf84e1b75167dd586"),
+}
+
+
+def _export_hashes(instance_path, method, out, flags=()):
+    assert main(["export", "--instance", instance_path, "--method", method,
+                 "--out", str(out), *flags]) == 0
+    sidecar = out.with_name(out.name + ".tags.json")
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, sidecar))
+
+
+def _export_path(tmp_path, method):
+    return tmp_path / ("m.mps" if method in ("center", "mccormick") else "m.lp")
+
+
 @pytest.mark.parametrize("method, flags", list(SAMPLE_EXPORTS),
                          ids=[m + "".join(f) for m, f in SAMPLE_EXPORTS])
 def test_sample_exports_pinned(tmp_path, capsys, method, flags):
-    out = tmp_path / ("m.mps" if method in ("center", "mccormick") else "m.lp")
-    assert main(["export", "--instance", blendplan.sample_instance_path(), "--method", method,
-                 "--out", str(out), *flags]) == 0
-    sidecar = out.with_name(out.name + ".tags.json")
-    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, sidecar))
+    got = _export_hashes(blendplan.sample_instance_path(), method,
+                         _export_path(tmp_path, method), flags)
     assert got == SAMPLE_EXPORTS[(method, flags)]
+
+
+@pytest.fixture(scope="module")
+def long_instance_path(tmp_path_factory):
+    sample = blendplan.read_instance(blendplan.sample_instance_path())
+    inst = randomize_supply(extend_periodic(sample, 120), 0,
+                            RandomizationParams(volume_rel=0.1, spec_rel=0.05, window_shift=2))
+    path = tmp_path_factory.mktemp("long") / "instance.json"
+    blendplan.write_instance(inst, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("method", list(LONG_EXPORTS))
+def test_long_horizon_exports_pinned(tmp_path, capsys, long_instance_path, method):
+    got = _export_hashes(long_instance_path, method, _export_path(tmp_path, method))
+    assert got == LONG_EXPORTS[method]
+
+
+# Traced bytes allocated per nonzero of the model, above the built model
+# itself, while the 90-day sample's McCormick model is written as MPS and
+# then its sidecar: 263 when every row held a dict and each writer joined
+# its whole file before writing it, 110 with flat coefficient arrays and
+# streamed writers (Python 3.11).
+WRITE_BYTES_PER_NONZERO = 220
+
+
+def test_writers_stream(tmp_path):
+    inst = extend_periodic(blendplan.read_instance(blendplan.sample_instance_path()), 90)
+    path = tmp_path / "m.mps"
+    tracemalloc.start()
+    try:
+        m = build_mccormick(inst, make_plans(inst, 1.0))
+        model = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        m.write_mps(path)
+        m.write_sidecar(tmp_path / "m.mps.tags.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nnz = len(m.matrix.index)
+    assert nnz == sum(len(r.coeffs) for r in m.rows) > 50_000
+    assert (peak - model) / nnz < WRITE_BYTES_PER_NONZERO
