@@ -184,7 +184,7 @@ class _Core:
         self.mis = {t: m.add_var("mis", (t,), 0.0, ds.demand(t)) for t in ds.demand_days}
         self.gamma = {}
         self.y_in = {}
-        self.inflows = {}          # (tank, day) -> [(barge, y_in)], in barge order
+        self.inflows = {}          # (tank, day) -> [(Barge, y_in)], in barge order
         self.window_days = {}      # barge -> the days of its window inside the horizon
         for b in inst.barges:
             days = self.window_days[b.id] = range(b.window[0], min(b.window[1], H - 1) + 1)
@@ -193,7 +193,7 @@ class _Core:
                 for k in b.allowed_tanks:
                     ref = m.add_var("y_in", (b.id, k, t), 0.0, b.volume)
                     self.y_in[(b.id, k, t)] = ref
-                    self.inflows.setdefault((k, t), []).append((b.id, ref))
+                    self.inflows.setdefault((k, t), []).append((b, ref))
             m.note_structural("barge_window_mask", H - len(list(days)))
             m.note_structural("supply_window", (H - len(list(days))) * len(b.allowed_tanks))
         self.sigma = {}
@@ -266,9 +266,9 @@ class _Core:
             if coeffs:
                 m.add_row("daily_unload_limit", (t,), coeffs,
                           hi=float(inst.ops.max_unloads_per_day))
-        for (s, k, t), ref in self.y_in.items():
-            vol = self.inst.barge(s).volume
-            m.add_row("unload_flow_gate", (s, k, t), {ref: 1.0, self.gamma[(s, t)]: -vol}, hi=0.0)
+        for (s, k, t), ref in self.y_in.items():     # ref.hi is the barge's volume
+            m.add_row("unload_flow_gate", (s, k, t), {ref: 1.0, self.gamma[(s, t)]: -ref.hi},
+                      hi=0.0)
         for b in inst.barges:
             need = inst.barge_min_unload_pct(b.id) * b.volume
             for t in self.window_days[b.id]:
@@ -375,8 +375,8 @@ class _SpecVolumes(_Core):
                     m.add_eq("spec_mass_split", (k.id, q, t), coeffs, 0.0)
 
                     base = {self.vf_mid[(k.id, q, t)]: 1.0}
-                    for s, ref in self.inflows.get((k.id, t), ()):
-                        base[ref] = -inst.barge(s).specs[q]
+                    for b, ref in self.inflows.get((k.id, t), ()):
+                        base[ref] = -b.specs[q]
                     rhs = k.specs_init[q] * k.v_init if t == 0 else 0.0
                     if t > 0:
                         base[self.vf_end[(k.id, q, t - 1)]] = -1.0
@@ -441,7 +441,7 @@ def build_exact_mix(inst: Instance) -> MilpModel:
             m.note_structural("init_spec")
             for t in range(H):
                 fv = f[(k.id, q, t)] = m.add_var("f", (k.id, q, t), lo, hi)
-                lin = {ref: -inst.barge(s).specs[q] for s, ref in core.inflows.get((k.id, t), ())}
+                lin = {ref: -b.specs[q] for b, ref in core.inflows.get((k.id, t), ())}
                 quads = [(1.0, fv, core.v_mid[(k.id, t)])]
                 rhs = 0.0
                 if t == 0:

@@ -265,7 +265,7 @@ def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder
     def commit(model, res, offset, next_start):
         for v in model.vars:
             if v.kind in SEGMENT_POLICY and v.day < next_start:
-                model.fix(v, round_binary(res.values[v.name]))
+                model.fix(v, round_binary(res.values[v.col]))
 
     steps, model, res = _roll(inst, periods, params, lambda t_start, t_nf: (model, 0),
                               commit, log_path, on_step)

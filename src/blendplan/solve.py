@@ -113,7 +113,7 @@ class SolveResult:
     status: str                        # optimal | gap_reached | time_limit | infeasible | error
     objective: float | None            # reported (maximization) objective
     best_bound: float | None           # upper bound on the reported objective
-    values: dict[str, float] = field(default_factory=dict)
+    values: list[float] = field(default_factory=list)   # by column; empty: no plan
     wall_time: float = 0.0
     gap: float | None = None
     message: str = ""
@@ -131,7 +131,7 @@ class SolveResult:
         return self.has_values and self.status not in ("infeasible", "error")
 
     def value(self, ref) -> float:
-        return self.values[ref.name]
+        return self.values[ref.col]
 
 
 def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
@@ -155,8 +155,7 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     complete start; from the start without its held columns when the held
     run found no plan.  The full run gets the part of ``opts.time_limit``
     that the held run left; a held run that leaves none ends the solve
-    with ``status`` ``"time_limit"``, its plan if it found one, and no
-    bound.
+    with ``status`` ``"time_limit"`` and its plan if it found one.
 
     No plan is worth more than ``model.value_bound()``.  When a MIP has a
     finite, positive value bound and ``opts.mip_gap`` is finite, both runs
@@ -168,6 +167,10 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     ``(best_bound - objective) / |objective|``, and ``status`` is
     ``"optimal"`` at gap 0, else ``"gap_reached"``.  ``nodes`` counts the
     nodes of both runs; it reads 0 when the stop comes before a root node.
+    A result that ends with no dual bound from HiGHS (out of time in the
+    held run, or before HiGHS proved any) takes ``model.value_bound()`` as
+    its ``best_bound``, and its ``gap`` as above; both are None when the
+    model has no value bound.
 
     A solve that runs past ``opts.time_limit`` (HiGHS can overspend it) is
     logged as a warning.
@@ -189,10 +192,6 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
         log.warning("solve took %.3f s, over its time_limit of %g s",
                     result.wall_time, opts.time_limit)
     return result
-
-
-def _values_from_x(model: MilpModel, x) -> dict[str, float]:
-    return {v.name: float(x[v.col]) for v in model.vars}
 
 
 def _highs_lp(model: MilpModel, _core):
@@ -217,7 +216,7 @@ def _highs_lp(model: MilpModel, _core):
 
 def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float]) -> SolveResult:
     if model.n_vars == 0:
-        return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
+        return SolveResult("optimal", model.obj_offset, model.obj_offset, gap=0.0)
     # Loaded on first use, not at module level: only solving needs numpy
     # and HiGHS, and loading them is most of the start-up time of every
     # command that validates, exports, simulates or audits a plan.
@@ -295,9 +294,9 @@ def _run_result(model: MilpModel, h, _core, value_bound: float | None, is_mip: b
     info = h.getInfo()
     message = h.modelStatusToString(status)
     nodes = max(info.mip_node_count, 0)    # -1 for an LP
-    values, objective = {}, None
+    values, objective = [], None
     if info.primal_solution_status == _core.kSolutionStatusFeasible:
-        values = _values_from_x(model, h.getSolution().col_value)
+        values = list(h.getSolution().col_value)
         # With the offset the solver minimises -(target - misses), so the
         # reported value is the negation; without one, the target is 0.
         objective = _negated(info.objective_function_value)
@@ -307,11 +306,12 @@ def _run_result(model: MilpModel, h, _core, value_bound: float | None, is_mip: b
         # HiGHS's (a bound a tolerance below the plan reads as 0).
         dual = None if held else _finite(_negated(info.mip_dual_bound))
         bound = value_bound if dual is None else min(value_bound, dual)
-        gap = max(bound - objective, 0.0) / abs(objective)
+        gap = _gap(bound, objective)
         return SolveResult("optimal" if gap == 0.0 else "gap_reached", objective, bound,
                            values, gap=gap, message="value bound reached", nodes=nodes)
     if held:                   # out of time before the full model ran
-        return SolveResult("time_limit", objective, None, values,
+        return SolveResult("time_limit", objective, value_bound, values,
+                           gap=_gap(value_bound, objective),
                            message=h.modelStatusToString(_Status.kTimeLimit), nodes=nodes)
     if status == _Status.kInfeasible:
         return SolveResult("infeasible", None, None, message=message, nodes=nodes)
@@ -321,6 +321,8 @@ def _run_result(model: MilpModel, h, _core, value_bound: float | None, is_mip: b
         bound, gap = (objective, 0.0) if status == _Status.kOptimal else (None, None)
     else:
         bound, gap = _finite(_negated(info.mip_dual_bound)), _finite(info.mip_gap)
+    if bound is None:          # no dual bound: the column bounds still give one
+        bound, gap = value_bound, _gap(value_bound, objective)
     if status != _Status.kOptimal:
         return SolveResult("time_limit", objective, bound, values, gap=gap,
                            message=message, nodes=nodes)
@@ -335,6 +337,14 @@ def _negated(x: float) -> float:
 
 def _finite(x: float) -> float | None:
     return float(x) if math.isfinite(x) else None
+
+
+def _gap(bound: float | None, objective: float | None) -> float | None:
+    """``(bound - objective) / |objective|``, 0 for a bound a tolerance
+    below the plan; None without a bound, a plan or a nonzero objective."""
+    if bound is None or not objective:
+        return None
+    return max(bound - objective, 0.0) / abs(objective)
 
 
 _fd1_lock = threading.Lock()
@@ -380,7 +390,7 @@ def solve_reference(model: MilpModel) -> SolveResult:
     if len(bins) > 14:
         raise SolverError(f"reference solver is capped at 14 free binaries, model has {len(bins)}")
     if model.n_vars == 0:
-        return SolveResult("optimal", model.obj_offset, model.obj_offset, {}, gap=0.0)
+        return SolveResult("optimal", model.obj_offset, model.obj_offset, gap=0.0)
     # imported here for the reason _solve_highs gives
     import numpy as np
     _core = highs_core()
@@ -407,7 +417,7 @@ def solve_reference(model: MilpModel) -> SolveResult:
     if best is None:
         return SolveResult("infeasible", None, None)
     obj = model.reported_objective(best)
-    return SolveResult("optimal", obj, obj, _values_from_x(model, best_x), gap=0.0)
+    return SolveResult("optimal", obj, obj, best_x.tolist(), gap=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +447,9 @@ def _plan_starts(model: MilpModel, plan: FlowPlan, level: int = logging.WARNING)
         if ref is None:
             return
         if value < ref.lo - 1e-9 or value > ref.hi + 1e-9:
-            log.log(level, "warm start for %s dropped: %.6g outside [%g, %g]",
-                    ref.name, value, ref.lo, ref.hi)
+            if log.isEnabledFor(level):
+                log.log(level, "warm start for %s dropped: %.6g outside [%g, %g]",
+                        ref.name, value, ref.lo, ref.hi)
             return
         starts[ref.col] = float(min(max(value, ref.lo), ref.hi))
 
@@ -462,10 +473,11 @@ def _plan_starts(model: MilpModel, plan: FlowPlan, level: int = logging.WARNING)
     return starts
 
 
-def row_violations(model: MilpModel, values: dict[str, float], tol: float = ROW_FEAS_TOL):
-    """Rows violated by more than ``tol`` at the given point (diagnostics)."""
+def row_violations(model: MilpModel, x: list[float], tol: float = ROW_FEAS_TOL):
+    """Rows violated by more than ``tol`` at the column vector ``x`` (diagnostics)."""
+    if len(x) != model.n_vars:
+        raise ValueError(f"point has {len(x)} values, model has {model.n_vars} columns")
     out = []
-    x = [values.get(v.name, 0.0) for v in model.vars]
     for row, terms in zip(model.rows, model.matrix.all_terms()):
         ax = sum(c * x[col] for col, c in terms)
         if ax < row.lo - tol or ax > row.hi + tol:
@@ -490,7 +502,7 @@ def extract_flow_plan(model: MilpModel, result: SolveResult) -> FlowPlan:
         fld = PLAN_FIELDS.get(v.kind)
         if fld is None:
             continue
-        x = result.values[v.name]
+        x = result.values[v.col]
         if fld.read == "binary":
             x = round_binary(x)
         else:

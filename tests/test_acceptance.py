@@ -269,9 +269,9 @@ def test_criterion_07_rolling_monotonicity():
 
         def grab(step, model, res):
             captured.append((
-                {v.name: res.values[v.name] for v in model.vars
+                {v.col: res.values[v.col] for v in model.vars
                  if v.kind in ("gamma", "sigma", "alpha")},
-                {v.name for v in model.vars
+                {v.col for v in model.vars
                  if v.kind in ("gamma", "sigma", "alpha") and v.lo == v.hi},
             ))
 
@@ -283,9 +283,9 @@ def test_criterion_07_rolling_monotonicity():
             assert b <= a / (1 - gap) + 1e-6, (seed, objs)
         for i, (vals_i, fixed_i) in enumerate(captured):
             for vals_j, fixed_j in captured[i + 1:]:
-                for name in fixed_i:
-                    assert name in fixed_j
-                    assert vals_j[name] == vals_i[name]
+                for col in fixed_i:
+                    assert col in fixed_j
+                    assert vals_j[col] == vals_i[col]
     dt = time.perf_counter() - t0
     assert dt < 600.0
     _report(7, f"10 rolls: step objectives non-increasing within gap; frozen "

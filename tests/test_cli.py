@@ -179,7 +179,7 @@ def test_rolling_step_without_values_exits_with_error(tiny_path, tmp_path, monke
 
     def solve_hits_limit_without_values(model, opts):
         res = real_solve(model, opts)
-        return replace(res, status="time_limit", objective=None, values={})
+        return replace(res, status="time_limit", objective=None, values=[])
 
     monkeypatch.setattr(blendplan.rolling, "solve", solve_hits_limit_without_values)
     rc = main(["solve", "--instance", tiny_path, "--out-dir", str(tmp_path / "roll"),
@@ -242,7 +242,7 @@ def test_extraction_error_exits_with_error(sample_path, tmp_path, capsys, monkey
         res = real_solve(model, opts)
         for v in model.vars:
             if v.kind == "gamma":
-                res.values[v.name] = 1.0
+                res.values[v.col] = 1.0
         return res
 
     monkeypatch.setattr(blendplan.cli, "solve", solve_with_every_unload_on)

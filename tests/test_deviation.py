@@ -25,9 +25,9 @@ def _decoded_spec(model, values, k, q, t):
     else:
         df = model.var("delta_f", (k, q, t))
         if df is not None:
-            total += values[df.name]
+            total += values[df.col]
     for i in range(1, p.n + 1):
-        total += p.eps * p.level_weight(i) * round(values[f"alpha[{k},{q},{t},{i}]"])
+        total += p.eps * p.level_weight(i) * round(values[model.var("alpha", (k, q, t, i)).col])
     return total
 
 
@@ -80,10 +80,10 @@ def test_mccormick_deviation_within_one_cell():
             for q in inst.spec_ids():
                 p = m.plans[(k.id, q)]
                 for t in range(inst.horizon):
-                    vm = res.values[f"v_mid[{k.id},{t}]"]
+                    vm = res.value(m.var("v_mid", (k.id, t)))
                     if vm <= TOL:
                         continue
-                    rep = res.values[f"vf_mid[{k.id},{q},{t}]"] / vm
+                    rep = res.value(m.var("vf_mid", (k.id, q, t))) / vm
                     within.append(abs(rep - trace.f[(k.id, q, t)]) <= p.eps + TOL)
     assert within
     frac = sum(within) / len(within)
@@ -101,6 +101,6 @@ def test_center_feed_representation_matches_constraint_side():
             if out <= TOL:
                 continue
             for q in inst.spec_ids():
-                rep_mass = sum(res.values[f"yf_out[{k.id},{q},{t}]"] for k in inst.tanks)
+                rep_mass = sum(res.value(m.var("yf_out", (k.id, q, t))) for k in inst.tanks)
                 lo, hi = tb.spec[(r.id, q)]
                 assert lo * out - 1e-5 <= rep_mass <= hi * out + 1e-5

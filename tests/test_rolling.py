@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from blendplan.builders import build_center, make_plans
 from blendplan.instance import extend_periodic
-from blendplan.model import BINARY_KINDS, MilpModel
+from blendplan.model import BINARY_KINDS, MilpModel, VarRef
 import blendplan.rolling
 from blendplan.rolling import (SEGMENT_POLICY, Period, RollParams, RollingError,
                                StepLog, _apply_policy, _visible_sub_instance,
                                check_partition, fixed_periods, roll_full,
                                roll_partial, run_based_periods)
-from blendplan.simulate import FlowPlan, plan_objective, simulate
-from blendplan.solve import SolveOptions, SolveResult, solve
+from blendplan.simulate import FlowPlan, audit, plan_objective, simulate
+from blendplan.solve import SolveOptions, SolveResult, extract_flow_plan, solve
 from conftest import rolling_instance, small_instance, toy_1t1s
 
 FIG6_RUNS = [(0, 3), (5, 5), (7, 13), (18, 24), (25, 29)]
@@ -145,6 +145,27 @@ def _builder(eps=1.0):
     return lambda inst: build_center(inst, make_plans(inst, eps))
 
 
+@pytest.mark.parametrize("run", ["flat", "full", "partial"])
+def test_solving_builds_no_column_names(monkeypatch, run):
+    # a solve hands back its column vector: from the build to the plan, no
+    # column name is formatted, flat or rolling
+    inst = rolling_instance(0, reps=2)
+    periods = run_based_periods(inst.runs, inst.horizon, 7)
+    params = RollParams(h_nf=30, solve=SolveOptions(mip_gap=0.005, time_limit=600))
+
+    def refuse(ref):
+        raise AssertionError(f"column name of {ref.kind}{ref.index} formatted")
+
+    monkeypatch.setattr(VarRef, "name", property(refuse))
+    if run == "flat":
+        m = _builder()(inst)
+        plan = extract_flow_plan(m, solve(m, params.solve))
+    else:
+        plan = (roll_full if run == "full" else roll_partial)(inst, periods, params,
+                                                              _builder()).plan
+    assert audit(inst, simulate(inst, plan), plan).ok
+
+
 def test_roll_full_single_period_equals_flat():
     inst = small_instance(10)
     flat_model = _builder()(inst)
@@ -160,9 +181,9 @@ def test_roll_full_monotone_and_frozen_prefix():
     captured = []
 
     def grab(step, model, res):
-        vals = {v.name: res.values[v.name] for v in model.vars
+        vals = {v.col: res.values[v.col] for v in model.vars
                 if v.kind in ("gamma", "sigma", "alpha")}
-        fixed = {v.name for v in model.vars
+        fixed = {v.col for v in model.vars
                  if v.kind in ("gamma", "sigma", "alpha") and v.lo == v.hi}
         captured.append((vals, fixed))
 
@@ -176,9 +197,9 @@ def test_roll_full_monotone_and_frozen_prefix():
     for i, (vals_i, fixed_i) in enumerate(captured):
         for j in range(i + 1, len(captured)):
             vals_j, fixed_j = captured[j]
-            for name in fixed_i:
-                assert name in fixed_j
-                assert vals_j[name] == pytest.approx(vals_i[name], abs=1e-9)
+            for col in fixed_i:
+                assert col in fixed_j
+                assert vals_j[col] == pytest.approx(vals_i[col], abs=1e-9)
     # all steps recorded and plan well-formed
     assert len(res.steps) >= 4
     from blendplan.simulate import audit

@@ -84,6 +84,22 @@ def test_solution_feasible_within_row_tolerance(toy):
     res = solve(m)
     assert res.status in ("optimal", "gap_reached")
     assert not row_violations(m, res.values)
+    assert len(res.values) == m.n_vars
+
+
+def test_row_violations_read_the_column_vector(toy):
+    m = build_center(toy, make_plans(toy, 1.0))
+    x = solve(m).values
+    row = m.rows[0]
+    col, c = next(iter(row.coeffs.items()))
+    # moving one column off its solved value breaks the row it sits in
+    bumped = list(x)
+    bumped[col] += 1.0 / c
+    assert row.name in [name for name, *_ in row_violations(m, bumped)]
+    # a point that misses a column is refused, not read as 0 there
+    for point in (x[:-1], x + [0.0], []):
+        with pytest.raises(ValueError, match="columns"):
+            row_violations(m, point)
 
 
 def test_reference_backend_matches_highs(toy):
@@ -109,7 +125,7 @@ def test_reference_backend_guards():
 def test_extract_rounds_binaries(toy):
     m = build_center(toy, make_plans(toy, 1.0))
     res = solve(m)
-    res.values["gamma[B1,0]"] = 0.9999
+    res.values[m.var("gamma", ("B1", 0)).col] = 0.9999
     plan = extract_flow_plan(m, res)
     assert plan.gamma[("B1", 0)] == 1
 
@@ -129,8 +145,8 @@ def test_extract_all_zero_solve_misses_everything(toy):
 def test_extract_rejects_broken_counts(toy):
     m = build_center(toy, make_plans(toy, 1.0))
     res = solve(m)
-    res.values["gamma[B1,0]"] = 1.0
-    res.values["gamma[B1,1]"] = 1.0
+    res.values[m.var("gamma", ("B1", 0)).col] = 1.0
+    res.values[m.var("gamma", ("B1", 1)).col] = 1.0
     inst2 = replace(toy, barges=(replace(toy.barges[0], max_unloads=1),))
     m.instance = inst2
     with pytest.raises(ExtractionError):
@@ -142,9 +158,9 @@ def test_extract_rejects_a_broken_daily_limit():
     m = build_center(inst, make_plans(inst, 1.0))
     res = solve(m)
     for v in m.vars_of_kind("gamma"):
-        res.values[v.name] = 0.0
-    res.values["gamma[B1,2]"] = 1.0
-    res.values["gamma[B2,2]"] = 1.0
+        res.values[v.col] = 0.0
+    res.values[m.var("gamma", ("B1", 2)).col] = 1.0
+    res.values[m.var("gamma", ("B2", 2)).col] = 1.0
     m.instance = replace(inst, ops=replace(inst.ops, max_unloads_per_day=1))
     with pytest.raises(ExtractionError) as err:
         extract_flow_plan(m, res)
@@ -157,9 +173,9 @@ def test_two_unloads_same_day_within_limit():
     m = build_center(inst, make_plans(inst, 1.0))
     res = solve(m)
     for v in m.vars_of_kind("gamma"):
-        res.values[v.name] = 0.0
-    res.values["gamma[B1,2]"] = 1.0
-    res.values["gamma[B2,2]"] = 1.0
+        res.values[v.col] = 0.0
+    res.values[m.var("gamma", ("B1", 2)).col] = 1.0
+    res.values[m.var("gamma", ("B2", 2)).col] = 1.0
     plan = extract_flow_plan(m, res)  # no error
     assert plan.gamma[("B1", 2)] == plan.gamma[("B2", 2)] == 1
 
@@ -236,7 +252,7 @@ def test_a_plan_round_trips_through_its_columns(sample_plan, build):
         for key, value in getattr(plan, name).items():
             assert m.starts[m.var(name, fld.index(key)).col] == pytest.approx(value, abs=1e-9)
     # a result holding the starts, every other column 0, reads back as the plan
-    values = {v.name: m.starts.get(v.col, 0.0) for v in m.vars}
+    values = [m.starts.get(col, 0.0) for col in range(m.n_vars)]
     back = extract_flow_plan(m, SolveResult("optimal", None, None, values))
     for name in PLAN_FIELDS:
         got, want = getattr(back, name), getattr(plan, name)
@@ -302,19 +318,20 @@ def test_lp_is_optimal_with_zero_gap(toy):
 
 
 def test_no_finite_dual_bound_is_none(sample):
-    # stopped before HiGHS has any dual bound: None, never +-inf, so a
-    # steps.jsonl line stays valid JSON
+    # stopped before HiGHS has any dual bound: the bound is the model's value
+    # bound, never +-inf, so a steps.jsonl line stays valid JSON; no plan, no gap
     m = build_center(sample, make_plans(sample, 1.0))
     res = solve(m, SolveOptions(time_limit=0.001))
     assert res.status == "time_limit"
-    assert res.best_bound is None and res.objective is None and res.gap is None
+    assert res.best_bound == m.value_bound() == 23143600.0
+    assert res.objective is None and res.gap is None
     entry = StepLog(0, (0, 7), 30, res.status, res.objective, res.best_bound,
                     res.wall_time, m.n_binary, res.nodes, res.start)
 
     def reject(name):
         raise ValueError(f"non-finite number {name} in JSON")
 
-    assert json.loads(entry.to_json(), parse_constant=reject)["bound"] is None
+    assert json.loads(entry.to_json(), parse_constant=reject)["bound"] == 23143600.0
 
 
 @pytest.mark.parametrize("time_limit", [1e-6, 600.0])
@@ -626,6 +643,39 @@ def test_the_full_run_gets_the_time_the_held_run_left(recorded, time_limit):
 
 def test_a_held_run_out_of_time_ends_the_solve(sample, recorded):
     runs, _ = recorded
-    res = solve(build_center(sample, make_plans(sample, 1.0)), SolveOptions(time_limit=0.01))
+    m = build_center(sample, make_plans(sample, 1.0))
+    res = solve(m, SolveOptions(time_limit=0.01))
     assert [r["status"] for r in runs] == ["Time limit reached"]
-    assert res.status == "time_limit" and res.best_bound is None
+    assert res.status == "time_limit" and res.best_bound == m.value_bound()
+    if res.objective is not None:
+        assert res.gap == (res.best_bound - res.objective) / res.objective
+
+
+def _sample_without_value_bound(sample):
+    # barge B1's unused volume, a costed column, unbounded below
+    m = build_center(sample, make_plans(sample, 1.0))
+    m.var("v_unused", ("B1",)).lo = -INF
+    return m
+
+
+@pytest.mark.parametrize("make, time_limit", [
+    (_sample_without_value_bound, 0.01),                      # out of time in the held run
+    (lambda sample: _gated_model(-1.0, 0.0, INF)[0], 1e-6),   # no start: one full run
+], ids=["held", "full"])
+def test_a_time_limit_without_value_bound_has_no_bound(sample, recorded, make, time_limit):
+    runs, _ = recorded
+    m = make(sample)
+    assert m.value_bound() is None
+    res = solve(m, SolveOptions(time_limit=time_limit))
+    assert [r["status"] for r in runs] == ["Time limit reached"]
+    assert res.status == "time_limit" and res.best_bound is None and res.gap is None
+
+
+def test_a_time_limited_sample_solve_keeps_its_budget(sample):
+    # a flat mccormick solve at a tight gap runs out of time, and returns
+    # within a second of its limit with the value bound as its bound
+    m = build_mccormick(sample, make_plans(sample, 1.0))
+    res = solve(m, SolveOptions(mip_gap=0.0005, time_limit=2.0))
+    assert res.status == "time_limit" and res.wall_time <= 3.0
+    assert res.has_plan and res.best_bound == m.value_bound()
+    assert res.gap == pytest.approx((res.best_bound - res.objective) / res.objective)
