@@ -53,12 +53,12 @@ class CenterOptions:
 
 def reachable_spec_bounds(inst: Instance) -> dict[tuple[str, str], tuple[float, float]]:
     """Per (tank, spec): hull of the initial content and admissible inflows."""
-    ds = derive_sets(inst)
+    derive_sets(inst)      # validates
     out = {}
     for tank in inst.tanks:
         for q in inst.spec_ids():
             vals = [tank.specs_init[q]]
-            vals += [inst.barge(s).specs[q] for s in ds.barges_by_tank[tank.id]]
+            vals += [b.specs[q] for b in inst.barges if tank.id in b.allowed_tanks]
             out[(tank.id, q)] = (min(vals), max(vals))
     return out
 
@@ -146,23 +146,22 @@ def tighten(inst: Instance, eps_hat) -> TightenedBounds:
 # Shared linear core and spec-volume scaffold
 
 
-def _window_rows(m, tag: str, index: tuple, num: dict, den: dict, lo: float, hi: float,
-                 bilinear: bool = False):
+def _window_rows(m, tag: str, index: tuple, num: dict, den: dict, lo: float, hi: float):
     """Rows ``<tag>_lb``, ``num - lo·den >= 0``, and ``<tag>_ub``, ``num -
     hi·den <= 0``, each listing ``num``'s terms, then ``den``'s others.  Both
-    map a term to its coefficient; a term is a column or, in ``bilinear``
-    rows, a pair of columns, their product.  A term in both gets the sum of
-    its two coefficients."""
+    map a term to its coefficient; a term is a column or a pair of columns,
+    their product, which makes the row a quad row.  A term in both gets the
+    sum of its two coefficients."""
     for side, bound, row_lo, row_hi in (("lb", lo, 0.0, INF), ("ub", hi, -INF, 0.0)):
         side_tag = sys.intern(f"{tag}_{side}")     # one string per tag, not one per row
         terms = dict(num)
         for x, c in den.items():
             terms[x] = terms.get(x, 0.0) - bound * c
-        if bilinear:
+        quads = [(c, *x) for x, c in terms.items() if isinstance(x, tuple)]
+        if quads:
             m.add_quad_row(side_tag, index,
                            {x: c for x, c in terms.items() if isinstance(x, VarRef)},
-                           [(c, *x) for x, c in terms.items() if isinstance(x, tuple)],
-                           row_lo, row_hi)
+                           quads, row_lo, row_hi)
         else:
             m.add_row(side_tag, index, terms, row_lo, row_hi)
 
@@ -185,9 +184,9 @@ class _Core:
         self.gamma = {}
         self.y_in = {}
         self.inflows = {}          # (tank, day) -> [(Barge, y_in)], in barge order
-        self.window_days = {}      # barge -> the days of its window inside the horizon
+        self.window_days = {}      # barge -> the days of its window
         for b in inst.barges:
-            days = self.window_days[b.id] = range(b.window[0], min(b.window[1], H - 1) + 1)
+            days = self.window_days[b.id] = range(b.window[0], b.window[1] + 1)
             for t in days:
                 self.gamma[(b.id, t)] = m.add_var("gamma", (b.id, t), 0.0, 1.0, binary=True)
                 for k in b.allowed_tanks:
@@ -260,17 +259,15 @@ class _Core:
         for b in inst.barges:
             m.add_row("barge_unload_limit", (b.id,),
                       {self.gamma[(b.id, t)]: 1.0 for t in self.window_days[b.id]},
-                      hi=float(inst.barge_max_unloads(b.id)))
+                      hi=float(inst.barge_max_unloads(b)))
         for t, avail in ds.available_by_day.items():
-            coeffs = {self.gamma[(s, t)]: 1.0 for s in avail if (s, t) in self.gamma}
-            if coeffs:
-                m.add_row("daily_unload_limit", (t,), coeffs,
-                          hi=float(inst.ops.max_unloads_per_day))
+            m.add_row("daily_unload_limit", (t,), {self.gamma[(s, t)]: 1.0 for s in avail},
+                      hi=float(inst.ops.max_unloads_per_day))
         for (s, k, t), ref in self.y_in.items():     # ref.hi is the barge's volume
             m.add_row("unload_flow_gate", (s, k, t), {ref: 1.0, self.gamma[(s, t)]: -ref.hi},
                       hi=0.0)
         for b in inst.barges:
-            need = inst.barge_min_unload_pct(b.id) * b.volume
+            need = inst.barge_min_unload_pct(b) * b.volume
             for t in self.window_days[b.id]:
                 coeffs = {self.y_in[(b.id, k, t)]: 1.0 for k in b.allowed_tanks}
                 coeffs[self.gamma[(b.id, t)]] = -need
@@ -294,7 +291,7 @@ class _Core:
             coeffs[self.mis[t]] = ds.miss_penalty_by_day[t]
         self.m.set_objective(coeffs, value_target(inst))
 
-    def feed_window_rows(self, bounds: TightenedBounds, fed, bilinear: bool = False):
+    def feed_window_rows(self, bounds: TightenedBounds, fed):
         """Every run day's spec and ratio window rows at ``bounds``; ``fed(q, t)``
         gives the spec-``q`` feed of day ``t`` as ``_window_rows`` terms."""
         m, inst = self.m, self.inst
@@ -303,10 +300,10 @@ class _Core:
                 outs = {self.y_out[(k.id, t)]: 1.0 for k in inst.tanks}
                 for q in sorted(r.spec_bounds):
                     _window_rows(m, "feed_spec", (q, t), fed(q, t), outs,
-                                 *bounds.spec[(r.id, q)], bilinear=bilinear)
+                                 *bounds.spec[(r.id, q)])
                 for (q1, q2) in sorted(r.ratio_bounds):
                     _window_rows(m, "feed_ratio", (q1, q2, t), fed(q1, t), fed(q2, t),
-                                 *bounds.ratio[(r.id, q1, q2)], bilinear=bilinear)
+                                 *bounds.ratio[(r.id, q1, q2)])
 
 
 class _SpecVolumes(_Core):
@@ -458,7 +455,7 @@ def build_exact_mix(inst: Instance) -> MilpModel:
     def fed(q, t):         # the spec-q feed of day t: each tank's f times its feed
         return {(f[(k.id, q, t)], core.y_out[(k.id, t)]): 1.0 for k in inst.tanks}
 
-    core.feed_window_rows(tighten(inst, 0.0), fed, bilinear=True)
+    core.feed_window_rows(tighten(inst, 0.0), fed)
     return m
 
 

@@ -101,12 +101,10 @@ class Instance:
     def barge(self, barge_id: str) -> Barge:
         return _by_id(self.barges, barge_id)
 
-    def barge_max_unloads(self, barge_id: str) -> int:
-        b = self.barge(barge_id)
+    def barge_max_unloads(self, b: Barge) -> int:
         return b.max_unloads if b.max_unloads is not None else self.ops.max_unloads_per_barge
 
-    def barge_min_unload_pct(self, barge_id: str) -> float:
-        b = self.barge(barge_id)
+    def barge_min_unload_pct(self, b: Barge) -> float:
         return b.min_unload_pct if b.min_unload_pct is not None else self.ops.min_daily_unload_pct
 
     @cached_property
@@ -302,7 +300,6 @@ class DerivedSets:
     demand_days: tuple[int, ...]                   # sorted union of run days
     demand_by_day: dict[int, float]
     miss_penalty_by_day: dict[int, float]
-    barges_by_tank: dict[str, tuple[str, ...]]     # tank -> barges allowed in
     value_target: float                            # penalty value of all supply and demand
 
     def available(self, day: int) -> tuple[str, ...]:
@@ -323,7 +320,6 @@ def derive_sets(inst: Instance) -> DerivedSets:
 
 
 def _build_sets(inst: Instance) -> DerivedSets:
-    H = inst.ops.horizon
     available: dict[int, list[str]] = {}
     for b in inst.barges:
         for t in range(b.window[0], b.window[1] + 1):
@@ -334,17 +330,12 @@ def _build_sets(inst: Instance) -> DerivedSets:
         for t in range(r.days[0], r.days[1] + 1):
             demand_by_day[t] = r.daily_demand
             miss_by_day[t] = r.miss_penalty
-    barges_by_tank: dict[str, list[str]] = {t.id: [] for t in inst.tanks}
-    for b in inst.barges:
-        for k in b.allowed_tanks:
-            barges_by_tank[k].append(b.id)
     demand_days = tuple(sorted(demand_by_day))
     return DerivedSets(
-        available_by_day={t: tuple(v) for t, v in sorted(available.items()) if 0 <= t < H},
+        available_by_day={t: tuple(v) for t, v in sorted(available.items())},
         demand_days=demand_days,
         demand_by_day=demand_by_day,
         miss_penalty_by_day=miss_by_day,
-        barges_by_tank={k: tuple(v) for k, v in barges_by_tank.items()},
         value_target=(sum(b.unload_penalty * b.volume for b in inst.barges)
                       + sum(miss_by_day[t] * demand_by_day[t] for t in demand_days)),
     )

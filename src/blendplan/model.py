@@ -401,7 +401,7 @@ class MilpModel:
         nonzeros and joins each column's lines once."""
         if self.has_bilinear():
             raise ModelError("bilinear rows cannot be written as MPS; use write_lp")
-        senses = "".join(map(_mps_sense, self.rows))    # raises before the file is opened
+        senses = "".join(map(_sense, self.rows))    # raises before the file is opened
         _write_lines(path, self._mps_lines(senses))
 
     def _mps_lines(self, senses: str):
@@ -474,27 +474,26 @@ class MilpModel:
     def write_lp(self, path) -> None:
         """LP-format text, written a block of lines at a time; rows with
         bilinear terms hold [ ... ] quadratic blocks."""
-        if not all(r.lo == r.hi or r.hi < INF or r.lo > -INF
-                   for r in itertools.chain(self.rows, self.quad_rows)):
-            raise ModelError("row unbounded on both sides")
-        _write_lines(path, self._lp_lines())
+        senses = "".join(map(_sense, self.rows))    # raises before the file is opened
+        quad_senses = "".join(map(_sense, self.quad_rows))
+        _write_lines(path, self._lp_lines(senses, quad_senses))
 
-    def _lp_lines(self):
+    def _lp_lines(self, senses: str, quad_senses: str):
         num, snum = functools.cache(_num), functools.cache(_snum)
         col_ids = [f"C{v.col + 1}" for v in self.vars]
         yield f"\\ Problem: {self.name}"
         yield "Minimize"
         yield " obj: " + (_lp_terms(self.obj.items(), col_ids, snum) or "0 " + col_ids[0])
         yield "Subject To"
-        for r, terms in zip(self.rows, self.matrix.all_terms()):
+        for r, sense, terms in zip(self.rows, senses, self.matrix.all_terms()):
             body = _lp_terms(terms, col_ids, snum) or "0 " + col_ids[0]
-            for suffix, sense, val in _senses(r.lo, r.hi):
-                yield f" R{r.num + 1}{suffix}: {body} {sense} {num(val)}"
-        for qr, terms in zip(self.quad_rows, self.quad_matrix.all_terms()):
+            for suffix, op, upper in _LP_CONSTRAINTS[sense]:
+                yield f" R{r.num + 1}{suffix}: {body} {op} {num(r.hi if upper else r.lo)}"
+        for qr, sense, terms in zip(self.quad_rows, quad_senses, self.quad_matrix.all_terms()):
             inner = " ".join(f"{snum(c)} {col_ids[a]} * {col_ids[b]}" for c, a, b in qr.quads)
             body = " ".join(x for x in (_lp_terms(terms, col_ids, snum), f"[ {inner} ]") if x)
-            for suffix, sense, val in _senses(qr.lo, qr.hi):
-                yield f" Q{qr.num + 1}{suffix}: {body} {sense} {num(val)}"
+            for suffix, op, upper in _LP_CONSTRAINTS[sense]:
+                yield f" Q{qr.num + 1}{suffix}: {body} {op} {num(qr.hi if upper else qr.lo)}"
         yield "Bounds"
         for v, cid in zip(self.vars, col_ids):
             if v.lo == v.hi:
@@ -511,14 +510,19 @@ class MilpModel:
         yield "End"
 
 
-# The ROWS line head of each `_mps_sense`.
+# The MPS ROWS line head of each `_sense`.
 _MPS_ROW_HEAD = {"E": " E  ", "L": " L  ", "G": " G  ", "R": " L  "}
 
+# The LP constraints of each `_sense`: (name suffix, operator, whether the
+# right-hand side is ``hi`` rather than ``lo``).
+_LP_CONSTRAINTS = {"E": (("", "=", False),), "L": (("", "<=", True),),
+                   "G": (("", ">=", False),), "R": (("_ub", "<=", True), ("_lb", ">=", False))}
 
-def _mps_sense(r: Row) -> str:
-    """A row's MPS sense, ``E``, ``L`` or ``G``, or ``R`` for an ``L`` row
-    with a range: its right-hand side is ``lo`` for ``E`` and ``G``, ``hi``
-    for ``L`` and ``R``."""
+
+def _sense(r: Row) -> str:
+    """A row's sense, ``E``, ``L`` or ``G``, or ``R`` for a row bounded on
+    both sides by different values: in MPS, an ``L`` row with a range, its
+    right-hand side ``lo`` for ``E`` and ``G``, ``hi`` for ``L`` and ``R``."""
     if r.lo == r.hi:
         return "E"
     if r.lo == -INF and r.hi < INF:
@@ -544,19 +548,6 @@ def _write_lines(path, lines) -> None:
     with open(path, "w") as fh:
         fh.writelines(_blocks(lines, "\n"))
         fh.write("\n")
-
-
-def _senses(lo: float, hi: float):
-    """A row's LP constraints as ``(name suffix, sense, right-hand side)``;
-    ``write_lp`` has checked that the row is bounded on some side."""
-    if lo == hi:
-        return [("", "=", lo)]
-    parts = []
-    if hi < INF:
-        parts.append(("_ub" if lo > -INF else "", "<=", hi))
-    if lo > -INF:
-        parts.append(("_lb" if hi < INF else "", ">=", lo))
-    return parts
 
 
 def _num(x: float) -> str:

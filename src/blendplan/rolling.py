@@ -298,7 +298,7 @@ def _visible_sub_instance(inst: Instance, acc: FlowPlan, t_start: int, t_nf: int
     for b in inst.barges:
         used_days = unload_days.get(b.id, [])
         used_vol = unloaded.get(b.id, 0)
-        n_left = inst.barge_max_unloads(b.id) - len(used_days)
+        n_left = inst.barge_max_unloads(b) - len(used_days)
         w0, w1 = b.window
         if used_days:
             w1 = min(w1, used_days[0] + inst.ops.max_unload_gap)
@@ -311,7 +311,7 @@ def _visible_sub_instance(inst: Instance, acc: FlowPlan, t_start: int, t_nf: int
         vol = min(b.volume - used_vol, max(required - used_vol, 0.0))
         if vol <= 1e-9:
             continue
-        min_pct = inst.barge_min_unload_pct(b.id) * b.volume / vol
+        min_pct = inst.barge_min_unload_pct(b) * b.volume / vol
         barges.append(replace(
             b, volume=vol, window=(vis0 - t_start, vis1 - t_start),
             max_unloads=n_left, min_unload_pct=min(min_pct, 1.0),

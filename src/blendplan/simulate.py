@@ -238,7 +238,7 @@ def unload_count_violations(inst: Instance, unload_days: dict[str, list[int]]
     id, and the ``daily_unload_limit`` violations, in day order."""
     per_barge = {}
     for b in inst.barges:
-        n, limit = len(unload_days.get(b.id, ())), inst.barge_max_unloads(b.id)
+        n, limit = len(unload_days.get(b.id, ())), inst.barge_max_unloads(b)
         if n > limit:
             per_barge[b.id] = FeasViolation("barge_unload_limit", (b.id,), n - limit)
     per_day = Counter(t for days in unload_days.values() for t in days)
@@ -271,11 +271,14 @@ class FeasibilityReport:
         return max(mags, default=0.0)
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready data; a non-finite magnitude, which JSON
+        cannot hold, is None."""
         return {
             "ok": self.ok,
             "counts": self.counts(),
             "worst_spec_violation": self.worst_spec_violation,
-            "violations": [{"tag": v.tag, "index": list(v.index), "magnitude": v.magnitude}
+            "violations": [{"tag": v.tag, "index": list(v.index),
+                            "magnitude": v.magnitude if math.isfinite(v.magnitude) else None}
                            for v in self.violations],
         }
 
@@ -328,7 +331,7 @@ def audit(inst: Instance, trace: SimulationTrace, plan: FlowPlan) -> Feasibility
             add(FeasViolation("unload_gap", (s,), days[-1] - days[0] - inst.ops.max_unload_gap))
         for t in days:
             pulled = sum(plan.y_in.get((s, k, t), 0.0) for k in b.allowed_tanks)
-            need = inst.barge_min_unload_pct(s) * b.volume
+            need = inst.barge_min_unload_pct(b) * b.volume
             if pulled < need - VOL_TOL:
                 add(FeasViolation("unload_min_pct", (s, t), need - pulled))
 
@@ -365,8 +368,8 @@ def audit(inst: Instance, trace: SimulationTrace, plan: FlowPlan) -> Feasibility
                     # denominator multiplied through; magnitude back in ratio units
                     num = trace.feed_spec[(q1, t)] * served
                     den = trace.feed_spec[(q2, t)] * served
-                    if den <= 0.0:
-                        add(FeasViolation("feed_ratio_lb", (q1, q2, t), math.inf))
+                    if den <= 0.0:    # no q2: the ratio is +inf, above any window
+                        add(FeasViolation("feed_ratio_ub", (q1, q2, t), math.inf))
                         continue
                     if num < lo * den - SPEC_TOL * served:
                         add(FeasViolation("feed_ratio_lb", (q1, q2, t), (lo * den - num) / den))
@@ -438,16 +441,15 @@ def grid_oracle(inst: Instance, grid_step: float = 0.25) -> float:
         raise ValueError("grid_oracle is limited to <=2 barges, <=2 tanks, horizon <=6")
     if not (0.0 < grid_step <= 1.0):
         raise ValueError("grid_step must be in (0, 1]")
-    ds = derive_sets(inst)
-    H = inst.horizon
+    derive_sets(inst)      # validates
     levels = [round(j * grid_step, 12) for j in range(1, int(round(1.0 / grid_step)) + 1)]
 
     barge_choices = []
     for b in inst.barges:
         opts: list[list[tuple[int, str, float]]] = [[]]  # (day, tank, fraction)
-        days_avail = [t for t in range(b.window[0], min(b.window[1], H - 1) + 1)]
-        limit = inst.barge_max_unloads(b.id)
-        p_min = inst.barge_min_unload_pct(b.id)
+        days_avail = range(b.window[0], b.window[1] + 1)
+        limit = inst.barge_max_unloads(b)
+        p_min = inst.barge_min_unload_pct(b)
         for n_ev in range(1, limit + 1):
             for days in itertools.combinations(days_avail, n_ev):
                 if days[-1] - days[0] > inst.ops.max_unload_gap:

@@ -402,7 +402,7 @@ def test_window_rows_sum_a_term_in_both_num_and_den():
                                                  0.0, INF)
     assert (ub.tag, ub.coeffs, ub.lo, ub.hi) == ("feed_share_ub", {y.col: -1.0}, -INF, 0.0)
     _window_rows(m, "feed_spec", ("P", 0), {(f, x): 1.0, y: 2.0}, {(f, x): 1.0, x: 4.0},
-                 40.0, 60.0, bilinear=True)
+                 40.0, 60.0)
     lb, ub = m.quad_rows
     assert (lb.coeffs, lb.quads) == ({y.col: 2.0, x.col: -160.0}, ((-39.0, f.col, x.col),))
     assert (ub.coeffs, ub.quads) == ({y.col: 2.0, x.col: -240.0}, ((-59.0, f.col, x.col),))

@@ -665,3 +665,81 @@ def test_solve_determinism(tiny_path, tmp_path):
     assert recs[0]["pct_loss"] == recs[1]["pct_loss"]
     plans = [open(os.path.join(d, "plan.json")).read() for d in dirs]
     assert plans[0] == plans[1]
+
+
+def test_simulate_writes_the_trace_csv_alone(tiny_path, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    blendplan.write_plan(blendplan.empty_plan(blendplan.read_instance(tiny_path)), plan)
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--instance", tiny_path, "--plan", str(plan),
+                 "--csv", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["day"]) for r in rows] == list(range(6))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json", "tiny.json", "trace.csv"]
+
+
+def test_simulate_without_an_output_prints_the_trace(tiny_path, tmp_path, capsys):
+    inst = blendplan.read_instance(tiny_path)
+    plan = tmp_path / "plan.json"
+    blendplan.write_plan(blendplan.empty_plan(inst), plan)
+    assert main(["simulate", "--instance", tiny_path, "--plan", str(plan)]) == 0
+    want = blendplan.simulate(inst, blendplan.empty_plan(inst)).to_dict()
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(want))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json", "tiny.json"]
+
+
+def test_export_bilinear_model_to_another_suffix_writes_lp(inst_path, tmp_path, capsys):
+    out = tmp_path / "m.mps"
+    assert main(["export", "--instance", inst_path, "--method", "exact-split",
+                 "--out", str(out)]) == 0
+    cap = capsys.readouterr()
+    assert cap.err == "note: bilinear model, writing LP format\n"
+    assert json.loads(cap.out)["bilinear"] > 0
+    lp = tmp_path / "m.lp"
+    blendplan.build_exact_split(blendplan.read_instance(inst_path)).write_lp(lp)
+    assert out.read_bytes() == lp.read_bytes()
+    assert (tmp_path / "m.mps.tags.json").exists()
+
+
+@pytest.mark.parametrize("config,err", [(None, "error: bench needs --config or --matrix\n"),
+                                        ({"runs": []}, "error: bench config has no runs\n")],
+                         ids=["no-runs-given", "empty-runs"])
+def test_bench_without_runs_exits_2(tmp_path, capsys, config, err):
+    out_dir = tmp_path / "bench"
+    argv = ["bench", "--out-dir", str(out_dir)]
+    if config is not None:
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == err
+    assert not out_dir.exists()
+
+
+def test_bench_run_of_an_exact_method_is_an_error_row(tiny_path, tmp_path, capsys):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"runs": [{"instance": tiny_path, "method": "exact-split"}]}))
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"runs": 1, "ok": 0, "out_dir": str(out_dir)}
+    with open(out_dir / "results.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["method"], row["status"]) == ("exact-split", "error")
+    assert row["message"] == "method 'exact-split' cannot be solved in-process"
+    assert not (out_dir / "run_000").exists()
+
+
+def test_bench_run_with_a_per_spec_eps_hat(tiny_path, tmp_path, capsys):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"runs": [{"instance": tiny_path, "eps_hat": {"P": 0.5},
+                                         "time_limit": 120}]}))
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    rec = json.loads((out_dir / "run_000" / "record.json").read_text())
+    assert rec["status"] in ("optimal", "gap_reached") and rec["eps_hat"] == {"P": 0.5}
+    assert (out_dir / "run_000" / "plan.json").exists()
+    with open(out_dir / "results.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == rec["status"]

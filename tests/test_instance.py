@@ -336,6 +336,17 @@ def test_randomize_respects_relative_range():
         assert b1.volume == b0.volume
 
 
+def test_randomize_clamps_and_logs_a_nonpositive_volume_and_a_negative_spec(caplog):
+    # at seed 2 the draws take B1's volume below 0 and its spec P below 0
+    with caplog.at_level("WARNING", logger="blendplan.instance"):
+        out = randomize_supply(toy_1t1s(), 2, RandomizationParams(volume_rel=3.0, spec_rel=3.0))
+    (b,) = out.barges
+    assert (b.volume, b.specs) == (4.0, {"P": 0.0})     # 1 % of 400
+    assert [r.getMessage() for r in caplog.records] == [
+        "randomize_supply: volume of B1 clamped to 4.000",
+        "randomize_supply: spec P of B1 clamped to 0"]
+
+
 def test_randomize_output_validates():
     inst = small_instance(8)
     out = randomize_supply(inst, 11, RandomizationParams(0.15, 0.15, 3))

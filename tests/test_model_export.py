@@ -176,6 +176,13 @@ def test_a_row_free_on_both_sides_is_refused_before_the_file_opens(tmp_path, wri
     assert not path.exists()
 
 
+def test_mps_refuses_a_bilinear_model_before_the_file_opens(tmp_path):
+    path = tmp_path / "m.mps"
+    with pytest.raises(ModelError, match="bilinear rows cannot be written as MPS"):
+        golden_model(bilinear=True).write_mps(path)
+    assert not path.exists()
+
+
 def test_sidecar_maps_rows_and_columns(tmp_path):
     inst = small_instance(2)
     m = build_center(inst, make_plans(inst, 1.0))

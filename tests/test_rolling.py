@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blendplan.builders import build_center, make_plans
+from blendplan.builders import (build_center, build_exact_mix, build_exact_split,
+                                build_mccormick, make_plans)
+import blendplan.instance
 from blendplan.instance import extend_periodic
 from blendplan.model import BINARY_KINDS, MilpModel, VarRef
 import blendplan.rolling
@@ -16,9 +18,9 @@ from blendplan.rolling import (SEGMENT_POLICY, Period, RollParams, RollingError,
                                StepLog, _apply_policy, _visible_sub_instance,
                                check_partition, fixed_periods, roll_full,
                                roll_partial, run_based_periods)
-from blendplan.simulate import FlowPlan, audit, plan_objective, simulate
+from blendplan.simulate import FlowPlan, audit, grid_oracle, plan_objective, simulate
 from blendplan.solve import SolveOptions, SolveResult, extract_flow_plan, solve
-from conftest import rolling_instance, small_instance, toy_1t1s
+from conftest import rolling_instance, small_instance, tiny_instance, toy_1t1s
 
 FIG6_RUNS = [(0, 3), (5, 5), (7, 13), (18, 24), (25, 29)]
 
@@ -164,6 +166,33 @@ def test_solving_builds_no_column_names(monkeypatch, run):
         plan = (roll_full if run == "full" else roll_partial)(inst, periods, params,
                                                               _builder()).plan
     assert audit(inst, simulate(inst, plan), plan).ok
+
+
+@pytest.mark.parametrize("run", ["builds", "flat", "full", "partial", "oracle"])
+def test_model_path_looks_up_no_barge_by_id(monkeypatch, sample, run):
+    # every caller holds the Barge it asks about: no id is scanned for, in a
+    # build, a solve, a roll's sub-instances or the oracle
+    def refuse(items, item_id):
+        raise AssertionError(f"{item_id} looked up by id")
+
+    monkeypatch.setattr(blendplan.instance, "_by_id", refuse)
+    params = RollParams(h_nf=30, solve=SolveOptions(mip_gap=0.005, time_limit=600))
+    if run == "builds":
+        plans = make_plans(sample, 1.0)
+        for m in (build_center(sample, plans), build_mccormick(sample, plans),
+                  build_exact_mix(sample), build_exact_split(sample)):
+            assert m.n_rows > 0
+    elif run == "oracle":
+        assert grid_oracle(tiny_instance(1)) > 0.0
+    else:
+        inst = sample if run == "flat" else rolling_instance(0, reps=2)
+        if run == "flat":
+            m = _builder()(inst)
+            plan = extract_flow_plan(m, solve(m, params.solve))
+        else:
+            plan = (roll_full if run == "full" else roll_partial)(
+                inst, run_based_periods(inst.runs, inst.horizon, 7), params, _builder()).plan
+        assert audit(inst, simulate(inst, plan), plan).ok
 
 
 def test_roll_full_single_period_equals_flat():

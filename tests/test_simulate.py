@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blendplan.instance import Barge, Instance, OpsParams, Run, SpecDef, Tank, derive_sets
+from blendplan.cli import main
+from blendplan.instance import (Barge, Instance, OpsParams, Run, SpecDef, Tank, derive_sets,
+                                write_instance)
 from blendplan.simulate import (FlowPlan, PlanInconsistencyError, audit, empty_plan,
                                 grid_oracle, loss, plan_from_dict, plan_objective,
-                                simulate, value_target)
+                                simulate, value_target, write_plan)
 from conftest import tiny_instance, toy_1t1s
 
 
@@ -257,10 +259,29 @@ def test_audit_flags_ratio_with_a_zero_denominator():
     inst = _ratio_instance(0.0, (1.0, 2.0))
     plan = _base_feasible_plan(inst)
     rep = audit(inst, simulate(inst, plan), plan)
-    assert set(rep.counts()) == {"feed_ratio_lb", "feed_spec_lb"}
-    assert [(v.index, v.magnitude) for v in rep.by_tag("feed_ratio_lb")] == [
+    assert set(rep.counts()) == {"feed_ratio_ub", "feed_spec_lb"}
+    assert [(v.index, v.magnitude) for v in rep.by_tag("feed_ratio_ub")] == [
         (("P", "Q", 0), math.inf), (("P", "Q", 1), math.inf)]
     assert {v.index for v in rep.by_tag("feed_spec_lb")} == {("Q", 0), ("Q", 1)}
+
+
+def test_audit_file_of_a_zero_denominator_is_strict_json(tmp_path, capsys):
+    # the infinite magnitude is written as null, not as the non-JSON Infinity
+    ratio = _ratio_instance(0.0, (1.0, 2.0))
+    inst, plan = tmp_path / "inst.json", tmp_path / "plan.json"
+    write_instance(ratio, inst)
+    write_plan(_base_feasible_plan(ratio), plan)
+    out = tmp_path / "audit.json"
+    assert main(["audit", "--instance", str(inst), "--plan", str(plan), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    rep = json.loads(out.read_text(), parse_constant=refuse)
+    assert rep["counts"] == {"feed_ratio_ub": 2, "feed_spec_lb": 2}
+    assert [v["magnitude"] for v in rep["violations"] if v["tag"] == "feed_ratio_ub"] == [
+        None, None]
 
 
 def test_audit_flags_nonconstant_run_feed(toy):

@@ -142,6 +142,12 @@ def test_extract_all_zero_solve_misses_everything(toy):
     assert plan.v_unused["B1"] == 400.0
 
 
+def test_extract_refuses_a_result_without_values(toy):
+    m = build_center(toy, make_plans(toy, 1.0))
+    with pytest.raises(ExtractionError, match="no values in result with status 'infeasible'"):
+        extract_flow_plan(m, SolveResult("infeasible", None, None))
+
+
 def test_extract_rejects_broken_counts(toy):
     m = build_center(toy, make_plans(toy, 1.0))
     res = solve(m)
@@ -220,6 +226,19 @@ def test_warm_start_drops_out_of_bounds(toy):
     plan = FlowPlan(y_in={("B1", "T1", 0): 99999.0})   # beyond barge volume
     warm_start(m, plan)
     assert m.var("y_in", ("B1", "T1", 0)).col not in m.starts
+
+
+def test_warm_start_skips_entries_without_a_column(toy, caplog):
+    # B1's window is day 0 alone: its day-1 entries have no column
+    inst = replace(toy, barges=(replace(toy.barges[0], window=(0, 0)),))
+    m = build_center(inst, make_plans(inst, 1.0))
+    plan = FlowPlan(y_in={("B1", "T1", 0): 400.0, ("B1", "T1", 1): 0.0},
+                    gamma={("B1", 0): 1, ("B1", 1): 0})
+    with caplog.at_level("WARNING", logger="blendplan.solve"):
+        warm_start(m, plan)
+    assert caplog.records == []
+    assert sorted(m.vars[col].name for col in m.starts if m.vars[col].kind != "alpha") == [
+        "gamma[B1,0]", "y_in[B1,T1,0]"]
 
 
 def test_warm_start_echoed_in_export(toy, tmp_path):
