@@ -30,11 +30,11 @@ from .simulate import (PlanInconsistencyError, audit, loss, read_plan,
 from .solve import (SolveOptions, SolverError, extract_flow_plan, highs_core,
                     solve)
 
-RESULTS_VERSION = 2
+RESULTS_VERSION = 3
 RESULT_FIELDS = [
     "record_version", "instance", "method", "scheme", "horizon", "eps_hat",
     "status", "objective", "bound", "pct_loss", "violations",
-    "worst_spec_violation", "steps", "wall_time_s", "message",
+    "worst_spec_violation", "steps", "start", "nodes", "wall_time_s", "message",
 ]
 OK_STATUSES = {"ok", "optimal", "gap_reached", "time_limit"}
 # Step statuses of a rolling run, best first; the run reports its worst.
@@ -141,13 +141,15 @@ def run_solve_config(config: dict) -> dict:
             raise SolverError(f"solver returned {res.status}: {res.message}")
         plan = extract_flow_plan(model, res) if res.has_plan else None
         outcome = {"status": res.status, "objective": res.objective,
-                   "bound": res.best_bound, "steps": 0, "message": res.message}
+                   "bound": res.best_bound, "steps": 0, "start": res.start,
+                   "nodes": res.nodes, "message": res.message}
     else:
         log_path = os.path.join(out_dir, "steps.jsonl")
         roller = roll_full if ns.scheme == "full" else roll_partial
         result = roller(inst, periods, params, builder, log_path=log_path)
         plan = result.plan
-        # step bounds hold for their own sub-problems, not for the whole horizon
+        # step bounds hold for their own sub-problems, not for the whole
+        # horizon; each step's start and nodes are in steps.jsonl
         outcome = {"status": max((s.status for s in result.steps), key=_STEP_STATUS_ORDER.index),
                    "objective": result.objective, "steps": len(result.steps)}
     outcome["wall_time_s"] = round(time.perf_counter() - t0, 4)

@@ -57,15 +57,19 @@ VAR_DAY_POS: dict[str, int | None] = {
 # rolling step may relax them.
 BINARY_KINDS = ("gamma", "sigma", "alpha")
 
-# Documented constraint-tag vocabulary.  Rows outside this set are a bug.
-TAGS = frozenset({
-    # flow / demand / unloading core
+# The flow / demand / unloading core: the rows every model shares.  A model
+# with every other row dropped is its flow relaxation.
+CORE_TAGS = frozenset({
     "inflow_balance", "outflow_balance", "demand_balance",
     "supply_total", "run_const_feed",
     "feed_share_lb", "feed_share_ub",
     "barge_unload_limit", "daily_unload_limit",
     "unload_flow_gate", "unload_min_pct",
     "first_unload_ub", "last_unload_lb", "unload_gap",
+})
+
+# Documented constraint-tag vocabulary.  Rows outside this set are a bug.
+TAGS = CORE_TAGS | frozenset({
     # structural (bounds / sparse creation)
     "inv_lb", "inv_ub", "init_volume", "init_spec", "init_spec_volume",
     "supply_window", "barge_window_mask",

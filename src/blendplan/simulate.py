@@ -365,16 +365,16 @@ def audit(inst: Instance, trace: SimulationTrace, plan: FlowPlan) -> Feasibility
                     if fp > hi + SPEC_TOL:
                         add(FeasViolation("feed_spec_ub", (q, t), fp - hi))
                 for (q1, q2), (lo, hi) in sorted(r.ratio_bounds.items()):
-                    # denominator multiplied through; magnitude back in ratio units
+                    # judged by the model's rows, the denominator multiplied
+                    # through, so 0/0 holds; the magnitude is in ratio units,
+                    # +inf for q1 fed with no q2 (den 0 breaks only the upper row)
                     num = trace.feed_spec[(q1, t)] * served
                     den = trace.feed_spec[(q2, t)] * served
-                    if den <= 0.0:    # no q2: the ratio is +inf, above any window
-                        add(FeasViolation("feed_ratio_ub", (q1, q2, t), math.inf))
-                        continue
                     if num < lo * den - SPEC_TOL * served:
                         add(FeasViolation("feed_ratio_lb", (q1, q2, t), (lo * den - num) / den))
                     if num > hi * den + SPEC_TOL * served:
-                        add(FeasViolation("feed_ratio_ub", (q1, q2, t), (num - hi * den) / den))
+                        add(FeasViolation("feed_ratio_ub", (q1, q2, t),
+                                          (num - hi * den) / den if den > 0.0 else math.inf))
 
     # feed on non-demand days
     for (k, t), v in sorted(plan.y_out.items()):

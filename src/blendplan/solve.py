@@ -3,10 +3,11 @@
 ``solve`` runs in-process HiGHS through the ``_Highs`` object of
 ``scipy.optimize._highspy._core`` (the HiGHS build scipy ships, scipy >=
 1.15), and starts every solve from a plan: the caller's starts, or else the
-all-miss plan (no unloads, all demand missed).  ``solve`` completes that
-start itself, in a *held run* of the same HiGHS object with the start's
-dated binaries fixed, and runs the full model only when the held run's
-plan falls short of the value bound (see ``solve``).
+plan of the model's flow relaxation (the *first try*, on a whole model) and
+then the all-miss plan (no unloads, all demand missed).  ``solve`` completes
+each start itself, in a *held run* of the same HiGHS object with the
+start's dated binaries fixed, and runs the full model only when the held
+run's plan falls short of the least bound known (see ``solve``).
 ``highs_core`` loads that extension module on its own, without the
 ``scipy.optimize`` package: it runs scipy's package init only, then loads
 ``_core`` from scipy's ``optimize/_highspy`` directory under its full name,
@@ -34,8 +35,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .discretize import encode
-from .model import BINARY_KINDS, MilpModel, _key_name
+from .discretize import encode, grid_value
+from .model import BINARY_KINDS, CORE_TAGS, MilpModel, _key_name
 from .simulate import (PLAN_FIELDS, FlowPlan, PlanInconsistencyError, empty_plan, simulate,
                        unload_count_violations)
 
@@ -118,7 +119,7 @@ class SolveResult:
     gap: float | None = None
     message: str = ""
     nodes: int = 0                     # branch-and-bound nodes HiGHS explored
-    start: str | None = None           # "given" | "all-miss" | None (no start)
+    start: str | None = None           # "given" | "flow" | "all-miss" | None (no start)
 
     @property
     def has_values(self) -> bool:
@@ -145,32 +146,51 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     digit binaries of the simulated empty plan and the ``v_unused`` and
     ``mis`` columns, but no ``gamma`` and no ``sigma``.
 
-    A MIP with a start runs HiGHS twice on one model object.  The *held
-    run* fixes every started column of a ``BINARY_KINDS`` kind (``gamma``,
-    ``sigma``, ``alpha``) at its start value, relaxed columns of a rolling
-    step included, and stops at HiGHS's own start-node limit
-    (``mip_max_start_nodes``).  When its plan meets the value-bound target
-    below, that plan is the result.  Otherwise the bounds are put back and
-    the *full run* solves the model from the held run's plan, now a
-    complete start; from the start without its held columns when the held
-    run found no plan.  The full run gets the part of ``opts.time_limit``
-    that the held run left; a held run that leaves none ends the solve
-    with ``status`` ``"time_limit"`` and its plan if it found one.
+    *The first try.*  A MIP with an instance, no caller start and every
+    column of a ``BINARY_KINDS`` kind binary on [0, 1] (a *whole* model: no
+    rolling step's relaxed or fixed binaries) is first solved as its flow
+    relaxation: the same model with every row outside ``CORE_TAGS`` freed,
+    in at most half of ``opts.time_limit``.  Dropping rows relaxes any
+    model, so that run's bound bounds the model's value whatever bounds the
+    caller set.  Its plan (``extract_flow_plan``), encoded by
+    ``_plan_starts``, is completed in a held run (below) with every binary
+    fixed.  When that plan is within ``opts.mip_gap`` of the least bound
+    known, the smaller of the value bound and the relaxation's, it is the
+    result: ``start`` ``"flow"``, ``message`` "flow bound reached",
+    ``best_bound`` that bound.  Otherwise the solve goes on from the
+    all-miss start as below, with the time left, and its ``best_bound`` is
+    the least bound known.  The answer is always a plan of ``model``; the
+    relaxation is only a start and a bound.
+
+    After the first try, if any, a MIP with a start runs HiGHS at most
+    twice more on the same model object.  The *held run* fixes every started
+    column of a ``BINARY_KINDS`` kind (``gamma``, ``sigma``, ``alpha``) at
+    its start value, relaxed columns of a rolling step included, and stops
+    at HiGHS's own start-node limit
+    (``mip_max_start_nodes``).  When its plan is within ``opts.mip_gap`` of
+    the least bound known, that plan is the result, whatever status HiGHS
+    reports.  Otherwise the bounds are put back and the *full run* solves
+    the model from the held run's plan, now a complete start; from the
+    start without its held columns when the held run found no plan.  Each
+    run gets the part of ``opts.time_limit`` that the runs before it left;
+    a held run that leaves none ends the solve with ``status``
+    ``"time_limit"`` and its plan if it found one.
 
     No plan is worth more than ``model.value_bound()``.  When a MIP has a
-    finite, positive value bound and ``opts.mip_gap`` is finite, both runs
-    stop at the first incumbent within ``opts.mip_gap`` of that bound.  Such
-    a result has ``message`` "value bound reached"; its ``best_bound`` is
-    the value bound after the held run (whose dual bound bounds only the
-    restricted model), and the smaller of the value bound and HiGHS's dual
-    bound (when it has one) after the full run.  ``gap`` is
+    finite, positive value bound and ``opts.mip_gap`` is finite, every run
+    stops at the first incumbent within ``opts.mip_gap`` of that bound.  Such
+    a result has ``message`` "value bound reached" ("flow bound reached"
+    when the flow relaxation's bound is the lower); its ``best_bound`` is
+    the least bound known after a held run (whose dual bound bounds only the
+    restricted model), and the smaller of that and HiGHS's dual bound (when
+    it has one) after the full run.  ``gap`` is
     ``(best_bound - objective) / |objective|``, and ``status`` is
     ``"optimal"`` at gap 0, else ``"gap_reached"``.  ``nodes`` counts the
-    nodes of both runs; it reads 0 when the stop comes before a root node.
-    A result that ends with no dual bound from HiGHS (out of time in the
-    held run, or before HiGHS proved any) takes ``model.value_bound()`` as
-    its ``best_bound``, and its ``gap`` as above; both are None when the
-    model has no value bound.
+    nodes of every run; it reads 0 when the stop comes before a root node.
+    A result that ends with no dual bound from HiGHS (out of time in a held
+    run, or before HiGHS proved any) takes the least bound known as its
+    ``best_bound``, and its ``gap`` as above; both are None when the model
+    has no value bound and no first try gave one.
 
     A solve that runs past ``opts.time_limit`` (HiGHS can overspend it) is
     logged as a warning.
@@ -185,8 +205,9 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     else:
         starts, start = {}, None
     opts = opts or SolveOptions()
-    result = _solve_highs(model, opts, starts)
-    result.start = start if starts else None
+    result = _solve_highs(model, opts, starts, first_try=start == "all-miss")
+    if result.start is None:
+        result.start = start if starts else None
     result.wall_time = time.perf_counter() - t0
     if result.wall_time > opts.time_limit:
         log.warning("solve took %.3f s, over its time_limit of %g s",
@@ -214,7 +235,8 @@ def _highs_lp(model: MilpModel, _core):
     return lp, c, integrality
 
 
-def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float]) -> SolveResult:
+def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float],
+                 first_try: bool) -> SolveResult:
     if model.n_vars == 0:
         return SolveResult("optimal", model.obj_offset, model.obj_offset, gap=0.0)
     # Loaded on first use, not at module level: only solving needs numpy
@@ -226,53 +248,127 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float])
     h = _core._Highs()
     h.setOptionValue("output_flag", False)
     h.setOptionValue("mip_rel_gap", float(opts.mip_gap))
-    h.setOptionValue("time_limit", float(opts.time_limit))
-    is_mip = bool(integrality.any())
-    value_bound = model.value_bound()
-    if is_mip and value_bound is not None and value_bound > 0 and math.isfinite(opts.mip_gap):
-        # No plan is worth more than value_bound, so an incumbent within
+    runs = _Runs(model, h, _core, opts, is_mip=bool(integrality.any()))
+    if runs.is_mip and runs.bound is not None and runs.bound > 0 and math.isfinite(opts.mip_gap):
+        # No plan is worth more than the value bound, so an incumbent within
         # mip_gap of it needs no further proof.  HiGHS minimises the negated
         # value (its objective includes offset_) and stops at the first
-        # incumbent below this target, in the held run and the full run
-        # alike: its own relative-gap rule, measured against the bound.  An
-        # LP proves its optimum anyway, and an infinite mip_gap already
-        # stops at the first incumbent.
-        h.setOptionValue("objective_target", -value_bound / (1.0 + opts.mip_gap))
+        # incumbent below this target, in every run: its own relative-gap
+        # rule, measured against the bound.  An LP proves its optimum
+        # anyway, and an infinite mip_gap already stops at the first
+        # incumbent.
+        h.setOptionValue("objective_target", -runs.bound / (1.0 + opts.mip_gap))
+    flow_starts = (_flow_relaxation(runs, lp)
+                   if first_try and runs.is_mip and _is_whole(model) else None)
     if h.passModel(lp) == _core.HighsStatus.kError:
         return SolveResult("error", None, None, message="HiGHS rejected the model")
-    held = [col for col in sorted(starts) if model.vars[col].kind in BINARY_KINDS] if is_mip else []
-    nodes = 0
-    if held:
-        # The held run: the start's binaries, relaxed ones included, fixed
-        # at their values, under the node limit HiGHS puts on completing a
-        # start.  Its incumbents are plans of the full model.
-        cols = np.array(held, dtype=np.int32)
-        at = np.array([starts[col] for col in held])
-        h.changeColsBounds(len(cols), cols, at, at)
-        h.setOptionValue("mip_max_nodes", h.getOptionValue("mip_max_start_nodes")[1])
-        remaining = opts.time_limit - _run(h)
-        if h.getModelStatus() == _core.HighsModelStatus.kObjectiveTarget or remaining <= 0.0:
-            return _run_result(model, h, _core, value_bound, is_mip, held=True)
-        # read before the bounds change, which clears HiGHS's solution
-        info = h.getInfo()
-        nodes = max(info.mip_node_count, 0)
-        if info.primal_solution_status == _core.kSolutionStatusFeasible:
-            starts = dict(enumerate(h.getSolution().col_value))
+    if flow_starts:
+        result, held = runs.held_run(flow_starts, "flow bound reached")
+        if result.status != "time_limit" or runs.left <= 0.0:
+            result.start = "flow"
+            return result
+        runs.release(held)
+    if runs.is_mip and any(model.vars[col].kind in BINARY_KINDS for col in starts):
+        result, held = runs.held_run(starts, runs.reached)
+        if result.status != "time_limit" or runs.left <= 0.0:
+            return result
+        if result.has_values:
+            starts = dict(enumerate(result.values))
         else:
             starts = {col: x for col, x in starts.items()
                       if model.vars[col].kind not in BINARY_KINDS}
-        h.setOptionValue("mip_max_nodes", _core.kHighsIInf)
-        h.changeColsBounds(len(cols), cols, np.array([model.vars[col].lo for col in held]),
-                           np.array([model.vars[col].hi for col in held]))
-        h.setOptionValue("time_limit", remaining)
+        runs.release(held)
     if starts:
         cols = sorted(starts)
         h.setSolution(len(cols), np.array(cols, dtype=np.int32),
                       np.array([starts[col] for col in cols]))
-    _run(h)
-    result = _run_result(model, h, _core, value_bound, is_mip, held=False)
-    result.nodes += nodes
-    return result
+    return runs.run(runs.left, held=False, stop=runs.reached)
+
+
+class _Runs:
+    """The HiGHS runs of one solve, on one ``_Highs`` object ``h`` that
+    holds ``model``: the seconds of ``opts.time_limit`` they leave
+    (``left``), the nodes they explored, and ``bound``, the least upper
+    bound on the model's value known so far (the value bound, or a lower
+    one from the flow relaxation)."""
+
+    def __init__(self, model: MilpModel, h, core, opts: SolveOptions, is_mip: bool):
+        self.model, self.h, self.core, self.opts, self.is_mip = model, h, core, opts, is_mip
+        self.value_bound = self.bound = model.value_bound()
+        self.left = opts.time_limit
+        self.nodes = 0
+
+    @property
+    def reached(self) -> str:
+        """The message of a stop at ``bound``."""
+        return "value bound reached" if self.bound == self.value_bound else "flow bound reached"
+
+    def run(self, limit: float, held: bool, stop: str) -> SolveResult:
+        """Run HiGHS for at most ``limit`` seconds; the result (see
+        ``_run_result``), its ``nodes`` those of every run so far."""
+        self.h.setOptionValue("time_limit", max(limit, 0.0))
+        self.left -= _run(self.h)
+        result = _run_result(self, held, stop)
+        self.nodes += result.nodes
+        result.nodes = self.nodes
+        return result
+
+    def held_run(self, starts: dict[int, float], stop: str):
+        """The held run: every started column of a ``BINARY_KINDS`` kind,
+        relaxed ones included, fixed at its start value, under the node
+        limit HiGHS puts on completing a start, in the time left.  Its
+        incumbents are plans of the full model.  The result and the held
+        columns."""
+        import numpy as np     # loaded already: see _solve_highs
+        held = np.array([col for col in sorted(starts)
+                         if self.model.vars[col].kind in BINARY_KINDS], dtype=np.int32)
+        at = np.array([starts[col] for col in held])
+        self.h.changeColsBounds(len(held), held, at, at)
+        self.h.setOptionValue("mip_max_nodes", self.h.getOptionValue("mip_max_start_nodes")[1])
+        return self.run(self.left, held=True, stop=stop), held
+
+    def release(self, held) -> None:
+        """Give the ``held`` columns their model bounds back, and lift the
+        node limit."""
+        import numpy as np
+        self.h.setOptionValue("mip_max_nodes", self.core.kHighsIInf)
+        self.h.changeColsBounds(len(held), held, np.array([self.model.vars[c].lo for c in held]),
+                                np.array([self.model.vars[c].hi for c in held]))
+
+
+def _is_whole(model: MilpModel) -> bool:
+    """Whether every column of a ``BINARY_KINDS`` kind is a binary on
+    [0, 1]: a model with no rolling step's relaxed or fixed binaries."""
+    return all(v.binary and v.lo < v.hi for v in model.vars if v.kind in BINARY_KINDS)
+
+
+def _flow_relaxation(runs: _Runs, lp) -> dict[int, float] | None:
+    """The first try's relaxed run (see ``solve``): pass ``lp`` with every
+    row outside ``CORE_TAGS`` freed and solve it in at most half the time
+    limit, lowering ``runs.bound`` to its bound.  The starts ``_plan_starts``
+    encodes from its plan; None when it has no plan or its rounded plan
+    breaks a counting rule.  ``lp`` is left as it was."""
+    import numpy as np
+    model = runs.model
+    row_lo, row_hi = lp.row_lower_, lp.row_upper_
+    core = np.array([r.tag in CORE_TAGS for r in model.rows], dtype=bool)
+    lp.row_lower_ = np.where(core, row_lo, -math.inf)
+    lp.row_upper_ = np.where(core, row_hi, math.inf)
+    passed = runs.h.passModel(lp) != runs.core.HighsStatus.kError
+    lp.row_lower_, lp.row_upper_ = row_lo, row_hi
+    if not passed:
+        return None
+    relaxed = runs.run(runs.opts.time_limit / 2.0, held=False, stop="")
+    if relaxed.best_bound is not None:     # never above runs.bound: see _run_result
+        runs.bound = relaxed.best_bound
+    if not relaxed.has_plan:
+        return None
+    try:
+        plan = extract_flow_plan(model, relaxed)
+    except ExtractionError as e:
+        log.debug("first try dropped: %s", e)
+        return None
+    return _plan_starts(model, plan, logging.DEBUG)
 
 
 def _run(h) -> float:
@@ -283,12 +379,14 @@ def _run(h) -> float:
     return time.perf_counter() - t0
 
 
-def _run_result(model: MilpModel, h, _core, value_bound: float | None, is_mip: bool,
-                held: bool) -> SolveResult:
+def _run_result(runs: _Runs, held: bool, stop: str) -> SolveResult:
     """The result of HiGHS's last run.  A ``held`` run solved the model with
     columns fixed: its incumbent is a plan of the model, but its dual bound
-    speaks of the restriction only, so it ends a solve only at the
-    value-bound target or out of time."""
+    speaks of the restriction only.  It ends a solve, with the message
+    ``stop``, when its plan is within ``mip_gap`` of ``runs.bound``;
+    otherwise its result reads ``"time_limit"``, the result of a solve out
+    of time before the full model ran."""
+    model, h, _core, bound = runs.model, runs.h, runs.core, runs.bound
     _Status = _core.HighsModelStatus
     status = h.getModelStatus()
     info = h.getInfo()
@@ -300,29 +398,34 @@ def _run_result(model: MilpModel, h, _core, value_bound: float | None, is_mip: b
         # With the offset the solver minimises -(target - misses), so the
         # reported value is the negation; without one, the target is 0.
         objective = _negated(info.objective_function_value)
-    if status == _Status.kObjectiveTarget:
-        # the incumbent is within mip_gap of value_bound; the full model's
+    gap = _gap(bound, objective)
+    if status == _Status.kObjectiveTarget or (held and gap is not None
+                                               and gap <= runs.opts.mip_gap):
+        # the incumbent is within mip_gap of the bound; the full model's
         # dual bound, when HiGHS has one, can only be tighter.  The gap is
         # HiGHS's (a bound a tolerance below the plan reads as 0).
         dual = None if held else _finite(_negated(info.mip_dual_bound))
-        bound = value_bound if dual is None else min(value_bound, dual)
-        gap = _gap(bound, objective)
+        if dual is not None and dual < bound:
+            bound, gap = dual, _gap(dual, objective)
         return SolveResult("optimal" if gap == 0.0 else "gap_reached", objective, bound,
-                           values, gap=gap, message="value bound reached", nodes=nodes)
+                           values, gap=gap, message=stop, nodes=nodes)
     if held:                   # out of time before the full model ran
-        return SolveResult("time_limit", objective, value_bound, values,
-                           gap=_gap(value_bound, objective),
+        return SolveResult("time_limit", objective, bound, values, gap=gap,
                            message=h.modelStatusToString(_Status.kTimeLimit), nodes=nodes)
     if status == _Status.kInfeasible:
         return SolveResult("infeasible", None, None, message=message, nodes=nodes)
     if status not in (_Status.kOptimal, _Status.kTimeLimit, _Status.kIterationLimit):
         return SolveResult("error", None, None, message=message, nodes=nodes)
-    if not is_mip:             # an LP: HiGHS reports no MIP gap or bound
-        bound, gap = (objective, 0.0) if status == _Status.kOptimal else (None, None)
+    if not runs.is_mip:        # an LP: HiGHS reports no MIP gap or bound
+        dual, gap = (objective, 0.0) if status == _Status.kOptimal else (None, None)
     else:
-        bound, gap = _finite(_negated(info.mip_dual_bound)), _finite(info.mip_gap)
-    if bound is None:          # no dual bound: the column bounds still give one
-        bound, gap = value_bound, _gap(value_bound, objective)
+        dual, gap = _finite(_negated(info.mip_dual_bound)), _finite(info.mip_gap)
+        if dual is not None and bound is not None and bound < dual:
+            dual = None        # an earlier run proved a lower one
+    if dual is None:           # the least bound known
+        gap = _gap(bound, objective)
+    else:
+        bound = dual
     if status != _Status.kOptimal:
         return SolveResult("time_limit", objective, bound, values, gap=gap,
                            message=message, nodes=nodes)
@@ -463,14 +566,52 @@ def _plan_starts(model: MilpModel, plan: FlowPlan, level: int = logging.WARNING)
         except PlanInconsistencyError as e:
             log.log(level, "warm start digits skipped, plan inconsistent: %s", e)
             return starts
-        for (k, q, t), fval in trace.f.items():
-            p = model.plans.get((k, q))
-            if p is None or p.n == 0:
-                continue
-            code = encode(min(max(fval, p.lo), p.hi), p)
+        codes = _midpoint_codes if model.name == "center" else _exact_codes
+        for (k, q, t), code in codes(model, plan, trace):
             for i, digit in enumerate(code.digits, start=1):
                 put("alpha", (k, q, t, i), float(digit))
     return starts
+
+
+def _exact_codes(model: MilpModel, plan: FlowPlan, trace):
+    """Each ``(tank, spec, day)`` with digits and the code of the plan's
+    exactly simulated spec value."""
+    for (k, q, t), fval in trace.f.items():
+        p = model.plans.get((k, q))
+        if p is not None and p.n > 0:
+            yield (k, q, t), encode(min(max(fval, p.lo), p.hi), p)
+
+
+def _midpoint_codes(model: MilpModel, plan: FlowPlan, trace):
+    """Each ``(tank, spec, day)`` with digits and the code of the value the
+    ``center`` model's own arithmetic gives it: ``c_t = (m_{t-1} v_end[t-1]
+    + sum spec y_in) / v_mid[t]``, ``m_{t-1}`` the midpoint of day t-1's
+    cell and ``m_{-1} v_end[-1]`` the tank's initial spec times its initial
+    volume.  The midpoint of ``c_t``'s cell lies within half a cell of it,
+    so every ``blend_relax`` row holds.  A day without inflow keeps the
+    value of the day before, so the all-miss plan keeps the initial spec's
+    digits on every day, as the exact encoding does."""
+    inst = model.instance
+    specs = {b.id: b.specs for b in inst.barges}
+    inflows: dict[tuple[str, int], list[tuple[str, float]]] = {}
+    for (s, k, t), v in plan.y_in.items():
+        if v:
+            inflows.setdefault((k, t), []).append((s, v))
+    for tank in inst.tanks:
+        k = tank.id
+        for q in inst.spec_ids():
+            p = model.plans.get((k, q))
+            if p is None or p.n == 0:
+                continue
+            c, volume = min(max(tank.specs_init[q], p.lo), p.hi), tank.v_init
+            for t in range(inst.horizon):
+                vin = inflows.get((k, t))
+                if vin:
+                    mass = c * volume + sum(specs[s][q] * v for s, v in vin)
+                    c = min(max(mass / trace.v_mid[(k, t)], p.lo), p.hi)
+                code = encode(c, p)
+                yield (k, q, t), code
+                c, volume = grid_value(code, p) + p.eps / 2.0, trace.v_end[(k, t)]
 
 
 def row_violations(model: MilpModel, x: list[float], tol: float = ROW_FEAS_TOL):

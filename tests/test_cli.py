@@ -138,8 +138,10 @@ def test_rolling_steps_log_nodes_and_start(tiny_path, tmp_path, capsys):
     steps = [json.loads(line) for line in open(os.path.join(out_dir, "steps.jsonl"))]
     assert len(steps) >= 2
     assert all(isinstance(s["nodes"], int) and s["nodes"] >= 0 for s in steps)
-    # the last step has no barge and no demand left: no plan gives it a start
-    assert [s["start"] for s in steps] == ["all-miss"] * (len(steps) - 1) + [None]
+    # the second step's present holds every demand day left, so none of its
+    # binaries is relaxed and the first try solves it; the last step has no
+    # barge and no demand left: no plan gives it a start
+    assert [s["start"] for s in steps] == ["all-miss"] * (len(steps) - 2) + ["flow", None]
 
 
 def test_solve_stdout_is_one_json_object(sample_path, tmp_path, capfd):
@@ -282,7 +284,7 @@ def test_infeasible_flat_solve_writes_its_record(tiny_path, tmp_path, capsys, mo
     assert record == printed and list(record) == RESULT_FIELDS
     assert {k: record[k] for k in ("record_version", "scheme", "horizon", "eps_hat", "status",
                                    "steps", "message", "objective", "pct_loss")} == {
-        "record_version": 2, "scheme": "flat", "horizon": 6, "eps_hat": "1.0",
+        "record_version": 3, "scheme": "flat", "horizon": 6, "eps_hat": "1.0",
         "status": "infeasible", "steps": 0, "message": "Infeasible", "objective": None,
         "pct_loss": None}
     assert record["wall_time_s"] >= 0
@@ -299,7 +301,7 @@ def test_bench_error_row_keeps_its_reason(sample_path, tmp_path, capsys):
     assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
     with open(out_dir / "results.csv") as fh:
         (row,) = csv.DictReader(fh)
-    assert row["record_version"] == "2" and row["status"] == "error"
+    assert row["record_version"] == "3" and row["status"] == "error"
     assert row["message"].startswith("solver returned time_limit")
 
 
@@ -316,7 +318,7 @@ def test_results_of_another_record_version_are_refused(tiny_path, tmp_path, caps
             "bench": ["bench", "--config", str(cfg), "--out-dir", str(out_dir)]}[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {results} has columns") and "record version 2" in err
+    assert err.startswith(f"error: {results} has columns") and "record version 3" in err
     assert results.read_bytes() == v1.encode()
     assert list(out_dir.iterdir()) == [results]
 

@@ -317,7 +317,7 @@ ROLL45_PARTIAL_STEPS = [
     ((14, 22), 43, "gap_reached", 23104659.343496103, 23143600.0, 128, 1, "all-miss"),
     ((22, 30), 44, "optimal", 17012784.928628143, 17012784.928628143, 87, 1, "all-miss"),
     ((30, 36), 44, "optimal", 11478000.0, 11478000.0, 55, 1, "all-miss"),
-    ((36, 42), 44, "optimal", 5400000.0, 5400000.0, 18, 0, "all-miss"),
+    ((36, 42), 44, "optimal", 5400000.0, 5400000.0, 18, 0, "flow"),
     ((42, 45), 44, "optimal", 0.0, 0.0, 0, 0, None),
 ]
 _RUNS_45 = (range(0, 5), range(6, 12), range(14, 22), range(24, 30), range(30, 35),

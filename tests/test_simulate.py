@@ -265,6 +265,19 @@ def test_audit_flags_ratio_with_a_zero_denominator():
     assert {v.index for v in rep.by_tag("feed_spec_lb")} == {("Q", 0), ("Q", 1)}
 
 
+def test_audit_holds_a_ratio_of_a_feed_with_neither_spec():
+    # 0/0: both model rows, num - lo*den >= 0 and num - hi*den <= 0, hold at
+    # 0; only Q's own window breaks
+    inst = _ratio_instance(0.0, (1.0, 2.0))
+    tank, barge = inst.tanks[0], inst.barges[0]
+    inst = replace(inst, tanks=(replace(tank, specs_init={"P": 0.0, "Q": 0.0}),),
+                   barges=(replace(barge, specs={"P": 0.0, "Q": 0.0}),))
+    plan = _base_feasible_plan(inst)
+    rep = audit(inst, simulate(inst, plan), plan)
+    assert rep.counts() == {"feed_spec_lb": 2}
+    assert {v.index for v in rep.by_tag("feed_spec_lb")} == {("Q", 0), ("Q", 1)}
+
+
 def test_audit_file_of_a_zero_denominator_is_strict_json(tmp_path, capsys):
     # the infinite magnitude is written as null, not as the non-JSON Infinity
     ratio = _ratio_instance(0.0, (1.0, 2.0))

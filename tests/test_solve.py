@@ -13,15 +13,16 @@ from dataclasses import replace
 import pytest
 
 from blendplan.builders import build_center, build_mccormick, make_plans
-from blendplan.instance import derive_sets
+from blendplan.instance import derive_sets, extend_periodic
 from blendplan.model import BINARY_KINDS, INF, MilpModel
 from blendplan.rolling import StepLog
-from blendplan.simulate import PLAN_FIELDS, FlowPlan, audit, empty_plan, simulate
+from blendplan.simulate import (PLAN_FIELDS, FlowPlan, audit, empty_plan, grid_oracle, loss,
+                               simulate)
 from blendplan.solve import (HIGHS_CORE, ExtractionError, SolveOptions, SolveResult,
                              SolverError, _stdout_to_stderr, extract_flow_plan, highs_core,
-                             row_violations, solve, solve_reference,
+                             _plan_starts, row_violations, solve, solve_reference,
                              warm_start)
-from conftest import small_instance
+from conftest import small_instance, tiny_instance, zero_denominator_instance
 
 
 def test_empty_model_is_optimal_zero():
@@ -282,8 +283,11 @@ def test_a_plan_round_trips_through_its_columns(sample_plan, build):
 # -- starts and solver telemetry ---------------------------------------------
 
 
-def test_solve_starts_from_all_miss_plan_and_leaves_model_starts(toy, tmp_path):
-    m = build_center(toy, make_plans(toy, 1.0))
+def test_solve_starts_from_all_miss_plan_and_leaves_model_starts(tmp_path):
+    # the tight windows break the first try's plan, so the solve goes on
+    # from the all-miss start
+    inst = small_instance(0, tight=True)
+    m = build_center(inst, make_plans(inst, 1.0))
     before, after = tmp_path / "before.tags.json", tmp_path / "after.tags.json"
     m.write_sidecar(before)
     res = solve(m)
@@ -410,16 +414,14 @@ def _within_gap_of_bound(res, mip_gap):
 
 
 def test_sample_center_stop_keeps_result_pinned(sample):
-    # status, value, bound and gap as before the stop (recorded then); the
-    # bound is the all-served target, 23,143,600
+    # the first try completes the flow relaxation's plan at the all-served
+    # target, 23,143,600, and proves it
     m = build_center(sample, make_plans(sample, 1.0))
     assert m.value_bound() == m.obj_offset == 23143600.0
     res = solve(m)
-    assert res.status == "gap_reached" and res.message == "value bound reached"
-    assert res.objective == pytest.approx(23123494.408721317, rel=1e-12)
-    assert res.best_bound == 23143600.0
-    assert res.gap == pytest.approx(0.0008694875836370267, rel=1e-9)
-    assert res.gap == pytest.approx((res.best_bound - res.objective) / res.objective, rel=1e-12)
+    assert res.status == "optimal" and res.message == "flow bound reached"
+    assert res.start == "flow"
+    assert res.objective == res.best_bound == 23143600.0 and res.gap == 0.0
     assert _within_gap_of_bound(res, 0.005)
 
 
@@ -478,7 +480,7 @@ def test_stop_matches_reference(toy):
     inst = replace(toy, barges=(replace(toy.barges[0], specs={"P": 51.5}),))
     ref = solve_reference(build_center(inst, make_plans(inst, 1.0)))
     res = solve(build_center(inst, make_plans(inst, 1.0)))
-    assert res.status == ref.status == "optimal" and res.message == "value bound reached"
+    assert res.status == ref.status == "optimal" and res.message == "flow bound reached"
     assert res.objective == pytest.approx(ref.objective, rel=1e-9)
     assert res.best_bound == pytest.approx(ref.best_bound, rel=1e-9)
     assert res.gap == 0.0
@@ -597,13 +599,15 @@ def _binaries_started_at(model, value: float):
 
 
 def test_sample_flat_solve_ends_in_its_held_run(sample, recorded):
-    # the completed all-miss start meets the target: one run, no full model
+    # the flow relaxation in at most half the time, then its plan completed
+    # in one held run, which meets the bound: no full model
     runs, starts = recorded
     m = build_center(sample, make_plans(sample, 1.0))
     res = solve(m)
-    assert [r["status"] for r in runs] == ["Target for objective reached"]
+    assert [r["status"] for r in runs] == ["Target for objective reached", "Optimal"]
+    assert runs[0]["time_limit"] == 300.0
     assert starts == []
-    assert res.message == "value bound reached" and res.best_bound == m.value_bound()
+    assert res.message == "flow bound reached" and res.best_bound == m.value_bound()
 
 
 def test_full_run_betters_a_held_run_that_misses_the_target(recorded):
@@ -661,8 +665,9 @@ def test_the_full_run_gets_the_time_the_held_run_left(recorded, time_limit):
 
 
 def test_a_held_run_out_of_time_ends_the_solve(sample, recorded):
+    # a given start: no first try before the held run
     runs, _ = recorded
-    m = build_center(sample, make_plans(sample, 1.0))
+    m = warm_start(build_center(sample, make_plans(sample, 1.0)), empty_plan(sample))
     res = solve(m, SolveOptions(time_limit=0.01))
     assert [r["status"] for r in runs] == ["Time limit reached"]
     assert res.status == "time_limit" and res.best_bound == m.value_bound()
@@ -671,8 +676,9 @@ def test_a_held_run_out_of_time_ends_the_solve(sample, recorded):
 
 
 def _sample_without_value_bound(sample):
-    # barge B1's unused volume, a costed column, unbounded below
-    m = build_center(sample, make_plans(sample, 1.0))
+    # barge B1's unused volume, a costed column, unbounded below; a given
+    # start, so that the held run comes first
+    m = warm_start(build_center(sample, make_plans(sample, 1.0)), empty_plan(sample))
     m.var("v_unused", ("B1",)).lo = -INF
     return m
 
@@ -690,11 +696,176 @@ def test_a_time_limit_without_value_bound_has_no_bound(sample, recorded, make, t
     assert res.status == "time_limit" and res.best_bound is None and res.gap is None
 
 
-def test_a_time_limited_sample_solve_keeps_its_budget(sample):
-    # a flat mccormick solve at a tight gap runs out of time, and returns
-    # within a second of its limit with the value bound as its bound
-    m = build_mccormick(sample, make_plans(sample, 1.0))
-    res = solve(m, SolveOptions(mip_gap=0.0005, time_limit=2.0))
-    assert res.status == "time_limit" and res.wall_time <= 3.0
+def test_a_time_limited_sample_solve_keeps_its_budget(recorded):
+    # with T1's initial S2 at 0 the first try fails and the solve runs out
+    # of time: the first try's runs come out of the budget, and the solve
+    # returns within a second of its limit with the value bound as its bound
+    runs, _ = recorded
+    inst = zero_denominator_instance()
+    m = build_center(inst, make_plans(inst, 1.0))
+    res = solve(m, SolveOptions(time_limit=2.0))
+    assert res.status == "time_limit" and res.start == "all-miss" and res.wall_time <= 3.0
+    assert len(runs) >= 3 and runs[0]["time_limit"] == 1.0
+    assert sum(r["seconds"] for r in runs[:-1]) + runs[-1]["time_limit"] <= 2.0 + 1e-9
     assert res.has_plan and res.best_bound == m.value_bound()
     assert res.gap == pytest.approx((res.best_bound - res.objective) / res.objective)
+
+
+# -- the first try --------------------------------------------------------------
+
+
+def test_a_held_run_within_the_gap_ends_the_solve_whatever_its_status(sample, recorded):
+    # a start from the solved plan fixes every binary: HiGHS reports the
+    # held run's optimum as Optimal, not as the objective target
+    runs, starts = recorded
+    m = build_center(sample, make_plans(sample, 1.0))
+    plan = extract_flow_plan(m, solve(m))
+    runs.clear()
+    again = warm_start(build_center(sample, make_plans(sample, 1.0)), plan)
+    res = solve(again)
+    assert [r["status"] for r in runs] == ["Optimal"] and starts == []
+    assert res.start == "given" and res.message == "value bound reached"
+    assert res.status == "optimal" and res.objective == res.best_bound == 23143600.0
+
+
+def _cell_midpoint(model, k, q, t):
+    p = model.plans[(k, q)]
+    code = sum(2 ** (i - 1) * model.starts[model.var("alpha", (k, q, t, i)).col]
+               for i in range(1, p.n + 1))
+    return p.lo + p.eps * (code + 0.5)
+
+
+def test_center_starts_hold_every_relaxed_blend_row(sample):
+    # a quarter of each barge, spread over its window days and tanks, and
+    # no feed; the digits encode the center model's own arithmetic, so each
+    # day's cell midpoint is within half a cell of what the day before and
+    # the inflows give (digits of the exactly simulated specs break 5 of
+    # these 180 rows)
+    plan = FlowPlan()
+    for b in sample.barges:
+        days = range(b.window[0], b.window[1] + 1)
+        for t in days:
+            for k in b.allowed_tanks:
+                plan.y_in[(b.id, k, t)] = b.volume / (4 * len(days) * len(b.allowed_tanks))
+    m = warm_start(build_center(sample, make_plans(sample, 1.0)), plan)
+    trace = simulate(sample, plan)
+    checked = 0
+    for tank in sample.tanks:
+        for q in sample.spec_ids():
+            p = m.plans[(tank.id, q)]
+            if p.n == 0:
+                continue
+            before = tank.specs_init[q] * tank.v_init
+            for t in range(sample.horizon):
+                mass = before + sum(b.specs[q] * plan.y_in.get((b.id, tank.id, t), 0.0)
+                                    for b in sample.barges)
+                v_mid = trace.v_mid[(tank.id, t)]
+                mid = _cell_midpoint(m, tank.id, q, t)
+                assert abs(mid * v_mid - mass) <= p.eps / 2.0 * v_mid * (1.0 + 1e-9) + 1e-9
+                before = mid * trace.v_end[(tank.id, t)]
+                checked += 1
+    assert checked == 180
+
+
+def test_all_miss_digits_are_the_same_in_both_encodings(sample):
+    plans = make_plans(sample, 1.0)
+    digits = []
+    for build in (build_center, build_mccormick):
+        m = build(sample, plans)
+        starts = _plan_starts(m, empty_plan(sample))
+        digits.append({v.index: starts[v.col] for v in m.vars_of_kind("alpha")})
+    assert digits[0] == digits[1] and digits[0]
+
+
+def _optimum(model_of):
+    """The model's optimum: solved at gap 0 from the all-miss start, given,
+    so with no first try."""
+    m = model_of()
+    warm_start(m, empty_plan(m.instance))
+    res = solve(m, SolveOptions(mip_gap=0.0))
+    assert res.status == "optimal" and res.start == "given"
+    return res.objective
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_best_bound_is_never_below_the_grid_oracle(seed):
+    # criterion 4's instances and settings
+    inst = tiny_instance(seed)
+    oracle = grid_oracle(inst, 0.125 if len(inst.barges) == 1 else 0.25)
+    res = solve(build_center(inst, make_plans(inst, 1.0)),
+                SolveOptions(mip_gap=1e-4, time_limit=120))
+    assert res.status in ("optimal", "gap_reached")
+    assert res.best_bound >= oracle * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("tight", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_every_flat_result_is_within_the_gap_of_its_bound(seed, tight):
+    inst = small_instance(seed, tight=tight)
+    m = build_center(inst, make_plans(inst, 1.0))
+    res = solve(m)
+    assert res.status in ("optimal", "gap_reached") and res.start == ("all-miss" if tight else "flow")
+    assert _within_gap_of_bound(res, 0.005)
+    assert res.objective <= res.best_bound * (1.0 + 1e-9) <= m.value_bound() * (1.0 + 1e-9)
+
+
+def test_a_tightened_instance_falls_back_with_a_valid_bound():
+    # its flow plan breaks the tightened windows: the solve goes on from the
+    # all-miss start, and its bound is at least the model's optimum
+    inst = small_instance(1, tight=True)
+
+    def model():
+        return build_center(inst, make_plans(inst, 1.0))
+
+    res = solve(model())
+    assert res.start == "all-miss" and res.status in ("optimal", "gap_reached")
+    assert res.best_bound >= _optimum(model) * (1.0 - 1e-9)
+
+
+def test_a_caller_bound_keeps_the_first_try_a_relaxation():
+    # barge B1's unused volume unbounded below: no value bound, and a plan
+    # may draw more than the barge holds; the relaxation's bound is still
+    # a bound on this model's value
+    inst = small_instance(0)
+
+    def model():
+        m = build_center(inst, make_plans(inst, 1.0))
+        m.var("v_unused", ("B1",)).lo = -INF
+        return m
+
+    m = model()
+    assert m.value_bound() is None
+    res = solve(m)
+    assert res.status in ("optimal", "gap_reached") and res.best_bound is not None
+    assert res.objective > m.obj_offset
+    assert res.best_bound >= _optimum(model) * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("change", ["none", "relaxed", "fixed"])
+def test_only_a_whole_model_gets_a_first_try(monkeypatch, change):
+    # a rolling step relaxes or fixes dated binaries; one such binary is
+    # enough to skip the first try
+    tried = []
+    monkeypatch.setattr(sys.modules[solve.__module__], "_flow_relaxation",
+                        lambda *args: tried.append(1))
+    inst = small_instance(0)
+    m = build_center(inst, make_plans(inst, 1.0))
+    alpha, gamma = m.vars_of_kind("alpha")[0], m.vars_of_kind("gamma")[0]
+    if change == "relaxed":
+        alpha.binary = False
+    elif change == "fixed":
+        m.fix(gamma, 0.0)
+    res = solve(m)
+    assert tried == ([1] if change == "none" else [])
+    assert res.start == "all-miss" and res.status in ("optimal", "gap_reached")
+
+
+def test_90_day_sample_center_solve_is_proven_optimal(sample):
+    # the flow optimum, 5.401 % loss, is a plan of the center model
+    inst = extend_periodic(sample, 90)
+    m = build_center(inst, make_plans(inst, 1.0))
+    res = solve(m, SolveOptions(time_limit=60.0))
+    assert res.status == "optimal" and res.start == "flow" and res.gap == 0.0
+    plan = extract_flow_plan(m, res)
+    assert audit(inst, simulate(inst, plan), plan).ok
+    assert loss(inst, plan).pct_loss == pytest.approx(5.401, abs=5e-4)
