@@ -3,8 +3,9 @@
 ``solve`` runs in-process HiGHS through the ``_Highs`` object of
 ``scipy.optimize._highspy._core`` (the HiGHS build scipy ships, scipy >=
 1.15), and starts every solve from a plan: the caller's starts, or else the
-plan of the model's flow relaxation (the *first try*, on a whole model) and
-then the all-miss plan (no unloads, all demand missed).  ``solve`` completes
+plan of the model's flow relaxation (the *first try*, on a model with no
+fixed binary: a flat model or a partial-roll step) and then the all-miss
+plan (no unloads, all demand missed).  ``solve`` completes
 each start itself, in a *held run* of the same HiGHS object with the
 start's dated binaries fixed, and runs the full model only when the held
 run's plan falls short of the least bound known (see ``solve``).
@@ -24,6 +25,7 @@ Objectives are reported in maximization form (target value minus misses);
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import importlib.machinery
 import importlib.util
 import itertools
@@ -146,21 +148,24 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     digit binaries of the simulated empty plan and the ``v_unused`` and
     ``mis`` columns, but no ``gamma`` and no ``sigma``.
 
-    *The first try.*  A MIP with an instance, no caller start and every
-    column of a ``BINARY_KINDS`` kind binary on [0, 1] (a *whole* model: no
-    rolling step's relaxed or fixed binaries) is first solved as its flow
-    relaxation: the same model with every row outside ``CORE_TAGS`` freed,
-    in at most half of ``opts.time_limit``.  Dropping rows relaxes any
-    model, so that run's bound bounds the model's value whatever bounds the
-    caller set.  Its plan (``extract_flow_plan``), encoded by
-    ``_plan_starts``, is completed in a held run (below) with every binary
-    fixed.  When that plan is within ``opts.mip_gap`` of the least bound
-    known, the smaller of the value bound and the relaxation's, it is the
-    result: ``start`` ``"flow"``, ``message`` "flow bound reached",
+    *The first try.*  A MIP with an instance, no caller start and no
+    fixed column of a ``BINARY_KINDS`` kind (a flat model, or a rolling
+    step with no committed past, its binaries active or relaxed) is first
+    solved as its flow relaxation: the same model with every row outside
+    ``CORE_TAGS`` freed, in at most half of ``opts.time_limit``.  Dropping
+    rows relaxes any model, so that run's bound bounds the model's value
+    whatever bounds the caller set.  Its plan (``extract_flow_plan``),
+    encoded by ``_plan_starts``, is completed in a held run (below).  A
+    rolling step's relaxed ``gamma`` and ``sigma`` columns, decisions the
+    step does not take, are left out of that start, so the held run leaves
+    them free.  When that plan is within ``opts.mip_gap`` of the least
+    bound known, the smaller of the value bound and the relaxation's, it
+    is the result: ``start`` ``"flow"``, ``message`` "flow bound reached",
     ``best_bound`` that bound.  Otherwise the solve goes on from the
     all-miss start as below, with the time left, and its ``best_bound`` is
     the least bound known.  The answer is always a plan of ``model``; the
-    relaxation is only a start and a bound.
+    relaxation is only a start and a bound.  The full rolling scheme's
+    steps take no first try (see ``rolling.roll_full``).
 
     After the first try, if any, a MIP with a start runs HiGHS at most
     twice more on the same model object.  The *held run* fixes every started
@@ -184,9 +189,10 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     the least bound known after a held run (whose dual bound bounds only the
     restricted model), and the smaller of that and HiGHS's dual bound (when
     it has one) after the full run.  ``gap`` is
-    ``(best_bound - objective) / |objective|``, and ``status`` is
-    ``"optimal"`` at gap 0, else ``"gap_reached"``.  ``nodes`` counts the
-    nodes of every run; it reads 0 when the stop comes before a root node.
+    ``(best_bound - objective) / |objective|``, 0 at or below ``GAP_TOL``,
+    and ``status`` is ``"optimal"`` at gap 0, else ``"gap_reached"``.
+    ``nodes`` counts the nodes of every run; it reads 0 when the stop comes
+    before a root node.
     A result that ends with no dual bound from HiGHS (out of time in a held
     run, or before HiGHS proved any) takes the least bound known as its
     ``best_bound``, and its ``gap`` as above; both are None when the model
@@ -205,7 +211,8 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     else:
         starts, start = {}, None
     opts = opts or SolveOptions()
-    result = _solve_highs(model, opts, starts, first_try=start == "all-miss")
+    result = _solve_highs(model, opts, starts,
+                          first_try=start == "all-miss" and _first_try_allowed.get())
     if result.start is None:
         result.start = start if starts else None
     result.wall_time = time.perf_counter() - t0
@@ -259,7 +266,7 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float],
         # incumbent.
         h.setOptionValue("objective_target", -runs.bound / (1.0 + opts.mip_gap))
     flow_starts = (_flow_relaxation(runs, lp)
-                   if first_try and runs.is_mip and _is_whole(model) else None)
+                   if first_try and runs.is_mip and _none_fixed(model) else None)
     if h.passModel(lp) == _core.HighsStatus.kError:
         return SolveResult("error", None, None, message="HiGHS rejected the model")
     if flow_starts:
@@ -336,10 +343,34 @@ class _Runs:
                                 np.array([self.model.vars[c].hi for c in held]))
 
 
-def _is_whole(model: MilpModel) -> bool:
-    """Whether every column of a ``BINARY_KINDS`` kind is a binary on
-    [0, 1]: a model with no rolling step's relaxed or fixed binaries."""
-    return all(v.binary and v.lo < v.hi for v in model.vars if v.kind in BINARY_KINDS)
+def _none_fixed(model: MilpModel) -> bool:
+    """Whether no column of a ``BINARY_KINDS`` kind is fixed: a flat
+    model, or a rolling step with no committed past, its binaries active
+    or relaxed."""
+    return all(v.lo < v.hi for v in model.vars if v.kind in BINARY_KINDS)
+
+
+# Whether a solve may take the first try; only ``_without_first_try``
+# turns it off.
+_first_try_allowed = contextvars.ContextVar("first_try_allowed", default=True)
+
+
+@contextlib.contextmanager
+def _without_first_try():
+    """Solves inside take no first try.  ``roll_full`` alone enters it: its
+    later steps complete the all-miss start against the binaries earlier
+    steps fixed, and after a past fixed from a flow plan that completion
+    finds no plan.  Retiring the full scheme (ROADMAP item 8) deletes
+    this."""
+    token = _first_try_allowed.set(False)
+    try:
+        yield
+    finally:
+        _first_try_allowed.reset(token)
+
+
+# The dated binaries a plan states: ``gamma`` and ``sigma``, not the digits.
+_DECISIONS = frozenset(BINARY_KINDS) & PLAN_FIELDS.keys()
 
 
 def _flow_relaxation(runs: _Runs, lp) -> dict[int, float] | None:
@@ -347,7 +378,10 @@ def _flow_relaxation(runs: _Runs, lp) -> dict[int, float] | None:
     row outside ``CORE_TAGS`` freed and solve it in at most half the time
     limit, lowering ``runs.bound`` to its bound.  The starts ``_plan_starts``
     encodes from its plan; None when it has no plan or its rounded plan
-    breaks a counting rule.  ``lp`` is left as it was."""
+    breaks a counting rule.  A relaxed ``gamma`` or ``sigma`` column (a
+    rolling step's decision for a later step) gets no start, so the held
+    run leaves it free; digits keep theirs, relaxed ones included.  ``lp``
+    is left as it was."""
     import numpy as np
     model = runs.model
     row_lo, row_hi = lp.row_lower_, lp.row_upper_
@@ -368,7 +402,9 @@ def _flow_relaxation(runs: _Runs, lp) -> dict[int, float] | None:
     except ExtractionError as e:
         log.debug("first try dropped: %s", e)
         return None
-    return _plan_starts(model, plan, logging.DEBUG)
+    starts = _plan_starts(model, plan, logging.DEBUG)
+    return {col: x for col, x in starts.items()
+            if model.vars[col].binary or model.vars[col].kind not in _DECISIONS}
 
 
 def _run(h) -> float:
@@ -419,7 +455,7 @@ def _run_result(runs: _Runs, held: bool, stop: str) -> SolveResult:
     if not runs.is_mip:        # an LP: HiGHS reports no MIP gap or bound
         dual, gap = (objective, 0.0) if status == _Status.kOptimal else (None, None)
     else:
-        dual, gap = _finite(_negated(info.mip_dual_bound)), _finite(info.mip_gap)
+        dual, gap = _finite(_negated(info.mip_dual_bound)), _tolerated(_finite(info.mip_gap))
         if dual is not None and bound is not None and bound < dual:
             dual = None        # an earlier run proved a lower one
     if dual is None:           # the least bound known
@@ -442,12 +478,22 @@ def _finite(x: float) -> float | None:
     return float(x) if math.isfinite(x) else None
 
 
+# A relative gap this small is a rounding error: the plan is proven.
+GAP_TOL = 1e-9
+
+
 def _gap(bound: float | None, objective: float | None) -> float | None:
-    """``(bound - objective) / |objective|``, 0 for a bound a tolerance
-    below the plan; None without a bound, a plan or a nonzero objective."""
+    """``(bound - objective) / |objective|``, tolerated (a bound a tolerance
+    below the plan reads 0); None without a bound, a plan or a nonzero
+    objective."""
     if bound is None or not objective:
         return None
-    return max(bound - objective, 0.0) / abs(objective)
+    return _tolerated((bound - objective) / abs(objective))
+
+
+def _tolerated(gap: float | None) -> float | None:
+    """``gap``, or 0 at or below ``GAP_TOL``."""
+    return 0.0 if gap is not None and gap <= GAP_TOL else gap
 
 
 _fd1_lock = threading.Lock()

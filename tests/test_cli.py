@@ -138,10 +138,10 @@ def test_rolling_steps_log_nodes_and_start(tiny_path, tmp_path, capsys):
     steps = [json.loads(line) for line in open(os.path.join(out_dir, "steps.jsonl"))]
     assert len(steps) >= 2
     assert all(isinstance(s["nodes"], int) and s["nodes"] >= 0 for s in steps)
-    # the second step's present holds every demand day left, so none of its
-    # binaries is relaxed and the first try solves it; the last step has no
-    # barge and no demand left: no plan gives it a start
-    assert [s["start"] for s in steps] == ["all-miss"] * (len(steps) - 2) + ["flow", None]
+    # no step's binaries are fixed, so each step with binaries ends in its
+    # first try; the last step has no barge and no demand left: no plan
+    # gives it a start
+    assert [s["start"] for s in steps] == ["flow"] * (len(steps) - 1) + [None]
 
 
 def test_solve_stdout_is_one_json_object(sample_path, tmp_path, capfd):

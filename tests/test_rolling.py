@@ -1,6 +1,7 @@
 """Period generators, the segment policy, and the two rolling schemes."""
 
 import re
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blendplan
 from blendplan.builders import (build_center, build_exact_mix, build_exact_split,
                                 build_mccormick, make_plans)
 import blendplan.instance
@@ -18,7 +20,7 @@ from blendplan.rolling import (SEGMENT_POLICY, Period, RollParams, RollingError,
                                StepLog, _apply_policy, _visible_sub_instance,
                                check_partition, fixed_periods, roll_full,
                                roll_partial, run_based_periods)
-from blendplan.simulate import FlowPlan, audit, grid_oracle, plan_objective, simulate
+from blendplan.simulate import FlowPlan, audit, grid_oracle, loss, plan_objective, simulate
 from blendplan.solve import SolveOptions, SolveResult, extract_flow_plan, solve
 from conftest import rolling_instance, small_instance, tiny_instance, toy_1t1s
 
@@ -312,54 +314,77 @@ def test_sample_full_roll_is_pinned_and_builds_once(sample):
 # integer columns, nodes and start, then the plan.  The partial plan keeps
 # only what each step committed, so its binaries list the days that are on.
 ROLL45_PARTIAL_STEPS = [
-    ((0, 6), 29, "gap_reached", 23059521.392426465, 23143600.0, 104, 1, "all-miss"),
-    ((6, 14), 35, "gap_reached", 24279294.26413102, 24318234.920634918, 125, 1, "all-miss"),
-    ((14, 22), 43, "gap_reached", 23104659.343496103, 23143600.0, 128, 1, "all-miss"),
-    ((22, 30), 44, "optimal", 17012784.928628143, 17012784.928628143, 87, 1, "all-miss"),
-    ((30, 36), 44, "optimal", 11478000.0, 11478000.0, 55, 1, "all-miss"),
-    ((36, 42), 44, "optimal", 5400000.0, 5400000.0, 18, 0, "flow"),
+    ((0, 6), 29, "optimal", 23143600.0, 23143600.0, 104, 1, "flow"),
+    ((6, 14), 35, "optimal", 23208234.92063492, 23208234.92063492, 124, 1, "flow"),
+    ((14, 22), 43, "optimal", 23143600.0, 23143600.0, 128, 1, "flow"),
+    ((22, 30), 44, "optimal", 17878000.0, 17878000.0, 96, 1, "flow"),
+    ((30, 36), 44, "optimal", 11478000.0, 11478000.0, 55, 1, "flow"),
+    ((36, 42), 44, "optimal", 6239120.0, 6239120.000000001, 30, 1, "flow"),
     ((42, 45), 44, "optimal", 0.0, 0.0, 0, 0, None),
 ]
 _RUNS_45 = (range(0, 5), range(6, 12), range(14, 22), range(24, 30), range(30, 35),
             range(36, 42))
-_ON_45 = {"T1": (1, 2, 3, 4), "T2": (0, 1, 4, 5), "T3": (0, 1, 2, 3, 4)}
+_ON_45 = {"T1": (0, 2, 3, 5), "T2": (0, 1, 2, 4), "T3": (1, 3, 4, 5)}
 ROLL45_PARTIAL_PLAN = {
     "schema": "blendplan-plan/1",
-    "y_in": [["B1", "T1", 5, 130.00000000000102], ["B1", "T2", 6, 1110.0],
-             ["B1#1", "T1", 30, 140.09792643851532], ["B1#1", "T1", 34, 78.99999999999962],
-             ["B1#1", "T2", 30, 102.57789419135645], ["B1#1", "T2", 34, 918.3241793701286],
-             ["B2", "T2", 10, 115.50294849789371], ["B2", "T2", 11, 103.68136861618063],
-             ["B2", "T3", 10, 51.815682885925355], ["B2", "T3", 11, 1088.999999999999],
-             ["B2#1", "T2", 34, 1310.872723000432], ["B2#1", "T3", 34, 49.12727699956787],
-             ["B3", "T1", 15, 94.04106362053669], ["B3", "T1", 19, 637.0196078431397],
-             ["B3", "T3", 15, 170.63605240020357], ["B3", "T3", 19, 231.62745550624717],
-             ["B4", "T1", 19, 339.9150326797376], ["B4", "T2", 19, 128.90785014839554],
-             ["B4", "T2", 26, 161.13481268549768], ["B4", "T3", 19, 396.39218854372325],
-             ["B4", "T3", 26, 333.6501159426464]],
+    "y_in": [["B1", "T1", 5, 236.99999999999363], ["B1", "T2", 5, 1003.0000000000065],
+             ["B1#1", "T1", 30, 158.000000000007], ["B1#1", "T1", 31, 256.19999999998873],
+             ["B1#1", "T2", 30, 138.80000000000376], ["B1#1", "T2", 31, 687.0000000000005],
+             ["B2", "T2", 11, 205.3571428571397], ["B2", "T2", 12, 1147.0000000000066],
+             ["B2", "T3", 11, 7.642857142853586], ["B2#1", "T2", 34, 212.99999999999974],
+             ["B2#1", "T2", 39, 355.999999999999], ["B2#1", "T3", 34, 98.09999999999911],
+             ["B2#1", "T3", 39, 692.900000000002], ["B3", "T1", 19, 842.0000000000102],
+             ["B3", "T3", 19, 339.9999999999897], ["B4", "T1", 27, 300.2000000000067],
+             ["B4", "T3", 27, 1059.799999999993]],
     "y_out": [[k, t, v] for k, flows in (
-        ("T1", (64.8026196179437, 30.631997287150533, 150.32716669902888, 41.80973359572255)),
-        ("T2", (222.65254630874063, 183.3816974961304, 159.06298940470958,
-                299.99999999999994)),
-        ("T3", (27.34745369125937, 51.81568288592571, 149.36800271284937,
-                129.67283330097115, 49.127276999567876)),
+        ("T1", (72.39999999999999, 47.39999999999875, 166.66666666667018, 69.03333333333259)),
+        ("T2", (177.59999999999994, 241.39285714285776, 132.60000000000122,
+                225.00000000000006)),
+        ("T3", (58.607142857142286, 113.33333333332993, 25.000000000000007,
+                230.9666666666674)),
     ) for run, v in zip(_ON_45[k], flows) for t in _RUNS_45[run]],
     "gamma": [[b, t, 1] for b, t in (
-        ("B1", 5), ("B1", 6), ("B1#1", 30), ("B1#1", 34), ("B2", 10), ("B2", 11),
-        ("B2#1", 34), ("B3", 15), ("B3", 19), ("B4", 19), ("B4", 26))],
+        ("B1", 5), ("B1#1", 30), ("B1#1", 31), ("B2", 11), ("B2", 12), ("B2#1", 34),
+        ("B2#1", 39), ("B3", 19), ("B4", 27))],
     "sigma": [[k, t, 1] for k, on in _ON_45.items() for run in on for t in _RUNS_45[run]],
-    "v_unused": {"B1": 0.0, "B1#1": 0.0, "B2": 1.1368683772161603e-12,
-                 "B2#1": 2.2737367544323206e-13, "B3": 48.67582062987299, "B4": 0.0},
-    "mis": [[t, m] for days, m in zip(_RUNS_45, (0.0, 1.7053025658242404e-13,
-                                                 8.526512829121202e-14, 0.0, 0.0,
-                                                 5.684341886080802e-14))
+    "v_unused": {"B1": 0.0, "B1#1": 0.0, "B2": 0.0, "B2#1": 0.0, "B3": 0.0,
+                 "B4": 4.547473508864641e-13},
+    "mis": [[t, m] for days, m in zip(_RUNS_45, (5.684341886080802e-14, 0.0,
+                                                 2.842170943040401e-14, 0.0, 0.0, 0.0))
             for t in days],
 }
 
 
-def test_sample_partial_roll_is_pinned(sample):
-    inst = extend_periodic(sample, 45)
+def _spy_first_tries(mp):
+    """Record the model and the flow starts of every first try's relaxed
+    run; a list of ``(model, starts)``."""
+    module = sys.modules[solve.__module__]
+    real, tries = module._flow_relaxation, []
+
+    def spy(runs, lp):
+        starts = real(runs, lp)
+        tries.append((runs.model, starts))
+        return starts
+
+    mp.setattr(module, "_flow_relaxation", spy)
+    return tries
+
+
+@pytest.fixture(scope="module")
+def roll45():
+    """The 45-day roll of the pin below: the instance, the result and each
+    step's first try."""
+    inst = extend_periodic(blendplan.read_instance(blendplan.sample_instance_path()), 45)
     params = RollParams(h_nf=30, solve=SolveOptions(mip_gap=0.005, time_limit=600))
-    res = roll_partial(inst, run_based_periods(inst.runs, inst.horizon, 7), params, _builder())
+    with pytest.MonkeyPatch.context() as mp:
+        tries = _spy_first_tries(mp)
+        res = roll_partial(inst, run_based_periods(inst.runs, inst.horizon, 7), params,
+                           _builder())
+    return inst, res, tries
+
+
+def test_sample_partial_roll_is_pinned(roll45):
+    _, res, _ = roll45
     got = [(s.window, s.t_nf, s.status, s.objective, s.bound, s.n_binary, s.nodes, s.start)
            for s in res.steps]
     assert got == ROLL45_PARTIAL_STEPS
@@ -367,6 +392,59 @@ def test_sample_partial_roll_is_pinned(sample):
     # B1's remainder is float noise below 0; the plan states it as 0, the
     # rule `audit` and `loss` apply to a missing entry
     assert res.plan.v_unused["B1"] == 0.0
+
+
+def test_sample_partial_roll_ends_every_step_in_its_first_try(roll45):
+    inst, res, tries = roll45
+    steps = [s for s in res.steps if s.n_binary]
+    assert len(steps) == len(tries) == 6
+    for s in steps:
+        assert s.start == "flow" and s.objective >= s.bound / (1.0 + 0.005)
+    assert audit(inst, simulate(inst, res.plan), res.plan).ok
+    assert loss(inst, res.plan).pct_loss == pytest.approx(0.0, abs=1e-9)
+
+
+def test_a_partial_step_flow_start_leaves_relaxed_decisions_free(roll45):
+    # the held run fixes every started binary: a relaxed gamma or sigma,
+    # which the step does not decide, gets no start; a relaxed digit keeps
+    # its start
+    relaxed_decisions = relaxed_digits = 0
+    for model, starts in roll45[2]:
+        relaxed = {v.col for v in model.vars if v.kind in ("gamma", "sigma") and not v.binary}
+        active = {v.col for v in model.vars if v.kind in ("gamma", "sigma") and v.binary}
+        assert not relaxed & starts.keys() and active <= starts.keys()
+        relaxed_decisions += len(relaxed)
+        relaxed_digits += sum(1 for col in starts
+                              if model.vars[col].kind == "alpha" and not model.vars[col].binary)
+    assert relaxed_decisions > 0 and relaxed_digits > 0
+
+
+def test_roll_full_takes_no_first_try(monkeypatch):
+    # step 0 fixes no binary, yet takes no first try; a solve after the
+    # roll takes it again
+    tries = _spy_first_tries(monkeypatch)
+    fixed_at_step = []
+    inst = small_instance(0)
+    res = roll_full(inst, fixed_periods(inst.horizon, 2), RollParams(), _builder(),
+                    on_step=lambda step, model, r: fixed_at_step.append(
+                        sum(v.lo == v.hi for v in model.vars if v.kind in BINARY_KINDS)))
+    assert fixed_at_step[0] == 0 and len(res.steps) == 3
+    assert tries == [] and [s.start for s in res.steps] == ["all-miss"] * 3
+    assert solve(_builder()(inst)).start == "flow" and len(tries) == 1
+
+
+def test_a_partial_roll_whose_first_tries_fall_back_is_audited(monkeypatch):
+    # the tight window breaks every step's flow plan: each step goes on
+    # from the all-miss start
+    tries = _spy_first_tries(monkeypatch)
+    inst = small_instance(1, tight=True)
+    params = RollParams(h_nf=6, solve=SolveOptions(time_limit=60))
+    res = roll_partial(inst, run_based_periods(inst.runs, inst.horizon, 2), params, _builder())
+    assert len(tries) == len(res.steps) >= 2
+    assert all(s.start == "all-miss" and s.status in ("optimal", "gap_reached")
+               for s in res.steps)
+    assert audit(inst, simulate(inst, res.plan), res.plan).ok
+    assert res.objective > 0 and res.objective == pytest.approx(plan_objective(inst, res.plan))
 
 
 def test_roll_partial_state_handoff_matches_simulator():

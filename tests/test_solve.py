@@ -842,9 +842,9 @@ def test_a_caller_bound_keeps_the_first_try_a_relaxation():
 
 
 @pytest.mark.parametrize("change", ["none", "relaxed", "fixed"])
-def test_only_a_whole_model_gets_a_first_try(monkeypatch, change):
-    # a rolling step relaxes or fixes dated binaries; one such binary is
-    # enough to skip the first try
+def test_a_fixed_binary_skips_the_first_try(monkeypatch, change):
+    # a rolling step relaxes or fixes dated binaries; a relaxed one keeps
+    # the first try, one fixed binary is enough to skip it
     tried = []
     monkeypatch.setattr(sys.modules[solve.__module__], "_flow_relaxation",
                         lambda *args: tried.append(1))
@@ -856,8 +856,26 @@ def test_only_a_whole_model_gets_a_first_try(monkeypatch, change):
     elif change == "fixed":
         m.fix(gamma, 0.0)
     res = solve(m)
-    assert tried == ([1] if change == "none" else [])
+    assert tried == ([] if change == "fixed" else [1])
     assert res.start == "all-miss" and res.status in ("optimal", "gap_reached")
+
+
+@pytest.mark.parametrize("seed", [0, 8, 9, 11])
+def test_a_plan_a_rounding_error_below_its_bound_is_optimal(seed):
+    # these plans end 1.3e-16 to 2.2e-16 below their bounds, relatively
+    inst = tiny_instance(seed)
+    res = solve(build_center(inst, make_plans(inst, 1.0)), SolveOptions(mip_gap=1e-4))
+    assert res.status == "optimal" and res.gap == 0.0
+    assert res.best_bound == pytest.approx(res.objective, rel=1e-15)
+
+
+def test_gap_is_zero_within_its_tolerance():
+    gap = sys.modules[solve.__module__]._gap
+    assert gap(1650000.0, 1649999.9999999998) == 0.0
+    assert gap(100.0, 100.0 + 1e-6) == 0.0        # a bound a tolerance below the plan
+    assert gap(100.0 * (1.0 + 2e-9), 100.0) == pytest.approx(2e-9)
+    assert gap(101.0, 100.0) == pytest.approx(0.01)
+    assert gap(None, 100.0) is None and gap(100.0, 0.0) is None
 
 
 def test_90_day_sample_center_solve_is_proven_optimal(sample):
