@@ -262,8 +262,9 @@ def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder
     No step takes ``solve``'s first try: each later step completes the
     all-miss start against the binaries earlier steps fixed, and after a
     past fixed from a flow plan that completion finds no plan, so the step
-    solves the full model with no start.  The private ``_without_first_try`` makes that exclusion, and goes when
-    the full scheme is retired (ROADMAP item 8).
+    solves the full model with no start.  The private
+    ``_without_first_try`` makes that exclusion, and goes when the full
+    scheme is retired (ROADMAP item 8).
 
     ``on_step(step, model, result)`` is called after each solve, before the
     step's binaries are fixed: it sees the model as the solver saw it.

@@ -2,13 +2,9 @@
 
 ``solve`` runs in-process HiGHS through the ``_Highs`` object of
 ``scipy.optimize._highspy._core`` (the HiGHS build scipy ships, scipy >=
-1.15), and starts every solve from a plan: the caller's starts, or else the
-plan of the model's flow relaxation (the *first try*, on a model with no
-fixed binary: a flat model or a partial-roll step) and then the all-miss
-plan (no unloads, all demand missed).  ``solve`` completes
-each start itself, in a *held run* of the same HiGHS object with the
-start's dated binaries fixed, and runs the full model only when the held
-run's plan falls short of the least bound known (see ``solve``).
+1.15).  It tries starts in turn (the caller's, or else the plan of the
+model's flow relaxation and then the all-miss plan), completes each in a
+*held run*, and judges every run by one rule (see ``solve``).
 ``highs_core`` loads that extension module on its own, without the
 ``scipy.optimize`` package: it runs scipy's package init only, then loads
 ``_core`` from scipy's ``optimize/_highspy`` directory under its full name,
@@ -141,80 +137,62 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     """Solve a linear model with HiGHS from a start; bilinear models must go
     through file export.
 
-    The start is ``model.starts`` when the caller set any (``start`` is
-    ``"given"``).  Otherwise it is the all-miss plan of ``model.instance``,
-    encoded as ``warm_start`` encodes a plan (``"all-miss"``), and
-    ``model.starts`` stays as it was.  That start is partial: it holds the
-    digit binaries of the simulated empty plan and the ``v_unused`` and
-    ``mis`` columns, but no ``gamma`` and no ``sigma``.
+    *One loop.*  A solve tries starts in turn; ``start`` names the try its
+    result came from, None when there was none.  ``"given"`` is
+    ``model.starts`` when the caller set any, and is the only try.
+    Otherwise, for a model with an instance, ``"flow"`` (the *first try*)
+    is the plan of the model's flow relaxation, and ``"all-miss"`` is the
+    all-miss plan (no unloads, all demand missed), encoded as ``warm_start``
+    encodes a plan when its turn comes: its digit binaries, ``v_unused`` and
+    ``mis``, no ``gamma`` and no ``sigma``.  ``model.starts`` stays as it was.
+    A MIP with no fixed column of a ``BINARY_KINDS`` kind (a flat model, or
+    a rolling step with no committed past) takes the first try, except in
+    the full rolling scheme (see ``rolling.roll_full``).  Its relaxation is
+    the model with every row outside ``CORE_TAGS`` freed, solved in at most
+    half of ``opts.time_limit``; dropping rows relaxes any model, so its
+    bound bounds the model's value whatever bounds the caller set.  Its plan
+    (``extract_flow_plan``) is encoded by ``_plan_starts``, less a rolling
+    step's relaxed ``gamma`` and ``sigma`` columns, decisions the step does
+    not take.
 
-    *The first try.*  A MIP with an instance, no caller start and no
-    fixed column of a ``BINARY_KINDS`` kind (a flat model, or a rolling
-    step with no committed past, its binaries active or relaxed) is first
-    solved as its flow relaxation: the same model with every row outside
-    ``CORE_TAGS`` freed, in at most half of ``opts.time_limit``.  Dropping
-    rows relaxes any model, so that run's bound bounds the model's value
-    whatever bounds the caller set.  Its plan (``extract_flow_plan``),
-    encoded by ``_plan_starts``, is completed in a held run (below).  A
-    rolling step's relaxed ``gamma`` and ``sigma`` columns, decisions the
-    step does not take, are left out of that start, so the held run leaves
-    them free.  When that plan is within ``opts.mip_gap`` of the least
-    bound known, the smaller of the value bound and the relaxation's, it
-    is the result: ``start`` ``"flow"``, ``message`` "flow bound reached",
-    ``best_bound`` that bound.  Otherwise the solve goes on from the
-    all-miss start as below, with the time left, and its ``best_bound`` is
-    the least bound known.  The answer is always a plan of ``model``; the
-    relaxation is only a start and a bound.  The full rolling scheme's
-    steps take no first try (see ``rolling.roll_full``).
+    On a MIP each try that holds a column of a ``BINARY_KINDS`` kind gets a
+    *held run* on the solve's one HiGHS object: those columns, relaxed ones
+    included, fixed at their start values, up to HiGHS's own start-node
+    limit (``mip_max_start_nodes``).  A held run whose plan ends the solve
+    (below), or that leaves no time, gives the result; otherwise the solve
+    moves to the next try.  After the last try the *full run* solves the
+    model from the last held run's plan, now a complete start, or from the
+    last start without its held columns when that run found no plan.  Each
+    run gets the part of ``opts.time_limit`` that the runs before it left.
+    The answer is always a plan of ``model``; the relaxation is only a start
+    and a bound.
 
-    After the first try, if any, a MIP with a start runs HiGHS at most
-    twice more on the same model object.  The *held run* fixes every started
-    column of a ``BINARY_KINDS`` kind (``gamma``, ``sigma``, ``alpha``) at
-    its start value, relaxed columns of a rolling step included, and stops
-    at HiGHS's own start-node limit
-    (``mip_max_start_nodes``).  When its plan is within ``opts.mip_gap`` of
-    the least bound known, that plan is the result, whatever status HiGHS
-    reports.  Otherwise the bounds are put back and the *full run* solves
-    the model from the held run's plan, now a complete start; from the
-    start without its held columns when the held run found no plan.  Each
-    run gets the part of ``opts.time_limit`` that the runs before it left;
-    a held run that leaves none ends the solve with ``status``
-    ``"time_limit"`` and its plan if it found one.
-
-    No plan is worth more than ``model.value_bound()``.  When a MIP has a
-    finite, positive value bound and ``opts.mip_gap`` is finite, every run
-    stops at the first incumbent within ``opts.mip_gap`` of that bound.  Such
-    a result has ``message`` "value bound reached" ("flow bound reached"
-    when the flow relaxation's bound is the lower); its ``best_bound`` is
-    the least bound known after a held run (whose dual bound bounds only the
-    restricted model), and the smaller of that and HiGHS's dual bound (when
-    it has one) after the full run.  ``gap`` is
-    ``(best_bound - objective) / |objective|``, 0 at or below ``GAP_TOL``,
-    and ``status`` is ``"optimal"`` at gap 0, else ``"gap_reached"``.
-    ``nodes`` counts the nodes of every run; it reads 0 when the stop comes
-    before a root node.
-    A result that ends with no dual bound from HiGHS (out of time in a held
-    run, or before HiGHS proved any) takes the least bound known as its
-    ``best_bound``, and its ``gap`` as above; both are None when the model
-    has no value bound and no first try gave one.
-
-    A solve that runs past ``opts.time_limit`` (HiGHS can overspend it) is
-    logged as a warning.
+    *One rule.*  No plan is worth more than ``model.value_bound()`` or the
+    flow relaxation's bound; the lesser is the least bound known.  A MIP
+    with a finite, positive value bound and a finite ``opts.mip_gap`` stops
+    every run at the first incumbent within ``opts.mip_gap`` of the value
+    bound (HiGHS's objective target).  A run's ``best_bound`` is the least
+    bound known or, after a full run, HiGHS's dual bound when that is lower
+    (a held run's dual bound bounds only the restricted model), and never
+    below its objective; ``gap`` is ``(best_bound - objective) /
+    |objective|``, 0 at or below ``GAP_TOL``.  A plan ends the solve when it
+    is within ``opts.mip_gap`` of ``best_bound`` or HiGHS proved it (the
+    objective target, or a full run's ``Optimal``): ``status`` is
+    ``"optimal"`` at gap 0, else ``"gap_reached"``, and ``message`` names the
+    bound it met, "value bound reached", "flow bound reached" or HiGHS's own
+    message for its dual bound.  Any other held run reads ``"time_limit"``, with its
+    plan if it found one; a full run reads ``"time_limit"``,
+    ``"infeasible"`` or ``"error"`` as HiGHS reports.  ``best_bound`` and
+    ``gap`` are None when no bound is known.  ``nodes`` counts the nodes of
+    every run, 0 when the stop comes before a root node.  A solve that runs
+    past ``opts.time_limit`` (HiGHS can overspend it) is logged as a
+    warning.
     """
     if model.has_bilinear():
         raise SolverError("model has bilinear rows; export it for a QCP-capable solver")
     t0 = time.perf_counter()
-    if model.starts:
-        starts, start = model.starts, "given"
-    elif model.instance is not None:
-        starts, start = _plan_starts(model, empty_plan(model.instance), logging.DEBUG), "all-miss"
-    else:
-        starts, start = {}, None
     opts = opts or SolveOptions()
-    result = _solve_highs(model, opts, starts,
-                          first_try=start == "all-miss" and _first_try_allowed.get())
-    if result.start is None:
-        result.start = start if starts else None
+    result = _solve_highs(model, opts)
     result.wall_time = time.perf_counter() - t0
     if result.wall_time > opts.time_limit:
         log.warning("solve took %.3f s, over its time_limit of %g s",
@@ -242,8 +220,7 @@ def _highs_lp(model: MilpModel, _core):
     return lp, c, integrality
 
 
-def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float],
-                 first_try: bool) -> SolveResult:
+def _solve_highs(model: MilpModel, opts: SolveOptions) -> SolveResult:
     if model.n_vars == 0:
         return SolveResult("optimal", model.obj_offset, model.obj_offset, gap=0.0)
     # Loaded on first use, not at module level: only solving needs numpy
@@ -265,31 +242,49 @@ def _solve_highs(model: MilpModel, opts: SolveOptions, starts: dict[int, float],
         # anyway, and an infinite mip_gap already stops at the first
         # incumbent.
         h.setOptionValue("objective_target", -runs.bound / (1.0 + opts.mip_gap))
-    flow_starts = (_flow_relaxation(runs, lp)
-                   if first_try and runs.is_mip and _none_fixed(model) else None)
+    # the relaxation passes its own model, so it runs before h gets lp
+    flow = _flow_relaxation(runs, lp) if _first_try(model, runs.is_mip) else None
     if h.passModel(lp) == _core.HighsStatus.kError:
         return SolveResult("error", None, None, message="HiGHS rejected the model")
-    if flow_starts:
-        result, held = runs.held_run(flow_starts, "flow bound reached")
-        if result.status != "time_limit" or runs.left <= 0.0:
-            result.start = "flow"
-            return result
-        runs.release(held)
-    if runs.is_mip and any(model.vars[col].kind in BINARY_KINDS for col in starts):
-        result, held = runs.held_run(starts, runs.reached)
-        if result.status != "time_limit" or runs.left <= 0.0:
-            return result
-        if result.has_values:
-            starts = dict(enumerate(result.values))
-        else:
-            starts = {col: x for col, x in starts.items()
-                      if model.vars[col].kind not in BINARY_KINDS}
-        runs.release(held)
+    label, starts = None, {}
+    for label, starts in _tries(model, flow):
+        if runs.is_mip and any(model.vars[col].kind in BINARY_KINDS for col in starts):
+            result = runs.held_run(starts)
+            if result.status != "time_limit" or runs.left <= 0.0:
+                result.start = label
+                return result
+            starts = dict(enumerate(result.values)) if result.has_values else {
+                col: x for col, x in starts.items() if model.vars[col].kind not in BINARY_KINDS}
     if starts:
         cols = sorted(starts)
         h.setSolution(len(cols), np.array(cols, dtype=np.int32),
                       np.array([starts[col] for col in cols]))
-    return runs.run(runs.left, held=False, stop=runs.reached)
+    result = runs.run(runs.left)
+    result.start = label
+    return result
+
+
+def _first_try(model: MilpModel, is_mip: bool) -> bool:
+    """Whether a solve takes the first try (see ``solve``)."""
+    return (is_mip and not model.starts and model.instance is not None
+            and _first_try_allowed.get()
+            and all(v.lo < v.hi for v in model.vars if v.kind in BINARY_KINDS))
+
+
+def _tries(model: MilpModel, flow: dict[int, float] | None):
+    """The starts a solve tries in turn, each with its label: the caller's,
+    or else the first try's ``flow`` starts, when it gave any, and then the
+    all-miss plan's, encoded only when its turn comes.  A start with no
+    column is no try."""
+    if model.starts:
+        yield "given", model.starts
+        return
+    if flow:
+        yield "flow", flow
+    if model.instance is not None:
+        starts = _plan_starts(model, empty_plan(model.instance), logging.DEBUG)
+        if starts:
+            yield "all-miss", starts
 
 
 class _Runs:
@@ -305,49 +300,33 @@ class _Runs:
         self.left = opts.time_limit
         self.nodes = 0
 
-    @property
-    def reached(self) -> str:
-        """The message of a stop at ``bound``."""
-        return "value bound reached" if self.bound == self.value_bound else "flow bound reached"
-
-    def run(self, limit: float, held: bool, stop: str) -> SolveResult:
+    def run(self, limit: float, held: bool = False) -> SolveResult:
         """Run HiGHS for at most ``limit`` seconds; the result (see
         ``_run_result``), its ``nodes`` those of every run so far."""
         self.h.setOptionValue("time_limit", max(limit, 0.0))
         self.left -= _run(self.h)
-        result = _run_result(self, held, stop)
+        result = _run_result(self, held)
         self.nodes += result.nodes
         result.nodes = self.nodes
         return result
 
-    def held_run(self, starts: dict[int, float], stop: str):
+    def held_run(self, starts: dict[int, float]) -> SolveResult:
         """The held run: every started column of a ``BINARY_KINDS`` kind,
         relaxed ones included, fixed at its start value, under the node
-        limit HiGHS puts on completing a start, in the time left.  Its
-        incumbents are plans of the full model.  The result and the held
-        columns."""
+        limit HiGHS puts on completing a start, in the time left; then the
+        columns' bounds and the node limit are put back.  Its incumbents
+        are plans of the full model."""
         import numpy as np     # loaded already: see _solve_highs
         held = np.array([col for col in sorted(starts)
                          if self.model.vars[col].kind in BINARY_KINDS], dtype=np.int32)
         at = np.array([starts[col] for col in held])
         self.h.changeColsBounds(len(held), held, at, at)
         self.h.setOptionValue("mip_max_nodes", self.h.getOptionValue("mip_max_start_nodes")[1])
-        return self.run(self.left, held=True, stop=stop), held
-
-    def release(self, held) -> None:
-        """Give the ``held`` columns their model bounds back, and lift the
-        node limit."""
-        import numpy as np
+        result = self.run(self.left, held=True)
         self.h.setOptionValue("mip_max_nodes", self.core.kHighsIInf)
         self.h.changeColsBounds(len(held), held, np.array([self.model.vars[c].lo for c in held]),
                                 np.array([self.model.vars[c].hi for c in held]))
-
-
-def _none_fixed(model: MilpModel) -> bool:
-    """Whether no column of a ``BINARY_KINDS`` kind is fixed: a flat
-    model, or a rolling step with no committed past, its binaries active
-    or relaxed."""
-    return all(v.lo < v.hi for v in model.vars if v.kind in BINARY_KINDS)
+        return result
 
 
 # Whether a solve may take the first try; only ``_without_first_try``
@@ -392,8 +371,8 @@ def _flow_relaxation(runs: _Runs, lp) -> dict[int, float] | None:
     lp.row_lower_, lp.row_upper_ = row_lo, row_hi
     if not passed:
         return None
-    relaxed = runs.run(runs.opts.time_limit / 2.0, held=False, stop="")
-    if relaxed.best_bound is not None:     # never above runs.bound: see _run_result
+    relaxed = runs.run(runs.opts.time_limit / 2.0)
+    if relaxed.best_bound is not None and (runs.bound is None or relaxed.best_bound < runs.bound):
         runs.bound = relaxed.best_bound
     if not relaxed.has_plan:
         return None
@@ -415,58 +394,48 @@ def _run(h) -> float:
     return time.perf_counter() - t0
 
 
-def _run_result(runs: _Runs, held: bool, stop: str) -> SolveResult:
-    """The result of HiGHS's last run.  A ``held`` run solved the model with
-    columns fixed: its incumbent is a plan of the model, but its dual bound
-    speaks of the restriction only.  It ends a solve, with the message
-    ``stop``, when its plan is within ``mip_gap`` of ``runs.bound``;
-    otherwise its result reads ``"time_limit"``, the result of a solve out
-    of time before the full model ran."""
-    model, h, _core, bound = runs.model, runs.h, runs.core, runs.bound
+def _run_result(runs: _Runs, held: bool) -> SolveResult:
+    """The result of HiGHS's last run, judged by the rule ``solve`` states.
+    A ``held`` run solved the model with columns fixed: its incumbent is a
+    plan of the model, but its dual bound speaks of the restriction only,
+    and a result of it that does not end the solve reads ``"time_limit"``,
+    the result of a solve out of time before the full model ran."""
+    h, _core = runs.h, runs.core
     _Status = _core.HighsModelStatus
     status = h.getModelStatus()
     info = h.getInfo()
     message = h.modelStatusToString(status)
     nodes = max(info.mip_node_count, 0)    # -1 for an LP
+    if not held and status not in (_Status.kOptimal, _Status.kObjectiveTarget,
+                                   _Status.kTimeLimit, _Status.kIterationLimit):
+        return SolveResult("infeasible" if status == _Status.kInfeasible else "error",
+                           None, None, message=message, nodes=nodes)
     values, objective = [], None
     if info.primal_solution_status == _core.kSolutionStatusFeasible:
         values = list(h.getSolution().col_value)
         # With the offset the solver minimises -(target - misses), so the
         # reported value is the negation; without one, the target is 0.
         objective = _negated(info.objective_function_value)
+    proved = status == _Status.kObjectiveTarget or (status == _Status.kOptimal and not held)
+    dual = None                # HiGHS's dual bound; an LP's is its optimum
+    if not held:
+        dual = (_finite(_negated(info.mip_dual_bound)) if runs.is_mip
+                else objective if status == _Status.kOptimal else None)
+    bound = runs.bound
+    if dual is not None and (bound is None or dual < bound):
+        bound, met = dual, message
+    else:
+        met = "value bound reached" if bound == runs.value_bound else "flow bound reached"
+    if objective is not None and bound is not None and bound < objective:
+        bound = objective      # a rounding error below the plan
     gap = _gap(bound, objective)
-    if status == _Status.kObjectiveTarget or (held and gap is not None
-                                               and gap <= runs.opts.mip_gap):
-        # the incumbent is within mip_gap of the bound; the full model's
-        # dual bound, when HiGHS has one, can only be tighter.  The gap is
-        # HiGHS's (a bound a tolerance below the plan reads as 0).
-        dual = None if held else _finite(_negated(info.mip_dual_bound))
-        if dual is not None and dual < bound:
-            bound, gap = dual, _gap(dual, objective)
+    if objective is not None and (proved or (gap is not None and gap <= runs.opts.mip_gap)):
         return SolveResult("optimal" if gap == 0.0 else "gap_reached", objective, bound,
-                           values, gap=gap, message=stop, nodes=nodes)
-    if held:                   # out of time before the full model ran
-        return SolveResult("time_limit", objective, bound, values, gap=gap,
-                           message=h.modelStatusToString(_Status.kTimeLimit), nodes=nodes)
-    if status == _Status.kInfeasible:
-        return SolveResult("infeasible", None, None, message=message, nodes=nodes)
-    if status not in (_Status.kOptimal, _Status.kTimeLimit, _Status.kIterationLimit):
-        return SolveResult("error", None, None, message=message, nodes=nodes)
-    if not runs.is_mip:        # an LP: HiGHS reports no MIP gap or bound
-        dual, gap = (objective, 0.0) if status == _Status.kOptimal else (None, None)
-    else:
-        dual, gap = _finite(_negated(info.mip_dual_bound)), _tolerated(_finite(info.mip_gap))
-        if dual is not None and bound is not None and bound < dual:
-            dual = None        # an earlier run proved a lower one
-    if dual is None:           # the least bound known
-        gap = _gap(bound, objective)
-    else:
-        bound = dual
-    if status != _Status.kOptimal:
-        return SolveResult("time_limit", objective, bound, values, gap=gap,
-                           message=message, nodes=nodes)
-    status = "optimal" if gap == 0.0 else "gap_reached"
-    return SolveResult(status, objective, bound, values, gap=gap, message=message, nodes=nodes)
+                           values, gap=gap, message=met, nodes=nodes)
+    if held:
+        message = h.modelStatusToString(_Status.kTimeLimit)
+    return SolveResult("time_limit", objective, bound, values, gap=gap,
+                       message=message, nodes=nodes)
 
 
 def _negated(x: float) -> float:
@@ -483,17 +452,13 @@ GAP_TOL = 1e-9
 
 
 def _gap(bound: float | None, objective: float | None) -> float | None:
-    """``(bound - objective) / |objective|``, tolerated (a bound a tolerance
-    below the plan reads 0); None without a bound, a plan or a nonzero
-    objective."""
-    if bound is None or not objective:
+    """``(bound - objective) / |objective|``, as HiGHS defines it, read as 0
+    at or below ``GAP_TOL`` (a bound at or below the plan included); None
+    without a bound or a plan, and for a zero plan below a positive bound."""
+    if bound is None or objective is None or (objective == 0.0 and bound > 0.0):
         return None
-    return _tolerated((bound - objective) / abs(objective))
-
-
-def _tolerated(gap: float | None) -> float | None:
-    """``gap``, or 0 at or below ``GAP_TOL``."""
-    return 0.0 if gap is not None and gap <= GAP_TOL else gap
+    gap = (bound - objective) / abs(objective) if bound > objective else 0.0
+    return gap if gap > GAP_TOL else 0.0
 
 
 _fd1_lock = threading.Lock()

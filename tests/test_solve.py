@@ -419,7 +419,7 @@ def test_sample_center_stop_keeps_result_pinned(sample):
     m = build_center(sample, make_plans(sample, 1.0))
     assert m.value_bound() == m.obj_offset == 23143600.0
     res = solve(m)
-    assert res.status == "optimal" and res.message == "flow bound reached"
+    assert res.status == "optimal" and res.message == "value bound reached"
     assert res.start == "flow"
     assert res.objective == res.best_bound == 23143600.0 and res.gap == 0.0
     assert _within_gap_of_bound(res, 0.005)
@@ -480,7 +480,7 @@ def test_stop_matches_reference(toy):
     inst = replace(toy, barges=(replace(toy.barges[0], specs={"P": 51.5}),))
     ref = solve_reference(build_center(inst, make_plans(inst, 1.0)))
     res = solve(build_center(inst, make_plans(inst, 1.0)))
-    assert res.status == ref.status == "optimal" and res.message == "flow bound reached"
+    assert res.status == ref.status == "optimal" and res.message == "value bound reached"
     assert res.objective == pytest.approx(ref.objective, rel=1e-9)
     assert res.best_bound == pytest.approx(ref.best_bound, rel=1e-9)
     assert res.gap == 0.0
@@ -553,8 +553,9 @@ def test_missing_highs_extension_is_a_solver_error(toy, tmp_path, monkeypatch):
 
 class _Recorded:
     """A ``_Highs`` that records, for each run, the time limit it ran under,
-    the seconds it took, its status and the value of its incumbent, and the
-    columns of each start it was given."""
+    whether it was a held run (under a node limit), the seconds it took, its
+    status and the value of its incumbent, and the columns of each start it
+    was given."""
 
     def __init__(self, real, runs, starts):
         self._h, self._runs, self._starts = real(), runs, starts
@@ -568,12 +569,13 @@ class _Recorded:
 
     def run(self):
         limit = self._h.getOptionValue("time_limit")[1]
+        held = self._h.getOptionValue("mip_max_nodes")[1] != highs_core().kHighsIInf
         t0 = time.perf_counter()
         status = self._h.run()
         seconds = time.perf_counter() - t0
         info = self._h.getInfo()
         found = info.primal_solution_status == highs_core().kSolutionStatusFeasible
-        self._runs.append({"time_limit": limit, "seconds": seconds,
+        self._runs.append({"time_limit": limit, "held": held, "seconds": seconds,
                            "status": self._h.modelStatusToString(self._h.getModelStatus()),
                            "objective": 0.0 - info.objective_function_value if found else None})
         return status
@@ -607,7 +609,7 @@ def test_sample_flat_solve_ends_in_its_held_run(sample, recorded):
     assert [r["status"] for r in runs] == ["Target for objective reached", "Optimal"]
     assert runs[0]["time_limit"] == 300.0
     assert starts == []
-    assert res.message == "flow bound reached" and res.best_bound == m.value_bound()
+    assert res.message == "value bound reached" and res.best_bound == m.value_bound()
 
 
 def test_full_run_betters_a_held_run_that_misses_the_target(recorded):
@@ -650,8 +652,9 @@ def test_best_bound_lies_between_objective_and_value_bound(seed, start):
         _binaries_started_at(m, start)
     res = solve(m)
     assert res.status in ("optimal", "gap_reached")
-    # HiGHS's dual bound may sit a tolerance below its plan
-    assert res.objective <= res.best_bound * (1.0 + 1e-9) <= m.value_bound() * (1.0 + 1e-9)
+    # a bound is never below its plan; a plan may sit a rounding error
+    # above the value bound
+    assert res.objective <= res.best_bound <= m.value_bound() * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("time_limit", [60.0, 0.05])
@@ -822,6 +825,31 @@ def test_a_tightened_instance_falls_back_with_a_valid_bound():
     assert res.best_bound >= _optimum(model) * (1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_first_try_that_falls_back_goes_on_to_the_all_miss_start(recorded, seed):
+    # the relaxed run, the held run of the flow start, which the tightened
+    # windows make infeasible, the held run of the all-miss start, then the
+    # full run from that held run's plan
+    runs, starts = recorded
+    inst = small_instance(seed, tight=True)
+    m = build_center(inst, make_plans(inst, 1.0))
+    res = solve(m)
+    assert res.start == "all-miss"
+    assert [r["held"] for r in runs] == [False, True, True, False]
+    assert runs[0]["time_limit"] == 300.0 and runs[1]["status"] == "Infeasible"
+    assert runs[2]["objective"] is not None and starts == [set(range(m.n_vars))]
+
+
+def test_a_solve_that_ends_in_its_first_try_encodes_no_all_miss_start(sample, monkeypatch):
+    module = sys.modules[solve.__module__]
+    encoded, real = [], module._plan_starts
+    monkeypatch.setattr(module, "_plan_starts",
+                        lambda model, plan, *args: encoded.append(plan) or real(model, plan, *args))
+    res = solve(build_center(sample, make_plans(sample, 1.0)))
+    assert res.start == "flow"
+    assert len(encoded) == 1 and encoded[0].y_in      # the flow plan's, not the all-miss one
+
+
 def test_a_caller_bound_keeps_the_first_try_a_relaxation():
     # barge B1's unused volume unbounded below: no value bound, and a plan
     # may draw more than the barge holds; the relaxation's bound is still
@@ -884,6 +912,9 @@ def test_90_day_sample_center_solve_is_proven_optimal(sample):
     m = build_center(inst, make_plans(inst, 1.0))
     res = solve(m, SolveOptions(time_limit=60.0))
     assert res.status == "optimal" and res.start == "flow" and res.gap == 0.0
+    # the flow bound, 65680800, lies below the value bound, 69430800; the
+    # relaxation's dual bound sits a rounding error below the plan
+    assert res.message == "flow bound reached" and res.best_bound >= res.objective
     plan = extract_flow_plan(m, res)
     assert audit(inst, simulate(inst, plan), plan).ok
     assert loss(inst, plan).pct_loss == pytest.approx(5.401, abs=5e-4)
