@@ -18,7 +18,8 @@ are not in the table and stay free throughout.
 * ``roll_full``    -- builds the whole-horizon model once and solves it at
   every step.  After each step the binaries of the days it steps over are
   fixed in place, so every model has a past, a present, a near and a far
-  future.  No step takes ``solve``'s first try.
+  future.  Every step takes ``solve``'s first try; its starts keep the
+  fixed past.
 * ``roll_partial`` -- every step builds and solves a sub-instance of
   [present start, ``t_nf``] only, so its model has no past and no far
   future: the scheme omits them by building that sub-instance, not through
@@ -26,8 +27,8 @@ are not in the table and stay free throughout.
   and the resulting tank state seeds a shifted sub-instance; barge volumes
   and unload counts are decremented, and a barge whose window is only
   partly visible is asked to unload the visible fraction of its volume
-  only.  No step fixes a binary, so each takes ``solve``'s first try from
-  its own flow relaxation; on the sample every step ends there.
+  only.  No step fixes a binary.  Each step takes ``solve``'s first try
+  from its own flow relaxation; on the sample every step ends there.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .instance import Instance
 from .model import MilpModel
 from .simulate import PLAN_FIELDS, FlowPlan, _stated, plan_objective, simulate
-from .solve import (SolveOptions, SolveResult, _without_first_try, extract_flow_plan,
-                    round_binary, solve)
+from .solve import SolveOptions, SolveResult, extract_flow_plan, round_binary, solve
 
 # Seconds every step is given at least; a budget left below it ends the roll.
 MIN_STEP_TIME = 2.0
@@ -259,12 +259,11 @@ def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder
     rounded by ``round_binary``, the rule ``extract_flow_plan`` reads
     binary plan fields by.
 
-    No step takes ``solve``'s first try: each later step completes the
-    all-miss start against the binaries earlier steps fixed, and after a
-    past fixed from a flow plan that completion finds no plan, so the step
-    solves the full model with no start.  The private
-    ``_without_first_try`` makes that exclusion, and goes when the full
-    scheme is retired (ROADMAP item 8).
+    Every step takes ``solve``'s first try from the model's flow
+    relaxation, which keeps the fixed past; the digits of every start, flow
+    or all-miss, keep the past's digits too, so each start agrees with what
+    earlier steps committed.  On the sample every step ends in its first
+    try.
 
     ``on_step(step, model, result)`` is called after each solve, before the
     step's binaries are fixed: it sees the model as the solver saw it.
@@ -276,9 +275,8 @@ def roll_full(inst: Instance, periods: list[Period], params: RollParams, builder
             if v.kind in SEGMENT_POLICY and v.day < next_start:
                 model.fix(v, round_binary(res.values[v.col]))
 
-    with _without_first_try():
-        steps, model, res = _roll(inst, periods, params, lambda t_start, t_nf: (model, 0),
-                                  commit, log_path, on_step)
+    steps, model, res = _roll(inst, periods, params, lambda t_start, t_nf: (model, 0),
+                              commit, log_path, on_step)
     plan = extract_flow_plan(model, res)
     return RollResult(plan, steps, plan_objective(inst, plan))
 

@@ -21,7 +21,6 @@ Objectives are reported in maximization form (target value minus misses);
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import importlib.machinery
 import importlib.util
 import itertools
@@ -33,7 +32,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .discretize import encode, grid_value
+from .discretize import DigitCode, encode, grid_value
 from .model import BINARY_KINDS, CORE_TAGS, MilpModel, _key_name
 from .simulate import (PLAN_FIELDS, FlowPlan, PlanInconsistencyError, empty_plan, simulate,
                        unload_count_violations)
@@ -145,15 +144,16 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     all-miss plan (no unloads, all demand missed), encoded as ``warm_start``
     encodes a plan when its turn comes: its digit binaries, ``v_unused`` and
     ``mis``, no ``gamma`` and no ``sigma``.  ``model.starts`` stays as it was.
-    A MIP with no fixed column of a ``BINARY_KINDS`` kind (a flat model, or
-    a rolling step with no committed past) takes the first try, except in
-    the full rolling scheme (see ``rolling.roll_full``).  Its relaxation is
-    the model with every row outside ``CORE_TAGS`` freed, solved in at most
-    half of ``opts.time_limit``; dropping rows relaxes any model, so its
-    bound bounds the model's value whatever bounds the caller set.  Its plan
-    (``extract_flow_plan``) is encoded by ``_plan_starts``, less a rolling
-    step's relaxed ``gamma`` and ``sigma`` columns, decisions the step does
-    not take.
+    Every MIP with an instance and no caller start takes the first try.
+    Its relaxation is the model with every row outside ``CORE_TAGS`` freed
+    and every column bound kept, solved in at most half of
+    ``opts.time_limit``; dropping rows relaxes any model, so its bound
+    bounds the model's value whatever bounds the caller set or a rolling
+    step's committed past fixed.  Its plan (``extract_flow_plan``) is
+    encoded by ``_plan_starts``, less a rolling step's relaxed ``gamma``
+    and ``sigma`` columns, decisions the step does not take.  The digits of
+    every start keep those the model fixes, so a start agrees with a
+    committed past.
 
     On a MIP each try that holds a column of a ``BINARY_KINDS`` kind gets a
     *held run* on the solve's one HiGHS object: those columns, relaxed ones
@@ -171,13 +171,15 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     flow relaxation's bound; the lesser is the least bound known.  A MIP
     with a finite, positive value bound and a finite ``opts.mip_gap`` stops
     every run at the first incumbent within ``opts.mip_gap`` of the value
-    bound (HiGHS's objective target).  A run's ``best_bound`` is the least
-    bound known or, after a full run, HiGHS's dual bound when that is lower
-    (a held run's dual bound bounds only the restricted model), and never
-    below its objective; ``gap`` is ``(best_bound - objective) /
-    |objective|``, 0 at or below ``GAP_TOL``.  A plan ends the solve when it
-    is within ``opts.mip_gap`` of ``best_bound`` or HiGHS proved it (the
-    objective target, or a full run's ``Optimal``): ``status`` is
+    bound (HiGHS's objective target).  The value bound is exact, so a plan
+    HiGHS reports a rounding error above it reads at it.  A run's
+    ``best_bound`` is the least bound known or, after a full run, HiGHS's
+    dual bound when that is lower (a held run's dual bound bounds only the
+    restricted model), and never below its objective; ``gap`` is
+    ``(best_bound - objective) / |objective|``, 0 at or below ``GAP_TOL``.
+    A plan ends the solve when it is within ``opts.mip_gap`` of
+    ``best_bound`` or HiGHS proved it (the objective target, or a full
+    run's ``Optimal``): ``status`` is
     ``"optimal"`` at gap 0, else ``"gap_reached"``, and ``message`` names the
     bound it met, "value bound reached", "flow bound reached" or HiGHS's own
     message for its dual bound.  Any other held run reads ``"time_limit"``, with its
@@ -266,9 +268,7 @@ def _solve_highs(model: MilpModel, opts: SolveOptions) -> SolveResult:
 
 def _first_try(model: MilpModel, is_mip: bool) -> bool:
     """Whether a solve takes the first try (see ``solve``)."""
-    return (is_mip and not model.starts and model.instance is not None
-            and _first_try_allowed.get()
-            and all(v.lo < v.hi for v in model.vars if v.kind in BINARY_KINDS))
+    return is_mip and not model.starts and model.instance is not None
 
 
 def _tries(model: MilpModel, flow: dict[int, float] | None):
@@ -327,25 +327,6 @@ class _Runs:
         self.h.changeColsBounds(len(held), held, np.array([self.model.vars[c].lo for c in held]),
                                 np.array([self.model.vars[c].hi for c in held]))
         return result
-
-
-# Whether a solve may take the first try; only ``_without_first_try``
-# turns it off.
-_first_try_allowed = contextvars.ContextVar("first_try_allowed", default=True)
-
-
-@contextlib.contextmanager
-def _without_first_try():
-    """Solves inside take no first try.  ``roll_full`` alone enters it: its
-    later steps complete the all-miss start against the binaries earlier
-    steps fixed, and after a past fixed from a flow plan that completion
-    finds no plan.  Retiring the full scheme (ROADMAP item 8) deletes
-    this."""
-    token = _first_try_allowed.set(False)
-    try:
-        yield
-    finally:
-        _first_try_allowed.reset(token)
 
 
 # The dated binaries a plan states: ``gamma`` and ``sigma``, not the digits.
@@ -416,6 +397,8 @@ def _run_result(runs: _Runs, held: bool) -> SolveResult:
         # With the offset the solver minimises -(target - misses), so the
         # reported value is the negation; without one, the target is 0.
         objective = _negated(info.objective_function_value)
+        if runs.value_bound is not None and objective > runs.value_bound:
+            objective = runs.value_bound    # a rounding error above the exact bound
     proved = status == _Status.kObjectiveTarget or (status == _Status.kOptimal and not held)
     dual = None                # HiGHS's dual bound; an LP's is its optimum
     if not held:
@@ -601,7 +584,10 @@ def _midpoint_codes(model: MilpModel, plan: FlowPlan, trace):
     volume.  The midpoint of ``c_t``'s cell lies within half a cell of it,
     so every ``blend_relax`` row holds.  A day without inflow keeps the
     value of the day before, so the all-miss plan keeps the initial spec's
-    digits on every day, as the exact encoding does."""
+    digits on every day, as the exact encoding does.  A day whose digits
+    the model all fixes (a rolling step's committed past) gives those
+    digits instead, and ``m_t`` is their cell's midpoint, so every start
+    agrees with that past."""
     inst = model.instance
     specs = {b.id: b.specs for b in inst.barges}
     inflows: dict[tuple[str, int], list[tuple[str, float]]] = {}
@@ -616,11 +602,15 @@ def _midpoint_codes(model: MilpModel, plan: FlowPlan, trace):
                 continue
             c, volume = min(max(tank.specs_init[q], p.lo), p.hi), tank.v_init
             for t in range(inst.horizon):
-                vin = inflows.get((k, t))
-                if vin:
-                    mass = c * volume + sum(specs[s][q] * v for s, v in vin)
-                    c = min(max(mass / trace.v_mid[(k, t)], p.lo), p.hi)
-                code = encode(c, p)
+                refs = [model.var("alpha", (k, q, t, i)) for i in range(1, p.n + 1)]
+                if all(ref.lo == ref.hi for ref in refs):
+                    code = DigitCode(tuple(round_binary(ref.lo) for ref in refs), 0.0)
+                else:
+                    vin = inflows.get((k, t))
+                    if vin:
+                        mass = c * volume + sum(specs[s][q] * v for s, v in vin)
+                        c = min(max(mass / trace.v_mid[(k, t)], p.lo), p.hi)
+                    code = encode(c, p)
                 yield (k, q, t), code
                 c, volume = grid_value(code, p) + p.eps / 2.0, trace.v_end[(k, t)]
 

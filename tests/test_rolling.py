@@ -256,34 +256,31 @@ def _on_days(days_by_key):
 # window, t_nf, status, objective, bound, integer columns, nodes and start,
 # then the plan.
 ROLL30_FULL_STEPS = [
-    ((0, 6), 29, "gap_reached", 23059521.392426465, 23143600.0, 104, 1, "all-miss"),
-    ((6, 14), 29, "gap_reached", 23058258.68114928, 23143600.0, 194, 1, "all-miss"),
-    ((14, 22), 29, "gap_reached", 23134084.762025, 23143600.0, 290, 0, "all-miss"),
-    ((22, 30), 29, "gap_reached", 23134084.762025002, 23143600.0, 380, 0, "all-miss"),
+    ((0, 6), 29, "optimal", 23143600.0, 23143600.0, 104, 1, "flow"),
+    ((6, 14), 29, "optimal", 23143600.0, 23143600.0, 194, 1, "flow"),
+    ((14, 22), 29, "optimal", 23143600.0, 23143600.0, 290, 1, "flow"),
+    ((22, 30), 29, "optimal", 23143600.0, 23143600.0, 380, 1, "flow"),
 ]
 _DEMAND_DAYS = [*range(0, 5), *range(6, 12), *range(14, 22), *range(24, 30)]
 ROLL30_FULL_PLAN = {
     "schema": "blendplan-plan/1",
-    "y_in": [["B1", "T2", 5, 124.0], ["B1", "T2", 6, 1116.0], ["B2", "T2", 9, 176.7696629213513],
-             ["B2", "T2", 12, 82.33628960989952], ["B2", "T3", 9, 1035.3362896098995],
-             ["B2", "T3", 12, 53.663710390100476], ["B3", "T1", 18, 445.7307476635556],
-             ["B3", "T1", 19, 341.57943925233474], ["B3", "T3", 18, 229.5638878504664],
-             ["B3", "T3", 19, 165.12592523364322], ["B4", "T1", 18, 233.68981308410966],
-             ["B4", "T1", 25, 204.19999999999993], ["B4", "T2", 18, 92.51765875520843],
-             ["B4", "T2", 25, 79.17638871354166], ["B4", "T3", 18, 436.19166355139544],
-             ["B4", "T3", 25, 314.22447589574494]],
+    "y_in": [["B1", "T1", 5, 236.99999999999653], ["B1", "T2", 5, 1003.0000000000034],
+             ["B2", "T2", 12, 803.8245614035111], ["B2", "T3", 12, 556.1754385964889],
+             ["B3", "T1", 19, 840.0], ["B3", "T3", 19, 342.0], ["B4", "T1", 27, 840.0],
+             ["B4", "T2", 27, 520.0]],
     "y_out": [[k, t, v] for k, runs in (
-        ("T1", ((range(6, 12), 60.33333333333332), (range(24, 30), 204.1999999999999))),
-        ("T2", ((range(0, 5), 181.20000000000002), (range(6, 12), 239.66666666666666),
-                (range(24, 30), 75.80000000000005))),
-        ("T3", ((range(0, 5), 68.80000000000001), (range(14, 22), 180.0))),
+        ("T1", ((range(0, 5), 72.39999999999999), (range(6, 12), 39.4999999999994),
+                (range(24, 30), 280.0))),
+        ("T2", ((range(0, 5), 177.59999999999994), (range(6, 12), 205.82631578947402),
+                (range(14, 22), 65.73333333333382))),
+        ("T3", ((range(6, 12), 54.673684210526574), (range(14, 22), 114.26666666666621))),
     ) for days, v in runs for t in days],
-    "gamma": _on_days({"B1": (range(0, 7), {5, 6}), "B2": (range(4, 13), {9, 12}),
-                       "B3": (range(11, 20), {18, 19}), "B4": (range(18, 28), {18, 25})}),
-    "sigma": _on_days({"T1": (_DEMAND_DAYS, {*range(6, 12), *range(24, 30)}),
-                       "T2": (_DEMAND_DAYS, {*range(0, 5), *range(6, 12), *range(24, 30)}),
-                       "T3": (_DEMAND_DAYS, {*range(0, 5), *range(14, 22)})}),
-    "v_unused": {"B1": 0.0, "B2": 11.894047468749193, "B3": 0.0, "B4": 0.0},
+    "gamma": _on_days({"B1": (range(0, 7), {5}), "B2": (range(4, 13), {12}),
+                       "B3": (range(11, 20), {19}), "B4": (range(18, 28), {27})}),
+    "sigma": _on_days({"T1": (_DEMAND_DAYS, {*range(0, 5), *range(6, 12), *range(24, 30)}),
+                       "T2": (_DEMAND_DAYS, {*range(0, 5), *range(6, 12), *range(14, 22)}),
+                       "T3": (_DEMAND_DAYS, {*range(6, 12), *range(14, 22)})}),
+    "v_unused": {"B1": 0.0, "B2": 0.0, "B3": 0.0, "B4": 0.0},
     "mis": [[t, 0.0] for t in _DEMAND_DAYS],
 }
 
@@ -419,32 +416,68 @@ def test_a_partial_step_flow_start_leaves_relaxed_decisions_free(roll45):
     assert relaxed_decisions > 0 and relaxed_digits > 0
 
 
-def test_roll_full_takes_no_first_try(monkeypatch):
-    # step 0 fixes no binary, yet takes no first try; a solve after the
-    # roll takes it again
+def test_every_full_roll_step_takes_the_first_try(monkeypatch):
+    # later steps fix the binaries of the days earlier steps stepped over,
+    # and still start from their own flow relaxation
     tries = _spy_first_tries(monkeypatch)
     fixed_at_step = []
     inst = small_instance(0)
     res = roll_full(inst, fixed_periods(inst.horizon, 2), RollParams(), _builder(),
                     on_step=lambda step, model, r: fixed_at_step.append(
                         sum(v.lo == v.hi for v in model.vars if v.kind in BINARY_KINDS)))
-    assert fixed_at_step[0] == 0 and len(res.steps) == 3
-    assert tries == [] and [s.start for s in res.steps] == ["all-miss"] * 3
-    assert solve(_builder()(inst)).start == "flow" and len(tries) == 1
+    assert fixed_at_step[0] == 0 and all(fixed_at_step[1:]) and len(res.steps) == 3
+    assert len(tries) == 3 and [s.start for s in res.steps] == ["flow"] * 3
 
 
-def test_a_partial_roll_whose_first_tries_fall_back_is_audited(monkeypatch):
+def test_a_full_roll_all_miss_start_keeps_the_fixed_past(sample, monkeypatch):
+    # only step 0 gets a flow start; every later step's all-miss start
+    # keeps the digits step 0's flow plan fixed, so its held run completes
+    # it and no full run follows
+    module = sys.modules[solve.__module__]
+    real_relaxation, real_result, runs = module._flow_relaxation, module._run_result, []
+
+    def first_only(*args):
+        return None if runs else real_relaxation(*args)
+
+    def spy_result(solve_runs, held):
+        result = real_result(solve_runs, held)
+        runs.append((held, result.status))
+        return result
+
+    monkeypatch.setattr(module, "_flow_relaxation", first_only)
+    monkeypatch.setattr(module, "_run_result", spy_result)
+    params = RollParams(h_nf=30, solve=SolveOptions(mip_gap=0.005, time_limit=600))
+    res = roll_full(sample, run_based_periods(sample.runs, sample.horizon, 7), params,
+                    _builder())
+    assert [s.start for s in res.steps] == ["flow"] + ["all-miss"] * 3
+    # step 0: the relaxed run and the flow start's held run; then one held
+    # run per step, each ending its solve
+    assert [held for held, _ in runs] == [False] + [True] * 4
+    assert all(status in ("optimal", "gap_reached") for _, status in runs[1:])
+    assert audit(sample, simulate(sample, res.plan), res.plan).ok
+
+
+def _falls_back_and_is_audited(monkeypatch, roll):
     # the tight window breaks every step's flow plan: each step goes on
     # from the all-miss start
     tries = _spy_first_tries(monkeypatch)
     inst = small_instance(1, tight=True)
     params = RollParams(h_nf=6, solve=SolveOptions(time_limit=60))
-    res = roll_partial(inst, run_based_periods(inst.runs, inst.horizon, 2), params, _builder())
+    res = roll(inst, run_based_periods(inst.runs, inst.horizon, 2), params, _builder())
     assert len(tries) == len(res.steps) >= 2
     assert all(s.start == "all-miss" and s.status in ("optimal", "gap_reached")
                for s in res.steps)
     assert audit(inst, simulate(inst, res.plan), res.plan).ok
     assert res.objective > 0 and res.objective == pytest.approx(plan_objective(inst, res.plan))
+
+
+def test_a_partial_roll_whose_first_tries_fall_back_is_audited(monkeypatch):
+    _falls_back_and_is_audited(monkeypatch, roll_partial)
+
+
+def test_a_full_roll_whose_first_tries_fall_back_is_audited(monkeypatch):
+    # the all-miss starts of later steps keep the digits earlier steps fixed
+    _falls_back_and_is_audited(monkeypatch, roll_full)
 
 
 def test_roll_partial_state_handoff_matches_simulator():
