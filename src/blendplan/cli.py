@@ -53,8 +53,13 @@ def _parse_eps_hat(value):
     else:
         eps = {}
         for part in value.split(","):
-            q, v = part.split("=", 1)
-            eps[q.strip()] = float(v)
+            q, eq, v = part.partition("=")
+            q = q.strip()
+            if not eq:
+                raise ValueError(f"--eps-hat part {part!r} is not 'q=v'")
+            if q in eps:
+                raise ValueError(f"--eps-hat names spec {q!r} twice")
+            eps[q] = float(v)
     return eps
 
 

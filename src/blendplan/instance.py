@@ -429,37 +429,20 @@ def randomize_supply(inst: Instance, seed: int, jitter: RandomizationParams) -> 
 # Each record is declared once, as a table of its members in file order,
 # each mapped to the shape of its value.  One reader and one writer per
 # shape serve every table; a reader refuses a value of the wrong shape
-# with the value's path, e.g. ``barges[0].window[0]``.  A reader is handed
-# the path as a chain of steps and formats it only to refuse a value.
+# with the value's path, e.g. ``barges[0].window[0]``, which each reader
+# hands its children extended by their index, key or member name.
 
 
 @dataclass(frozen=True)
 class Shape:
     """How a value reads from JSON, ``read(value, path)``, and writes back.
-    ``path`` is the value's place as `_path_text` reads it.  An ``optional``
-    member may be missing: it then takes its dataclass default, or
-    ``default()`` where the field has none."""
+    ``path`` is the value's place as text, ``""`` at the top of a file.
+    An ``optional`` member may be missing: it then takes its dataclass
+    default, or ``default()`` where the field has none."""
     read: object
     write: object
     optional: bool = False
     default: object = None
-
-
-class _Member(str):
-    """A record member's name as a step of a path."""
-
-
-def _path_text(path: tuple) -> str:
-    """A value's path as text, e.g. ``barges[0].window[0]``.  ``path`` is
-    ``()`` at the top of a file, else ``(parent path, step)``, the step
-    being a `_Member` or an array index or object key."""
-    if not path:
-        return ""
-    parent, step = path
-    head = _path_text(parent)
-    if isinstance(step, _Member):
-        return f"{head}.{step}" if head else str(step)
-    return f"{head}[{step}]"
 
 
 def _refuse(where: str, want: str, value):
@@ -474,7 +457,7 @@ def _scalar(want: str, ok, convert, write=lambda v: v) -> Shape:
                 return convert(value)
         except OverflowError:   # an integer beyond the float range
             pass
-        _refuse(_path_text(path), want, value)
+        _refuse(path, want, value)
     return Shape(read, write)
 
 
@@ -495,8 +478,8 @@ def array(item: Shape) -> Shape:
     """A JSON array of ``item``s, read as a tuple."""
     def read(value, path):
         if not isinstance(value, list):
-            _refuse(_path_text(path), "an array", value)
-        return tuple(item.read(x, (path, i)) for i, x in enumerate(value))
+            _refuse(path, "an array", value)
+        return tuple(item.read(x, f"{path}[{i}]") for i, x in enumerate(value))
     return Shape(read, lambda value: [item.write(x) for x in value])
 
 
@@ -505,8 +488,8 @@ def fixed(want: str, *parts: Shape) -> Shape:
     tuple: a ``[first, last]`` pair or a plan entry."""
     def read(value, path):
         if not isinstance(value, list) or len(value) != len(parts):
-            _refuse(_path_text(path), want, value)
-        return tuple(s.read(x, (path, i)) for i, (s, x) in enumerate(zip(parts, value)))
+            _refuse(path, want, value)
+        return tuple(s.read(x, f"{path}[{i}]") for i, (s, x) in enumerate(zip(parts, value)))
     return Shape(read, lambda value: [s.write(x) for s, x in zip(parts, value)])
 
 
@@ -514,8 +497,8 @@ def keyed(item: Shape, key: Shape = STRING) -> Shape:
     """A JSON object of ``item``s, written in key order."""
     def read(value, path):
         if not isinstance(value, dict):
-            _refuse(_path_text(path), "a JSON object", value)
-        return {key.read(k, path): item.read(x, (path, k)) for k, x in value.items()}
+            _refuse(path, "a JSON object", value)
+        return {key.read(k, path): item.read(x, f"{path}[{k}]") for k, x in value.items()}
     return Shape(read, lambda value: {key.write(k): item.write(x) for k, x in sorted(value.items())})
 
 
@@ -529,7 +512,7 @@ def entries(want: str, *parts: Shape) -> Shape:
         for i, (*key, x) in enumerate(rows.read(value, path)):
             key = key[0] if bare else tuple(key)
             if key in out:
-                raise InstanceError(f"{_path_text((path, i))}: repeats the key of an earlier entry")
+                raise InstanceError(f"{path}[{i}]: repeats the key of an earlier entry")
             out[key] = x
         return out
     return Shape(read, lambda value: [[*((k,) if bare else k), parts[-1].write(x)]
@@ -541,22 +524,21 @@ def record(cls, fields: dict[str, Shape], schema: str | None = None, label: str 
     written.  A file's record leads with a ``schema`` member holding
     ``schema``, and its own errors name it ``label``."""
     head = {} if schema is None else {"schema": schema}
-    steps = {name: _Member(name) for name in fields}
 
-    def read(value, path=()):
+    def read(value, path=""):
         if not isinstance(value, dict):
-            _refuse(_path_text(path) or label, "a JSON object", value)
+            _refuse(path or label, "a JSON object", value)
         if schema is not None and value.get("schema") != schema:
             _refuse("schema", repr(schema), value.get("schema"))
         unknown = sorted(value.keys() - fields.keys() - head.keys())
         if unknown:
-            raise InstanceError(f"{_path_text(path) or label}: unknown field(s) {unknown}")
+            raise InstanceError(f"{path or label}: unknown field(s) {unknown}")
         out = {}
         for name, shape in fields.items():
             if name in value:
-                out[name] = shape.read(value[name], (path, steps[name]))
+                out[name] = shape.read(value[name], f"{path}.{name}" if path else name)
             elif not shape.optional:
-                raise InstanceError(f"{_path_text(path) or label}: missing field {name!r}")
+                raise InstanceError(f"{path or label}: missing field {name!r}")
             elif shape.default is not None:
                 out[name] = shape.default()
         return cls(**out)
@@ -567,10 +549,10 @@ def record(cls, fields: dict[str, Shape], schema: str | None = None, label: str 
     return Shape(read, write)
 
 
-def _ratio_key(key: str, path: tuple) -> tuple[str, str]:
+def _ratio_key(key: str, path: str) -> tuple[str, str]:
     q1, sep, q2 = key.partition("/")
     if not sep:
-        raise InstanceError(f"{_path_text(path)}: key {key!r} is not 'q1/q2'")
+        raise InstanceError(f"{path}: key {key!r} is not 'q1/q2'")
     return q1, q2
 
 

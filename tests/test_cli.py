@@ -477,17 +477,32 @@ def test_solve_rejects_nan_option(inst_path, tmp_path, capsys, flag):
     assert not out_dir.exists()
 
 
+# what a refused --eps-hat message names: the repeated spec or the bad part
+_EPS_HAT_NAMES = {"P=1,P=2": "spec 'P' twice", "P=1,P": "part 'P'", "P=1,,P=2": "part ''"}
+
+
 @pytest.mark.parametrize("flags", [
     ["--eps-hat", "0"], ["--eps-hat", "nan"], ["--scheme", "full", "--dt", "0"],
     ["--scheme", "partial", "--h-nf", "0"],
     ["--scheme", "full", "--n-step", "2", "--n-present", "1"],
     ["--eps-hat", "X=1"], ["--eps-hat", "P=1,S9=1"], ["--scheme", "full", "--time-limit", "1"],
+    ["--eps-hat", "P=1,P=2"], ["--eps-hat", "P=1,P"], ["--eps-hat", "P=1,,P=2"],
 ], ids=lambda f: "_".join(a.lstrip("-") for a in f))
 def test_solve_rejects_bad_option_before_out_dir(tiny_path, tmp_path, capsys, flags):
     assert main(["solve", "--instance", tiny_path, "--out-dir", str(tmp_path / "o"),
                  *flags]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert _EPS_HAT_NAMES.get(flags[-1], "") in err
     assert list(tmp_path.iterdir()) == [tmp_path / "tiny.json"]
+
+
+def test_export_rejects_a_repeated_eps_hat_spec(sample_path, tmp_path, capsys):
+    out = tmp_path / "c.mps"
+    assert main(["export", "--instance", sample_path, "--method", "center",
+                 "--eps-hat", "S1=1,S2=2,S1=3", "--out", str(out)]) == 2
+    assert "spec 'S1' twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _NO_SCIPY_SCRIPT = """

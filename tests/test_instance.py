@@ -127,13 +127,19 @@ VALIDATION_CASES = [
 ]
 
 
+MISSING = object()   # a value for `_sample_with` that deletes the member
+
+
 def _sample_with(where, value):
     data = json.load(open(sample_instance_path()))
     *path, last = where
     node = data
     for key in path:
         node = node[key]
-    node[last] = value
+    if value is MISSING:
+        del node[last]
+    else:
+        node[last] = value
     return data
 
 
@@ -155,6 +161,9 @@ def test_validation_flags_each_rule(where, value, want, tmp_path, capsys):
     (("runs", 0, "days"), [0, 1, 2], "runs[0].days: expected [first, last]"),
     (("runs", 0, "ratio_bounds"), {"S1S2": [3.4, 5.0]},
      "runs[0].ratio_bounds: key 'S1S2' is not 'q1/q2'"),
+    (("ops",), MISSING, "top level: missing field 'ops'"),
+    (("tanks", 0, "v_max"), MISSING, "tanks[0]: missing field 'v_max'"),
+    (("barges", 0, "extra"), 1, "barges[0]: unknown field(s) ['extra']"),
 ])
 def test_instance_from_dict_rejects_malformed_data(where, value, want, tmp_path, capsys):
     data = _sample_with(where, value) if where else value

@@ -176,6 +176,21 @@ def test_a_row_free_on_both_sides_is_refused_before_the_file_opens(tmp_path, wri
     assert not path.exists()
 
 
+def test_an_unknown_tag_or_kind_and_a_duplicate_column_are_refused():
+    m = MilpModel("bad")
+    x = m.add_var("v_unused", ("a",), 0.0, 1.0)
+    with pytest.raises(ModelError, match="unknown constraint tag 'no_such_tag'"):
+        m.add_row("no_such_tag", ("a",), {x: 1.0}, hi=1.0)
+    with pytest.raises(ModelError, match="unknown variable kind 'no_such_kind'"):
+        m.add_var("no_such_kind", ("a",), 0.0, 1.0)
+    with pytest.raises(ModelError, match=r"duplicate variable v_unused\('a',\)"):
+        m.add_var("v_unused", ("a",), 0.0, 2.0)
+    with pytest.raises(ModelError, match="unknown structural tag 'no_such_tag'"):
+        m.note_structural("no_such_tag")
+    # nothing refused was added
+    assert m.n_vars == 1 and m.rows == [] and not m.structural_tags
+
+
 def test_mps_refuses_a_bilinear_model_before_the_file_opens(tmp_path):
     path = tmp_path / "m.mps"
     with pytest.raises(ModelError, match="bilinear rows cannot be written as MPS"):

@@ -57,6 +57,11 @@ def test_run_based_no_runs_matches_fixed():
     assert spans(run_based_periods([], 30, 4)) == spans(fixed_periods(30, 4))
 
 
+def test_run_based_refuses_overlapping_runs():
+    with pytest.raises(ValueError, match="runs overlap"):
+        run_based_periods([(0, 5), (5, 9)], 30, 7)
+
+
 def test_run_based_accepts_run_objects():
     base = toy_1t1s()
     runs = [replace(base.runs[0], id=f"r{i}", days=d) for i, d in enumerate(FIG6_RUNS)]

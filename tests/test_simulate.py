@@ -504,6 +504,20 @@ def test_oracle_guard():
         grid_oracle(big)
 
 
+@pytest.mark.parametrize("grid_step", [0.0, 1.5])
+def test_oracle_refuses_a_grid_step_outside_0_1(grid_step):
+    with pytest.raises(ValueError, match=r"grid_step must be in \(0, 1\]"):
+        grid_oracle(tiny_instance(0), grid_step)
+
+
+def test_loss_refuses_an_instance_of_zero_attainable_value():
+    toy = toy_1t1s()
+    inst = replace(toy, barges=(replace(toy.barges[0], unload_penalty=0.0),),
+                   runs=(replace(toy.runs[0], miss_penalty=0.0),))
+    with pytest.raises(ValueError, match="zero attainable value"):
+        loss(inst, empty_plan(inst))
+
+
 def test_oracle_no_feasible_flow_returns_all_miss():
     # barge too big for the tank headroom and min-pct too high to split
     inst = _single_tank(v_init=900.0, f_init=50.0, v_max=1000.0, v_min=100.0)

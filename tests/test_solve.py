@@ -123,6 +123,18 @@ def test_reference_backend_guards():
         solve_reference(m)
 
 
+def test_reference_backend_on_a_model_with_no_columns_or_no_feasible_assignment():
+    empty = MilpModel("empty")
+    empty.obj_offset = 7.0
+    res = solve_reference(empty)
+    assert (res.status, res.objective, res.best_bound, res.gap) == ("optimal", 7.0, 7.0, 0.0)
+    m = MilpModel("infeasible")
+    x = m.add_var("gamma", ("B1", 0), 0.0, 1.0, binary=True)
+    m.add_row("xa_mid_lb", ("a",), {x: 1.0}, lo=2.0)
+    res = solve_reference(m)
+    assert (res.status, res.objective, res.best_bound) == ("infeasible", None, None)
+
+
 def test_extract_rounds_binaries(toy):
     m = build_center(toy, make_plans(toy, 1.0))
     res = solve(m)
@@ -546,6 +558,33 @@ def test_missing_highs_extension_is_a_solver_error(toy, tmp_path, monkeypatch):
     with pytest.raises(SolverError, match=f"no HiGHS extension _core in {tmp_path}"):
         solve(build_center(toy, make_plans(toy, 1.0)))
     assert HIGHS_CORE not in sys.modules
+
+
+def test_a_highs_extension_that_fails_to_load_leaves_no_module(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, HIGHS_CORE, raising=False)
+    monkeypatch.setattr(sys.modules[solve.__module__], "_highs_dir", lambda: str(tmp_path))
+    (tmp_path / "_core.py").write_text("raise ImportError('broken _core')\n")
+    with pytest.raises(ImportError, match="broken _core"):
+        highs_core()
+    assert HIGHS_CORE not in sys.modules
+
+
+def test_a_first_try_whose_plan_fails_extraction_falls_back(sample, monkeypatch):
+    module, failed = sys.modules[solve.__module__], []
+
+    def fail_once(model, result):
+        if not failed:
+            failed.append(1)
+            raise ExtractionError("extraction refused")
+        return extract_flow_plan(model, result)
+
+    monkeypatch.setattr(module, "extract_flow_plan", fail_once)
+    m = build_center(sample, make_plans(sample, 1.0))
+    res = solve(m)
+    assert failed == [1]
+    assert res.start == "all-miss" and res.status in ("optimal", "gap_reached")
+    plan = extract_flow_plan(m, res)
+    assert audit(sample, simulate(sample, plan), plan).ok
 
 
 # -- the held run ---------------------------------------------------------------
