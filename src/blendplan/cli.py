@@ -20,9 +20,10 @@ import time
 from . import __version__
 from .builders import (CenterOptions, build_center, build_exact_mix,
                        build_exact_split, build_mccormick, make_plans)
-from .instance import (Instance, InstanceError, RandomizationParams,
-                       extend_periodic, parse_instance, randomize_supply,
-                       read_instance, validate_instance, write_instance)
+from .instance import (COUNT, STRING, Instance, InstanceError, RandomizationParams, Shape,
+                       array, extend_periodic, keyed, optional, parse_instance,
+                       randomize_supply, read_instance, record, validate_instance,
+                       write_instance)
 from .rolling import (RollingError, RollParams, check_step_starts, fixed_periods,
                       roll_full, roll_partial, run_based_periods)
 from .simulate import (PlanInconsistencyError, audit, loss, read_plan,
@@ -45,22 +46,28 @@ def _parse_eps_hat(value):
     """A number or a per-spec dict from a flag or config value; whether
     each precision is positive is checked where plans are made."""
     if isinstance(value, (int, float)):
-        eps = float(value)
-    elif isinstance(value, dict):
-        eps = {q: float(v) for q, v in value.items()}
-    elif "=" not in value:
-        eps = float(value)
-    else:
-        eps = {}
-        for part in value.split(","):
-            q, eq, v = part.partition("=")
-            q = q.strip()
-            if not eq:
-                raise ValueError(f"--eps-hat part {part!r} is not 'q=v'")
-            if q in eps:
-                raise ValueError(f"--eps-hat names spec {q!r} twice")
-            eps[q] = float(v)
+        return float(value)
+    if isinstance(value, dict):
+        return {q: float(v) for q, v in value.items()}
+    if "=" not in value:
+        return _eps_number(value, value, "a number")
+    eps = {}
+    for part in value.split(","):
+        q, eq, v = part.partition("=")
+        q = q.strip()
+        # a part without a spec or an "=" has no number either
+        x = _eps_number(v if q and eq else "", part, "'q=v' with v a number")
+        if q in eps:
+            raise ValueError(f"--eps-hat names spec {q!r} twice")
+        eps[q] = x
     return eps
+
+
+def _eps_number(text: str, part: str, want: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--eps-hat part {part!r} is not {want}") from None
 
 
 def _builder_for(args):
@@ -196,6 +203,10 @@ _SOLVE_FLAGS.add_argument("--time-limit", dest="time_limit", type=float, default
 
 _SOLVE_DEFAULTS = vars(_SOLVE_FLAGS.parse_args([]))
 _CONFIG_KEYS = frozenset(_SOLVE_DEFAULTS) | {"instance", "out_dir"}
+# A bench config: each run is a JSON object whose keys run_solve_config checks.
+_BENCH_CONFIG = record(dict, {"runs": array(keyed(Shape(lambda value, path: value, None))),
+                              "out_dir": optional(STRING), "workers": optional(COUNT)},
+                       label="top level")
 
 
 def cmd_validate(args) -> int:
@@ -355,7 +366,7 @@ def default_matrix(instances: list[str]) -> list[dict]:
 def cmd_bench(args) -> int:
     if args.config:
         with open(args.config) as fh:
-            config = json.load(fh)
+            config = _BENCH_CONFIG.read(json.load(fh))
         runs = config["runs"]
     elif args.matrix:
         config = {}
@@ -364,6 +375,7 @@ def cmd_bench(args) -> int:
         raise InstanceError("bench needs --config or --matrix")
     if not runs:
         raise InstanceError("bench config has no runs")
+    workers = COUNT.read(args.workers, "--workers") or config.get("workers", 1)
     out_dir = args.out_dir or config.get("out_dir", "bench_out")
     results = _results_path(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -372,7 +384,6 @@ def cmd_bench(args) -> int:
         task = {**_SOLVE_DEFAULTS, **run}
         task["out_dir"] = os.path.join(out_dir, f"run_{i:03d}")
         tasks.append(task)
-    workers = args.workers or config.get("workers", 1)
 
     def record_of(task, call, *args):
         try:

@@ -466,6 +466,8 @@ FINITE = _scalar("a finite number",
                  lambda v: isinstance(v, (int, float)) and math.isfinite(v), float)
 WHOLE = _scalar("a whole number",
                 lambda v: isinstance(v, int) or isinstance(v, float) and v.is_integer(), int, int)
+COUNT = _scalar("a whole number >= 0",
+                lambda v: isinstance(v, (int, float)) and v >= 0 and v % 1 == 0, int, int)
 BINARY = _scalar("0 or 1", lambda v: isinstance(v, (int, float)) and v in (0, 1), int, int)
 STRING = _scalar("a string", lambda v: isinstance(v, str), str)
 

@@ -137,14 +137,15 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     through file export.
 
     *One loop.*  A solve tries starts in turn; ``start`` names the try its
-    result came from, None when there was none.  ``"given"`` is
-    ``model.starts`` when the caller set any, and is the only try.
+    result came from, None when there was none.  A start that holds no
+    column of a ``BINARY_KINDS`` kind is no try.  ``"given"`` is
+    ``model.starts`` when that holds one, and is the only try.
     Otherwise, for a model with an instance, ``"flow"`` (the *first try*)
     is the plan of the model's flow relaxation, and ``"all-miss"`` is the
     all-miss plan (no unloads, all demand missed), encoded as ``warm_start``
     encodes a plan when its turn comes: its digit binaries, ``v_unused`` and
     ``mis``, no ``gamma`` and no ``sigma``.  ``model.starts`` stays as it was.
-    Every MIP with an instance and no caller start takes the first try.
+    Every MIP with an instance and no ``"given"`` start takes the first try.
     Its relaxation is the model with every row outside ``CORE_TAGS`` freed
     and every column bound kept, solved in at most half of
     ``opts.time_limit``; dropping rows relaxes any model, so its bound
@@ -155,17 +156,17 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     every start keep those the model fixes, so a start agrees with a
     committed past.
 
-    On a MIP each try that holds a column of a ``BINARY_KINDS`` kind gets a
-    *held run* on the solve's one HiGHS object: those columns, relaxed ones
-    included, fixed at their start values, up to HiGHS's own start-node
-    limit (``mip_max_start_nodes``).  A held run whose plan ends the solve
-    (below), or that leaves no time, gives the result; otherwise the solve
-    moves to the next try.  After the last try the *full run* solves the
-    model from the last held run's plan, now a complete start, or from the
-    last start without its held columns when that run found no plan.  Each
-    run gets the part of ``opts.time_limit`` that the runs before it left.
-    The answer is always a plan of ``model``; the relaxation is only a start
-    and a bound.
+    An LP takes no try.  On a MIP each try gets a *held run* on the solve's
+    one HiGHS object: its ``BINARY_KINDS`` columns, relaxed ones included,
+    fixed at their start values, up to HiGHS's own start-node limit
+    (``mip_max_start_nodes``).  A held run whose plan ends the solve (below)
+    gives the result; otherwise the solve moves to the next try.  After the
+    last try the *full run* solves the model from the best plan a held run
+    found, a complete start and HiGHS's only one, or from no start.  Each
+    run gets the part of ``opts.time_limit`` that the runs before it left;
+    when none is left, or the full run ends with less, the solve returns
+    that best plan.  The answer is always a plan of ``model``; the
+    relaxation is only a start and a bound.
 
     *One rule.*  No plan is worth more than ``model.value_bound()`` or the
     flow relaxation's bound; the lesser is the least bound known.  A MIP
@@ -245,46 +246,50 @@ def _solve_highs(model: MilpModel, opts: SolveOptions) -> SolveResult:
         # incumbent.
         h.setOptionValue("objective_target", -runs.bound / (1.0 + opts.mip_gap))
     # the relaxation passes its own model, so it runs before h gets lp
-    flow = _flow_relaxation(runs, lp) if _first_try(model, runs.is_mip) else None
+    flow = (_flow_relaxation(runs, lp) if runs.is_mip and model.instance is not None
+            and not _holds_binaries(model, model.starts) else None)
     if h.passModel(lp) == _core.HighsStatus.kError:
         return SolveResult("error", None, None, message="HiGHS rejected the model")
-    label, starts = None, {}
-    for label, starts in _tries(model, flow):
-        if runs.is_mip and any(model.vars[col].kind in BINARY_KINDS for col in starts):
-            result = runs.held_run(starts)
-            if result.status != "time_limit" or runs.left <= 0.0:
-                result.start = label
-                return result
-            starts = dict(enumerate(result.values)) if result.has_values else {
-                col: x for col, x in starts.items() if model.vars[col].kind not in BINARY_KINDS}
-    if starts:
-        cols = sorted(starts)
-        h.setSolution(len(cols), np.array(cols, dtype=np.int32),
-                      np.array([starts[col] for col in cols]))
+    best = None                # the held run with the plan worth most
+    for label, starts in _tries(model, flow) if runs.is_mip else ():
+        if not _holds_binaries(model, starts):
+            continue
+        result = runs.held_run(starts)
+        result.start = label
+        best = _kept(best, result) if result.has_values else best
+        if result.status != "time_limit" or runs.left <= 0.0:
+            return _kept(best, result)
+    if best is not None:
+        h.setSolution(model.n_vars, np.arange(model.n_vars, dtype=np.int32),
+                      np.array(best.values))
     result = runs.run(runs.left)
-    result.start = label
-    return result
+    result.start = best.start if best else None
+    return _kept(best, result)
 
 
-def _first_try(model: MilpModel, is_mip: bool) -> bool:
-    """Whether a solve takes the first try (see ``solve``)."""
-    return is_mip and not model.starts and model.instance is not None
+def _holds_binaries(model: MilpModel, starts: dict[int, float]) -> bool:
+    return any(model.vars[col].kind in BINARY_KINDS for col in starts)
+
+
+def _kept(best: SolveResult | None, result: SolveResult) -> SolveResult:
+    """``result``, or ``best`` when its plan is worth more, with every run's nodes."""
+    if best is None or (result.has_values and result.objective >= best.objective):
+        return result
+    best.nodes = result.nodes
+    return best
 
 
 def _tries(model: MilpModel, flow: dict[int, float] | None):
-    """The starts a solve tries in turn, each with its label: the caller's,
-    or else the first try's ``flow`` starts, when it gave any, and then the
-    all-miss plan's, encoded only when its turn comes.  A start with no
-    column is no try."""
-    if model.starts:
+    """The starts a solve tries in turn, each with its label: the caller's
+    when they hold a binary kind's column, else the first try's ``flow``
+    starts, if any, then the all-miss plan's, encoded when its turn comes."""
+    if _holds_binaries(model, model.starts):
         yield "given", model.starts
         return
     if flow:
         yield "flow", flow
     if model.instance is not None:
-        starts = _plan_starts(model, empty_plan(model.instance), logging.DEBUG)
-        if starts:
-            yield "all-miss", starts
+        yield "all-miss", _plan_starts(model, empty_plan(model.instance), logging.DEBUG)
 
 
 class _Runs:

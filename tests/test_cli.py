@@ -478,7 +478,9 @@ def test_solve_rejects_nan_option(inst_path, tmp_path, capsys, flag):
 
 
 # what a refused --eps-hat message names: the repeated spec or the bad part
-_EPS_HAT_NAMES = {"P=1,P=2": "spec 'P' twice", "P=1,P": "part 'P'", "P=1,,P=2": "part ''"}
+_EPS_HAT_NAMES = {"P=1,P=2": "spec 'P' twice", "P=1,P": "part 'P'", "P=1,,P=2": "part ''",
+                  "P=1,P=": "--eps-hat part 'P='", "P=1,P=x": "--eps-hat part 'P=x'",
+                  "x": "--eps-hat part 'x'", "P=1,=2,P=1": "--eps-hat part '=2'"}
 
 
 @pytest.mark.parametrize("flags", [
@@ -487,6 +489,8 @@ _EPS_HAT_NAMES = {"P=1,P=2": "spec 'P' twice", "P=1,P": "part 'P'", "P=1,,P=2": 
     ["--scheme", "full", "--n-step", "2", "--n-present", "1"],
     ["--eps-hat", "X=1"], ["--eps-hat", "P=1,S9=1"], ["--scheme", "full", "--time-limit", "1"],
     ["--eps-hat", "P=1,P=2"], ["--eps-hat", "P=1,P"], ["--eps-hat", "P=1,,P=2"],
+    ["--eps-hat", "P=1,P="], ["--eps-hat", "P=1,P=x"], ["--eps-hat", "x"],
+    ["--eps-hat", "P=1,=2,P=1"],
 ], ids=lambda f: "_".join(a.lstrip("-") for a in f))
 def test_solve_rejects_bad_option_before_out_dir(tiny_path, tmp_path, capsys, flags):
     assert main(["solve", "--instance", tiny_path, "--out-dir", str(tmp_path / "o"),
@@ -503,6 +507,16 @@ def test_export_rejects_a_repeated_eps_hat_spec(sample_path, tmp_path, capsys):
                  "--eps-hat", "S1=1,S2=2,S1=3", "--out", str(out)]) == 2
     assert "spec 'S1' twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("eps_hat, part", [
+    ("S1=1,S2=", "S2="), ("S1=1,S2=x", "S2=x"), ("x", "x"), ("S1=1,=2,S2=1", "=2")])
+def test_export_names_a_malformed_eps_hat_part(sample_path, tmp_path, capsys, eps_hat, part):
+    out = tmp_path / "c.mps"
+    assert main(["export", "--instance", sample_path, "--method", "center",
+                 "--eps-hat", eps_hat, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --eps-hat part {part!r} is not ")
+    assert list(tmp_path.iterdir()) == []
 
 
 _NO_SCIPY_SCRIPT = """
@@ -732,6 +746,33 @@ def test_bench_without_runs_exits_2(tmp_path, capsys, config, err):
         argv += ["--config", str(cfg)]
     assert main(argv) == 2
     assert capsys.readouterr().err == err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("config, flags, err", [
+    ({"workers": "4"}, [], 'workers: expected a whole number >= 0, got "4"'),
+    ({"workers": None}, [], "workers: expected a whole number >= 0, got null"),
+    ({"workers": 2.5}, [], "workers: expected a whole number >= 0, got 2.5"),
+    ({"workers": -2}, [], "workers: expected a whole number >= 0, got -2"),
+    ({}, ["--workers", "-3"], "--workers: expected a whole number >= 0, got -3"),
+    ({"runs": 5}, [], "runs: expected an array, got 5"),
+    ({"runs": [5]}, [], "runs[0]: expected a JSON object, got 5"),
+    ([{"method": "center"}], [], 'top level: expected a JSON object, got [{"method": "center"}]'),
+    ({"out_dir": 7}, [], "out_dir: expected a string, got 7"),
+], ids=["workers-string", "workers-null", "workers-fraction", "workers-negative",
+        "workers-flag-negative", "runs-number", "runs-entry-number", "top-level-array",
+        "out-dir-number"])
+def test_bench_refuses_a_config_of_the_wrong_shape(tiny_path, tmp_path, capsys, config, flags,
+                                                   err):
+    # checked before any directory is made; a run entry's own keys are
+    # run_solve_config's to check
+    if isinstance(config, dict):
+        config = {"runs": [{"instance": tiny_path, "time_limit": 5}], **config}
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(config))
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
     assert not out_dir.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blendplan.discretize import (binary_count, binary_count_ratio, decode,
+from blendplan.discretize import (DigitCode, binary_count, binary_count_ratio, decode,
                                   digit_count, encode, grid_value, plan)
 
 BASE_RATIO_TABLE = {
@@ -99,6 +99,24 @@ def test_digit_counts():
     assert digit_count(0.0, 4.0, 1.0) == 2
     assert digit_count(0.0, 0.5, 1.0) == 0
     assert digit_count(0.0, 5.0, 0.25) == 5
+
+
+def test_digit_count_corrects_a_log_one_digit_short():
+    # log(2147483649, 2) rounds to 31.0 exactly; 2**31 is one short of it
+    assert digit_count(0.0, 2147483649.0, 1.0) == 32
+
+
+def test_encode_moves_a_value_the_floor_puts_one_cell_low():
+    # 3 * eps / eps floors to 2 in floating point; the value is grid point 3
+    p = plan(0.0, 0.7, 0.1)
+    assert encode(3 * p.eps, p) == DigitCode((1, 1, 0), 0.0)
+
+
+def test_bases_below_two_are_refused():
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        digit_count(0.0, 1.0, 0.1, base=1)
+    with pytest.raises(ValueError, match="bases must be >= 2"):
+        binary_count_ratio(1, 2)
 
 
 def test_digit_count_is_the_plan_digit_count():

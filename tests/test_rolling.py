@@ -44,6 +44,10 @@ def test_fixed_periods_single():
     assert spans(fixed_periods(7, 10)) == [(0, 7)]
 
 
+def test_an_empty_period_list_partitions_only_an_empty_horizon():
+    assert check_partition([], 0) and not check_partition([], 3)
+
+
 def test_run_based_reference_layout():
     periods = run_based_periods(FIG6_RUNS, 30, 7)
     assert spans(periods) == [(0, 7), (7, 14), (14, 18), (18, 25), (25, 30)]

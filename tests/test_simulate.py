@@ -10,7 +10,7 @@ import pytest
 from blendplan.cli import main
 from blendplan.instance import (Barge, Instance, OpsParams, Run, SpecDef, Tank, derive_sets,
                                 write_instance)
-from blendplan.simulate import (FlowPlan, PlanInconsistencyError, audit, empty_plan,
+from blendplan.simulate import (VOL_TOL, FlowPlan, PlanInconsistencyError, audit, empty_plan,
                                 grid_oracle, loss, plan_from_dict, plan_objective,
                                 simulate, value_target, write_plan)
 from conftest import tiny_instance, toy_1t1s
@@ -379,6 +379,16 @@ def test_audit_flags_off_window_flow(toy):
     assert "supply_window" in rep.counts()
 
 
+@pytest.mark.parametrize("volume", [VOL_TOL / 2, VOL_TOL])
+def test_audit_passes_float_noise_outside_a_barge_window(toy, volume):
+    # a flow at or below VOL_TOL is noise: no window, gate or total breaks
+    inst = replace(toy, barges=(replace(toy.barges[0], window=(0, 0)),))
+    plan = empty_plan(inst)
+    plan.y_in[("B1", "T1", 1)] = volume
+    rep = audit(inst, simulate(inst, plan), plan)
+    assert rep.ok and rep.violations == []
+
+
 def test_audit_flags_flow_into_a_tank_the_barge_may_not_use(toy):
     inst = replace(toy, tanks=toy.tanks + (replace(toy.tanks[0], id="T2"),))
     plan = FlowPlan(y_in={("B1", "T1", 0): 100.0, ("B1", "T2", 0): 100.0},
@@ -516,6 +526,16 @@ def test_loss_refuses_an_instance_of_zero_attainable_value():
                    runs=(replace(toy.runs[0], miss_penalty=0.0),))
     with pytest.raises(ValueError, match="zero attainable value"):
         loss(inst, empty_plan(inst))
+
+
+def test_oracle_keeps_the_daily_unload_limit():
+    # both barges can unload only on day 1, one barge a day: the best plan
+    # is the better single-barge plan (two a day would reach 2500000)
+    inst = tiny_instance(3)
+    inst = replace(inst, barges=tuple(replace(b, window=(1, 1)) for b in inst.barges),
+                   ops=replace(inst.ops, max_unloads_per_day=1))
+    singles = [grid_oracle(replace(inst, barges=(b,)), 0.25) for b in inst.barges]
+    assert grid_oracle(inst, 0.25) == max(singles) == 2200000.0
 
 
 def test_oracle_no_feasible_flow_returns_all_miss():

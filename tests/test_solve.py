@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from blendplan.builders import build_center, build_mccormick, make_plans
+from blendplan.builders import build_center, build_exact_split, build_mccormick, make_plans
 from blendplan.instance import derive_sets, extend_periodic
 from blendplan.model import BINARY_KINDS, INF, MilpModel
 from blendplan.rolling import StepLog
@@ -120,6 +120,16 @@ def test_reference_backend_guards():
     inst = small_instance(0)
     m = build_center(inst, make_plans(inst, 1.0))
     with pytest.raises(SolverError):
+        solve_reference(m)
+
+
+def test_reference_backend_refuses_bilinear_and_large_models(toy):
+    with pytest.raises(SolverError, match="takes linear models"):
+        solve_reference(build_exact_split(toy))
+    m = MilpModel("large")
+    for i in range(201):
+        m.add_var("v_unused", (f"B{i}",), 0.0, 1.0)
+    with pytest.raises(SolverError, match="capped at 200 variables, model has 201"):
         solve_reference(m)
 
 
@@ -672,11 +682,10 @@ def test_infeasible_held_values_still_give_a_plan(recorded):
     runs, starts = recorded
     inst = small_instance(0)
     m = _binaries_started_at(build_center(inst, make_plans(inst, 1.0)), 1.0)
-    held = {v.col for v in m.vars if v.kind in BINARY_KINDS and v.col in m.starts}
     res = solve(m)
     assert [r["status"] for r in runs][0] == "Infeasible" and len(runs) == 2
-    # the full run gets the start without the held columns
-    assert starts == [set(m.starts) - held]
+    # the held run found no plan: the full run gets no start
+    assert starts == []
     assert res.has_plan and res.status in ("optimal", "gap_reached")
     plan = extract_flow_plan(m, res)
     assert audit(inst, simulate(inst, plan), plan).ok
@@ -759,6 +768,55 @@ def test_a_time_limited_sample_solve_keeps_its_budget(recorded):
     assert sum(r["seconds"] for r in runs[:-1]) + runs[-1]["time_limit"] <= 2.0 + 1e-9
     assert res.has_plan and res.best_bound == m.value_bound()
     assert res.gap == pytest.approx((res.best_bound - res.objective) / res.objective)
+
+
+@pytest.mark.parametrize("build", [build_center, build_mccormick],
+                         ids=["center", "mccormick"])
+def test_a_held_run_without_a_plan_leaves_the_full_run_its_budget(sample, build):
+    # every barge unloading every day: the held run is infeasible, and the
+    # full run starts from no plan, in the time the held run left
+    m = _binaries_started_at(build(sample, make_plans(sample, 1.0)), 1.0)
+    res = solve(m, SolveOptions(time_limit=2.0))
+    assert res.wall_time <= 2.5
+
+
+@pytest.mark.parametrize("build", [build_center, build_mccormick],
+                         ids=["center", "mccormick"])
+def test_a_caller_start_without_binaries_is_no_try(sample, build):
+    # the all-miss plan's flows, volumes and misses: nothing for a held run
+    # to complete, so the solve takes its first try as with no start
+    m = warm_start(build(sample, make_plans(sample, 1.0)), empty_plan(sample))
+    for col in [col for col in m.starts if m.vars[col].kind in BINARY_KINDS]:
+        del m.starts[col]
+    assert m.starts
+    res = solve(m, SolveOptions(time_limit=2.0))
+    assert res.start == "flow" and res.status == "optimal" and res.wall_time <= 2.0
+
+
+def test_a_solve_out_of_time_keeps_its_best_held_plan(sample, monkeypatch):
+    # the first held run finds a plan short of the bound, the second none,
+    # and then no time is left: the solve returns the first run's plan
+    module = sys.modules[solve.__module__]
+    m = _binaries_started_at(build_center(sample, make_plans(sample, 1.0)), 0.0)
+    ones = {**m.starts, **{v.col: 1.0 for v in m.vars_of_kind("gamma", "sigma")}}
+    monkeypatch.setattr(module, "_tries",
+                        lambda *args: iter([("first", dict(m.starts)), ("second", ones)]))
+    real, held = module._Runs.held_run, []
+
+    def held_run(runs, starts):
+        result = real(runs, starts)
+        held.append((result.objective, result.nodes))
+        if len(held) == 2:
+            runs.left = 0.0
+        return result
+
+    monkeypatch.setattr(module._Runs, "held_run", held_run)
+    res = solve(m)
+    assert held[0][0] is not None and held[1][0] is None
+    assert res.has_values and res.status == "time_limit" and res.start == "first"
+    assert res.objective == held[0][0] and res.nodes == held[1][1]
+    plan = extract_flow_plan(m, res)
+    assert audit(sample, simulate(sample, plan), plan).ok
 
 
 # -- the first try --------------------------------------------------------------
