@@ -431,17 +431,17 @@ def grid_oracle(inst: Instance, grid_step: float = 0.25) -> float:
     """Best objective over plans on a coarse volume grid (tiny instances).
 
     Unload fractions and feed shares are multiples of ``grid_step``; each
-    unload event targets a single tank.  A candidate whose value cannot
-    beat the best so far is skipped before simulation; every other one is
-    simulated and audited, so the result is still attained by a plan
-    feasible for the original rules.  Searching a refinement (halved step)
-    can only improve.
+    unload event targets a single tank.  Candidates go best-first, by
+    missed value summed as ``loss`` sums it (barges, then demand days), and
+    the first plan that simulates and audits clean gives the result, the
+    all-miss plan's value when none does; so the result is attained by a
+    plan feasible for the original rules.  A halved step can only improve.
     """
     if len(inst.barges) > 2 or len(inst.tanks) > 2 or inst.horizon > 6:
         raise ValueError("grid_oracle is limited to <=2 barges, <=2 tanks, horizon <=6")
     if not (0.0 < grid_step <= 1.0):
         raise ValueError("grid_step must be in (0, 1]")
-    derive_sets(inst)      # validates
+    ds = derive_sets(inst)      # validates
     levels = [round(j * grid_step, 12) for j in range(1, int(round(1.0 / grid_step)) + 1)]
 
     barge_choices = []
@@ -472,8 +472,8 @@ def grid_oracle(inst: Instance, grid_step: float = 0.25) -> float:
         combos = [c for c in itertools.product(*per_tank) if sum(c) <= 1.0 + 1e-12]
         feed_choices_per_run.append(combos)
 
-    best = None
     tank_ids = [t.id for t in inst.tanks]
+    unloads = []    # (barge share of the missed value, y_in, gamma, v_unused)
     for events in itertools.product(*(opts for _, opts in barge_choices)):
         day_counts: dict[int, int] = {}
         ok = True
@@ -495,28 +495,30 @@ def grid_oracle(inst: Instance, grid_step: float = 0.25) -> float:
                 gamma[(b.id, t)] = 1
                 used += vol
             v_unused[b.id] = b.volume - used
-        for feed in itertools.product(*feed_choices_per_run):
-            y_out = {}
-            sigma = {}
-            mis = {}
-            for r, shares in zip(runs, feed):
-                for t in range(r.days[0], r.days[1] + 1):
-                    for k, c in zip(tank_ids, shares):
-                        if c > 0.0:
-                            y_out[(k, t)] = c * r.daily_demand
-                            sigma[(k, t)] = 1
-                    mis[t] = r.daily_demand * (1.0 - sum(shares))
-            plan = FlowPlan(y_in=dict(y_in), y_out=y_out, gamma=dict(gamma),
-                            sigma=sigma, v_unused=dict(v_unused), mis=mis)
-            val = plan_objective(inst, plan)
-            if best is not None and val <= best:
-                continue
-            try:
-                trace = simulate(inst, plan)
-            except PlanInconsistencyError:
-                continue
-            if audit(inst, trace, plan).ok:
-                best = val
-    if best is None:  # the all-miss plan is always feasible
-        best = plan_objective(inst, empty_plan(inst))
-    return best
+        unloads.append((sum(b.unload_penalty * v_unused[b.id] for b in inst.barges),
+                        y_in, gamma, v_unused))
+    feeds = []      # (demand share of the missed value, y_out, sigma, mis)
+    for feed in itertools.product(*feed_choices_per_run):
+        y_out = {}
+        sigma = {}
+        mis = {}
+        for r, shares in zip(runs, feed):
+            for t in range(r.days[0], r.days[1] + 1):
+                for k, c in zip(tank_ids, shares):
+                    if c > 0.0:
+                        y_out[(k, t)] = c * r.daily_demand
+                        sigma[(k, t)] = 1
+                mis[t] = r.daily_demand * (1.0 - sum(shares))
+        feeds.append((sum(ds.miss_penalty_by_day[t] * mis[t] for t in ds.demand_days),
+                      y_out, sigma, mis))
+    for (_, y_in, gamma, v_unused), (_, y_out, sigma, mis) in sorted(
+            itertools.product(unloads, feeds), key=lambda pair: pair[0][0] + pair[1][0]):
+        plan = FlowPlan(y_in=dict(y_in), y_out=dict(y_out), gamma=dict(gamma),
+                        sigma=dict(sigma), v_unused=dict(v_unused), mis=dict(mis))
+        try:
+            trace = simulate(inst, plan)
+        except PlanInconsistencyError:
+            continue
+        if audit(inst, trace, plan).ok:
+            return plan_objective(inst, plan)
+    return plan_objective(inst, empty_plan(inst))   # the all-miss plan is always feasible

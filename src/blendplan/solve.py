@@ -139,9 +139,9 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     *One loop.*  A solve tries starts in turn; ``start`` names the try its
     result came from, None when there was none.  A start that holds no
     column of a ``BINARY_KINDS`` kind is no try.  ``"given"`` is
-    ``model.starts`` when that holds one, and is the only try.
-    Otherwise, for a model with an instance, ``"flow"`` (the *first try*)
-    is the plan of the model's flow relaxation, and ``"all-miss"`` is the
+    ``model.starts`` when that holds one; otherwise, for a model with an
+    instance, ``"flow"`` (the *first try*) is the plan of the model's flow
+    relaxation.  Last, for a model with an instance, ``"all-miss"`` is the
     all-miss plan (no unloads, all demand missed), encoded as ``warm_start``
     encodes a plan when its turn comes: its digit binaries, ``v_unused`` and
     ``mis``, no ``gamma`` and no ``sigma``.  ``model.starts`` stays as it was.
@@ -160,7 +160,8 @@ def solve(model: MilpModel, opts: SolveOptions | None = None) -> SolveResult:
     one HiGHS object: its ``BINARY_KINDS`` columns, relaxed ones included,
     fixed at their start values, up to HiGHS's own start-node limit
     (``mip_max_start_nodes``).  A held run whose plan ends the solve (below)
-    gives the result; otherwise the solve moves to the next try.  After the
+    gives the result; otherwise the solve moves to the next try, or to the
+    full run after a ``"given"`` held run that found a plan.  After the
     last try the *full run* solves the model from the best plan a held run
     found, a complete start and HiGHS's only one, or from no start.  Each
     run gets the part of ``opts.time_limit`` that the runs before it left;
@@ -259,6 +260,8 @@ def _solve_highs(model: MilpModel, opts: SolveOptions) -> SolveResult:
         best = _kept(best, result) if result.has_values else best
         if result.status != "time_limit" or runs.left <= 0.0:
             return _kept(best, result)
+        if label == "given" and best is not None:
+            break
     if best is not None:
         h.setSolution(model.n_vars, np.arange(model.n_vars, dtype=np.int32),
                       np.array(best.values))
@@ -282,10 +285,9 @@ def _kept(best: SolveResult | None, result: SolveResult) -> SolveResult:
 def _tries(model: MilpModel, flow: dict[int, float] | None):
     """The starts a solve tries in turn, each with its label: the caller's
     when they hold a binary kind's column, else the first try's ``flow``
-    starts, if any, then the all-miss plan's, encoded when its turn comes."""
+    starts, if any; then the all-miss plan's, encoded when its turn comes."""
     if _holds_binaries(model, model.starts):
         yield "given", model.starts
-        return
     if flow:
         yield "flow", flow
     if model.instance is not None:

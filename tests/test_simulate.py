@@ -1,7 +1,9 @@
 """Simulator semantics, audit coverage, loss metric, brute-force oracle."""
 
+import itertools
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -538,22 +540,30 @@ def test_oracle_keeps_the_daily_unload_limit():
     assert grid_oracle(inst, 0.25) == max(singles) == 2200000.0
 
 
-def test_oracle_no_feasible_flow_returns_all_miss():
+def _no_feasible_flow():
     # barge too big for the tank headroom and min-pct too high to split
     inst = _single_tank(v_init=900.0, f_init=50.0, v_max=1000.0, v_min=100.0)
-    inst = replace(inst, barges=(Barge("B1", 2000.0, {"P": 50.0}, (0, 1), 1000.0, ("T1",),
+    return replace(inst, barges=(Barge("B1", 2000.0, {"P": 50.0}, (0, 1), 1000.0, ("T1",),
                                        None, 1.0),),
                    runs=(Run("R1", (1, 1), 100.0, {"P": (0.0, 10.0)}, {}, 3000.0),))
+
+
+def _exactly_consumable():
+    inst = _single_tank(v_init=400.0, f_init=50.0, v_min=0.0, v_max=1000.0)
+    return replace(inst,
+                   barges=(Barge("B1", 400.0, {"P": 50.0}, (0, 0), 1000.0, ("T1",)),),
+                   runs=(Run("R1", (1, 2), 400.0, {"P": (40.0, 60.0)}, {}, 3000.0),))
+
+
+def test_oracle_no_feasible_flow_returns_all_miss():
+    inst = _no_feasible_flow()
     # spec window [0,10] makes any feed infeasible; unload of 2000 overflows
     val = grid_oracle(inst, 0.5)
     assert val == pytest.approx(plan_objective(inst, empty_plan(inst)))
 
 
 def test_oracle_exactly_consumable_single_run():
-    inst = _single_tank(v_init=400.0, f_init=50.0, v_min=0.0, v_max=1000.0)
-    inst = replace(inst,
-                   barges=(Barge("B1", 400.0, {"P": 50.0}, (0, 0), 1000.0, ("T1",)),),
-                   runs=(Run("R1", (1, 2), 400.0, {"P": (40.0, 60.0)}, {}, 3000.0),))
+    inst = _exactly_consumable()
     val = grid_oracle(inst, 0.25)
     assert val == pytest.approx(value_target(inst))   # everything attainable
 
@@ -575,3 +585,75 @@ def test_oracle_monotone_in_grid_step():
 ])
 def test_oracle_values_pinned(seed, grid_step, want):
     assert grid_oracle(tiny_instance(seed), grid_step) == want
+
+
+def _oracle_by_definition(inst, grid_step):
+    """``grid_oracle`` by its definition: every candidate on the grid
+    simulated and audited, in no order and with no pruning; the greatest
+    ``plan_objective`` of a clean one."""
+    levels = [round(j * grid_step, 12) for j in range(1, int(round(1.0 / grid_step)) + 1)]
+    per_barge = []
+    for b in inst.barges:
+        fracs = [f for f in levels if f >= inst.barge_min_unload_pct(b) - 1e-12]
+        events = [[]]
+        for n in range(1, inst.barge_max_unloads(b) + 1):
+            for days in itertools.combinations(range(b.window[0], b.window[1] + 1), n):
+                for fr, tanks in itertools.product(itertools.product(fracs, repeat=n),
+                                                   itertools.product(b.allowed_tanks, repeat=n)):
+                    if (days[-1] - days[0] <= inst.ops.max_unload_gap
+                            and sum(fr) <= 1.0 + 1e-12):
+                        events.append(list(zip(days, tanks, fr)))
+        per_barge.append(events)
+    shares = [c for c in itertools.product(*(
+        [0.0] + [x for x in levels if x >= t.min_feed_pct - 1e-12] for t in inst.tanks))
+        if sum(c) <= 1.0 + 1e-12]
+    best = plan_objective(inst, empty_plan(inst))
+    for events, feed in itertools.product(itertools.product(*per_barge),
+                                          itertools.product(shares, repeat=len(inst.runs))):
+        days = [t for ev in events for t, _, _ in ev]
+        if any(days.count(t) > inst.ops.max_unloads_per_day for t in days):
+            continue
+        plan = FlowPlan()
+        for b, ev in zip(inst.barges, events):
+            used = 0.0
+            for t, k, fr in ev:
+                plan.y_in[(b.id, k, t)] = plan.y_in.get((b.id, k, t), 0.0) + fr * b.volume
+                plan.gamma[(b.id, t)] = 1
+                used += fr * b.volume
+            plan.v_unused[b.id] = b.volume - used
+        for r, c in zip(inst.runs, feed):
+            for t in range(r.days[0], r.days[1] + 1):
+                for tank, share in zip(inst.tanks, c):
+                    if share > 0.0:
+                        plan.y_out[(tank.id, t)] = share * r.daily_demand
+                        plan.sigma[(tank.id, t)] = 1
+                plan.mis[t] = r.daily_demand * (1.0 - sum(c))
+        try:
+            trace = simulate(inst, plan)
+        except PlanInconsistencyError:
+            continue
+        if audit(inst, trace, plan).ok:
+            best = max(best, plan_objective(inst, plan))
+    return best
+
+
+@pytest.mark.parametrize("inst", [tiny_instance(seed) for seed in range(20)]
+                         + [_single_tank(), _no_feasible_flow(), _exactly_consumable()])
+def test_oracle_equals_its_definition(inst):
+    assert grid_oracle(inst, 0.5) == _oracle_by_definition(inst, 0.5)
+
+
+@pytest.mark.parametrize("seed", [3, 12])
+def test_oracle_simulates_no_plan_worth_less_than_its_answer(monkeypatch, seed):
+    # best-first: every plan simulated before the answer is worth at least it
+    seen = []
+    module = sys.modules[grid_oracle.__module__]
+
+    def recording(inst, plan):
+        seen.append(plan_objective(inst, plan))
+        return simulate(inst, plan)
+
+    inst = tiny_instance(seed)
+    monkeypatch.setattr(module, "simulate", recording)
+    value = grid_oracle(inst, 0.5)
+    assert seen and min(seen) >= value

@@ -683,12 +683,23 @@ def test_infeasible_held_values_still_give_a_plan(recorded):
     inst = small_instance(0)
     m = _binaries_started_at(build_center(inst, make_plans(inst, 1.0)), 1.0)
     res = solve(m)
-    assert [r["status"] for r in runs][0] == "Infeasible" and len(runs) == 2
-    # the held run found no plan: the full run gets no start
-    assert starts == []
+    assert [r["status"] for r in runs][0] == "Infeasible" and len(runs) == 3
+    # the held run found no plan: the all-miss try's plan starts the full run
+    assert starts == [set(range(m.n_vars))] and res.start == "all-miss"
     assert res.has_plan and res.status in ("optimal", "gap_reached")
     plan = extract_flow_plan(m, res)
     assert audit(inst, simulate(inst, plan), plan).ok
+
+
+@pytest.mark.parametrize("build", [build_center, build_mccormick])
+def test_a_given_start_without_a_plan_falls_back_to_the_all_miss_try(sample, build):
+    # every gamma and sigma at 1 breaks the unload-count limits, so the given
+    # start's held run finds no plan; the all-miss plan is always feasible
+    m = _binaries_started_at(build(sample, make_plans(sample, 1.0)), 1.0)
+    res = solve(m, SolveOptions(time_limit=2.0))
+    assert res.has_plan and res.start == "all-miss" and res.wall_time <= 2.5
+    plan = extract_flow_plan(m, res)
+    assert audit(sample, simulate(sample, plan), plan).ok
 
 
 @pytest.mark.parametrize("seed", range(4))
