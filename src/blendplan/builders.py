@@ -410,7 +410,7 @@ class _SpecVolumes(_Core):
         if residual is not None:
             coeffs[residual] = -1.0
         for i in range(1, p.n + 1):
-            coeffs[self.xa[(k.id, q, t, i, fam)]] = -_digit_weight(p, i)
+            coeffs[self.xa[(k.id, q, t, i, fam)]] = -p.eps * 2 ** (i - 1)
         self.m.add_eq(f"xf_def_{fam}", (k.id, q, t), coeffs, 0.0)
         for i in range(1, p.n + 1):
             _envelope_rows(self.m, f"xa_{fam}", (k.id, q, t, i), x, self.alpha[(k.id, q, t, i)],
@@ -481,10 +481,6 @@ def build_exact_split(inst: Instance) -> MilpModel:
 # Discretized MILP models
 
 
-def _digit_weight(p: DiscretizationPlan, i: int) -> float:
-    return p.eps * p.level_weight(i)
-
-
 def _envelope_rows(m, tag_family: str, index: tuple, x: VarRef, beta: VarRef, prod: VarRef,
                    xlo: float, xhi: float, scale: float = 1.0):
     """Convex-envelope rows ``<tag_family>_<kind>[index]`` for
@@ -520,7 +516,7 @@ def build_center(inst: Instance, plans, opts: CenterOptions | None = None) -> Mi
     for k in inst.tanks:
         for q in inst.spec_ids():
             p = plans[(k.id, q)]
-            center0 = p.lambda0 + p.eps / 2.0
+            center0 = p.lo + p.eps / 2.0
             for t in range(inst.horizon):
                 for product in s.products(k, q, t):
                     s.digit_rows(k, q, t, product, center0)
@@ -547,7 +543,7 @@ def build_mccormick(inst: Instance, plans, opts: CenterOptions | None = None) ->
                     fam, _, x, xlo, xhi = product
                     xd = None if df is None else m.add_var("x_delta", (k.id, q, t, fam),
                                                            0.0, p.eps * xhi)
-                    s.digit_rows(k, q, t, product, p.lambda0, residual=xd)
+                    s.digit_rows(k, q, t, product, p.lo, residual=xd)
                     if xd is not None:
                         # beta = delta_f / eps; rows scaled through by eps
                         _envelope_rows(m, f"xdelta_{fam}", (k.id, q, t), x, df, xd, xlo, xhi,

@@ -37,6 +37,8 @@ RESULT_FIELDS = [
     "status", "objective", "bound", "pct_loss", "violations",
     "worst_spec_violation", "steps", "start", "nodes", "wall_time_s", "message",
 ]
+# "ok" is no solve status: perfbench's traced rolling record writes it, and
+# its check reads this set
 OK_STATUSES = {"ok", "optimal", "gap_reached", "time_limit"}
 # Step statuses of a rolling run, best first; the run reports its worst.
 _STEP_STATUS_ORDER = ("optimal", "gap_reached", "time_limit")
@@ -149,9 +151,9 @@ def run_solve_config(config: dict) -> dict:
     if ns.scheme == "flat":
         model = builder(inst)
         res = solve(model, opts)
-        if not res.has_plan and res.status != "infeasible":
+        if not res.has_values and res.status != "infeasible":
             raise SolverError(f"solver returned {res.status}: {res.message}")
-        plan = extract_flow_plan(model, res) if res.has_plan else None
+        plan = extract_flow_plan(model, res) if res.has_values else None
         outcome = {"status": res.status, "objective": res.objective,
                    "bound": res.best_bound, "steps": 0, "start": res.start,
                    "nodes": res.nodes, "message": res.message}
@@ -223,7 +225,7 @@ def cmd_gen(args) -> int:
     if given:
         raise ValueError(f"jitter flags need --seed, got {', '.join(given)}")
     inst = read_instance(args.instance)
-    if args.extend:
+    if args.extend is not None:
         inst = extend_periodic(inst, args.extend)
     if args.seed is not None:
         jitter = RandomizationParams(volume_rel=args.jitter_volume,

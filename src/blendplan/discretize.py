@@ -20,50 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
 class DiscretizationPlan:
     eps: float         # realized grid resolution, eps <= eps_hat
     n: int             # number of digit rows
-    lo: float
+    lo: float          # grid origin
     hi: float
     eps_hat: float     # requested precision
 
-    @property
-    def lambda0(self) -> float:
-        """Grid origin: the lower bound."""
-        return self.lo
-
-    @property
-    def degenerate(self) -> bool:
-        """True for a fixed value (lo == hi): no digits, no residual."""
-        return self.eps == 0.0
-
-    def level_weight(self, i: int) -> float:
-        """Scale factor of digit row ``i`` (1-based)."""
-        return float(2 ** (i - 1))
-
-    @property
-    def grid_count(self) -> int:
-        """Number of representable grid points."""
-        return 2 ** self.n
-
-    def grid_points(self) -> np.ndarray:
-        # numpy is imported here, not at module level: loading it is most of
-        # the start-up time of `import blendplan`, and nothing else here needs it
-        import numpy as np
-        return self.lambda0 + self.eps * np.arange(self.grid_count)
-
     def to_dict(self) -> dict:
         # scheme, base and max digit per row are constants of every plan;
-        # the export sidecars record them
+        # the export sidecars record them, and the grid origin as "lambda0"
         return {
-            "scheme": "nmdt", "base": 2, "lambda0": self.lambda0,
+            "scheme": "nmdt", "base": 2, "lambda0": self.lo,
             "eps": self.eps, "n": self.n, "m": 1,
             "lo": self.lo, "hi": self.hi, "eps_hat": self.eps_hat,
         }
@@ -110,22 +81,22 @@ def encode(f: float, p: DiscretizationPlan) -> DigitCode:
     if f < p.lo - 1e-9 or f > p.hi + 1e-9:
         raise ValueError(f"value {f} outside plan bounds [{p.lo}, {p.hi}]")
     f = min(max(f, p.lo), p.hi)
-    if p.degenerate:
+    if p.eps == 0.0:    # a fixed value: no digits, no residual
         return DigitCode((), 0.0)
-    k = int(math.floor((f - p.lambda0) / p.eps))
-    if p.lambda0 + (k + 1) * p.eps == f:  # exact grid hit one cell up
+    k = int(math.floor((f - p.lo) / p.eps))
+    if p.lo + (k + 1) * p.eps == f:  # exact grid hit one cell up
         k += 1
-    k = min(max(k, 0), p.grid_count - 1)
-    delta = f - (p.lambda0 + k * p.eps)
+    k = min(max(k, 0), 2 ** p.n - 1)
+    delta = f - (p.lo + k * p.eps)
     return DigitCode(tuple((k >> i) & 1 for i in range(p.n)), delta)
 
 
 def decode(code: DigitCode, p: DiscretizationPlan) -> float:
-    """Inverse of encode: lambda0 + eps * sum_i weight_i * digit_i + delta."""
+    """Inverse of encode: lo + eps * sum_i 2**(i-1) * digit_i + delta."""
     total = 0.0
     for i, d in enumerate(code.digits, start=1):
-        total += p.level_weight(i) * d
-    return p.lambda0 + p.eps * total + code.delta
+        total += 2 ** (i - 1) * d
+    return p.lo + p.eps * total + code.delta
 
 
 def grid_value(code: DigitCode, p: DiscretizationPlan) -> float:

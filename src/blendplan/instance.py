@@ -302,9 +302,6 @@ class DerivedSets:
     miss_penalty_by_day: dict[int, float]
     value_target: float                            # penalty value of all supply and demand
 
-    def available(self, day: int) -> tuple[str, ...]:
-        return self.available_by_day.get(day, ())
-
     def demand(self, day: int) -> float:
         return self.demand_by_day.get(day, 0.0)
 

@@ -277,9 +277,6 @@ class MilpModel:
         self.obj = {ref.col: float(c) for ref, c in coeffs.items() if c != 0.0}
         self.obj_offset = float(offset)
 
-    def reported_objective(self, min_value: float) -> float:
-        return self.obj_offset - min_value
-
     def value_bound(self) -> float | None:
         """An upper bound on the reported objective from the column bounds
         alone: the offset minus the least value the cost terms can take.

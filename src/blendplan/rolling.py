@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .instance import Instance
 from .model import MilpModel
 from .simulate import PLAN_FIELDS, FlowPlan, _stated, plan_objective, simulate
-from .solve import SolveOptions, SolveResult, extract_flow_plan, round_binary, solve
+from .solve import SolveOptions, extract_flow_plan, round_binary, solve
 
 # Seconds every step is given at least; a budget left below it ends the roll.
 MIN_STEP_TIME = 2.0
@@ -167,13 +167,6 @@ class RollResult:
     objective: float           # true value of the final plan
 
 
-def _solve_step(model: MilpModel, opts: SolveOptions, step: int) -> SolveResult:
-    res = solve(model, opts)
-    if not res.has_plan:
-        raise RollingError(f"step {step}: solver returned {res.status}: {res.message}")
-    return res
-
-
 def _step_budget(params: RollParams, spent: float, steps_left: int) -> float:
     remaining = params.solve.time_limit - spent
     if remaining < MIN_STEP_TIME:
@@ -236,7 +229,9 @@ def _roll(inst: Instance, periods: list[Period], params: RollParams, build, comm
             steps_left = math.ceil((len(periods) - i) / params.n_step)
             opts = replace(params.solve,
                            time_limit=_step_budget(params, time.perf_counter() - t_begin, steps_left))
-            res = _solve_step(model, opts, step)
+            res = solve(model, opts)
+            if not res.has_values:
+                raise RollingError(f"step {step}: solver returned {res.status}: {res.message}")
             entry = StepLog(step, (t_start, present_end), t_nf, res.status,
                             res.objective, res.best_bound, res.wall_time, model.n_binary,
                             res.nodes, res.start)

@@ -409,11 +409,9 @@ def loss(inst: Instance, plan: FlowPlan) -> LossReport:
     target = ds.value_target
     if target == 0.0:
         raise ValueError("instance has zero attainable value")
-    try:  # stated entries are read directly
-        missed = sum(b.unload_penalty * plan.v_unused[b.id] for b in inst.barges)
-        missed += sum(ds.miss_penalty_by_day[t] * plan.mis[t] for t in ds.demand_days)
-    except KeyError:
-        return loss(inst, _stated(inst, plan))
+    plan = _stated(inst, plan)
+    missed = sum(b.unload_penalty * plan.v_unused[b.id] for b in inst.barges)
+    missed += sum(ds.miss_penalty_by_day[t] * plan.mis[t] for t in ds.demand_days)
     return LossReport(target, missed, 100.0 * missed / target)
 
 

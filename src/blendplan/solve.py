@@ -120,13 +120,8 @@ class SolveResult:
 
     @property
     def has_values(self) -> bool:
+        """Whether the solve ended with a plan; an infeasible or failed one never does."""
         return bool(self.values)
-
-    @property
-    def has_plan(self) -> bool:
-        """Whether the solve ended with values to extract a plan from and a
-        status that is not a failure."""
-        return self.has_values and self.status not in ("infeasible", "error")
 
     def value(self, ref) -> float:
         return self.values[ref.col]
@@ -362,7 +357,7 @@ def _flow_relaxation(runs: _Runs, lp) -> dict[int, float] | None:
     relaxed = runs.run(runs.opts.time_limit / 2.0)
     if relaxed.best_bound is not None and (runs.bound is None or relaxed.best_bound < runs.bound):
         runs.bound = relaxed.best_bound
-    if not relaxed.has_plan:
+    if not relaxed.has_values:
         return None
     try:
         plan = extract_flow_plan(model, relaxed)
@@ -520,7 +515,7 @@ def solve_reference(model: MilpModel) -> SolveResult:
                 best_x = x
     if best is None:
         return SolveResult("infeasible", None, None)
-    obj = model.reported_objective(best)
+    obj = model.obj_offset - best
     return SolveResult("optimal", obj, obj, best_x.tolist(), gap=0.0)
 
 

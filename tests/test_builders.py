@@ -100,7 +100,7 @@ def test_reachable_bounds_no_inflow_is_degenerate():
     )
     assert reachable_spec_bounds(inst)[("T2", "P")] == (33.0, 33.0)
     plans = make_plans(inst, 1.0)
-    assert plans[("T2", "P")].degenerate
+    assert plans[("T2", "P")].eps == 0.0
 
 
 def _typed(d):

@@ -64,6 +64,16 @@ def test_gen_extend_and_randomize(inst_path, tmp_path, capsys):
     assert open(out).read() == open(out2).read()
 
 
+@pytest.mark.parametrize("extend", ["0", "5"])
+def test_gen_refuses_an_extension_below_the_source_horizon(sample_path, tmp_path, capsys,
+                                                           extend):
+    out = tmp_path / "g.json"
+    assert main(["gen", "--instance", sample_path, "--out", str(out), "--extend", extend]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: target horizon {extend} is below the source horizon 30")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--jitter-volume", "0.3"], ["--jitter-window", "2"],
                                    ["--jitter-spec", "nan", "--jitter-window", "2"]],
                          ids=lambda f: "_".join(a.lstrip("-") for a in f))
@@ -144,14 +154,19 @@ def test_rolling_steps_log_nodes_and_start(tiny_path, tmp_path, capsys):
     assert [s["start"] for s in steps] == ["flow"] * (len(steps) - 1) + [None]
 
 
-def test_solve_stdout_is_one_json_object(sample_path, tmp_path, capfd):
-    # HiGHS prints a debug line to fd 1 while completing a start on this
-    # model; the CLI's stdout must still be its JSON record alone
-    rc = main(["solve", "--method", "mccormick", "--mip-gap", "0.0005", "--time-limit", "6",
+def test_solve_stdout_is_one_json_object(sample_path, tmp_path, capfd, monkeypatch):
+    # Without the first try this solve takes the all-miss start to the full
+    # run, where HiGHS prints a debug line to fd 1; the CLI's stdout must
+    # still be its JSON record alone, and the line goes to stderr
+    monkeypatch.setattr(sys.modules["blendplan.solve"], "_flow_relaxation",
+                        lambda runs, lp: None)
+    rc = main(["solve", "--method", "mccormick", "--mip-gap", "0.0005", "--time-limit", "2",
                "--instance", sample_path, "--out-dir", str(tmp_path / "o")])
-    out, _ = capfd.readouterr()
+    out, err = capfd.readouterr()
     record = json.loads(out)
     assert rc == 0 and record["status"] in ("optimal", "gap_reached", "time_limit")
+    assert record["start"] == "all-miss"
+    assert "HighsMipSolverData::transformNewIntegerFeasibleSolution tmpSolver.run();" in err
 
 
 def test_rolling_record_reports_worst_step_status(tiny_path, tmp_path, monkeypatch, capsys):

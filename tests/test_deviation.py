@@ -19,7 +19,7 @@ TOL = 1e-6
 
 def _decoded_spec(model, values, k, q, t):
     p = model.plans[(k, q)]
-    total = p.lambda0
+    total = p.lo
     if model.name == "center":
         total += p.eps / 2.0
     else:
@@ -27,7 +27,7 @@ def _decoded_spec(model, values, k, q, t):
         if df is not None:
             total += values[df.col]
     for i in range(1, p.n + 1):
-        total += p.eps * p.level_weight(i) * round(values[model.var("alpha", (k, q, t, i)).col])
+        total += p.eps * 2 ** (i - 1) * round(values[model.var("alpha", (k, q, t, i)).col])
     return total
 
 

@@ -16,7 +16,7 @@ BASE_RATIO_TABLE = {
 
 def test_positional_plan_two_digits():
     p = plan(0.0, 1.0, 0.25)
-    assert (p.n, p.eps, p.lambda0) == (2, 0.25, 0.0)
+    assert (p.n, p.eps, p.lo) == (2, 0.25, 0.0)
 
 
 def test_plan_full_width_precision_has_no_digits():
@@ -66,8 +66,8 @@ def test_encode_pinned(bounds, f, digits, delta):
 
 def test_encode_exact_grid_point_takes_zero_residual():
     p = plan(10.0, 18.0, 1.0)
-    for k in range(p.grid_count):
-        f = p.lambda0 + k * p.eps
+    for k in range(2 ** p.n):
+        f = p.lo + k * p.eps
         code = encode(f, p)
         assert code.delta == 0.0
         assert decode(code, p) == f
@@ -80,19 +80,25 @@ def test_encode_rejects_out_of_bounds():
 
 
 def test_grid_cardinality_and_endpoints():
+    # the grid is the residual-free values: 2**n points from lo, eps apart,
+    # the top one at hi - eps, and encode gives each its own digits
     p = plan(3.0, 11.0, 0.9)
-    pts = p.grid_points()
-    assert len(pts) == 2 ** p.n
+    bits = [tuple((k >> i) & 1 for i in range(p.n)) for k in range(2 ** p.n)]
+    pts = [decode(DigitCode(d, 0.0), p) for d in bits]
     assert pts[0] == 3.0
     assert pts[-1] == pytest.approx(11.0 - p.eps)
     assert np.allclose(np.diff(pts), p.eps)
+    assert [encode(f, p) for f in pts] == [DigitCode(d, 0.0) for d in bits]
+    # past the top point the excess is residual: hi is the top point + eps
+    top = encode(11.0, p)
+    assert top.digits == bits[-1] and top.delta == pytest.approx(p.eps)
 
 
 def test_degenerate_plan_round_trip():
     p = plan(42.0, 42.0, 1.0)
     code = encode(42.0, p)
     assert decode(code, p) == 42.0
-    assert p.grid_count == 1 and p.n == 0 and p.degenerate
+    assert code == DigitCode((), 0.0) and p.n == 0 and p.eps == 0.0
 
 
 def test_digit_counts():

@@ -183,7 +183,7 @@ def test_derive_sets_windows_and_demand_days():
     for b in inst.barges:
         for t in range(inst.horizon):
             inside = b.window[0] <= t <= b.window[1]
-            assert (b.id in ds.available(t)) == inside
+            assert (b.id in ds.available_by_day.get(t, ())) == inside
     want = set()
     for r in inst.runs:
         want |= set(range(r.days[0], r.days[1] + 1))
@@ -192,7 +192,7 @@ def test_derive_sets_windows_and_demand_days():
     free = [t for t in range(inst.horizon)
             if all(not (b.window[0] <= t <= b.window[1]) for b in inst.barges)]
     for t in free:
-        assert ds.available(t) == ()
+        assert t not in ds.available_by_day
 
 
 def test_derive_sets_cardinality_two_ways():
@@ -200,7 +200,7 @@ def test_derive_sets_cardinality_two_ways():
     ds = derive_sets(inst)
     for t in range(inst.horizon):
         by_scan = sum(1 for b in inst.barges if b.window[0] <= t <= b.window[1])
-        assert len(ds.available(t)) == by_scan
+        assert len(ds.available_by_day.get(t, ())) == by_scan
 
 
 def test_adjacent_runs_union():

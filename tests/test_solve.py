@@ -640,6 +640,29 @@ def recorded(monkeypatch):
     return runs, starts
 
 
+class _Rejecting:
+    """A ``_Highs`` that refuses every model it is passed."""
+
+    def __init__(self, real):
+        self._h = real()
+
+    def __getattr__(self, name):
+        return getattr(self._h, name)
+
+    def passModel(self, lp):
+        return highs_core().HighsStatus.kError
+
+
+def test_a_model_highs_rejects_is_an_error_without_values(toy, monkeypatch):
+    core = highs_core()
+    real = core._Highs
+    monkeypatch.setattr(core, "_Highs", lambda: _Rejecting(real))
+    m = build_center(toy, make_plans(toy, 1.0))
+    res = solve(m)
+    assert res.status == "error" and res.message == "HiGHS rejected the model"
+    assert res.values == [] and res.start is None
+
+
 def _binaries_started_at(model, value: float):
     """The model with every gamma and sigma started at ``value`` and the
     all-miss plan's other columns."""
@@ -686,7 +709,7 @@ def test_infeasible_held_values_still_give_a_plan(recorded):
     assert [r["status"] for r in runs][0] == "Infeasible" and len(runs) == 3
     # the held run found no plan: the all-miss try's plan starts the full run
     assert starts == [set(range(m.n_vars))] and res.start == "all-miss"
-    assert res.has_plan and res.status in ("optimal", "gap_reached")
+    assert res.has_values and res.status in ("optimal", "gap_reached")
     plan = extract_flow_plan(m, res)
     assert audit(inst, simulate(inst, plan), plan).ok
 
@@ -697,7 +720,7 @@ def test_a_given_start_without_a_plan_falls_back_to_the_all_miss_try(sample, bui
     # start's held run finds no plan; the all-miss plan is always feasible
     m = _binaries_started_at(build(sample, make_plans(sample, 1.0)), 1.0)
     res = solve(m, SolveOptions(time_limit=2.0))
-    assert res.has_plan and res.start == "all-miss" and res.wall_time <= 2.5
+    assert res.has_values and res.start == "all-miss" and res.wall_time <= 2.5
     plan = extract_flow_plan(m, res)
     assert audit(sample, simulate(sample, plan), plan).ok
 
@@ -777,7 +800,7 @@ def test_a_time_limited_sample_solve_keeps_its_budget(recorded):
     assert res.status == "time_limit" and res.start == "all-miss" and res.wall_time <= 3.0
     assert len(runs) >= 3 and runs[0]["time_limit"] == 1.0
     assert sum(r["seconds"] for r in runs[:-1]) + runs[-1]["time_limit"] <= 2.0 + 1e-9
-    assert res.has_plan and res.best_bound == m.value_bound()
+    assert res.has_values and res.best_bound == m.value_bound()
     assert res.gap == pytest.approx((res.best_bound - res.objective) / res.objective)
 
 
