@@ -381,6 +381,12 @@ class RandomizationParams:
     spec_rel: float = 0.0        # barge spec jitter, relative (+/-)
     window_shift: int = 0        # max absolute shift of the window, days
 
+    def __post_init__(self):
+        # written so that NaN fails; numpy draws nothing from an infinite range
+        for name in ("volume_rel", "spec_rel", "window_shift"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+
 
 def randomize_supply(inst: Instance, seed: int, jitter: RandomizationParams) -> Instance:
     """Perturb barge volumes, specs and windows; deterministic per seed.

@@ -13,6 +13,7 @@ grids for very small instances, used to sandwich optimizer results.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -143,6 +144,19 @@ class SimulationTrace:
         }
 
 
+def _check_ids(inst: Instance, plan: FlowPlan) -> None:
+    """Refuse an entry of any plan field that names a barge or tank the
+    instance lacks or a day outside ``[0, inst.horizon)``."""
+    known = {"barge": {b.id for b in inst.barges}, "tank": {k.id for k in inst.tanks},
+             "day": range(inst.horizon)}
+    for name, fld in PLAN_FIELDS.items():
+        for key in getattr(plan, name):
+            for part, x in zip(fld.parts, fld.index(key)):
+                if x not in known[part]:
+                    raise PlanInconsistencyError(
+                        f"{name} names {part} {x!r}, which the instance lacks")
+
+
 def simulate(inst: Instance, plan: FlowPlan, through_day: int | None = None) -> SimulationTrace:
     """Forward-propagate tank volumes and specs under the plan.
 
@@ -163,13 +177,7 @@ def simulate(inst: Instance, plan: FlowPlan, through_day: int | None = None) -> 
     state_v = {k.id: k.v_init for k in inst.tanks}
     state_f = {(k.id, q): k.specs_init[q] for k in inst.tanks for q in spec_ids}
     barge_specs = {b.id: b.specs for b in inst.barges}
-    known = {"barge": barge_specs, "tank": state_v, "day": range(inst.horizon)}
-    for name, fld in PLAN_FIELDS.items():
-        for key in getattr(plan, name):
-            for part, x in zip(fld.parts, fld.index(key)):
-                if part in known and x not in known[part]:
-                    raise PlanInconsistencyError(
-                        f"{name} names {part} {x!r}, which the instance lacks")
+    _check_ids(inst, plan)
     inflows_by_kt: dict[tuple[str, int], list[tuple[str, float]]] = {}
     for (s, k, t), v in plan.y_in.items():
         if v:
@@ -404,11 +412,13 @@ def value_target(inst: Instance) -> float:
 
 def loss(inst: Instance, plan: FlowPlan) -> LossReport:
     """Fraction of attainable value (supply + demand, penalty-weighted)
-    that the plan fails to capture."""
+    that the plan fails to capture.  An entry naming an id the instance
+    lacks is a plan inconsistency, as in ``simulate``."""
     ds = derive_sets(inst)
     target = ds.value_target
     if target == 0.0:
         raise ValueError("instance has zero attainable value")
+    _check_ids(inst, plan)
     plan = _stated(inst, plan)
     missed = sum(b.unload_penalty * plan.v_unused[b.id] for b in inst.barges)
     missed += sum(ds.miss_penalty_by_day[t] * plan.mis[t] for t in ds.demand_days)
@@ -434,6 +444,14 @@ def grid_oracle(inst: Instance, grid_step: float = 0.25) -> float:
     the first plan that simulates and audits clean gives the result, the
     all-miss plan's value when none does; so the result is attained by a
     plan feasible for the original rules.  A halved step can only improve.
+
+    A candidate pairs one of the U unload choices (every barge's events)
+    with one of the F feed choices (every run's tank shares).  The two
+    lists, each sorted by its share of the missed value, merge through a
+    heap of at most U pairs, ties in enumeration order, and a plan is built
+    only for a pair the walk reaches: memory grows as U + F, and time as
+    U log U + F log F plus, for each pair tried, a log U heap step and one
+    simulate and audit.
     """
     if len(inst.barges) > 2 or len(inst.tanks) > 2 or inst.horizon > 6:
         raise ValueError("grid_oracle is limited to <=2 barges, <=2 tanks, horizon <=6")
@@ -471,8 +489,15 @@ def grid_oracle(inst: Instance, grid_step: float = 0.25) -> float:
         feed_choices_per_run.append(combos)
 
     tank_ids = [t.id for t in inst.tanks]
-    unloads = []    # (barge share of the missed value, y_in, gamma, v_unused)
-    for events in itertools.product(*(opts for _, opts in barge_choices)):
+
+    def unused(b, ev) -> float:     # the barge volume its events leave
+        used = 0.0
+        for _, _, fr in ev:
+            used += fr * b.volume
+        return b.volume - used
+
+    unloads = []    # (barge share of the missed value, enumeration index, events)
+    for i, events in enumerate(itertools.product(*(opts for _, opts in barge_choices))):
         day_counts: dict[int, int] = {}
         ok = True
         for ev in events:
@@ -482,41 +507,59 @@ def grid_oracle(inst: Instance, grid_step: float = 0.25) -> float:
                     ok = False
         if not ok:
             continue
-        y_in = {}
-        gamma = {}
-        v_unused = {}
-        for (b, _), ev in zip(barge_choices, events):
-            used = 0.0
-            for t, k, fr in ev:
-                vol = fr * b.volume
-                y_in[(b.id, k, t)] = y_in.get((b.id, k, t), 0.0) + vol
-                gamma[(b.id, t)] = 1
-                used += vol
-            v_unused[b.id] = b.volume - used
-        unloads.append((sum(b.unload_penalty * v_unused[b.id] for b in inst.barges),
-                        y_in, gamma, v_unused))
-    feeds = []      # (demand share of the missed value, y_out, sigma, mis)
-    for feed in itertools.product(*feed_choices_per_run):
-        y_out = {}
-        sigma = {}
-        mis = {}
-        for r, shares in zip(runs, feed):
-            for t in range(r.days[0], r.days[1] + 1):
-                for k, c in zip(tank_ids, shares):
-                    if c > 0.0:
-                        y_out[(k, t)] = c * r.daily_demand
-                        sigma[(k, t)] = 1
-                mis[t] = r.daily_demand * (1.0 - sum(shares))
-        feeds.append((sum(ds.miss_penalty_by_day[t] * mis[t] for t in ds.demand_days),
-                      y_out, sigma, mis))
-    for (_, y_in, gamma, v_unused), (_, y_out, sigma, mis) in sorted(
-            itertools.product(unloads, feeds), key=lambda pair: pair[0][0] + pair[1][0]):
-        plan = FlowPlan(y_in=dict(y_in), y_out=dict(y_out), gamma=dict(gamma),
-                        sigma=dict(sigma), v_unused=dict(v_unused), mis=dict(mis))
-        try:
-            trace = simulate(inst, plan)
-        except PlanInconsistencyError:
-            continue
-        if audit(inst, trace, plan).ok:
-            return plan_objective(inst, plan)
+        unloads.append((sum(b.unload_penalty * unused(b, ev) for b, ev in zip(inst.barges, events)),
+                        i, events))
+
+    def missed(feed) -> list[float]:    # each run's daily demand its shares leave
+        return [r.daily_demand * (1.0 - sum(shares)) for r, shares in zip(runs, feed)]
+
+    run_of = {t: i for i, r in enumerate(runs) for t in range(r.days[0], r.days[1] + 1)}
+    feeds = []      # (demand share of the missed value, enumeration index, per-run shares)
+    for j, feed in enumerate(itertools.product(*feed_choices_per_run)):
+        mis = missed(feed)
+        feeds.append((sum(ds.miss_penalty_by_day[t] * mis[run_of[t]] for t in ds.demand_days),
+                      j, feed))
+    unloads.sort()
+    feeds.sort()
+
+    # The pairs (a, b) of sorted positions, best-first.  A pair never sums
+    # less than (a, b - 1) or (a - 1, b), as rounding is monotone, so the heap
+    # holds the next pair of each unload reached so far, and unload a + 1
+    # enters when (a, 0) leaves.  Sorting the product broke a tie of sums by
+    # enumeration index, and a smaller share can round to the same sum as a
+    # larger one listed before it: so every pair of the least sum leaves the
+    # heap before the tied pairs go, in index order.
+    heap = [(unloads[0][0] + feeds[0][0], 0, 0)]
+    while heap:
+        least = heap[0][0]
+        tied = []   # (unload index, feed index, unload position, feed position)
+        while heap and heap[0][0] == least:
+            _, a, b = heapq.heappop(heap)
+            tied.append((unloads[a][1], feeds[b][1], a, b))
+            if b + 1 < len(feeds):
+                heapq.heappush(heap, (unloads[a][0] + feeds[b + 1][0], a, b + 1))
+            if b == 0 and a + 1 < len(unloads):
+                heapq.heappush(heap, (unloads[a + 1][0] + feeds[0][0], a + 1, 0))
+        for _, _, a, b in sorted(tied):
+            plan = FlowPlan()
+            for barge, ev in zip(inst.barges, unloads[a][2]):
+                for t, k, fr in ev:
+                    key = (barge.id, k, t)
+                    plan.y_in[key] = plan.y_in.get(key, 0.0) + fr * barge.volume
+                    plan.gamma[(barge.id, t)] = 1
+                plan.v_unused[barge.id] = unused(barge, ev)
+            feed = feeds[b][2]
+            for r, shares, mis in zip(runs, feed, missed(feed)):
+                for t in range(r.days[0], r.days[1] + 1):
+                    for k, c in zip(tank_ids, shares):
+                        if c > 0.0:
+                            plan.y_out[(k, t)] = c * r.daily_demand
+                            plan.sigma[(k, t)] = 1
+                    plan.mis[t] = mis
+            try:
+                trace = simulate(inst, plan)
+            except PlanInconsistencyError:
+                continue
+            if audit(inst, trace, plan).ok:
+                return plan_objective(inst, plan)
     return plan_objective(inst, empty_plan(inst))   # the all-miss plan is always feasible

@@ -86,6 +86,21 @@ def test_gen_refuses_jitter_flags_without_seed(inst_path, tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--jitter-spec", "nan", "spec_rel"), ("--jitter-volume", "inf", "volume_rel"),
+    ("--jitter-volume", "-0.1", "volume_rel"), ("--jitter-window", "-2", "window_shift"),
+])
+def test_gen_refuses_a_negative_or_non_finite_jitter(inst_path, tmp_path, capsys, flag, value,
+                                                     field):
+    # unchecked, these reach numpy: nan and inf end in a traceback, a
+    # negative value in a message that names no flag
+    out = tmp_path / "g.json"
+    assert main(["gen", "--instance", inst_path, "--out", str(out), "--seed", "1",
+                 flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be finite and >= 0\n"
+    assert not out.exists()
+
+
 def test_gen_takes_default_jitter_flags_without_seed(inst_path, tmp_path, capsys):
     out = tmp_path / "g.json"
     assert main(["gen", "--instance", inst_path, "--out", str(out),
@@ -157,10 +172,11 @@ def test_rolling_steps_log_nodes_and_start(tiny_path, tmp_path, capsys):
 def test_solve_stdout_is_one_json_object(sample_path, tmp_path, capfd, monkeypatch):
     # Without the first try this solve takes the all-miss start to the full
     # run, where HiGHS prints a debug line to fd 1; the CLI's stdout must
-    # still be its JSON record alone, and the line goes to stderr
+    # still be its JSON record alone, and the line goes to stderr.  HiGHS
+    # prints it 1.5-2 s into the run on a 2-core host, so the limit is 4 s
     monkeypatch.setattr(sys.modules["blendplan.solve"], "_flow_relaxation",
                         lambda runs, lp: None)
-    rc = main(["solve", "--method", "mccormick", "--mip-gap", "0.0005", "--time-limit", "2",
+    rc = main(["solve", "--method", "mccormick", "--mip-gap", "0.0005", "--time-limit", "4",
                "--instance", sample_path, "--out-dir", str(tmp_path / "o")])
     out, err = capfd.readouterr()
     record = json.loads(out)
@@ -442,6 +458,18 @@ def test_audit_and_loss_read_a_plan_file_without_entries(sample_path, tmp_path, 
     assert json.loads(capsys.readouterr().out)["ok"] is True
     assert main(["loss", "--instance", sample_path, "--plan", str(plan)]) == 0
     assert json.loads(capsys.readouterr().out)["pct_loss"] == 100.0
+
+
+@pytest.mark.parametrize("command", ["loss", "simulate", "audit"])
+def test_a_plan_naming_a_barge_the_instance_lacks_exits_2(sample_path, tmp_path, capsys,
+                                                          command):
+    # unchecked, loss reports 0 % loss for this plan and exits 0
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"schema": "blendplan-plan/1",
+                                "y_in": [["BX", "T1", 3, 100.0]]}))
+    assert main([command, "--instance", sample_path, "--plan", str(plan)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: y_in names barge 'BX', which the instance lacks\n")
 
 
 @pytest.mark.parametrize("method", ["exact-mix", "exact-split"])

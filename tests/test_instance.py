@@ -362,6 +362,13 @@ def test_randomize_output_validates():
     assert validate_instance(out).ok
 
 
+@pytest.mark.parametrize("field, value", [("spec_rel", math.nan), ("volume_rel", math.inf),
+                                          ("volume_rel", -0.1), ("window_shift", -2)])
+def test_randomization_params_refuse_a_negative_or_non_finite_value(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0$"):
+        RandomizationParams(**{field: value})
+
+
 # -- serialization -----------------------------------------------------------
 
 

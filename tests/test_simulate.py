@@ -1,14 +1,20 @@
 """Simulator semantics, audit coverage, loss metric, brute-force oracle."""
 
+import importlib.util
 import itertools
 import json
 import math
+import random
+import re
 import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blendplan
 from blendplan.cli import main
 from blendplan.instance import (Barge, Instance, OpsParams, Run, SpecDef, Tank, derive_sets,
                                 write_instance)
@@ -587,14 +593,16 @@ def test_oracle_values_pinned(seed, grid_step, want):
     assert grid_oracle(tiny_instance(seed), grid_step) == want
 
 
-def _oracle_by_definition(inst, grid_step):
-    """``grid_oracle`` by its definition: every candidate on the grid
-    simulated and audited, in no order and with no pruning; the greatest
-    ``plan_objective`` of a clean one."""
-    levels = [round(j * grid_step, 12) for j in range(1, int(round(1.0 / grid_step)) + 1)]
+def _levels(grid_step):
+    return [round(j * grid_step, 12) for j in range(1, int(round(1.0 / grid_step)) + 1)]
+
+
+def _unload_choices(inst, grid_step):
+    """Every barge-events choice on ``grid_oracle``'s grid, in product order:
+    (barge share of the missed value, y_in, gamma, v_unused)."""
     per_barge = []
     for b in inst.barges:
-        fracs = [f for f in levels if f >= inst.barge_min_unload_pct(b) - 1e-12]
+        fracs = [f for f in _levels(grid_step) if f >= inst.barge_min_unload_pct(b) - 1e-12]
         events = [[]]
         for n in range(1, inst.barge_max_unloads(b) + 1):
             for days in itertools.combinations(range(b.window[0], b.window[1] + 1), n):
@@ -604,30 +612,59 @@ def _oracle_by_definition(inst, grid_step):
                             and sum(fr) <= 1.0 + 1e-12):
                         events.append(list(zip(days, tanks, fr)))
         per_barge.append(events)
-    shares = [c for c in itertools.product(*(
-        [0.0] + [x for x in levels if x >= t.min_feed_pct - 1e-12] for t in inst.tanks))
-        if sum(c) <= 1.0 + 1e-12]
-    best = plan_objective(inst, empty_plan(inst))
-    for events, feed in itertools.product(itertools.product(*per_barge),
-                                          itertools.product(shares, repeat=len(inst.runs))):
+    out = []
+    for events in itertools.product(*per_barge):
         days = [t for ev in events for t, _, _ in ev]
         if any(days.count(t) > inst.ops.max_unloads_per_day for t in days):
             continue
-        plan = FlowPlan()
+        y_in, gamma, v_unused = {}, {}, {}
         for b, ev in zip(inst.barges, events):
             used = 0.0
             for t, k, fr in ev:
-                plan.y_in[(b.id, k, t)] = plan.y_in.get((b.id, k, t), 0.0) + fr * b.volume
-                plan.gamma[(b.id, t)] = 1
+                y_in[(b.id, k, t)] = y_in.get((b.id, k, t), 0.0) + fr * b.volume
+                gamma[(b.id, t)] = 1
                 used += fr * b.volume
-            plan.v_unused[b.id] = b.volume - used
+            v_unused[b.id] = b.volume - used
+        out.append((sum(b.unload_penalty * v_unused[b.id] for b in inst.barges),
+                    y_in, gamma, v_unused))
+    return out
+
+
+def _feed_choices(inst, grid_step):
+    """Every feed choice on ``grid_oracle``'s grid, in product order:
+    (demand share of the missed value, y_out, sigma, mis)."""
+    ds = derive_sets(inst)
+    shares = [c for c in itertools.product(*(
+        [0.0] + [x for x in _levels(grid_step) if x >= t.min_feed_pct - 1e-12]
+        for t in inst.tanks)) if sum(c) <= 1.0 + 1e-12]
+    out = []
+    for feed in itertools.product(shares, repeat=len(inst.runs)):
+        y_out, sigma, mis = {}, {}, {}
         for r, c in zip(inst.runs, feed):
             for t in range(r.days[0], r.days[1] + 1):
                 for tank, share in zip(inst.tanks, c):
                     if share > 0.0:
-                        plan.y_out[(tank.id, t)] = share * r.daily_demand
-                        plan.sigma[(tank.id, t)] = 1
-                plan.mis[t] = r.daily_demand * (1.0 - sum(c))
+                        y_out[(tank.id, t)] = share * r.daily_demand
+                        sigma[(tank.id, t)] = 1
+                mis[t] = r.daily_demand * (1.0 - sum(c))
+        out.append((sum(ds.miss_penalty_by_day[t] * mis[t] for t in ds.demand_days),
+                    y_out, sigma, mis))
+    return out
+
+
+def _plan(pair):
+    (_, y_in, gamma, v_unused), (_, y_out, sigma, mis) = pair
+    return FlowPlan(y_in, y_out, gamma, sigma, v_unused, mis)
+
+
+def _oracle_by_definition(inst, grid_step):
+    """``grid_oracle`` by its definition: every candidate on the grid
+    simulated and audited, in no order and with no pruning; the greatest
+    ``plan_objective`` of a clean one."""
+    best = plan_objective(inst, empty_plan(inst))
+    for pair in itertools.product(_unload_choices(inst, grid_step),
+                                  _feed_choices(inst, grid_step)):
+        plan = _plan(pair)
         try:
             trace = simulate(inst, plan)
         except PlanInconsistencyError:
@@ -657,3 +694,97 @@ def test_oracle_simulates_no_plan_worth_less_than_its_answer(monkeypatch, seed):
     monkeypatch.setattr(module, "simulate", recording)
     value = grid_oracle(inst, 0.5)
     assert seen and min(seen) >= value
+
+
+def _perfbench_instances(seed):
+    """The eight instances of the benchmark's oracle_tiny workload at ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    rng = random.Random(seed)
+    return [run.tiny_instance(blendplan, rng, run.TINY_SHAPES[i % len(run.TINY_SHAPES)],
+                              tight=i % 2 == 1) for i in range(run.ORACLE_COUNT)]
+
+
+def _tied_shares():
+    """Two like tanks, so many choices share a missed value exactly, and a
+    barge penalty so great that every feed share rounds to one sum with an
+    unload share that is not 0."""
+    tanks = tuple(Tank(k, 1000.0, 100.0, 400.0, {"P": 50.0}, 0.10) for k in ("T1", "T2"))
+    return Instance((SpecDef("P"),),
+                    (Barge("B1", 400.0, {"P": 52.0}, (0, 1), 1e22, ("T1", "T2")),),
+                    tanks, (Run("R1", (2, 3), 200.0, {"P": (40.0, 60.0)}, {}, 3000.0),),
+                    OpsParams(2, 2, 7, 0.10, 4))
+
+
+def _assert_walk_order(monkeypatch, instances, grid_step):
+    # no plan simulates, so grid_oracle tries every pair; it must try them in
+    # the order of the stable sort of the whole product by missed value
+    module = sys.modules[grid_oracle.__module__]
+    for inst in instances:
+        want = iter(sorted(itertools.product(_unload_choices(inst, grid_step),
+                                             _feed_choices(inst, grid_step)),
+                           key=lambda pair: pair[0][0] + pair[1][0]))
+        tried = 0
+
+        def refusing(inst, plan):
+            nonlocal tried
+            pair = next(want, None)
+            assert pair is not None and plan == _plan(pair), f"pair {tried}"
+            tried += 1
+            raise PlanInconsistencyError("refused")
+
+        monkeypatch.setattr(module, "simulate", refusing)
+        grid_oracle(inst, grid_step)
+        assert tried and next(want, None) is None
+
+
+@pytest.mark.parametrize("grid_step", [0.5, 0.25, 0.125])
+def test_oracle_walks_tiny_instances_in_sorted_product_order(monkeypatch, grid_step):
+    _assert_walk_order(monkeypatch, [tiny_instance(seed) for seed in range(20)], grid_step)
+
+
+@pytest.mark.parametrize("grid_step", [0.5, 0.25])
+def test_oracle_walks_benchmark_instances_in_sorted_product_order(monkeypatch, grid_step):
+    instances = [inst for seed in range(12) for inst in _perfbench_instances(seed)]
+    _assert_walk_order(monkeypatch, instances, grid_step)
+
+
+def test_oracle_walks_tied_shares_in_sorted_product_order(monkeypatch):
+    inst = _tied_shares()
+    unloads, feeds = _unload_choices(inst, 0.25), _feed_choices(inst, 0.25)
+    sums = [u[0] + f[0] for u, f in itertools.product(unloads, feeds)]
+    assert len(set(sums)) < len(sums) // 2      # mostly ties
+    # with nothing unloaded, every distinct feed share rounds to one sum
+    assert len({f[0] for f in feeds}) > 1 and len({unloads[0][0] + f[0] for f in feeds}) == 1
+    _assert_walk_order(monkeypatch, [inst], 0.25)
+
+
+def test_oracle_memory_does_not_grow_with_the_pair_count():
+    # the 8 benchmark instances at seed 5 hold up to 2025 unload and 45 feed
+    # choices at 0.125; a list of every pair peaks at about 4.5 MB
+    instances = _perfbench_instances(5)
+    grid_oracle(instances[0], 0.125)     # first-call caches outside the measure
+    tracemalloc.start()
+    try:
+        for inst in instances:
+            grid_oracle(inst, 0.125)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("field, key, value, message", [
+    ("y_in", ("BX", "T1", 3), 100.0, "y_in names barge 'BX', which the instance lacks"),
+    ("mis", 99, 5.0, "mis names day 99, which the instance lacks"),
+])
+def test_loss_refuses_a_plan_naming_an_id_the_instance_lacks(sample, field, key, value,
+                                                             message):
+    # unchecked, the BX entry reads as 0 % loss
+    plan = empty_plan(sample)
+    getattr(plan, field)[key] = value
+    for measure in (simulate, loss, plan_objective):
+        with pytest.raises(PlanInconsistencyError, match=f"^{re.escape(message)}$"):
+            measure(sample, plan)
